@@ -29,13 +29,12 @@
 //! per drain (0%, asserted by construction, reported for the record).
 //!
 //! **Offline**: a synthetic multi-thread trace (~1 GiB at the full
-//! profile) replayed through the CLEAN engine two ways — the naive
-//! baseline (`replay_file_sharded`: one worker per shard, each decoding
-//! the whole file) versus the work-stealing streaming pipeline
-//! (`replay_file_stealing`: chunk-table parallel decode off the shared
-//! mmap, pre-sharded batches fanned to per-shard queues). A decode-worker
-//! sweep (1, 2, 4) times the pipeline at each width; every run must
-//! report identical races.
+//! profile) replayed off disk through the CLEAN engine by the one replay
+//! engine (`Replay::file`) twice — at one lane (sequential, inline) and
+//! at N lanes (N = the host's parallelism, clamped to 2..=8). Headline
+//! `offline_speedup` is lanes = N over lanes = 1 on the same file; both
+//! runs must report identical races. The block records its host, since
+//! the ratio means nothing without the core count it was taken on.
 //!
 //! Results land in `BENCH_hotpath.json` (override with `--out`).
 //! `--check-baseline <file>` re-reads a checked-in result and fails the
@@ -48,10 +47,7 @@ use clean_core::{
     CheckPlan, CleanDetector, CompiledPlan, DetectorConfig, DetectorObs, PlanAction, PlanEntry,
     ThreadCheckState, ThreadId, TraceEvent, VectorClock, Witness,
 };
-use clean_trace::{
-    replay_file_sharded, replay_file_stealing, replay_file_stealing_with, scan_trace, EngineKind,
-    TraceWriter,
-};
+use clean_trace::{EngineKind, Replay, TraceWriter};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -498,29 +494,22 @@ fn write_synthetic_trace(path: &Path, events: u64, threads: usize) -> io::Result
 struct OfflineResult {
     events: u64,
     bytes: u64,
-    shards: usize,
-    workers: usize,
-    naive_secs: f64,
-    stealing_secs: f64,
+    /// `std::thread::available_parallelism` on the measuring host.
+    parallelism: usize,
+    lanes: usize,
+    one_lane_secs: f64,
+    lanes_secs: f64,
     batches: u64,
-    steals: u64,
     used_mmap: bool,
-    /// Decode workers the headline stealing run actually used.
-    decode_workers: u64,
-    /// Whether the trace's chunk table drove parallel decode.
-    used_table: bool,
-    /// `(decode_workers, seconds)` for the decode-width sweep.
-    decode_sweep: Vec<(usize, f64)>,
     races_found: usize,
     races_agree: bool,
 }
 
 fn run_offline(target_bytes: u64, threads: usize) -> OfflineResult {
-    let shards = 8;
-    let workers = std::thread::available_parallelism()
+    let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, shards);
+        .unwrap_or(2);
+    let lanes = parallelism.clamp(2, 8);
     let dir = trace_dir();
     std::fs::create_dir_all(&dir).expect("create trace store directory");
 
@@ -541,60 +530,37 @@ fn run_offline(target_bytes: u64, threads: usize) -> OfflineResult {
     );
     let bytes = write_synthetic_trace(&path, events, threads).expect("write synthetic trace");
 
-    let scan = scan_trace(&path).expect("scan synthetic trace");
-    assert_eq!(scan.events, events);
+    let timed = |lanes: usize| {
+        println!("  streaming replay, {lanes} lane(s) ...");
+        let t0 = Instant::now();
+        let done = Replay::new(EngineKind::Clean)
+            .lanes(lanes)
+            .file(&path)
+            .expect("offline replay");
+        (done, t0.elapsed().as_secs_f64())
+    };
+    let (one, one_lane_secs) = timed(1);
+    let (many, lanes_secs) = timed(lanes);
+    std::fs::remove_file(&path).ok();
 
-    println!("  naive per-shard full-decode replay ({shards} shards) ...");
-    let t0 = Instant::now();
-    let (naive_races, _) = replay_file_sharded(&path, EngineKind::Clean, shards, scan.threads)
-        .expect("naive sharded replay");
-    let naive_secs = t0.elapsed().as_secs_f64();
-
-    println!("  work-stealing streaming replay ({shards} shards, {workers} workers) ...");
-    let t0 = Instant::now();
-    let (steal_races, stats) =
-        replay_file_stealing(&path, EngineKind::Clean, shards, workers, scan.threads)
-            .expect("work-stealing replay");
-    let stealing_secs = t0.elapsed().as_secs_f64();
-
-    let races_agree = naive_races == steal_races;
+    assert_eq!(one.events, events);
+    let races_agree = one.races == many.races;
     assert!(races_agree, "offline replay verdicts diverged");
     assert!(
-        !steal_races.is_empty(),
+        !many.races.is_empty(),
         "the seeded WAW pair must be reported"
     );
-
-    // Decode-width sweep over the chunk-table parallel decoder: same
-    // replay, different numbers of decode workers, identical verdicts.
-    let mut decode_sweep = Vec::new();
-    for dw in [1usize, 2, 4] {
-        println!("  stealing replay with {dw} decode worker(s) ...");
-        let t0 = Instant::now();
-        let (races, s) =
-            replay_file_stealing_with(&path, EngineKind::Clean, shards, workers, dw, scan.threads)
-                .expect("decode-sweep replay");
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(races, steal_races, "decode sweep at {dw} diverged");
-        assert!(s.used_table, "synthetic trace must carry a chunk table");
-        decode_sweep.push((dw, secs));
-    }
-
-    std::fs::remove_file(&path).ok();
 
     OfflineResult {
         events,
         bytes,
-        shards,
-        workers,
-        naive_secs,
-        stealing_secs,
-        batches: stats.batches,
-        steals: stats.steals,
-        used_mmap: stats.used_mmap,
-        decode_workers: stats.decode_workers,
-        used_table: stats.used_table,
-        decode_sweep,
-        races_found: steal_races.len(),
+        parallelism,
+        lanes,
+        one_lane_secs,
+        lanes_secs,
+        batches: many.batches,
+        used_mmap: many.used_mmap,
+        races_found: many.races.len(),
         races_agree,
     }
 }
@@ -788,58 +754,23 @@ fn main() {
     // ---- offline replay comparison ----
     println!("offline replay (CLEAN engine):");
     let off = run_offline(offline_bytes, 4);
-    let offline_speedup = off.naive_secs / off.stealing_secs;
+    let offline_speedup = off.one_lane_secs / off.lanes_secs;
     println!(
-        "  naive {:.2}s vs stealing {:.2}s -> {} ({} events, {:.0} MiB, {} batches, {} steals, {}, {})\n",
-        off.naive_secs,
-        off.stealing_secs,
+        "  1 lane {:.2}s vs {} lanes {:.2}s -> {} ({} events, {:.0} MiB, {} batches, {}, host parallelism {})\n",
+        off.one_lane_secs,
+        off.lanes,
+        off.lanes_secs,
         fmt_x(offline_speedup),
         off.events,
         off.bytes as f64 / (1 << 20) as f64,
         off.batches,
-        off.steals,
         if off.used_mmap { "mmap" } else { "buffered" },
-        if off.used_table {
-            format!("table decode x{}", off.decode_workers)
-        } else {
-            "sequential decode".to_string()
-        },
+        off.parallelism,
     );
-    let mut sweep_at_4 = 0.0;
-    for &(dw, secs) in &off.decode_sweep {
-        let speedup = off.naive_secs / secs;
-        println!(
-            "  decode sweep: {dw} worker(s) {secs:.2}s -> {}",
-            fmt_x(speedup)
-        );
-        if dw == 4 {
-            sweep_at_4 = speedup;
-        }
-    }
-    println!();
-    if !small {
-        // The pre-table pipeline peaked at 1.57x on this trace; the
-        // chunk-table decoder must beat that, not just match it.
-        assert!(
-            sweep_at_4 > 1.57,
-            "offline speedup at 4 decode workers ({}) fell below the 1.57x pre-table baseline",
-            fmt_x(sweep_at_4)
-        );
-    }
 
     // ---- JSON report ----
-    let sweep_json: Vec<String> = off
-        .decode_sweep
-        .iter()
-        .map(|&(dw, secs)| {
-            format!(
-                "{{\"decode_workers\": {dw}, \"secs\": {secs:.3}, \"speedup\": {:.3}}}",
-                off.naive_secs / secs
-            )
-        })
-        .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_speedup\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"events\": {},\n    \"bytes\": {},\n    \"shards\": {},\n    \"workers\": {},\n    \"decode_workers\": {},\n    \"used_table\": {},\n    \"naive_secs\": {:.3},\n    \"stealing_secs\": {:.3},\n    \"batches\": {},\n    \"steals\": {},\n    \"used_mmap\": {},\n    \"races_found\": {},\n    \"races_agree\": {},\n    \"decode_sweep\": [\n      {}\n    ]\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_speedup\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"batches\": {},\n    \"used_mmap\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
         if small { "small" } else { "full" },
         threads,
         reps,
@@ -852,25 +783,26 @@ fn main() {
         !off.races_agree,
         json_profiles.join(",\n"),
         json_plans.join(",\n"),
+        off.parallelism,
+        off.lanes,
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
         off.events,
         off.bytes,
-        off.shards,
-        off.workers,
-        off.decode_workers,
-        off.used_table,
-        off.naive_secs,
-        off.stealing_secs,
+        off.one_lane_secs,
+        off.lanes_secs,
         off.batches,
-        off.steals,
         off.used_mmap,
         off.races_found,
         off.races_agree,
-        sweep_json.join(",\n      "),
     );
     std::fs::write(&out, &json).expect("write result JSON");
     println!("wrote {}", out.display());
     println!(
-        "headline: online (sfr_local all_on vs all_off) {}, offline (stealing+mmap vs naive) {}, plan (plan_private on vs off) {}, obs attach cost {:.2}%",
+        "headline: online (sfr_local all_on vs all_off) {}, offline (N lanes vs 1) {}, plan (plan_private on vs off) {}, obs attach cost {:.2}%",
         fmt_x(online_speedup),
         fmt_x(offline_speedup),
         fmt_x(plan_speedup),

@@ -10,7 +10,7 @@
 //! its races demoted to warnings.
 //!
 //! Every verdict observed by any worker is checked against a direct
-//! `replay_sharded` ground truth — the soak fails on a single
+//! `Replay` ground truth — the soak fails on a single
 //! divergence. Worker-side stats land in a `clean-obs` registry
 //! (per-class `soak_ops_total` counters, `soak_client_micros`
 //! histograms, a `divergence_total` counter), and the latency SLO
@@ -46,8 +46,7 @@ use clean_serve::protocol::{Response, MAGIC, VERSION};
 use clean_serve::router::{Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig, ServerHandle};
 use clean_trace::{
-    digest_events, read_trace, record_kernel_trace, replay_sharded, EngineKind, RecordOptions,
-    TraceDigest,
+    digest_events, read_trace, record_kernel_trace, EngineKind, RecordOptions, Replay, TraceDigest,
 };
 use std::collections::HashSet;
 use std::io::{BufReader, Write as _};
@@ -67,7 +66,7 @@ struct CorpusTrace {
     name: &'static str,
     bytes: Vec<u8>,
     digest: TraceDigest,
-    /// Direct `replay_sharded` race set per engine, in `ENGINES` order.
+    /// Direct `Replay` race set per engine, in `ENGINES` order.
     truth: [HashSet<FoundRace>; 2],
 }
 
@@ -97,7 +96,10 @@ fn record_corpus(dir: &std::path::Path) -> Vec<CorpusTrace> {
             let bytes = std::fs::read(&path).expect("read recorded trace bytes");
             std::fs::remove_file(&path).ok();
             let truth = ENGINES.map(|engine| {
-                replay_sharded(&events, engine, 4)
+                Replay::new(engine)
+                    .lanes(4)
+                    .events(&events)
+                    .races
                     .into_iter()
                     .collect::<HashSet<_>>()
             });
@@ -308,7 +310,10 @@ fn op_cold_submit(
         .wrapping_add(shared.cold_counter.fetch_add(1, Ordering::Relaxed));
     let racy = rng.below(2) == 0;
     let events = synth_events(cold_seed, racy);
-    let truth: HashSet<FoundRace> = replay_sharded(&events, EngineKind::Clean, 2)
+    let truth: HashSet<FoundRace> = Replay::new(EngineKind::Clean)
+        .lanes(2)
+        .events(&events)
+        .races
         .into_iter()
         .collect();
     let c = ensure_client(client, shared.target)?;

@@ -198,7 +198,7 @@ pub fn synth_trace(seed: u64, racy: bool) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clean_trace::{digest_events, replay_sharded, EngineKind};
+    use clean_trace::{digest_events, EngineKind, Replay};
 
     #[test]
     fn splitmix_is_deterministic_and_bounded() {
@@ -285,7 +285,15 @@ mod tests {
             digest_events(&synth_events(3, true)),
             "same seed must be reproducible"
         );
-        assert!(!replay_sharded(&racy, EngineKind::Clean, 2).is_empty());
-        assert!(replay_sharded(&clean, EngineKind::Clean, 2).is_empty());
+        assert!(!Replay::new(EngineKind::Clean)
+            .lanes(2)
+            .events(&racy)
+            .races
+            .is_empty());
+        assert!(Replay::new(EngineKind::Clean)
+            .lanes(2)
+            .events(&clean)
+            .races
+            .is_empty());
     }
 }

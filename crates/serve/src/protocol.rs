@@ -98,7 +98,7 @@ pub enum Request {
 }
 
 /// One race in a verdict, in wire form (the lowest-address first race
-/// per event index, as produced by `replay_sharded`).
+/// per event index, as produced by `Replay`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireRace {
     /// Race kind.

@@ -45,10 +45,7 @@ use crate::protocol::{
 use crate::queue::{Admission, JobQueue, JobState};
 use crate::store::{StoreError, TraceStore};
 use clean_obs::{Counter, Journal, Registry, Stage, StageSpans};
-use clean_trace::{
-    read_table, read_trace, replay_file_stealing, replay_sharded, scan_trace, EngineKind,
-    TraceDigest,
-};
+use clean_trace::{EngineKind, Replay, TraceDigest};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read};
@@ -79,16 +76,8 @@ pub struct ServerConfig {
     pub retry_millis: u64,
     /// Worker threads replaying jobs.
     pub workers: usize,
-    /// Shards for the replay engines.
+    /// Replay lanes (address shards, one detector thread each) per job.
     pub shards: usize,
-    /// Traces at or above this many bytes replay via the streaming
-    /// work-stealing engine instead of being read fully into memory.
-    /// Only consulted for v1 traces — v2 traces carry their exact event
-    /// count in the chunk table and use `stream_events` instead.
-    pub stream_threshold: u64,
-    /// Traces at or above this many *events* (read from the v2 chunk
-    /// table in O(footer), no scan) replay via the streaming engine.
-    pub stream_events: u64,
     /// Addresses of peer `clean-serve` nodes to FETCH missing digests
     /// from before failing an ANALYZE. Empty = standalone node.
     pub peers: Vec<String>,
@@ -120,8 +109,8 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Defaults: loopback ephemeral port, 1 GiB store, 64-job queue,
     /// 8 jobs per client, 100 ms retry hint, workers/shards from
-    /// available parallelism, 8 MiB streaming threshold, no peers,
-    /// 32 acceptors, 30 s I/O timeout, durable verdicts.
+    /// available parallelism, no peers, 32 acceptors, 30 s I/O timeout,
+    /// durable verdicts.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -135,8 +124,6 @@ impl ServerConfig {
             retry_millis: 100,
             workers: cores.clamp(1, 8),
             shards: cores.clamp(1, 8),
-            stream_threshold: 8 << 20,
-            stream_events: 2_000_000,
             peers: Vec::new(),
             acceptors: 32,
             io_timeout_millis: 30_000,
@@ -185,12 +172,6 @@ impl ServerConfig {
     /// Sets the replay shard count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the event-count streaming threshold (v2 traces).
-    pub fn stream_events(mut self, events: u64) -> Self {
-        self.stream_events = events;
         self
     }
 
@@ -339,8 +320,6 @@ struct Shared {
     /// Where the policy persists across restarts.
     policy_path: PathBuf,
     shards: usize,
-    stream_threshold: u64,
-    stream_events: u64,
     peers: Vec<String>,
     acceptors: usize,
     io_timeout: Option<Duration>,
@@ -417,40 +396,15 @@ impl Shared {
             return Err(format!("trace {digest} no longer in store"));
         };
         let _check_span = self.obs.spans.as_ref().map(|s| s.start(Stage::Check));
-        // v2 traces carry their exact event count in the chunk-table
-        // footer (three small reads, no scan): split on events, the
-        // quantity that actually drives replay cost. v1 traces — and a
-        // trace whose table cannot be read — fall back to raw file size;
-        // a genuinely corrupt table then fails cleanly inside the replay.
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let table = read_table(&path).ok().flatten();
-        let stream = match &table {
-            Some(table) => table.total_events >= self.stream_events,
-            None => bytes >= self.stream_threshold,
-        };
-        let verdict = if stream {
-            let workers = self.shards.clamp(1, 4);
-            // Detector lanes must cover every thread in the trace. The
-            // v2 trailer records the count directly; v1 pays one scan
-            // pass before the replay.
-            let slots = match &table {
-                Some(table) => table.threads as usize,
-                None => scan_trace(&path).map_err(|e| e.to_string())?.threads,
-            }
-            .max(1);
-            let (races, stats) = replay_file_stealing(&path, engine, self.shards, workers, slots)
-                .map_err(|e| e.to_string())?;
-            Verdict {
-                races,
-                events: stats.events,
-            }
-        } else {
-            let events = read_trace(&path).map_err(|e| e.to_string())?;
-            let races = replay_sharded(&events, engine, self.shards);
-            Verdict {
-                races,
-                events: events.len() as u64,
-            }
+        // Every trace streams off the store file: nothing is loaded whole,
+        // and a file that fails to decode never yields a verdict.
+        let done = Replay::new(engine)
+            .lanes(self.shards)
+            .file(&path)
+            .map_err(|e| e.to_string())?;
+        let verdict = Verdict {
+            races: done.races,
+            events: done.events,
         };
         self.cache.insert(key, verdict.clone());
         Ok(verdict)
@@ -579,8 +533,6 @@ impl Server {
             counters,
             obs,
             shards: config.shards,
-            stream_threshold: config.stream_threshold,
-            stream_events: config.stream_events,
             peers: config.peers.clone(),
             acceptors: acceptor_count,
             io_timeout: (config.io_timeout_millis > 0)

@@ -1,6 +1,6 @@
 //! Fleet tests: a 3-node in-process fleet behind the router must serve
 //! verdicts identical to single-node clean-serve and to a direct
-//! `replay_sharded` run, for every engine, under 16 concurrent clients —
+//! `Replay` run, for every engine, under 16 concurrent clients —
 //! including after one backend is killed and its digests come back via
 //! peer FETCH from the surviving replica.
 
@@ -10,8 +10,7 @@ use clean_serve::protocol::{error_code, Response};
 use clean_serve::router::{primary_backend, Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig, ServerHandle};
 use clean_trace::{
-    digest_events, read_trace, record_kernel_trace, replay_sharded, EngineKind, RecordOptions,
-    TraceDigest,
+    digest_events, read_trace, record_kernel_trace, EngineKind, RecordOptions, Replay, TraceDigest,
 };
 use std::collections::HashSet;
 use std::net::TcpListener;
@@ -85,7 +84,7 @@ fn submit(client: &mut Client, trace: &[u8]) -> (TraceDigest, bool) {
 
 type Truth = Vec<(TraceDigest, Vec<HashSet<clean_baselines::FoundRace>>)>;
 
-/// Ground truth: digest plus the direct `replay_sharded` race set for
+/// Ground truth: digest plus the direct `Replay` race set for
 /// every engine, in `EngineKind::ALL` order.
 fn ground_truth(dir: &Path, corpus: &[Vec<u8>]) -> Truth {
     corpus
@@ -98,7 +97,10 @@ fn ground_truth(dir: &Path, corpus: &[Vec<u8>]) -> Truth {
             let per_engine = EngineKind::ALL
                 .iter()
                 .map(|&engine| {
-                    replay_sharded(&events, engine, 4)
+                    Replay::new(engine)
+                        .lanes(4)
+                        .events(&events)
+                        .races
                         .into_iter()
                         .collect::<HashSet<_>>()
                 })
@@ -496,7 +498,10 @@ fn router_tags_jobs_and_routes_status_polls() {
     };
     let path = dir.join("status.cltr");
     std::fs::write(&path, &trace).unwrap();
-    let direct: HashSet<_> = replay_sharded(&read_trace(&path).unwrap(), EngineKind::VcFull, 4)
+    let direct: HashSet<_> = Replay::new(EngineKind::VcFull)
+        .lanes(4)
+        .events(&read_trace(&path).unwrap())
+        .races
         .into_iter()
         .collect();
     assert_eq!(races, direct);

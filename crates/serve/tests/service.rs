@@ -1,14 +1,13 @@
 //! End-to-end service tests over real TCP connections: admission
 //! control, verdict caching, digest dedup, graceful drain, and —
 //! the acceptance bar — 16 concurrent clients whose served verdicts
-//! all equal a direct `replay_sharded` run.
+//! all equal a direct `Replay` run.
 
 use clean_serve::client::Client;
 use clean_serve::protocol::{error_code, Response};
 use clean_serve::server::{Server, ServerConfig};
 use clean_trace::{
-    digest_events, read_trace, record_kernel_trace, replay_sharded, EngineKind, RecordOptions,
-    TraceDigest,
+    digest_events, read_trace, record_kernel_trace, EngineKind, RecordOptions, Replay, TraceDigest,
 };
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -71,7 +70,10 @@ fn submit_analyze_matches_direct_replay() {
         let direct_events = read_trace(&path).unwrap();
         assert_eq!(digest_events(&direct_events), digest);
         assert_eq!(events, direct_events.len() as u64);
-        let direct: HashSet<_> = replay_sharded(&direct_events, EngineKind::Clean, 4)
+        let direct: HashSet<_> = Replay::new(EngineKind::Clean)
+            .lanes(4)
+            .events(&direct_events)
+            .races
             .into_iter()
             .collect();
         let served: HashSet<_> = races.into_iter().map(|r| r.to_found()).collect();
@@ -151,7 +153,10 @@ fn sixteen_concurrent_clients_get_direct_replay_verdicts() {
             let events = read_trace(&path).unwrap();
             (
                 digest_events(&events),
-                replay_sharded(&events, EngineKind::Clean, 4)
+                Replay::new(EngineKind::Clean)
+                    .lanes(4)
+                    .events(&events)
+                    .races
                     .into_iter()
                     .collect(),
             )
@@ -320,6 +325,84 @@ fn unknown_digest_and_unknown_job_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A one-event `CLTR` v2 stream around `payload`, with the CRC and the
+/// chunk table a writer would have produced — the server cannot tell it
+/// from a recorded trace until it decodes the event.
+fn crafted_trace(payload: &[u8]) -> Vec<u8> {
+    use clean_trace::{codec, ChunkEntry, ChunkTable};
+    let mut out = codec::MAGIC.to_vec();
+    out.push(codec::FORMAT_VERSION);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&codec::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0u8; 12]);
+    let table = ChunkTable {
+        entries: vec![ChunkEntry {
+            offset: 5,
+            payload_len: payload.len() as u32,
+            events: 1,
+            first_event: 0,
+        }],
+        total_events: 1,
+        threads: 1,
+    };
+    out.extend_from_slice(&table.encode());
+    out
+}
+
+#[test]
+fn crafted_empty_oversized_and_wrapping_accesses_get_errors_and_the_daemon_stays_up() {
+    // `Write { addr: 0, size: 0 }`, `Write { addr: usize::MAX - 3,
+    // size: 8 }` and `Write { addr: 0, size: 1 << 45 }` (see the codec's
+    // tag layout): sharded replay used to turn the first and the last
+    // into unbounded allocations.
+    let crafted = [
+        crafted_trace(&[0x21, 0x00, 0x00, 0x00]),
+        crafted_trace(&[0x19, 0x00, 0x07]),
+        crafted_trace(&[0x21, 0x00, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x08]),
+    ];
+    let dir = scratch("crafted");
+    let store = dir.join("store");
+    std::fs::create_dir_all(&store).unwrap();
+    // A store written by an older build may already hold such a file:
+    // plant each under a digest so ANALYZE reaches the replay.
+    let planted = [
+        TraceDigest(0xbad0),
+        TraceDigest(0xbad1),
+        TraceDigest(0xbad2),
+    ];
+    for (digest, bytes) in planted.iter().zip(&crafted) {
+        std::fs::write(store.join(format!("{digest}.cltr")), bytes).unwrap();
+    }
+    let server = Server::start(ServerConfig::new(&store).shards(2)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    for (digest, bytes) in planted.iter().zip(&crafted) {
+        match client.submit(bytes.clone()).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, error_code::BAD_TRACE),
+            other => panic!("crafted SUBMIT: {other:?}"),
+        }
+        match client.analyze(*digest, EngineKind::Clean, true).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, error_code::INTERNAL);
+                assert!(message.contains("corrupt"), "{message}");
+            }
+            other => panic!("crafted ANALYZE: {other:?}"),
+        }
+    }
+
+    // Same daemon, same connection, next request: a real verdict.
+    let trace = record(&dir, "dedup", true, 7);
+    let (digest, _) = submit(&mut client, &trace);
+    match client.analyze(digest, EngineKind::Clean, true).unwrap() {
+        Response::Verdict { races, .. } => assert!(!races.is_empty()),
+        other => panic!("expected a verdict after the crafted traces: {other:?}"),
+    }
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn graceful_shutdown_drains_queued_job() {
     let dir = scratch("drain");
@@ -350,7 +433,10 @@ fn graceful_shutdown_drains_queued_job() {
     };
     let path = dir.join("truth.cltr");
     std::fs::write(&path, &trace).unwrap();
-    let direct: HashSet<_> = replay_sharded(&read_trace(&path).unwrap(), EngineKind::Clean, 4)
+    let direct: HashSet<_> = Replay::new(EngineKind::Clean)
+        .lanes(4)
+        .events(&read_trace(&path).unwrap())
+        .races
         .into_iter()
         .collect();
     assert_eq!(served, direct, "drained verdict must equal direct replay");
@@ -413,7 +499,12 @@ fn warm_restart_serves_persisted_verdicts_without_replaying() {
         .into_iter()
         .zip([EngineKind::Clean, EngineKind::FastTrack])
     {
-        let direct: HashSet<_> = replay_sharded(&events, engine, 4).into_iter().collect();
+        let direct: HashSet<_> = Replay::new(engine)
+            .lanes(4)
+            .events(&events)
+            .races
+            .into_iter()
+            .collect();
         let served: HashSet<_> = races.into_iter().map(|r| r.to_found()).collect();
         assert_eq!(served, direct, "engine {}", engine.name());
     }
@@ -442,7 +533,10 @@ fn peer_fetch_pulls_missing_trace_before_replaying() {
     };
     let path = dir.join("peer.cltr");
     std::fs::write(&path, &trace).unwrap();
-    let direct: HashSet<_> = replay_sharded(&read_trace(&path).unwrap(), EngineKind::Clean, 4)
+    let direct: HashSet<_> = Replay::new(EngineKind::Clean)
+        .lanes(4)
+        .events(&read_trace(&path).unwrap())
+        .races
         .into_iter()
         .collect();
     let served: HashSet<_> = races.into_iter().map(|r| r.to_found()).collect();
@@ -543,7 +637,10 @@ fn evicted_digest_is_refetched_from_peer() {
     assert_eq!(stats.fetches, 5, "evicted digest fetched again");
     let path = dir.join("refetch.cltr");
     std::fs::write(&path, &corpus[0]).unwrap();
-    let direct: HashSet<_> = replay_sharded(&read_trace(&path).unwrap(), EngineKind::FastTrack, 4)
+    let direct: HashSet<_> = Replay::new(EngineKind::FastTrack)
+        .lanes(4)
+        .events(&read_trace(&path).unwrap())
+        .races
         .into_iter()
         .collect();
     let served: HashSet<_> = races.into_iter().map(|r| r.to_found()).collect();
@@ -567,7 +664,12 @@ fn verdicts_consistent_across_engines() {
         let Response::Verdict { races, .. } = client.analyze(digest, engine, true).unwrap() else {
             panic!("expected verdict for {}", engine.name());
         };
-        let direct: HashSet<_> = replay_sharded(&events, engine, 4).into_iter().collect();
+        let direct: HashSet<_> = Replay::new(engine)
+            .lanes(4)
+            .events(&events)
+            .races
+            .into_iter()
+            .collect();
         let served: HashSet<_> = races.into_iter().map(|r| r.to_found()).collect();
         assert_eq!(served, direct, "engine {}", engine.name());
     }

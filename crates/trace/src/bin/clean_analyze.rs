@@ -5,8 +5,7 @@
 //! clean-analyze stats  [--quick] <file>
 //! clean-analyze digest <file>
 //! clean-analyze replay [--engine all|clean|fasttrack|vcfull|tsan] [--shards N]
-//!                      [--stream] [--workers N] [--decode-workers N]
-//!                      [--range A..B] <file>
+//!                      [--stream] [--workers N] [--range A..B] <file>
 //! clean-analyze diff   [--shards N] <file>
 //! clean-analyze plan   [--granule N] [--out <file>] [--against <plan>] <file>
 //! ```
@@ -19,8 +18,7 @@
 use clean_baselines::{FoundRace, FullRaceKind};
 use clean_trace::{
     digest_file, read_range, read_table, read_trace, record_kernel_trace, record_sim_trace,
-    replay_file_stealing_with, replay_sharded, scan_trace, EngineKind, RecordOptions, TraceError,
-    TraceStats,
+    scan_trace, EngineKind, RecordOptions, Replay, TraceError, TraceStats,
 };
 use clean_workloads::{derive_plan_from_trace, TraceGenConfig};
 use std::collections::HashSet;
@@ -76,18 +74,19 @@ USAGE:
       Print the canonical 128-bit trace digest (the content address the
       serving layer's trace store uses; independent of chunking).
   clean-analyze replay [--engine all|clean|fasttrack|vcfull|tsan] [--shards N]
-                       [--stream] [--workers N] [--decode-workers N]
-                       [--range A..B] <file>
-      Replay the trace through one engine (or all) over N address shards
-      (default: available parallelism). With --stream the trace is not
-      loaded into memory: on v2 traces --decode-workers threads (default:
-      --workers) decode disjoint chunk ranges in parallel via the chunk
-      table (mmap-backed when the kernel allows), feeding pre-sharded
-      batches to a work-stealing pool of --workers replay threads; v1
-      traces stream through a sequential decode pass. With --range A..B
-      only events with trace indices in [A, B) are replayed (as a
-      standalone prefix: sync state before A is not reconstructed); on
-      v2 traces the table seeks straight to the covering chunks.
+                       [--stream] [--workers N] [--range A..B] <file>
+      Replay the trace through one engine (or all). The trace is never
+      loaded into memory: one producer decodes it in stream order (mmap-
+      backed when the kernel allows) into bounded queues feeding --shards
+      lanes (default: the available parallelism), each a thread owning
+      one detector and a share of the 64-byte address granules. One lane
+      replays sequentially, and the verdict is the same for any lane
+      count. --workers N is an older name for the same number (given
+      both, the smaller wins), and --stream is accepted and ignored.
+      With --range A..B only events with trace indices in [A, B) are
+      replayed, from memory (as a standalone prefix: sync state before
+      A is not reconstructed); on v2 traces the table seeks straight to
+      the covering chunks.
   clean-analyze diff [--shards N] <file>
       Cross-engine verdict comparison (e.g. the WAR races CLEAN skips).
   clean-analyze plan [--granule N] [--out <file>] [--against <plan>] <file>
@@ -291,15 +290,15 @@ fn kind_counts(races: &[FoundRace]) -> (usize, usize, usize) {
     )
 }
 
-fn shards_from_args(args: &mut Vec<String>) -> Result<usize, String> {
-    let shards = match take_value(args, "--shards")? {
-        Some(v) => parse_num(&v, "--shards")?,
-        None => default_shards(),
+/// Takes a lane-count flag (`--shards`, or its older name `--workers`).
+fn lanes_arg(args: &mut Vec<String>, flag: &str) -> Result<Option<usize>, String> {
+    let Some(v) = take_value(args, flag)? else {
+        return Ok(None);
     };
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
+    match parse_num(&v, flag)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(Some(n)),
     }
-    Ok(shards)
 }
 
 /// Parses an `A..B` event-index range.
@@ -318,90 +317,55 @@ fn parse_range(v: &str) -> Result<std::ops::Range<u64>, String> {
 fn cmd_replay(rest: &[String]) -> Result<ExitCode, CliError> {
     let mut args = rest.to_vec();
     let engines = engines_from_arg(take_value(&mut args, "--engine")?)?;
-    let shards = shards_from_args(&mut args)?;
-    let stream = take_flag(&mut args, "--stream");
-    let workers = match take_value(&mut args, "--workers")? {
-        Some(v) => parse_num(&v, "--workers")?,
-        None => default_shards(),
-    };
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    let decode_workers = match take_value(&mut args, "--decode-workers")? {
-        Some(v) => parse_num(&v, "--decode-workers")?,
-        None => workers,
-    };
-    if decode_workers == 0 {
-        return Err("--decode-workers must be at least 1".into());
-    }
+    let shards = lanes_arg(&mut args, "--shards")?;
+    let workers = lanes_arg(&mut args, "--workers")?;
+    let lanes = shards.into_iter().chain(workers).min();
+    let lanes = lanes.unwrap_or_else(default_shards);
+    // Every whole-trace replay streams; the flag is kept for scripts.
+    take_flag(&mut args, "--stream");
     let range = match take_value(&mut args, "--range")? {
         Some(v) => Some(parse_range(&v)?),
         None => None,
     };
-    if stream && range.is_some() {
-        return Err("--range loads the slice into memory; drop --stream".into());
-    }
     let [path] = &args[..] else {
         return Err("replay takes exactly one trace file".into());
     };
-    let events = if stream {
-        None
-    } else if let Some(range) = &range {
-        let slice = read_range(path, range.clone()).map_err(trace_err)?;
-        println!(
-            "events {}..{}: {} in range (replayed as a standalone prefix)",
-            range.start,
-            range.end,
-            slice.len()
-        );
-        Some(slice)
-    } else {
-        Some(read_trace(path).map_err(trace_err)?)
-    };
-    let scan = if stream {
-        let scan = scan_trace(path).map_err(trace_err)?;
-        println!(
-            "{} events ({} bytes), {} shards, {} streaming workers, {} decode workers",
-            scan.events, scan.bytes, shards, workers, decode_workers
-        );
-        Some(scan)
-    } else {
-        println!(
-            "{} events, {} shards",
-            events.as_ref().map_or(0, Vec::len),
-            shards
-        );
-        None
+    // Only a range is loaded into memory; a whole trace always streams.
+    let slice = match &range {
+        Some(range) => {
+            let slice = read_range(path, range.clone()).map_err(trace_err)?;
+            println!(
+                "events {}..{}: {} in range (replayed as a standalone prefix), {lanes} lanes",
+                range.start,
+                range.end,
+                slice.len()
+            );
+            Some(slice)
+        }
+        None => {
+            let scan = scan_trace(path).map_err(trace_err)?;
+            println!(
+                "{} events ({} bytes), {lanes} lanes",
+                scan.events, scan.bytes
+            );
+            None
+        }
     };
     let mut any_race = false;
     for kind in engines {
         let start = Instant::now();
-        let (races, detail) = match (&events, &scan) {
-            (Some(events), _) => (replay_sharded(events, kind, shards), String::new()),
-            (None, Some(scan)) => {
-                let (races, stats) = replay_file_stealing_with(
-                    path,
-                    kind,
-                    shards,
-                    workers,
-                    decode_workers,
-                    scan.threads,
-                )
-                .map_err(trace_err)?;
+        let replay = Replay::new(kind).lanes(lanes);
+        let (races, detail) = match &slice {
+            Some(events) => (replay.events(events).races, String::new()),
+            None => {
+                let done = replay.file(path).map_err(trace_err)?;
                 let detail = format!(
-                    " [{} batches, {} steals, {}, {}]",
-                    stats.batches,
-                    stats.steals,
-                    if stats.used_mmap { "mmap" } else { "buffered" },
-                    if stats.used_table {
-                        format!("table decode x{}", stats.decode_workers)
-                    } else {
-                        "sequential decode".to_string()
-                    }
+                    " [{} batches, {}]",
+                    done.batches,
+                    if done.used_mmap { "mmap" } else { "buffered" },
                 );
-                (races, detail)
+                (done.races, detail)
             }
-            (None, None) => unreachable!("stream mode always scans"),
         };
         let (waw, raw, war) = kind_counts(&races);
         println!(
@@ -477,14 +441,14 @@ fn race_set(races: &[FoundRace]) -> HashSet<FoundRace> {
 
 fn cmd_diff(rest: &[String]) -> Result<ExitCode, CliError> {
     let mut args = rest.to_vec();
-    let shards = shards_from_args(&mut args)?;
+    let shards = lanes_arg(&mut args, "--shards")?.unwrap_or_else(default_shards);
     let [path] = &args[..] else {
         return Err("diff takes exactly one trace file".into());
     };
     let events = read_trace(path).map_err(trace_err)?;
     let verdicts: Vec<(EngineKind, Vec<FoundRace>)> = EngineKind::ALL
         .iter()
-        .map(|&k| (k, replay_sharded(&events, k, shards)))
+        .map(|&k| (k, Replay::new(k).lanes(shards).events(&events).races))
         .collect();
     for (kind, races) in &verdicts {
         let (waw, raw, war) = kind_counts(races);

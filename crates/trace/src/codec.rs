@@ -136,6 +136,32 @@ impl DeltaState {
     }
 }
 
+/// Largest memory access, in bytes, the format holds: 16 MiB, sixteen
+/// times the runtime's default heap. The offline engines keep per-byte
+/// state, so an event's size is work and memory a reader commits to on
+/// the word of whoever wrote the file; the bound caps what one event can
+/// ask for. (It does not cap a trace's footprint: many events still add
+/// up.)
+pub const MAX_ACCESS_BYTES: usize = 1 << 24;
+
+/// The one validity rule both directions enforce on a memory event: it
+/// covers between one and [`MAX_ACCESS_BYTES`] bytes and does not wrap
+/// the address space. Replay clips accesses to address granules, so a
+/// range that breaks the rule has no meaning there — and only a damaged
+/// or crafted stream holds one.
+fn check_access(addr: usize, size: usize) -> Result<(), &'static str> {
+    if size == 0 {
+        return Err("zero-size memory access");
+    }
+    if size > MAX_ACCESS_BYTES {
+        return Err("memory access larger than MAX_ACCESS_BYTES");
+    }
+    if addr.checked_add(size).is_none() {
+        return Err("memory access wraps the address space");
+    }
+    Ok(())
+}
+
 /// Streaming event encoder (one chunk's worth of state).
 #[derive(Debug, Default)]
 pub struct Encoder {
@@ -154,13 +180,19 @@ impl Encoder {
     }
 
     /// Appends the encoding of `event` to `out`.
-    pub fn encode(&mut self, event: &TraceEvent, out: &mut Vec<u8>) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses a memory event of size zero, of more than
+    /// [`MAX_ACCESS_BYTES`], or whose byte range wraps the address space
+    /// (the decoder rejects all three); nothing is appended.
+    pub fn encode(&mut self, event: &TraceEvent, out: &mut Vec<u8>) -> Result<(), &'static str> {
         match *event {
             TraceEvent::Read { tid, addr, size } => {
-                self.encode_memory(KIND_READ, tid, addr, size, out)
+                self.encode_memory(KIND_READ, tid, addr, size, out)?
             }
             TraceEvent::Write { tid, addr, size } => {
-                self.encode_memory(KIND_WRITE, tid, addr, size, out)
+                self.encode_memory(KIND_WRITE, tid, addr, size, out)?
             }
             TraceEvent::Acquire { tid, lock } => {
                 out.push(KIND_ACQUIRE);
@@ -183,6 +215,7 @@ impl Encoder {
                 write_uvarint(out, u64::from(child.raw()));
             }
         }
+        Ok(())
     }
 
     fn encode_memory(
@@ -192,7 +225,8 @@ impl Encoder {
         addr: usize,
         size: usize,
         out: &mut Vec<u8>,
-    ) {
+    ) -> Result<(), &'static str> {
+        check_access(addr, size)?;
         let mut tag = kind;
         let explicit = match SIZE_CLASSES.iter().position(|&s| s == size) {
             Some(class) => {
@@ -212,6 +246,7 @@ impl Encoder {
         if explicit {
             write_uvarint(out, size as u64);
         }
+        Ok(())
     }
 }
 
@@ -254,6 +289,7 @@ impl Decoder {
                     SIZE_CLASSES[usize::from((tag >> 3) & 0x03)]
                 };
                 let addr = usize::try_from(addr).map_err(|_| "address overflows usize")?;
+                check_access(addr, size)?;
                 Ok(if kind == KIND_READ {
                     TraceEvent::Read { tid, addr, size }
                 } else {
@@ -306,7 +342,7 @@ mod tests {
         let mut enc = Encoder::new();
         let mut buf = Vec::new();
         for e in events {
-            enc.encode(e, &mut buf);
+            enc.encode(e, &mut buf).unwrap();
         }
         let mut dec = Decoder::new();
         let mut input = &buf[..];
@@ -396,7 +432,7 @@ mod tests {
         let mut enc = Encoder::new();
         let mut buf = Vec::new();
         for e in &events {
-            enc.encode(e, &mut buf);
+            enc.encode(e, &mut buf).unwrap();
         }
         assert_eq!(roundtrip(&events), events);
         // First event per thread pays for the absolute address; the rest
@@ -419,7 +455,8 @@ mod tests {
                 size: 4,
             },
             &mut buf,
-        );
+        )
+        .unwrap();
         for cut in 0..buf.len() {
             let mut dec = Decoder::new();
             let mut input = &buf[..cut];
@@ -442,6 +479,67 @@ mod tests {
             let mut input = &buf[..];
             assert!(dec.decode(&mut input).is_err(), "tag {tag:#04x} accepted");
         }
+    }
+
+    #[test]
+    fn empty_oversized_and_wrapping_accesses_are_refused_both_ways() {
+        // Each event beside the bytes a crafted stream would carry for
+        // it: an explicit-size write of 0 bytes at 0, one of a byte more
+        // than the bound (varint 2^24 + 1), and an 8-byte read whose
+        // zigzag delta 7 (= -4) puts it at `usize::MAX - 3`.
+        let bad: [(TraceEvent, &[u8]); 3] = [
+            (
+                TraceEvent::Write {
+                    tid: t(0),
+                    addr: 0,
+                    size: 0,
+                },
+                &[KIND_WRITE | FLAG_EXPLICIT_SIZE, 0, 0, 0],
+            ),
+            (
+                TraceEvent::Write {
+                    tid: t(0),
+                    addr: 0,
+                    size: MAX_ACCESS_BYTES + 1,
+                },
+                &[
+                    KIND_WRITE | FLAG_EXPLICIT_SIZE,
+                    0,
+                    0,
+                    0x81,
+                    0x80,
+                    0x80,
+                    0x08,
+                ],
+            ),
+            (
+                TraceEvent::Read {
+                    tid: t(1),
+                    addr: usize::MAX - 3,
+                    size: 8,
+                },
+                &[KIND_READ | 3 << 3, 1, 7],
+            ),
+        ];
+        for (ev, mut bytes) in bad {
+            let mut buf = Vec::new();
+            assert!(Encoder::new().encode(&ev, &mut buf).is_err(), "{ev:?}");
+            assert!(buf.is_empty(), "a refused event must append nothing");
+            assert!(Decoder::new().decode(&mut bytes).is_err(), "{ev:?}");
+        }
+        // An access that ends exactly at the top still round-trips, and
+        // so does one of exactly the bound.
+        let top = TraceEvent::Write {
+            tid: t(0),
+            addr: usize::MAX - 8,
+            size: 8,
+        };
+        let largest = TraceEvent::Read {
+            tid: t(1),
+            addr: 4096,
+            size: MAX_ACCESS_BYTES,
+        };
+        assert_eq!(roundtrip(&[top, largest]), [top, largest]);
     }
 
     #[test]

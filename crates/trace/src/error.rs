@@ -40,6 +40,14 @@ pub enum TraceError {
         /// What was wrong.
         reason: &'static str,
     },
+    /// The trace decodes, but names more threads than the analysis
+    /// engines' epoch layout has thread ids for.
+    TooManyThreads {
+        /// Thread slots the trace needs.
+        threads: usize,
+        /// Thread slots the engines support.
+        max: usize,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -67,6 +75,10 @@ impl fmt::Display for TraceError {
             TraceError::BadTable { reason } => {
                 write!(f, "chunk table invalid: {reason}")
             }
+            TraceError::TooManyThreads { threads, max } => write!(
+                f,
+                "trace needs {threads} thread slots; the engines support {max}"
+            ),
         }
     }
 }

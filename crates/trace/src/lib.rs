@@ -16,16 +16,18 @@
 //!   chunk-framed file I/O with CRC-32 corruption detection;
 //!   [`FileSink`] plugs into the runtime's [`EventSink`] capture hook so
 //!   executions record straight to disk.
-//! * **Analysis** ([`analyze`]): sequential replay through any
-//!   [`TraceDetector`] engine, and the address-sharded parallel replay
-//!   across scoped worker threads that provably agrees with sequential
-//!   replay (see [`analyze`]'s module docs).
+//! * **Analysis** ([`replay`]): one engine, [`Replay`], runs any
+//!   [`TraceDetector`](clean_baselines::TraceDetector) over a slice or a
+//!   trace file. One producer pre-shards events by address granule into
+//!   bounded per-lane queues; each lane is a thread owning one detector,
+//!   and lane count 1 is the sequential replay every other lane count
+//!   provably agrees with (see [`replay`]'s module docs).
 //! * **CLI** (`clean-analyze`): `record`, `stats`, `replay`, `diff`.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use clean_trace::{write_trace, read_trace, EngineKind, replay_sharded};
+//! use clean_trace::{write_trace, read_trace, EngineKind, Replay};
 //! use clean_core::{ThreadId, TraceEvent};
 //!
 //! let events = vec![
@@ -35,41 +37,36 @@
 //! write_trace("waw.cltr", &events)?;
 //! let back = read_trace("waw.cltr")?;
 //! assert_eq!(back, events);
-//! let races = replay_sharded(&back, EngineKind::Clean, 4);
-//! assert_eq!(races.len(), 1);
+//! let replay = Replay::new(EngineKind::Clean).lanes(4);
+//! assert_eq!(replay.events(&back).races.len(), 1);
+//! assert_eq!(replay.file("waw.cltr")?.races.len(), 1);
 //! # Ok::<(), clean_trace::TraceError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analyze;
 pub mod codec;
 pub mod digest;
 mod error;
 pub mod mmap;
 mod reader;
 mod record;
+pub mod replay;
 mod stats;
-mod stealing;
 pub mod table;
 mod writer;
 
-pub use analyze::{
-    replay_sequential, replay_sharded, required_threads, sync_free_segments, EngineKind,
-    SHARD_GRANULE,
-};
 pub use clean_core::{EventSink, TraceEvent};
 pub use digest::{digest_events, digest_file, Digester, TraceDigest};
 pub use error::{Result, TraceError};
 pub use mmap::{map_file, MappedTrace};
 pub use reader::{read_range, read_trace, TraceReader};
 pub use record::{record_kernel_trace, record_sim_trace, RecordOptions};
-pub use stats::TraceStats;
-pub use stealing::{
-    replay_file_sharded, replay_file_stealing, replay_file_stealing_with, replay_stealing,
-    scan_trace, ReplayStats, TraceScan,
+pub use replay::{
+    required_threads, scan_trace, EngineKind, Replay, Replayed, TraceScan, SHARD_GRANULE,
 };
+pub use stats::TraceStats;
 pub use table::{parse_table, read_table, ChunkEntry, ChunkTable, TABLE_MAGIC};
 pub use writer::{
     encode_trace, write_trace, write_trace_v1, FileSink, TraceWriter, WriteSummary,

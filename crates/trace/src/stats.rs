@@ -1,9 +1,28 @@
 //! Summary statistics of a stored trace (the `clean-analyze stats`
 //! subcommand).
 
-use crate::analyze::sync_free_segments;
 use clean_core::TraceEvent;
 use std::collections::BTreeMap;
+use std::ops::Range;
+
+/// Cuts a trace into synchronization-free segments: maximal runs of
+/// memory events, delimited by sync (acquire/release/fork/join) events.
+/// Sync events belong to no segment. Empty segments are not reported.
+fn sync_free_segments(events: &[TraceEvent]) -> Vec<Range<usize>> {
+    let mut segments = Vec::new();
+    let mut start = None;
+    for (i, e) in events.iter().enumerate() {
+        if e.is_memory() {
+            start.get_or_insert(i);
+        } else if let Some(s) = start.take() {
+            segments.push(s..i);
+        }
+    }
+    if let Some(s) = start {
+        segments.push(s..events.len());
+    }
+    segments
+}
 
 /// Aggregate statistics of an event stream.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -132,6 +151,25 @@ impl TraceStats {
 mod tests {
     use super::*;
     use clean_core::ThreadId;
+
+    #[test]
+    fn segments_split_on_sync() {
+        let t0 = ThreadId::new(0);
+        let w = |addr| TraceEvent::Write {
+            tid: t0,
+            addr,
+            size: 4,
+        };
+        let events = vec![
+            w(0),
+            w(4),
+            TraceEvent::Acquire { tid: t0, lock: 1 },
+            w(8),
+            TraceEvent::Release { tid: t0, lock: 1 },
+        ];
+        assert_eq!(sync_free_segments(&events), vec![0..2, 3..4]);
+        assert_eq!(sync_free_segments(&[]), Vec::<Range<usize>>::new());
+    }
 
     #[test]
     fn counts_by_kind_and_thread() {

@@ -173,6 +173,10 @@ impl ChunkTable {
         if self.threads == 0 {
             return bad("zero thread slots");
         }
+        // Thread ids are 16 bits wide: no stream needs more slots.
+        if self.threads > 1 << 16 {
+            return bad("more thread slots than thread ids");
+        }
         let table_len = (self.entries.len() * ENTRY_BYTES + TRAILER_BYTES) as u64;
         if next_offset + EOS_BYTES + table_len != stream_len {
             return bad("table does not account for the stream length");

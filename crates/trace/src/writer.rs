@@ -108,12 +108,21 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Encodes and buffers one event, flushing a chunk when full.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, and `InvalidInput` for an event the format cannot
+    /// hold (a zero-size, oversized or address-wrapping access — see
+    /// [`MAX_ACCESS_BYTES`](crate::codec::MAX_ACCESS_BYTES)); the stream
+    /// is left as it was before the call.
     pub fn write_event(&mut self, event: &TraceEvent) -> io::Result<()> {
+        self.enc
+            .encode(event, &mut self.payload)
+            .map_err(|reason| io::Error::new(io::ErrorKind::InvalidInput, reason))?;
         self.max_tid = self.max_tid.max(event.tid().raw());
         if let TraceEvent::Fork { child, .. } | TraceEvent::Join { child, .. } = *event {
             self.max_tid = self.max_tid.max(child.raw());
         }
-        self.enc.encode(event, &mut self.payload);
         self.chunk_events += 1;
         self.summary.events += 1;
         if self.payload.len() >= self.chunk_bytes {

@@ -11,9 +11,7 @@
 
 use clean_baselines::{FoundRace, FullRaceKind};
 use clean_core::TraceEvent;
-use clean_trace::{
-    read_trace, record_kernel_trace, replay_sequential, replay_sharded, EngineKind, RecordOptions,
-};
+use clean_trace::{read_trace, record_kernel_trace, EngineKind, RecordOptions, Replay};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -28,6 +26,14 @@ const PROFILES: &[&str] = &[
     "water_nsquared",
     "fluidanimate",
 ];
+
+fn sequential(events: &[TraceEvent], kind: EngineKind) -> Vec<FoundRace> {
+    Replay::new(kind).events(events).races
+}
+
+fn sharded(events: &[TraceEvent], kind: EngineKind, lanes: usize) -> Vec<FoundRace> {
+    Replay::new(kind).lanes(lanes).events(events).races
+}
 
 fn record(name: &str, threads: usize) -> Vec<TraceEvent> {
     let dir = std::env::temp_dir().join(format!("clean-trace-agree-{}", std::process::id()));
@@ -60,13 +66,13 @@ fn sharded_replay_matches_sequential_on_racy_recordings() {
     for name in PROFILES {
         let events = record(name, 4);
         for kind in EngineKind::ALL {
-            let seq = replay_sequential(&events, kind);
+            let seq = sequential(&events, kind);
             assert!(
                 !seq.is_empty(),
                 "{name}/{kind}: racy recording found race-free"
             );
             for shards in [2, 3, 5, 8] {
-                let sharded = replay_sharded(&events, kind, shards);
+                let sharded = sharded(&events, kind, shards);
                 assert_eq!(
                     sharded, seq,
                     "{name}/{kind}: {shards}-way sharded replay diverged"
@@ -83,8 +89,8 @@ fn by_kind(races: &[FoundRace], kind: FullRaceKind) -> HashSet<FoundRace> {
 #[test]
 fn clean_and_fasttrack_agree_on_waw_raw_and_fasttrack_adds_war() {
     let events = record("dedup", 4);
-    let clean = replay_sequential(&events, EngineKind::Clean);
-    let ft = replay_sequential(&events, EngineKind::FastTrack);
+    let clean = sequential(&events, EngineKind::Clean);
+    let ft = sequential(&events, EngineKind::FastTrack);
 
     // Identical WAW and RAW sets: CLEAN's cleaner semantics lose no
     // write-after-write or read-after-write precision.
@@ -116,9 +122,9 @@ fn sharding_is_exact_across_thread_counts() {
     for threads in [2, 6] {
         let events = record("dedup", threads);
         for kind in [EngineKind::Clean, EngineKind::FastTrack] {
-            let seq = replay_sequential(&events, kind);
+            let seq = sequential(&events, kind);
             assert_eq!(
-                replay_sharded(&events, kind, 4),
+                sharded(&events, kind, 4),
                 seq,
                 "dedup x{threads}/{kind} diverged"
             );
