@@ -6,12 +6,72 @@ use crate::api::{FoundRace, FullRaceKind, TraceDetector, TraceEvent};
 use crate::hb::HbState;
 use clean_core::{Epoch, EpochLayout};
 use std::collections::HashMap;
+use std::fmt;
+
+/// Bytes of address space — and so epoch cells — per page of the table:
+/// 2 KiB of epochs. Small enough that a lone byte written on a fresh
+/// page costs little, large enough that a burst of accesses resolves
+/// its page once.
+const PAGE: usize = 512;
+
+/// Sparse per-byte epoch table (Section 4.1: one 32-bit epoch per byte
+/// at an address computed from the byte's own): address `a` lives in
+/// cell `a % PAGE` of page `a / PAGE`. Only a write creates a page; a
+/// byte on a page nobody wrote holds the zero epoch without storage.
+#[derive(Default)]
+struct EpochTable {
+    pages: Vec<[Epoch; PAGE]>,
+    /// Page number to index in `pages`.
+    slots: HashMap<usize, usize>,
+    /// The page resolved last, as a `slots` entry: accesses cluster, so
+    /// most resolves stop here.
+    last: Option<(usize, usize)>,
+    /// Cells holding a written (non-zero) epoch.
+    written: usize,
+}
+
+impl EpochTable {
+    /// Index in `pages` of page number `page`, if it was ever written.
+    fn find(&mut self, page: usize) -> Option<usize> {
+        match self.last {
+            Some((p, slot)) if p == page => Some(slot),
+            _ => {
+                let slot = *self.slots.get(&page)?;
+                self.last = Some((page, slot));
+                Some(slot)
+            }
+        }
+    }
+
+    fn find_or_create(&mut self, page: usize) -> usize {
+        self.find(page).unwrap_or_else(|| {
+            let slot = self.pages.len();
+            self.pages.push([Epoch::ZERO; PAGE]);
+            self.slots.insert(page, slot);
+            self.last = Some((page, slot));
+            slot
+        })
+    }
+}
+
+impl fmt::Debug for EpochTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EpochTable")
+            .field("pages", &self.pages.len())
+            .field("written", &self.written)
+            .finish()
+    }
+}
 
 /// The CLEAN WAW/RAW-only engine.
 ///
-/// Per shared byte it stores exactly one 32-bit epoch, and per access it
+/// Per written byte it stores exactly one 32-bit epoch, and per access it
 /// performs exactly one clock comparison per byte — the property that
 /// makes CLEAN cheap relative to FastTrack's adaptive read vector clocks.
+/// The epochs sit in a sparse table of fixed-size pages, so an access
+/// resolves each page it touches once and then walks contiguous cells;
+/// reads of memory nobody wrote allocate nothing. An access that covers
+/// no byte, or runs past the top of the address space, checks nothing.
 ///
 /// # Examples
 ///
@@ -30,7 +90,7 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct CleanEngine {
     hb: HbState,
-    epochs: HashMap<usize, Epoch>,
+    epochs: EpochTable,
     comparisons: u64,
 }
 
@@ -39,7 +99,7 @@ impl CleanEngine {
     pub fn new(num_threads: usize) -> Self {
         CleanEngine {
             hb: HbState::new(num_threads, EpochLayout::paper_default()),
-            epochs: HashMap::new(),
+            epochs: EpochTable::default(),
             comparisons: 0,
         }
     }
@@ -57,28 +117,48 @@ impl CleanEngine {
         kind: FullRaceKind,
         update: bool,
     ) -> Vec<FoundRace> {
-        let mut races = Vec::new();
-        let layout = self.hb.layout();
+        let Some(end) = addr.checked_add(size) else {
+            return Vec::new();
+        };
+        let vc = self.hb.vc(tid);
         let new_epoch = self.hb.epoch(tid);
-        for a in addr..addr + size {
-            let e = self.epochs.get(&a).copied().unwrap_or(Epoch::ZERO);
-            self.comparisons += 1;
-            if self.hb.vc(tid).races_with(e) {
-                races.push(FoundRace {
-                    kind,
-                    addr: a,
-                    current: tid,
-                    previous: layout.tid(e),
-                });
-            }
-            if update {
-                self.epochs.insert(a, new_epoch);
-            }
-        }
+        debug_assert_ne!(new_epoch, Epoch::ZERO, "thread clocks start at 1");
         // Report each racy access once (first racy byte), like a race
-        // exception would.
-        races.truncate(1);
-        races
+        // exception would; a write still publishes to every byte.
+        let mut first_racy = None;
+        let mut a = addr;
+        while a < end {
+            let offset = a % PAGE;
+            let len = (PAGE - offset).min(end - a);
+            let slot = if update {
+                Some(self.epochs.find_or_create(a / PAGE))
+            } else {
+                self.epochs.find(a / PAGE)
+            };
+            // No page: every byte holds the zero epoch, which is
+            // ordered before any access.
+            if let Some(slot) = slot {
+                let cells = &mut self.epochs.pages[slot][offset..offset + len];
+                for (i, cell) in cells.iter_mut().enumerate() {
+                    if first_racy.is_none() && vc.races_with(*cell) {
+                        first_racy = Some((a + i, *cell));
+                    }
+                    if update {
+                        self.epochs.written += usize::from(*cell == Epoch::ZERO);
+                        *cell = new_epoch;
+                    }
+                }
+            }
+            a += len;
+        }
+        self.comparisons += size as u64;
+        let race = first_racy.map(|(addr, e)| FoundRace {
+            kind,
+            addr,
+            current: tid,
+            previous: self.hb.layout().tid(e),
+        });
+        Vec::from_iter(race)
     }
 }
 
@@ -104,12 +184,12 @@ impl TraceDetector for CleanEngine {
 
     fn reset(&mut self) {
         self.hb.reset();
-        self.epochs.clear();
+        self.epochs = EpochTable::default();
         self.comparisons = 0;
     }
 
     fn metadata_bytes(&self) -> usize {
-        self.hb.metadata_bytes() + self.epochs.len() * 4
+        self.hb.metadata_bytes() + self.epochs.written * 4
     }
 }
 
@@ -223,5 +303,171 @@ mod tests {
             size: 16,
         });
         assert_eq!(d.metadata_bytes() - base, 64);
+    }
+
+    /// The engine as it was before the paged table — one map entry per
+    /// written byte — kept as the reference the table is held to.
+    struct Model {
+        hb: HbState,
+        epochs: HashMap<usize, Epoch>,
+        comparisons: u64,
+    }
+
+    impl Model {
+        fn new(num_threads: usize) -> Self {
+            Model {
+                hb: HbState::new(num_threads, EpochLayout::paper_default()),
+                epochs: HashMap::new(),
+                comparisons: 0,
+            }
+        }
+
+        fn process(&mut self, event: &TraceEvent) -> Vec<FoundRace> {
+            if self.hb.apply_sync(event) {
+                return Vec::new();
+            }
+            let (tid, addr, size, kind, update) = match *event {
+                TraceEvent::Read { tid, addr, size } => (tid, addr, size, FullRaceKind::Raw, false),
+                TraceEvent::Write { tid, addr, size } => (tid, addr, size, FullRaceKind::Waw, true),
+                _ => unreachable!("sync handled above"),
+            };
+            let Some(end) = addr.checked_add(size) else {
+                return Vec::new();
+            };
+            let mut races = Vec::new();
+            for a in addr..end {
+                let e = self.epochs.get(&a).copied().unwrap_or(Epoch::ZERO);
+                self.comparisons += 1;
+                if self.hb.vc(tid).races_with(e) {
+                    races.push(FoundRace {
+                        kind,
+                        addr: a,
+                        current: tid,
+                        previous: self.hb.layout().tid(e),
+                    });
+                }
+                if update {
+                    self.epochs.insert(a, self.hb.epoch(tid));
+                }
+            }
+            races.truncate(1);
+            races
+        }
+
+        fn metadata_bytes(&self) -> usize {
+            self.hb.metadata_bytes() + self.epochs.len() * 4
+        }
+    }
+
+    /// Where the page holding only reads sits in `random_event`'s
+    /// address space.
+    const READ_ONLY: usize = 77 * PAGE;
+
+    fn random_event(rng: &mut impl rand::Rng) -> TraceEvent {
+        let tid = t(rng.gen_range(0..4u16));
+        let lock = rng.gen_range(0..2u32);
+        match rng.gen_range(0..16u8) {
+            0 => return TraceEvent::Acquire { tid, lock },
+            1 => return TraceEvent::Release { tid, lock },
+            _ => {}
+        }
+        // Mostly word-sized accesses; some cover a few pages, some no
+        // byte.
+        let size = match rng.gen_range(0..8u8) {
+            0 => rng.gen_range(PAGE..3 * PAGE),
+            1 => 0,
+            _ => rng.gen_range(1..=16usize),
+        };
+        let addr = match rng.gen_range(0..5u8) {
+            // Around the boundary of pages 3 and 4.
+            0 => 4 * PAGE - rng.gen_range(0..24usize),
+            // One of eight pages spread over the address space.
+            1 => (rng.gen_range(0..8usize) << 40) + rng.gen_range(0..64usize),
+            // The top of the address space; some of these wrap.
+            2 => usize::MAX - rng.gen_range(0..40usize),
+            3 => {
+                let addr = READ_ONLY + rng.gen_range(0..PAGE - 16);
+                let size = size.min(16);
+                return TraceEvent::Read { tid, addr, size };
+            }
+            _ => rng.gen_range(0..64usize),
+        };
+        if rng.gen_range(0..3u8) == 0 {
+            TraceEvent::Write { tid, addr, size }
+        } else {
+            TraceEvent::Read { tid, addr, size }
+        }
+    }
+
+    #[test]
+    fn paged_table_matches_the_per_byte_map_on_random_traces() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        let mut races_seen = 0;
+        for seed in 0..24 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut engine = CleanEngine::new(4);
+            let mut model = Model::new(4);
+            for step in 0..1500 {
+                if step == 900 {
+                    engine.reset();
+                    model = Model::new(4);
+                }
+                let event = random_event(&mut rng);
+                let found = engine.process(&event);
+                assert_eq!(
+                    found,
+                    model.process(&event),
+                    "seed {seed} step {step}: {event:?}"
+                );
+                races_seen += found.len();
+                assert_eq!(
+                    engine.comparisons(),
+                    model.comparisons,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    engine.metadata_bytes(),
+                    model.metadata_bytes(),
+                    "seed {seed} step {step}"
+                );
+            }
+            assert!(!engine.epochs.slots.contains_key(&(READ_ONLY / PAGE)));
+            assert!(engine.epochs.slots.contains_key(&(usize::MAX / PAGE)));
+        }
+        assert!(
+            races_seen > 100,
+            "only {races_seen} races: the traces check little"
+        );
+    }
+
+    #[test]
+    fn reads_allocate_nothing_and_a_dense_write_one_page_of_slack() {
+        const MIB: usize = 1 << 20;
+        let mut d = CleanEngine::new(2);
+        for addr in [0, 12_345, 5 << 30, usize::MAX - MIB] {
+            let races = d.process(&TraceEvent::Read {
+                tid: t(0),
+                addr,
+                size: MIB,
+            });
+            assert!(races.is_empty());
+        }
+        assert_eq!(d.comparisons(), 4 * MIB as u64);
+        assert_eq!(d.epochs.pages.len(), 0, "reads created pages");
+
+        // Not page-aligned: the write's ends share their pages.
+        let _ = d.process(&TraceEvent::Write {
+            tid: t(0),
+            addr: 12_345,
+            size: MIB,
+        });
+        let held = d.epochs.pages.len() * PAGE * 4;
+        assert!(
+            held <= 4 * MIB + PAGE * 4,
+            "{held} bytes of epochs for 1 MiB"
+        );
+        assert_eq!(d.epochs.slots.len(), d.epochs.pages.len());
     }
 }

@@ -31,14 +31,19 @@
 //! **Offline**: a synthetic multi-thread trace (~1 GiB at the full
 //! profile) replayed off disk through the CLEAN engine by the one replay
 //! engine (`Replay::file`) twice — at one lane (sequential, inline) and
-//! at N lanes (N = the host's parallelism, clamped to 2..=8). Headline
-//! `offline_speedup` is lanes = N over lanes = 1 on the same file; both
-//! runs must report identical races. The block records its host, since
-//! the ratio means nothing without the core count it was taken on.
+//! at N lanes (N = the host's parallelism, clamped to 2..=8) — and
+//! decoded once by a bare `TraceReader`. Headline
+//! `offline_replay_over_decode` is the one-lane replay's seconds over
+//! the decode-only seconds: what routing and checking an event cost in
+//! units of decoding it, on any host, and the number a slower check
+//! raises. The lane ratio is printed and recorded beside its host block
+//! but not gated: the one producer bounds the pipeline past about two
+//! lanes, so it says more about the host than about the code. Both
+//! replays must report identical races.
 //!
 //! Results land in `BENCH_hotpath.json` (override with `--out`).
 //! `--check-baseline <file>` re-reads a checked-in result and fails the
-//! run (exit 1) if either speedup ratio regressed by more than 20%.
+//! run (exit 1) if a headline ratio regressed by more than 20%.
 //! `--small` selects the quick CI profile. `CLEAN_THREADS` and
 //! `CLEAN_REPS` scale the online part as for the other experiments.
 
@@ -47,7 +52,7 @@ use clean_core::{
     CheckPlan, CleanDetector, CompiledPlan, DetectorConfig, DetectorObs, PlanAction, PlanEntry,
     ThreadCheckState, ThreadId, TraceEvent, VectorClock, Witness,
 };
-use clean_trace::{EngineKind, Replay, TraceWriter};
+use clean_trace::{EngineKind, Replay, TraceReader, TraceWriter};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -497,6 +502,8 @@ struct OfflineResult {
     /// `std::thread::available_parallelism` on the measuring host.
     parallelism: usize,
     lanes: usize,
+    /// A bare `TraceReader` pass over the file: the floor under a replay.
+    decode_secs: f64,
     one_lane_secs: f64,
     lanes_secs: f64,
     batches: u64,
@@ -539,6 +546,15 @@ fn run_offline(target_bytes: u64, threads: usize) -> OfflineResult {
             .expect("offline replay");
         (done, t0.elapsed().as_secs_f64())
     };
+    println!("  decode only ...");
+    let t0 = Instant::now();
+    let mut decoded = 0u64;
+    for ev in TraceReader::open(&path).expect("open synthetic trace") {
+        ev.expect("decode synthetic trace");
+        decoded += 1;
+    }
+    let decode_secs = t0.elapsed().as_secs_f64();
+    assert_eq!(decoded, events);
     let (one, one_lane_secs) = timed(1);
     let (many, lanes_secs) = timed(lanes);
     std::fs::remove_file(&path).ok();
@@ -556,6 +572,7 @@ fn run_offline(target_bytes: u64, threads: usize) -> OfflineResult {
         bytes,
         parallelism,
         lanes,
+        decode_secs,
         one_lane_secs,
         lanes_secs,
         batches: many.batches,
@@ -754,13 +771,16 @@ fn main() {
     // ---- offline replay comparison ----
     println!("offline replay (CLEAN engine):");
     let off = run_offline(offline_bytes, 4);
-    let offline_speedup = off.one_lane_secs / off.lanes_secs;
+    let offline_replay_over_decode = off.one_lane_secs / off.decode_secs;
+    let lane_speedup = off.one_lane_secs / off.lanes_secs;
     println!(
-        "  1 lane {:.2}s vs {} lanes {:.2}s -> {} ({} events, {:.0} MiB, {} batches, {}, host parallelism {})\n",
+        "  decode {:.2}s, 1 lane {:.2}s -> {} of decode; {} lanes {:.2}s -> {} over 1 lane ({} events, {:.0} MiB, {} batches, {}, host parallelism {})\n",
+        off.decode_secs,
         off.one_lane_secs,
+        fmt_x(offline_replay_over_decode),
         off.lanes,
         off.lanes_secs,
-        fmt_x(offline_speedup),
+        fmt_x(lane_speedup),
         off.events,
         off.bytes as f64 / (1 << 20) as f64,
         off.batches,
@@ -770,12 +790,12 @@ fn main() {
 
     // ---- JSON report ----
     let json = format!(
-        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_speedup\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"batches\": {},\n    \"used_mmap\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_replay_over_decode\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"decode_secs\": {:.3},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"lane_speedup\": {:.3},\n    \"batches\": {},\n    \"used_mmap\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
         if small { "small" } else { "full" },
         threads,
         reps,
         online_speedup,
-        offline_speedup,
+        offline_replay_over_decode,
         plan_speedup,
         obs_off.maccesses_per_sec,
         obs_on.maccesses_per_sec,
@@ -792,8 +812,10 @@ fn main() {
         },
         off.events,
         off.bytes,
+        off.decode_secs,
         off.one_lane_secs,
         off.lanes_secs,
+        lane_speedup,
         off.batches,
         off.used_mmap,
         off.races_found,
@@ -802,9 +824,9 @@ fn main() {
     std::fs::write(&out, &json).expect("write result JSON");
     println!("wrote {}", out.display());
     println!(
-        "headline: online (sfr_local all_on vs all_off) {}, offline (N lanes vs 1) {}, plan (plan_private on vs off) {}, obs attach cost {:.2}%",
+        "headline: online (sfr_local all_on vs all_off) {}, offline (1-lane replay over decode) {}, plan (plan_private on vs off) {}, obs attach cost {:.2}%",
         fmt_x(online_speedup),
-        fmt_x(offline_speedup),
+        fmt_x(offline_replay_over_decode),
         fmt_x(plan_speedup),
         obs_cost * 100.0
     );
@@ -812,28 +834,36 @@ fn main() {
     // ---- regression gate ----
     if let Some(base) = baseline {
         let text = std::fs::read_to_string(&base).expect("read baseline JSON");
-        let base_online = json_f64(&text, "online_speedup").expect("baseline online_speedup");
-        let base_offline = json_f64(&text, "offline_speedup").expect("baseline offline_speedup");
-        let base_plan = json_f64(&text, "plan_speedup").expect("baseline plan_speedup");
+        // A speedup may fall to 0.8x of its baseline; the offline ratio
+        // is a cost, so it may rise to 1/0.8 of its own.
         let mut failed = false;
-        for (what, now, was) in [
-            ("online_speedup", online_speedup, base_online),
-            ("offline_speedup", offline_speedup, base_offline),
-            ("plan_speedup", plan_speedup, base_plan),
+        for (what, now, higher_is_better) in [
+            ("online_speedup", online_speedup, true),
+            (
+                "offline_replay_over_decode",
+                offline_replay_over_decode,
+                false,
+            ),
+            ("plan_speedup", plan_speedup, true),
         ] {
-            let floor = was * 0.8;
-            let verdict = if now < floor { "REGRESSED" } else { "ok" };
+            let was = json_f64(&text, what).unwrap_or_else(|| panic!("baseline {what}"));
+            let (bound, limit, regressed) = if higher_is_better {
+                ("floor", was * 0.8, now < was * 0.8)
+            } else {
+                ("ceiling", was / 0.8, now > was / 0.8)
+            };
+            let verdict = if regressed { "REGRESSED" } else { "ok" };
             println!(
-                "baseline check {what}: now {} vs baseline {} (floor {}) -> {verdict}",
+                "baseline check {what}: now {} vs baseline {} ({bound} {}) -> {verdict}",
                 fmt_x(now),
                 fmt_x(was),
-                fmt_x(floor)
+                fmt_x(limit)
             );
-            failed |= now < floor;
+            failed |= regressed;
         }
         if failed {
             eprintln!(
-                "speedup regressed by more than 20% against {}",
+                "a headline ratio regressed by more than 20% against {}",
                 base.display()
             );
             std::process::exit(1);

@@ -303,9 +303,17 @@ fn crafted_empty_oversized_and_wrapping_accesses_are_refused_on_every_path() {
     assert_eq!(summary.events, 1);
     assert_eq!(TraceReader::new(&bytes[..]).unwrap().count(), 1);
 
-    // A slice can still carry such events; they cover no byte (or stop
-    // at the top of the address space) at any lane count.
-    let slice = [w(0, 0, 0), w(1, 0, 0), w(0, 128, 4), w(1, 128, 4)];
+    // A slice can still carry such events; the CLEAN engine checks no
+    // byte of an empty or a wrapping access, at any lane count.
+    let top = usize::MAX - 3;
+    let slice = [
+        w(0, 0, 0),
+        w(1, 0, 0),
+        w(0, top, 8),
+        w(1, top, 8),
+        w(0, 128, 4),
+        w(1, 128, 4),
+    ];
     let one = Replay::new(EngineKind::Clean).events(&slice);
     assert_eq!(one.races.len(), 1);
     for lanes in [2, 3] {

@@ -14,6 +14,7 @@ use clean_core::TraceEvent;
 use clean_trace::{read_trace, record_kernel_trace, EngineKind, RecordOptions, Replay};
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Racy profiles exercised by the agreement matrix. Spans all five
 /// kernel families that have racy variants (pipeline, n-body, k-means,
@@ -38,7 +39,11 @@ fn sharded(events: &[TraceEvent], kind: EngineKind, lanes: usize) -> Vec<FoundRa
 fn record(name: &str, threads: usize) -> Vec<TraceEvent> {
     let dir = std::env::temp_dir().join(format!("clean-trace-agree-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path: PathBuf = dir.join(format!("{name}-{threads}.cltr"));
+    // The tests run in parallel and two of them record the same
+    // workload: every call gets a file of its own.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path: PathBuf = dir.join(format!("{name}-{threads}-{call}.cltr"));
     let summary = record_kernel_trace(
         name,
         &path,

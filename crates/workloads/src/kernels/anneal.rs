@@ -73,8 +73,11 @@ pub(crate) fn run(rt: &CleanRuntime, p: &KernelParams) -> Result<u64> {
             sum += u64::from(v);
             out = mix(out, u64::from(v));
         }
-        // Swaps permute: the multiset of values is invariant.
-        assert_eq!(sum, (elements as u64 * (elements as u64 - 1)) / 2);
+        // Locked swaps permute: the multiset of values is invariant. Two
+        // racy swaps that interleave can duplicate one value over another.
+        if !params.racy {
+            assert_eq!(sum, (elements as u64 * (elements as u64 - 1)) / 2);
+        }
         Ok(out)
     })
 }
