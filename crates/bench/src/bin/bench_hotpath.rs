@@ -1,11 +1,11 @@
-//! Fast-path ablation benchmark — the check-pipeline hot path, online
-//! and offline.
+//! Check hot-path benchmark — the check pipeline, online and offline.
 //!
-//! **Online**: multi-threaded checked-access throughput through the
-//! detector's `check_*_with` entry points, ablating the fast-path knobs
-//! (SFR write-set filter, thread-local shadow-page cache, sharded
-//! statistics, deferred per-thread filter-hit stats) one at a time and
-//! together, over two workload profiles:
+//! **Online**: multi-threaded checked-write throughput on one detector
+//! through its two entry points — the shipped fast path
+//! (`check_write_with` threading a per-thread `ThreadCheckState`: SFR
+//! write-set filter, deferred filter-hit stats, shadow-page cache) and the
+//! stateless `check_write` (the same Figure 2 check bodies with none of
+//! the per-thread state) — over two workload profiles:
 //!
 //! * `sfr_local` — a small per-thread working set rewritten many times
 //!   per synchronization-free region (the redundancy the write filter
@@ -15,18 +15,24 @@
 //!   accesses (the loop-carried sum every real sweep has) — the sweep
 //!   itself defeats the filter, the accumulator is what it catches.
 //!
+//! The two entries run back to back in alternating pairs; headline
+//! `online_speedup` is the median per-pair ratio of the fast path over
+//! the stateless entry on `sfr_local`.
+//!
 //! **Plan**: checked-write throughput with a compiled static check plan
 //! installed versus without, per action class — `plan_private` (whole
 //! footprint provably elidable), `plan_stride` (range-coalesced filter
 //! entries recover the filter-defeating sweep), `plan_batch` (wide
-//! accesses through the chunked epoch-compare loop). Headline
-//! `plan_speedup` is the `plan_private` ratio.
+//! accesses through the chunked epoch-compare loop). Plan-off and plan-on
+//! run in alternating pairs too; headline `plan_speedup` is the median
+//! per-pair ratio on `plan_private`.
 //!
 //! **Obs**: the observability-bridge ablation — the `sfr_local` shape
-//! under the all-on knobs with and without a `DetectorObs` counters
-//! bundle attached. The bridge mirrors only at SFR drains, so attaching
-//! it must cost under 2% throughput; detached it is one untaken branch
-//! per drain (0%, asserted by construction, reported for the record).
+//! on one thread through the fast path with and without a `DetectorObs`
+//! counters bundle attached, in alternating off/on pairs. The bridge
+//! mirrors only at SFR drains, so the median per-pair attach cost must
+//! stay under 2% throughput; detached it is one untaken branch per drain
+//! (0%, asserted by construction, reported for the record).
 //!
 //! **Offline**: a synthetic multi-thread trace (~1 GiB at the full
 //! profile) replayed off disk through the CLEAN engine by the one replay
@@ -44,7 +50,8 @@
 //! Results land in `BENCH_hotpath.json` (override with `--out`).
 //! `--check-baseline <file>` re-reads a checked-in result and fails the
 //! run (exit 1) if a headline ratio regressed by more than 20%.
-//! `--small` selects the quick CI profile. `CLEAN_THREADS` and
+//! `--small` selects the quick CI profile: half-length online, obs and
+//! plan cells and a 24 MiB offline trace. `CLEAN_THREADS` and
 //! `CLEAN_REPS` scale the online part as for the other experiments.
 
 use clean_bench::{env_reps, env_threads, fmt_pct, fmt_x, measure, trace_dir, Table};
@@ -58,62 +65,38 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One knob setting of the online ablation.
-struct KnobConfig {
-    name: &'static str,
-    write_filter: bool,
-    page_cache: bool,
-    sharded_stats: bool,
-    deferred_stats: bool,
+/// The detector entry point an online cell drives.
+#[derive(Clone, Copy)]
+enum Entry {
+    /// `check_write_with` through the thread's `ThreadCheckState` — what
+    /// the runtime and scheduler VM call.
+    FastPath,
+    /// `check_write`: the same check bodies without per-thread state.
+    Stateless,
 }
 
-const CONFIGS: [KnobConfig; 6] = [
-    KnobConfig {
-        name: "all_off",
-        write_filter: false,
-        page_cache: false,
-        sharded_stats: false,
-        deferred_stats: false,
-    },
-    KnobConfig {
-        name: "filter",
-        write_filter: true,
-        page_cache: false,
-        sharded_stats: false,
-        deferred_stats: false,
-    },
-    KnobConfig {
-        // Filter hits with the three stats bumps batched into the
-        // per-thread state instead of shared atomics: isolates the cost
-        // of the atomics on the otherwise share-nothing hit path.
-        name: "filter+deferred",
-        write_filter: true,
-        page_cache: false,
-        sharded_stats: false,
-        deferred_stats: true,
-    },
-    KnobConfig {
-        name: "page_cache",
-        write_filter: false,
-        page_cache: true,
-        sharded_stats: false,
-        deferred_stats: false,
-    },
-    KnobConfig {
-        name: "sharded_stats",
-        write_filter: false,
-        page_cache: false,
-        sharded_stats: true,
-        deferred_stats: false,
-    },
-    KnobConfig {
-        name: "all_on",
-        write_filter: true,
-        page_cache: true,
-        sharded_stats: true,
-        deferred_stats: true,
-    },
-];
+impl Entry {
+    fn name(self) -> &'static str {
+        match self {
+            Entry::FastPath => "check_write_with",
+            Entry::Stateless => "check_write",
+        }
+    }
+}
+
+/// Alternating pairs per online profile (fast path/stateless) and per
+/// plan profile (plan-off/plan-on).
+const PAIRS: usize = 5;
+
+/// Obs-off/obs-on pairs of the observability ablation.
+const OBS_PAIRS: usize = 21;
+
+/// Threads of the observability ablation. The bridge's cost is per SFR
+/// drain and per thread (its counters are per-thread shards), so one
+/// thread carries all of it; more threads than cores only add scheduler
+/// noise (per-pair spread about ±20% at 4 threads on 2 vCPUs, well under
+/// ±1% at one).
+const OBS_THREADS: usize = 1;
 
 /// An online workload shape. Each thread owns a disjoint `region`-byte
 /// slice of the heap and, per synchronization-free region, writes its
@@ -158,20 +141,20 @@ const PROFILES: [Profile; 2] = [
     },
 ];
 
-/// Measured numbers for one (profile, config) cell.
+/// Measured numbers for one (profile, entry) cell.
 struct CellResult {
     maccesses_per_sec: f64,
     filter_hit_rate: f64,
 }
 
-/// Runs one profile under one knob config and returns the throughput of
+/// Runs one profile through one entry point and returns the throughput of
 /// the best of `reps` timed repetitions. When `obs_registry` is set, a
 /// [`DetectorObs`] counters bundle on that registry is attached to the
 /// detector (the observability-ablation cells); `None` leaves the
 /// detector exactly as shipped.
 fn run_online_cell(
     profile: &Profile,
-    cfg: &KnobConfig,
+    entry: Entry,
     threads: usize,
     ops_per_thread: u64,
     reps: usize,
@@ -183,14 +166,7 @@ fn run_online_cell(
     let phases = (ops_per_thread / phase_ops).max(1);
     let accesses = phases * phase_ops * threads as u64;
     let (best, snap) = measure(reps, || {
-        let mut det = CleanDetector::new(
-            threads * profile.region,
-            DetectorConfig::new()
-                .write_filter(cfg.write_filter)
-                .page_cache(cfg.page_cache)
-                .sharded_stats(cfg.sharded_stats)
-                .deferred_stats(cfg.deferred_stats),
-        );
+        let mut det = CleanDetector::new(threads * profile.region, DetectorConfig::new());
         if let Some(registry) = obs_registry {
             det.attach_obs(DetectorObs::new(registry));
         }
@@ -203,18 +179,17 @@ fn run_online_cell(
                     let mut vc = VectorClock::new(threads, layout);
                     let mut state = ThreadCheckState::new();
                     let base = t * profile.region;
+                    let check =
+                        |vc: &VectorClock, state: &mut ThreadCheckState, addr, size| match entry {
+                            Entry::FastPath => det.check_write_with(vc, tid, addr, size, state),
+                            Entry::Stateless => det.check_write(vc, tid, addr, size),
+                        };
                     for _ in 0..phases {
                         let mut since_hot = 0;
                         for _ in 0..profile.revisits {
                             for w in 0..profile.words {
-                                det.check_write_with(
-                                    &vc,
-                                    tid,
-                                    base + w * profile.access,
-                                    profile.access,
-                                    &mut state,
-                                )
-                                .expect("disjoint per-thread regions are race-free");
+                                check(&vc, &mut state, base + w * profile.access, profile.access)
+                                    .expect("disjoint per-thread regions are race-free");
                                 since_hot += 1;
                                 if profile.hot_every > 0 && since_hot == profile.hot_every {
                                     // The loop-carried accumulator: the
@@ -222,7 +197,7 @@ fn run_online_cell(
                                     // and over — filter food even when
                                     // the sweep itself never revisits.
                                     since_hot = 0;
-                                    det.check_write_with(&vc, tid, base, 8, &mut state)
+                                    check(&vc, &mut state, base, 8)
                                         .expect("own accumulator is race-free");
                                 }
                             }
@@ -241,7 +216,7 @@ fn run_online_cell(
     assert_eq!(
         snap.total_checked(),
         accesses,
-        "every access must be checked exactly once regardless of knobs"
+        "every access must be checked exactly once through either entry"
     );
     assert_eq!(snap.races_reported, 0, "workload is race-free");
     CellResult {
@@ -253,8 +228,8 @@ fn run_online_cell(
 /// One static-check-plan workload shape: each thread sweeps its own
 /// disjoint `region`-byte slice `revisits` times per SFR, and the whole
 /// footprint is covered by plan entries of one action class. Throughput
-/// is measured with the plan installed versus without (both under the
-/// `all_on` fast-path knobs), isolating what each plan action buys.
+/// is measured with the plan installed versus without (both through the
+/// fast path), isolating what each plan action buys.
 struct PlanProfile {
     name: &'static str,
     /// Per-thread heap slice (also the base stride between threads).
@@ -332,8 +307,8 @@ fn plan_for(profile: &PlanProfile, threads: usize) -> Arc<CompiledPlan> {
     Arc::new(compiled)
 }
 
-/// Runs one plan profile with or without the plan installed (all other
-/// fast-path knobs on) and returns Macc/s of the best of `reps` runs.
+/// Runs one plan profile with or without the plan installed and returns
+/// Macc/s of the best of `reps` runs.
 fn run_plan_cell(
     profile: &PlanProfile,
     plan: Option<Arc<CompiledPlan>>,
@@ -582,6 +557,36 @@ fn run_offline(target_bytes: u64, threads: usize) -> OfflineResult {
     }
 }
 
+/// Runs the cells `a` and `b` back to back in `pairs` rounds, alternating
+/// which goes first, so machine drift moves both halves of a pair
+/// together; returns each cell's per-round results.
+fn paired<T>(pairs: usize, a: impl Fn() -> T, b: impl Fn() -> T) -> (Vec<T>, Vec<T>) {
+    (0..pairs)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let x = a();
+                (x, b())
+            } else {
+                let y = b();
+                (a(), y)
+            }
+        })
+        .unzip()
+}
+
+/// Median throughput of a cell's rounds.
+fn median_rate(cells: &[CellResult]) -> f64 {
+    let rates: Vec<f64> = cells.iter().map(|c| c.maccesses_per_sec).collect();
+    median(&rates)
+}
+
+/// Median of a non-empty sample (the upper one for an even count).
+fn median(values: &[f64]) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// Extracts the first `"key": <number>` occurrence from a JSON string —
 /// enough structure awareness for the flat keys this binary emits.
 fn json_f64(text: &str, key: &str) -> Option<f64> {
@@ -617,67 +622,67 @@ fn main() {
 
     let threads = env_threads();
     let reps = env_reps();
-    let ops_per_thread: u64 = if small { 1 << 18 } else { 1 << 22 };
+    // The small profile halves the online cells, no further: on 2 vCPUs,
+    // cells of 1 << 18 accesses per thread read `online_speedup` about
+    // 15% below the full profile that the gate compares against, at
+    // 1 << 21 they read level with it.
+    let ops_per_thread: u64 = if small { 1 << 21 } else { 1 << 22 };
     let offline_bytes: u64 = if small { 24 << 20 } else { 1 << 30 };
     println!(
-        "== bench_hotpath: fast-path ablation ({} profile, {threads} threads, best of {reps}) ==\n",
+        "== bench_hotpath: check hot path ({} profile, {threads} threads, best of {reps}) ==\n",
         if small { "small" } else { "full" }
     );
 
-    // ---- online ablation ----
+    // ---- online: fast path vs stateless entry ----
     let mut json_profiles = Vec::new();
     let mut online_speedup = 0.0;
     for profile in &PROFILES {
         println!("online profile `{}`:", profile.name);
-        let mut t = Table::new(&["config", "Macc/s", "filter hits", "vs all_off"]);
-        let mut cells = Vec::new();
-        let mut base_rate = 0.0;
-        for cfg in &CONFIGS {
-            let cell = run_online_cell(profile, cfg, threads, ops_per_thread, reps, None);
-            // Every profile carries *some* write redundancy (revisits or
-            // the hot accumulator): a filter that never engages means the
-            // knob is not wired through, not a hostile workload.
-            if cfg.write_filter {
-                assert!(
-                    cell.filter_hit_rate > 0.0,
-                    "{}/{}: write filter enabled but never hit",
-                    profile.name,
-                    cfg.name
-                );
-            }
-            if cfg.name == "all_off" {
-                base_rate = cell.maccesses_per_sec;
-            }
-            t.row(vec![
-                cfg.name.into(),
-                format!("{:.1}", cell.maccesses_per_sec),
-                fmt_pct(cell.filter_hit_rate),
-                fmt_x(cell.maccesses_per_sec / base_rate),
-            ]);
-            cells.push((cfg.name, cell));
-        }
-        t.print();
-        println!();
-        let all_on = cells.last().expect("all_on is last").1.maccesses_per_sec;
-        let speedup = all_on / base_rate;
+        let mut t = Table::new(&["entry", "Macc/s", "filter hits"]);
+        let cell = |entry| run_online_cell(profile, entry, threads, ops_per_thread, reps, None);
+        let (fast, plain) = paired(PAIRS, || cell(Entry::FastPath), || cell(Entry::Stateless));
+        // Every profile carries *some* write redundancy (revisits or the
+        // hot accumulator): a filter that never engages means the fast
+        // path is not wired through, not a hostile workload.
+        assert!(
+            fast[0].filter_hit_rate > 0.0,
+            "{}: the fast path's write filter never hit",
+            profile.name
+        );
+        let ratios: Vec<f64> = fast
+            .iter()
+            .zip(&plain)
+            .map(|(f, p)| f.maccesses_per_sec / p.maccesses_per_sec)
+            .collect();
+        let speedup = median(&ratios);
         if profile.name == "sfr_local" {
             online_speedup = speedup;
         }
-        let cfg_json: Vec<String> = cells
-            .iter()
-            .map(|(name, c)| {
-                format!(
-                    "{{\"name\": \"{name}\", \"maccesses_per_sec\": {:.3}, \"filter_hit_rate\": {:.4}}}",
-                    c.maccesses_per_sec, c.filter_hit_rate
-                )
-            })
-            .collect();
+        let mut cells_json = Vec::new();
+        for (entry, cells) in [(Entry::FastPath, &fast), (Entry::Stateless, &plain)] {
+            let rate = median_rate(cells);
+            t.row(vec![
+                entry.name().into(),
+                format!("{rate:.1}"),
+                fmt_pct(cells[0].filter_hit_rate),
+            ]);
+            cells_json.push(format!(
+                "{{\"name\": \"{}\", \"maccesses_per_sec\": {rate:.3}, \"filter_hit_rate\": {:.4}}}",
+                entry.name(),
+                cells[0].filter_hit_rate
+            ));
+        }
+        t.print();
+        println!(
+            "  fast path over stateless: {} (median of {PAIRS} pairs)\n",
+            fmt_x(speedup)
+        );
         json_profiles.push(format!(
-            "    {{\"name\": \"{}\", \"accesses_per_thread\": {}, \"speedup_all_on\": {:.3}, \"configs\": [\n      {}\n    ]}}",
+            "    {{\"name\": \"{}\", \"accesses_per_thread\": {}, \"speedup\": {:.3}, \"entries\": [\n      {}\n    ]}}",
             profile.name,
             ops_per_thread,
             speedup,
-            cfg_json.join(",\n      ")
+            cells_json.join(",\n      ")
         ));
     }
 
@@ -686,71 +691,58 @@ fn main() {
     // race reports), never per access, so attaching it must cost under
     // 2% on the drain-heaviest shape; detached, the check path is the
     // shipped code plus one untaken branch per drain — 0% by
-    // construction, reported as such.
-    println!("observability bridge (obs-on vs obs-off, sfr_local all_on knobs):");
-    let all_on = CONFIGS.last().expect("all_on is last");
-    let obs_registry = clean_obs::Registry::new();
-    // The true cost is a handful of counter ops per multi-thousand-access
-    // SFR drain — far below run-to-run machine drift. Alternate the two
-    // arms across rounds and take each arm's best so slow frequency or
-    // thermal drift hits both sides equally instead of whichever arm ran
-    // second.
-    let mut obs_off = run_online_cell(&PROFILES[0], all_on, threads, ops_per_thread, reps, None);
-    let mut obs_on = run_online_cell(
-        &PROFILES[0],
-        all_on,
-        threads,
-        ops_per_thread,
-        reps,
-        Some(&obs_registry),
+    // construction, reported as such. The true cost is far below
+    // run-to-run machine drift, so the gate reads the median of the
+    // per-pair costs.
+    println!(
+        "observability bridge (obs-on vs obs-off, sfr_local fast path, {OBS_THREADS} thread, {OBS_PAIRS} pairs):"
     );
-    for _ in 1..3 {
-        let off = run_online_cell(&PROFILES[0], all_on, threads, ops_per_thread, reps, None);
-        if off.maccesses_per_sec > obs_off.maccesses_per_sec {
-            obs_off = off;
-        }
-        let on = run_online_cell(
+    let obs_registry = clean_obs::Registry::new();
+    let cell = |registry| {
+        run_online_cell(
             &PROFILES[0],
-            all_on,
-            threads,
+            Entry::FastPath,
+            OBS_THREADS,
             ops_per_thread,
             reps,
-            Some(&obs_registry),
-        );
-        if on.maccesses_per_sec > obs_on.maccesses_per_sec {
-            obs_on = on;
-        }
-    }
+            registry,
+        )
+    };
+    let (offs, ons) = paired(OBS_PAIRS, || cell(None), || cell(Some(&obs_registry)));
+    let costs: Vec<f64> = offs
+        .iter()
+        .zip(&ons)
+        .map(|(off, on)| 1.0 - on.maccesses_per_sec / off.maccesses_per_sec)
+        .collect();
     let obs_snap = obs_registry.snapshot();
     assert!(
         obs_snap.counter("detector_sfr_drains", &[]).unwrap_or(0) > 0,
         "obs-on cell must actually mirror drains into the registry"
     );
-    // Best-of over interleaved rounds already filters scheduler noise;
-    // any residual negative cost is noise, clamp it.
-    let obs_cost = (1.0 - obs_on.maccesses_per_sec / obs_off.maccesses_per_sec).max(0.0);
+    let (obs_off, obs_on, obs_cost) = (median_rate(&offs), median_rate(&ons), median(&costs));
+    let per_pair: Vec<String> = costs.iter().map(|c| format!("{:.1}%", c * 100.0)).collect();
     println!(
-        "  obs-off {:.1} Macc/s vs obs-on {:.1} Macc/s -> {:.2}% attach cost (budget 2%), 0% detached\n",
-        obs_off.maccesses_per_sec,
-        obs_on.maccesses_per_sec,
+        "  per-pair attach cost [{}]\n  median obs-off {obs_off:.1} Macc/s vs obs-on {obs_on:.1} Macc/s; median per-pair attach cost {:.2}% (budget 2%; negative = on ran faster), 0% detached\n",
+        per_pair.join(", "),
         obs_cost * 100.0
     );
     assert!(
         obs_cost < 0.02,
-        "attaching DetectorObs cost {:.2}% throughput, over the 2% budget",
+        "attaching DetectorObs cost {:.2}% throughput (median of {OBS_PAIRS} pairs), over the 2% budget",
         obs_cost * 100.0
     );
 
     // ---- static check-plan ablation ----
-    println!("static check plan (plan-on vs plan-off, all_on knobs):");
+    println!("static check plan (plan-on vs plan-off, fast path, median of {PAIRS} pairs):");
     let mut t = Table::new(&["profile", "plan-off Macc/s", "plan-on Macc/s", "speedup"]);
     let mut json_plans = Vec::new();
     let mut plan_speedup = 0.0;
     for profile in &PLAN_PROFILES {
         let plan = plan_for(profile, threads);
-        let off_rate = run_plan_cell(profile, None, threads, ops_per_thread, reps);
-        let on_rate = run_plan_cell(profile, Some(plan), threads, ops_per_thread, reps);
-        let speedup = on_rate / off_rate;
+        let cell = |plan| run_plan_cell(profile, plan, threads, ops_per_thread, reps);
+        let (offs, ons) = paired(PAIRS, || cell(None), || cell(Some(Arc::clone(&plan))));
+        let ratios: Vec<f64> = offs.iter().zip(&ons).map(|(off, on)| on / off).collect();
+        let (off_rate, on_rate, speedup) = (median(&offs), median(&ons), median(&ratios));
         if profile.name == "plan_private" {
             plan_speedup = speedup;
         }
@@ -790,15 +782,17 @@ fn main() {
 
     // ---- JSON report ----
     let json = format!(
-        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_replay_over_decode\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"decode_secs\": {:.3},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"lane_speedup\": {:.3},\n    \"batches\": {},\n    \"used_mmap\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_replay_over_decode\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"threads\": {},\n    \"pairs\": {},\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"decode_secs\": {:.3},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"lane_speedup\": {:.3},\n    \"batches\": {},\n    \"used_mmap\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
         if small { "small" } else { "full" },
         threads,
         reps,
         online_speedup,
         offline_replay_over_decode,
         plan_speedup,
-        obs_off.maccesses_per_sec,
-        obs_on.maccesses_per_sec,
+        OBS_THREADS,
+        OBS_PAIRS,
+        obs_off,
+        obs_on,
         obs_cost,
         !off.races_agree,
         json_profiles.join(",\n"),
@@ -824,7 +818,7 @@ fn main() {
     std::fs::write(&out, &json).expect("write result JSON");
     println!("wrote {}", out.display());
     println!(
-        "headline: online (sfr_local all_on vs all_off) {}, offline (1-lane replay over decode) {}, plan (plan_private on vs off) {}, obs attach cost {:.2}%",
+        "headline: online (sfr_local check_write_with vs check_write) {}, offline (1-lane replay over decode) {}, plan (plan_private on vs off) {}, obs attach cost {:.2}%",
         fmt_x(online_speedup),
         fmt_x(offline_replay_over_decode),
         fmt_x(plan_speedup),

@@ -25,10 +25,13 @@
 //! additionally thread per-thread [`ThreadCheckState`] through the check:
 //! the SFR write-set filter answers provably redundant checks without
 //! touching shadow memory at all (the software analogue of the paper's
-//! Section 5 LLC-ownership filtering), and the last-page cache skips the
-//! shadow directory walk for same-page accesses. Both are sound-by-
-//! construction accelerations — verdicts are identical with them on or
-//! off (see DESIGN.md and the differential suites).
+//! Section 5 LLC-ownership filtering) and defers their statistics into
+//! plain per-thread counters, and the thread's last-page cache skips the
+//! shadow directory walk for same-page accesses. The plain entry points
+//! run the same check bodies with a fresh page cache and no filter. The
+//! filter is sound by construction: it only answers checks whose full
+//! Figure 2 outcome is already known (see DESIGN.md, "SFR write-set
+//! filter").
 //!
 //! [`check_read_with`]: CleanDetector::check_read_with
 //! [`check_write_with`]: CleanDetector::check_write_with
@@ -66,10 +69,6 @@ pub const WIDE_CAS_EPOCHS: usize = 4;
 /// [`AtomicityMode::PerCheckLocking`].
 const LOCK_STRIPES: usize = 64;
 
-/// Default statistics shard count when sharding is enabled: enough to
-/// spread the paper's 8-core working point across distinct cache lines.
-pub const DEFAULT_STATS_SHARDS: usize = 8;
-
 /// Configuration of the software race detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorConfig {
@@ -82,24 +81,6 @@ pub struct DetectorConfig {
     pub vectorized: bool,
     /// Atomicity scheme for concurrent checks (ablation knob).
     pub atomicity: AtomicityMode,
-    /// Enables the per-thread SFR write-set filter on the `*_with` entry
-    /// points: ranges this thread already published this SFR soundly skip
-    /// the full check (Section 5's redundant-check elimination).
-    pub write_filter: bool,
-    /// Enables the thread-local last-shadow-page cache on the `*_with`
-    /// entry points, skipping the directory walk for same-page accesses.
-    pub page_cache: bool,
-    /// Batches the statistics bumps of filter-answered checks into plain
-    /// per-thread counters ([`PendingStats`](crate::PendingStats)) instead
-    /// of shared atomics, making the filter-hit path touch no shared state
-    /// at all. Requires callers to drain via
-    /// [`CleanDetector::drain_check_state`] on epoch increments and thread
-    /// exit (the runtime and scheduler VMs do); until drained, snapshots
-    /// under-report the deferred counters.
-    pub deferred_stats: bool,
-    /// Number of cache-line-padded statistics shards; 1 reproduces the
-    /// fully shared (contended) counter layout.
-    pub stats_shards: usize,
     /// Optional compiled static check plan consumed by the `*_with`
     /// entry points. Per planned range the detector elides provably
     /// thread-private checks (guarded: only the witness owner skips;
@@ -110,17 +91,12 @@ pub struct DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// The paper's default software configuration (all fast-path layers
-    /// enabled).
+    /// The paper's default software configuration.
     pub fn new() -> Self {
         DetectorConfig {
             layout: EpochLayout::paper_default(),
             vectorized: true,
             atomicity: AtomicityMode::LockFree,
-            write_filter: true,
-            page_cache: true,
-            deferred_stats: true,
-            stats_shards: DEFAULT_STATS_SHARDS,
             check_plan: None,
         }
     }
@@ -141,37 +117,6 @@ impl DetectorConfig {
     pub fn atomicity(mut self, mode: AtomicityMode) -> Self {
         self.atomicity = mode;
         self
-    }
-
-    /// Enables or disables the SFR write-set filter.
-    pub fn write_filter(mut self, on: bool) -> Self {
-        self.write_filter = on;
-        self
-    }
-
-    /// Enables or disables the thread-local shadow-page cache.
-    pub fn page_cache(mut self, on: bool) -> Self {
-        self.page_cache = on;
-        self
-    }
-
-    /// Enables or disables deferred (per-thread batched) statistics on the
-    /// filter-hit path.
-    pub fn deferred_stats(mut self, on: bool) -> Self {
-        self.deferred_stats = on;
-        self
-    }
-
-    /// Sets the statistics shard count (clamped to ≥ 1 at use).
-    pub fn stats_shards(mut self, n: usize) -> Self {
-        self.stats_shards = n;
-        self
-    }
-
-    /// Convenience toggle: sharded ([`DEFAULT_STATS_SHARDS`]) vs fully
-    /// shared (1 shard) statistics counters.
-    pub fn sharded_stats(self, on: bool) -> Self {
-        self.stats_shards(if on { DEFAULT_STATS_SHARDS } else { 1 })
     }
 
     /// Installs (or clears) the compiled static check plan consumed by
@@ -231,90 +176,6 @@ impl DetectorObs {
     }
 }
 
-/// Uniform view over cached and uncached shadow access, so the check
-/// bodies are written once and monomorphized for both paths.
-trait ShadowOps {
-    fn load(&mut self, addr: usize) -> Epoch;
-    fn range_uniform(&mut self, addr: usize, len: usize) -> Option<Epoch>;
-    fn range_uniform_batched(&mut self, addr: usize, len: usize) -> Option<Epoch>;
-    fn compare_exchange(&mut self, addr: usize, expected: Epoch, new: Epoch) -> Result<(), Epoch>;
-    fn compare_exchange_range(
-        &mut self,
-        addr: usize,
-        len: usize,
-        expected: Epoch,
-        new: Epoch,
-    ) -> Result<(), (usize, Epoch)>;
-}
-
-struct Uncached<'a>(&'a ShadowMemory);
-
-impl ShadowOps for Uncached<'_> {
-    #[inline]
-    fn load(&mut self, addr: usize) -> Epoch {
-        self.0.load(addr)
-    }
-    #[inline]
-    fn range_uniform(&mut self, addr: usize, len: usize) -> Option<Epoch> {
-        self.0.range_uniform(addr, len)
-    }
-    #[inline]
-    fn range_uniform_batched(&mut self, addr: usize, len: usize) -> Option<Epoch> {
-        self.0.range_uniform_batched(addr, len)
-    }
-    #[inline]
-    fn compare_exchange(&mut self, addr: usize, expected: Epoch, new: Epoch) -> Result<(), Epoch> {
-        self.0.compare_exchange(addr, expected, new)
-    }
-    #[inline]
-    fn compare_exchange_range(
-        &mut self,
-        addr: usize,
-        len: usize,
-        expected: Epoch,
-        new: Epoch,
-    ) -> Result<(), (usize, Epoch)> {
-        self.0.compare_exchange_range(addr, len, expected, new)
-    }
-}
-
-struct Cached<'a> {
-    shadow: &'a ShadowMemory,
-    cache: &'a mut ShadowPageCache,
-}
-
-impl ShadowOps for Cached<'_> {
-    #[inline]
-    fn load(&mut self, addr: usize) -> Epoch {
-        self.shadow.load_cached(addr, self.cache)
-    }
-    #[inline]
-    fn range_uniform(&mut self, addr: usize, len: usize) -> Option<Epoch> {
-        self.shadow.range_uniform_cached(addr, len, self.cache)
-    }
-    #[inline]
-    fn range_uniform_batched(&mut self, addr: usize, len: usize) -> Option<Epoch> {
-        self.shadow
-            .range_uniform_batched_cached(addr, len, self.cache)
-    }
-    #[inline]
-    fn compare_exchange(&mut self, addr: usize, expected: Epoch, new: Epoch) -> Result<(), Epoch> {
-        self.shadow
-            .compare_exchange_cached(addr, expected, new, self.cache)
-    }
-    #[inline]
-    fn compare_exchange_range(
-        &mut self,
-        addr: usize,
-        len: usize,
-        expected: Epoch,
-        new: Epoch,
-    ) -> Result<(), (usize, Epoch)> {
-        self.shadow
-            .compare_exchange_range_cached(addr, len, expected, new, self.cache)
-    }
-}
-
 /// The precise WAW/RAW race detector of CLEAN.
 ///
 /// One detector instance is shared by all threads of a monitored program;
@@ -356,11 +217,10 @@ impl CleanDetector {
     /// Creates a detector covering `data_size` bytes of shared program
     /// data.
     pub fn new(data_size: usize, config: DetectorConfig) -> Self {
-        let stats = DetectorStats::with_shards(config.stats_shards);
         CleanDetector {
             shadow: ShadowMemory::new(data_size),
             config,
-            stats,
+            stats: DetectorStats::new(),
             check_locks: (0..LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
             obs: None,
         }
@@ -468,15 +328,8 @@ impl CleanDetector {
         DetectorStats::bump(&shard.reads_checked);
         DetectorStats::add(&shard.bytes_checked, size as u64);
         let _guard = self.check_guard(addr);
-        self.read_body(
-            &mut Uncached(&self.shadow),
-            shard,
-            vc,
-            tid,
-            addr,
-            size,
-            false,
-        )
+        let mut cache = ShadowPageCache::new();
+        self.read_body(&mut cache, shard, vc, tid, addr, size, false)
     }
 
     /// [`check_read`](Self::check_read) through the per-thread fast-path
@@ -502,34 +355,22 @@ impl CleanDetector {
             // `owner` for the planned execution; the dynamic guard keeps
             // every *other* thread on the full check path.
             if u32::from(tid.raw()) == owner {
-                if self.config.deferred_stats {
-                    state.pending.plan_elided += 1;
-                } else {
-                    DetectorStats::bump(&self.shard(tid).plan_elided);
-                }
+                state.pending.plan_elided += 1;
                 return Ok(());
             }
         }
         let epoch_raw = vc.write_epoch(tid).raw();
         let generation = self.shadow.generation();
-        let filter_hit = self.config.write_filter
-            && (state.filter.covers(addr, size, epoch_raw, generation)
-                || (matches!(decision, Some(PlanDecision::Coalesce))
-                    && state.filter.covers_range(addr, size, epoch_raw, generation)));
-        if filter_hit {
+        if state.filter.covers(addr, size, epoch_raw, generation)
+            || (matches!(decision, Some(PlanDecision::Coalesce))
+                && state.filter.covers_range(addr, size, epoch_raw, generation))
+        {
             // Every covered byte still holds this thread's current epoch,
-            // so the read trivially happens-after the last write. With
-            // deferred stats the hit path touches no shared state at all.
-            if self.config.deferred_stats {
-                state.pending.reads_checked += 1;
-                state.pending.bytes_checked += size as u64;
-                state.pending.filter_hits += 1;
-            } else {
-                let shard = self.shard(tid);
-                DetectorStats::bump(&shard.reads_checked);
-                DetectorStats::add(&shard.bytes_checked, size as u64);
-                DetectorStats::bump(&shard.filter_hits);
-            }
+            // so the read trivially happens-after the last write. The hit
+            // path touches no shared state at all.
+            state.pending.reads_checked += 1;
+            state.pending.bytes_checked += size as u64;
+            state.pending.filter_hits += 1;
             return Ok(());
         }
         let batched = matches!(decision, Some(PlanDecision::Batch));
@@ -537,29 +378,13 @@ impl CleanDetector {
         DetectorStats::bump(&shard.reads_checked);
         DetectorStats::add(&shard.bytes_checked, size as u64);
         let _guard = self.check_guard(addr);
-        if self.config.page_cache {
-            let mut ops = Cached {
-                shadow: &self.shadow,
-                cache: &mut state.page_cache,
-            };
-            self.read_body(&mut ops, shard, vc, tid, addr, size, batched)
-        } else {
-            self.read_body(
-                &mut Uncached(&self.shadow),
-                shard,
-                vc,
-                tid,
-                addr,
-                size,
-                batched,
-            )
-        }
+        self.read_body(&mut state.page_cache, shard, vc, tid, addr, size, batched)
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn read_body<S: ShadowOps>(
+    fn read_body(
         &self,
-        shadow: &mut S,
+        cache: &mut ShadowPageCache,
         shard: &StatsShard,
         vc: &VectorClock,
         tid: ThreadId,
@@ -574,9 +399,9 @@ impl CleanDetector {
             // the scalar-acquire walk; verdicts are identical.
             let uniform = if batched {
                 DetectorStats::bump(&shard.plan_batched);
-                shadow.range_uniform_batched(addr, size)
+                self.shadow.range_uniform_batched(addr, size, cache)
             } else {
-                shadow.range_uniform(addr, size)
+                self.shadow.range_uniform(addr, size, cache)
             };
             if let Some(e) = uniform {
                 DetectorStats::bump(&shard.uniform_fast_path);
@@ -589,7 +414,7 @@ impl CleanDetector {
         }
 
         for i in 0..size {
-            let e = shadow.load(addr + i);
+            let e = self.shadow.load(addr + i, cache);
             if vc.races_with(e) {
                 return Err(self.report(shard, AccessKind::Read, vc, tid, addr + i, 1, e));
             }
@@ -625,16 +450,8 @@ impl CleanDetector {
         DetectorStats::add(&shard.bytes_checked, size as u64);
         let _guard = self.check_guard(addr);
         let new_epoch = vc.write_epoch(tid);
-        self.write_body(
-            &mut Uncached(&self.shadow),
-            shard,
-            vc,
-            tid,
-            addr,
-            size,
-            new_epoch,
-            false,
-        )
+        let mut cache = ShadowPageCache::new();
+        self.write_body(&mut cache, shard, vc, tid, addr, size, new_epoch, false)
     }
 
     /// [`check_write`](Self::check_write) through the per-thread fast-path
@@ -662,36 +479,24 @@ impl CleanDetector {
             // execution, so both the check and the epoch publication are
             // skipped. Foreign threads fall through to the full check.
             if u32::from(tid.raw()) == owner {
-                if self.config.deferred_stats {
-                    state.pending.plan_elided += 1;
-                } else {
-                    DetectorStats::bump(&self.shard(tid).plan_elided);
-                }
+                state.pending.plan_elided += 1;
                 return Ok(());
             }
         }
         let new_epoch = vc.write_epoch(tid);
         let generation = self.shadow.generation();
         let coalesce = matches!(decision, Some(PlanDecision::Coalesce));
-        let filter_hit = self.config.write_filter
-            && (state.filter.covers(addr, size, new_epoch.raw(), generation)
-                || (coalesce
-                    && state
-                        .filter
-                        .covers_range(addr, size, new_epoch.raw(), generation)));
-        if filter_hit {
+        if state.filter.covers(addr, size, new_epoch.raw(), generation)
+            || (coalesce
+                && state
+                    .filter
+                    .covers_range(addr, size, new_epoch.raw(), generation))
+        {
             // Every covered byte already holds exactly `new_epoch`: the
             // full check would pass and take the Figure 2 line 5 skip.
-            if self.config.deferred_stats {
-                state.pending.writes_checked += 1;
-                state.pending.bytes_checked += size as u64;
-                state.pending.filter_hits += 1;
-            } else {
-                let shard = self.shard(tid);
-                DetectorStats::bump(&shard.writes_checked);
-                DetectorStats::add(&shard.bytes_checked, size as u64);
-                DetectorStats::bump(&shard.filter_hits);
-            }
+            state.pending.writes_checked += 1;
+            state.pending.bytes_checked += size as u64;
+            state.pending.filter_hits += 1;
             return Ok(());
         }
         let batched = matches!(decision, Some(PlanDecision::Batch));
@@ -699,25 +504,17 @@ impl CleanDetector {
         DetectorStats::bump(&shard.writes_checked);
         DetectorStats::add(&shard.bytes_checked, size as u64);
         let _guard = self.check_guard(addr);
-        let result = if self.config.page_cache {
-            let mut ops = Cached {
-                shadow: &self.shadow,
-                cache: &mut state.page_cache,
-            };
-            self.write_body(&mut ops, shard, vc, tid, addr, size, new_epoch, batched)
-        } else {
-            self.write_body(
-                &mut Uncached(&self.shadow),
-                shard,
-                vc,
-                tid,
-                addr,
-                size,
-                new_epoch,
-                batched,
-            )
-        };
-        if result.is_ok() && self.config.write_filter {
+        let result = self.write_body(
+            &mut state.page_cache,
+            shard,
+            vc,
+            tid,
+            addr,
+            size,
+            new_epoch,
+            batched,
+        );
+        if result.is_ok() {
             // The full check passed: all bytes now hold `new_epoch` under
             // `generation`, which is exactly the filter's validity claim.
             // Plan-coalesced sweeps record into the growable range table
@@ -735,9 +532,9 @@ impl CleanDetector {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn write_body<S: ShadowOps>(
+    fn write_body(
         &self,
-        shadow: &mut S,
+        cache: &mut ShadowPageCache,
         shard: &StatsShard,
         vc: &VectorClock,
         tid: ThreadId,
@@ -749,9 +546,9 @@ impl CleanDetector {
         if self.config.vectorized && size > 1 {
             let uniform = if batched {
                 DetectorStats::bump(&shard.plan_batched);
-                shadow.range_uniform_batched(addr, size)
+                self.shadow.range_uniform_batched(addr, size, cache)
             } else {
-                shadow.range_uniform(addr, size)
+                self.shadow.range_uniform(addr, size, cache)
             };
             if let Some(e) = uniform {
                 DetectorStats::bump(&shard.uniform_fast_path);
@@ -765,13 +562,13 @@ impl CleanDetector {
                 }
                 // Wide-CAS publish: groups of up to WIDE_CAS_EPOCHS epochs
                 // are updated per modelled 128-bit CAS (Section 4.4).
-                return self.publish_range(shadow, shard, vc, tid, addr, size, e, new_epoch);
+                return self.publish_range(cache, shard, vc, tid, addr, size, e, new_epoch);
             }
             DetectorStats::bump(&shard.per_byte_slow_path);
         }
 
         for i in 0..size {
-            let e = shadow.load(addr + i);
+            let e = self.shadow.load(addr + i, cache);
             if vc.races_with(e) {
                 return Err(self.report(shard, AccessKind::Write, vc, tid, addr + i, 1, e));
             }
@@ -779,7 +576,7 @@ impl CleanDetector {
                 DetectorStats::bump(&shard.update_skipped);
                 continue;
             }
-            if let Err(found) = shadow.compare_exchange(addr + i, e, new_epoch) {
+            if let Err(found) = self.shadow.compare_exchange(addr + i, e, new_epoch, cache) {
                 DetectorStats::bump(&shard.cas_conflicts);
                 return Err(self.report(shard, AccessKind::Write, vc, tid, addr + i, 1, found));
             }
@@ -791,9 +588,9 @@ impl CleanDetector {
     /// Publishes `new_epoch` over `[addr, addr+size)` whose epochs were all
     /// observed equal to `expected`.
     #[allow(clippy::too_many_arguments)]
-    fn publish_range<S: ShadowOps>(
+    fn publish_range(
         &self,
-        shadow: &mut S,
+        cache: &mut ShadowPageCache,
         shard: &StatsShard,
         vc: &VectorClock,
         tid: ThreadId,
@@ -802,7 +599,10 @@ impl CleanDetector {
         expected: Epoch,
         new_epoch: Epoch,
     ) -> Result<(), RaceReport> {
-        if let Err((at, found)) = shadow.compare_exchange_range(addr, size, expected, new_epoch) {
+        if let Err((at, found)) = self
+            .shadow
+            .compare_exchange_range(addr, size, expected, new_epoch, cache)
+        {
             // A concurrent check interleaved between our load and CAS.
             // Seeing our own new epoch is impossible (no thread races
             // with itself), so this is a concurrent unordered write.
@@ -860,11 +660,11 @@ impl CleanDetector {
     /// Drains `state`'s batched filter-hit statistics into `tid`'s stats
     /// shard, leaving the pending counters zero.
     ///
-    /// Under `deferred_stats` (the default) the filter-hit fast path
-    /// accumulates into plain per-thread counters; call this on every
-    /// epoch increment and at thread exit so [`stats`](Self::stats)
-    /// snapshots converge to the exact totals. Calling it when nothing is
-    /// pending (or when deferral is off) is free.
+    /// The filter-hit and plan-elide fast paths accumulate into plain
+    /// per-thread counters; call this on every epoch increment and at
+    /// thread exit so [`stats`](Self::stats) snapshots converge to the
+    /// exact totals (until then they under-report the deferred counters).
+    /// Calling it when nothing is pending is free.
     pub fn drain_check_state(&self, tid: ThreadId, state: &mut ThreadCheckState) {
         let p = std::mem::take(&mut state.pending);
         if p.is_empty() {
@@ -886,7 +686,7 @@ impl CleanDetector {
     /// The epoch currently recorded for data byte `addr` (test/diagnostic
     /// aid; the hardware simulator keeps its own metadata).
     pub fn epoch_at(&self, addr: usize) -> Epoch {
-        self.shadow.load(addr)
+        self.shadow.load(addr, &mut ShadowPageCache::new())
     }
 
     /// Deterministic metadata reset (Section 4.5). The caller must have
@@ -1154,8 +954,7 @@ mod tests {
             det.check_read_with(&vcs[0], t0, 0, 8, &mut st).unwrap();
             det.check_read_with(&vcs[0], t0, 0, 4, &mut st).unwrap();
         }
-        // Under deferred stats (the default) the hits are batched in the
-        // per-thread state until drained.
+        // The hits are batched in the per-thread state until drained.
         assert_eq!(det.stats().filter_hits, 0);
         assert_eq!(st.pending.filter_hits, 30);
         assert_eq!(st.pending.reads_checked, 20);
@@ -1173,21 +972,6 @@ mod tests {
         assert_eq!(det.stats().filter_hits, 30);
         // The shadow state is exactly what the unfiltered path would leave.
         assert_eq!(det.epoch_at(0), vcs[0].write_epoch(t0));
-    }
-
-    #[test]
-    fn undeferred_stats_hit_the_shared_counters_directly() {
-        let cfg = DetectorConfig::new().deferred_stats(false);
-        let det = CleanDetector::new(1 << 16, cfg);
-        let t0 = ThreadId::new(0);
-        let mut vc = VectorClock::new(1, det.layout());
-        vc.increment(t0).unwrap();
-        let mut st = ThreadCheckState::new();
-        det.check_write_with(&vc, t0, 0, 8, &mut st).unwrap();
-        det.check_write_with(&vc, t0, 0, 8, &mut st).unwrap();
-        assert!(st.pending.is_empty());
-        assert_eq!(det.stats().filter_hits, 1);
-        assert_eq!(det.stats().writes_checked, 2);
     }
 
     #[test]
@@ -1215,25 +999,31 @@ mod tests {
     #[test]
     fn fast_path_verdicts_match_plain_path() {
         // Race scenarios through the *_with entry points must produce the
-        // same reports as the plain ones, knob combinations included.
-        for (filter, cache) in [(false, false), (true, false), (false, true), (true, true)] {
-            let cfg = DetectorConfig::new().write_filter(filter).page_cache(cache);
-            let det = CleanDetector::new(1 << 16, cfg);
-            let layout = det.layout();
-            let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
-            let mut vc0 = VectorClock::new(2, layout);
-            let vc1 = VectorClock::new(2, layout);
-            let mut st0 = ThreadCheckState::new();
-            let mut st1 = ThreadCheckState::new();
-            vc0.increment(t0).unwrap();
-            det.check_write_with(&vc0, t0, 64, 4, &mut st0).unwrap();
-            det.check_write_with(&vc0, t0, 64, 4, &mut st0).unwrap();
-            let race = det.check_write_with(&vc1, t1, 64, 4, &mut st1).unwrap_err();
-            assert_eq!(race.kind, RaceKind::WriteAfterWrite);
-            assert_eq!(race.addr, 64);
-            assert_eq!(race.previous_tid(), t0);
-            assert_eq!(race.previous_clock(), 1);
-        }
+        // same reports as the plain ones.
+        let det = CleanDetector::new(1 << 16, DetectorConfig::new());
+        let layout = det.layout();
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        let mut vc0 = VectorClock::new(2, layout);
+        let vc1 = VectorClock::new(2, layout);
+        let mut st0 = ThreadCheckState::new();
+        let mut st1 = ThreadCheckState::new();
+        vc0.increment(t0).unwrap();
+        det.check_write_with(&vc0, t0, 64, 4, &mut st0).unwrap();
+        det.check_write_with(&vc0, t0, 64, 4, &mut st0).unwrap();
+        let race = det.check_write_with(&vc1, t1, 64, 4, &mut st1).unwrap_err();
+        assert_eq!(race.kind, RaceKind::WriteAfterWrite);
+        assert_eq!(race.addr, 64);
+        assert_eq!(race.previous_tid(), t0);
+        assert_eq!(race.previous_clock(), 1);
+        let read = det.check_read_with(&vc1, t1, 66, 4, &mut st1);
+        // The same sequence through the stateless entry points of a second
+        // detector: every verdict, report included, must be identical.
+        let plain = CleanDetector::new(1 << 16, DetectorConfig::new());
+        plain.check_write(&vc0, t0, 64, 4).unwrap();
+        plain.check_write(&vc0, t0, 64, 4).unwrap();
+        assert_eq!(plain.check_write(&vc1, t1, 64, 4), Err(race));
+        assert_eq!(plain.check_read(&vc1, t1, 66, 4), read);
+        assert!(read.is_err(), "the unordered read must race too");
     }
 
     #[test]
@@ -1257,38 +1047,35 @@ mod tests {
     #[test]
     fn fast_path_handles_page_straddles_like_plain_path() {
         use crate::shadow::PAGE_EPOCHS;
-        // Straddling ranges defeat both the page cache (which only serves
-        // single-page ranges) and never split filter entries: verdicts and
-        // shadow state must match the plain path on every knob setting.
-        for (filter, cache) in [(false, false), (true, false), (false, true), (true, true)] {
-            let cfg = DetectorConfig::new().write_filter(filter).page_cache(cache);
-            let det = CleanDetector::new(1 << 16, cfg);
-            let layout = det.layout();
-            let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
-            let mut vc0 = VectorClock::new(2, layout);
-            let vc1 = VectorClock::new(2, layout);
-            let mut st0 = ThreadCheckState::new();
-            let mut st1 = ThreadCheckState::new();
-            vc0.increment(t0).unwrap();
-            let base = 2 * PAGE_EPOCHS - 3;
-            det.check_write_with(&vc0, t0, base, 8, &mut st0).unwrap();
-            // The repeat of a successfully published straddle is a filter
-            // hit when the filter is on — one entry covers both pages.
-            let hits = det.stats().filter_hits;
-            det.check_write_with(&vc0, t0, base, 8, &mut st0).unwrap();
-            det.check_read_with(&vc0, t0, base, 8, &mut st0).unwrap();
-            det.drain_check_state(t0, &mut st0);
-            assert_eq!(det.stats().filter_hits, hits + if filter { 2 } else { 0 });
-            // Cross-thread, unordered: race on the first straddled byte.
-            let race = det
-                .check_write_with(&vc1, t1, base, 8, &mut st1)
-                .unwrap_err();
-            assert_eq!(race.kind, RaceKind::WriteAfterWrite);
-            assert_eq!(race.addr, base);
-            // Both halves really were published.
-            assert_eq!(det.epoch_at(2 * PAGE_EPOCHS - 1), vc0.write_epoch(t0));
-            assert_eq!(det.epoch_at(2 * PAGE_EPOCHS + 4), vc0.write_epoch(t0));
-        }
+        // Straddling ranges take the page cache's byte-by-byte walk and
+        // never split filter entries: verdicts and shadow state must match
+        // the plain path.
+        let det = CleanDetector::new(1 << 16, DetectorConfig::new());
+        let layout = det.layout();
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        let mut vc0 = VectorClock::new(2, layout);
+        let vc1 = VectorClock::new(2, layout);
+        let mut st0 = ThreadCheckState::new();
+        let mut st1 = ThreadCheckState::new();
+        vc0.increment(t0).unwrap();
+        let base = 2 * PAGE_EPOCHS - 3;
+        det.check_write_with(&vc0, t0, base, 8, &mut st0).unwrap();
+        // The repeat of a successfully published straddle is a filter
+        // hit — one entry covers both pages.
+        let hits = det.stats().filter_hits;
+        det.check_write_with(&vc0, t0, base, 8, &mut st0).unwrap();
+        det.check_read_with(&vc0, t0, base, 8, &mut st0).unwrap();
+        det.drain_check_state(t0, &mut st0);
+        assert_eq!(det.stats().filter_hits, hits + 2);
+        // Cross-thread, unordered: race on the first straddled byte.
+        let race = det
+            .check_write_with(&vc1, t1, base, 8, &mut st1)
+            .unwrap_err();
+        assert_eq!(race.kind, RaceKind::WriteAfterWrite);
+        assert_eq!(race.addr, base);
+        // Both halves really were published.
+        assert_eq!(det.epoch_at(2 * PAGE_EPOCHS - 1), vc0.write_epoch(t0));
+        assert_eq!(det.epoch_at(2 * PAGE_EPOCHS + 4), vc0.write_epoch(t0));
     }
 
     fn plan_of(entries: Vec<clean_plan::PlanEntry>) -> Arc<CompiledPlan> {

@@ -180,7 +180,7 @@ impl SfrWriteFilter {
 }
 
 /// Plain (non-atomic) per-thread statistics accumulated on the filter-hit
-/// fast path when the detector's `deferred_stats` knob is on.
+/// and plan-elide fast paths.
 ///
 /// A filter hit is the one place the check pipeline touches *no* shared
 /// state at all — bumping three shared atomics there costs more than the

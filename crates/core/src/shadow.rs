@@ -35,6 +35,11 @@ static SHADOW_UID: AtomicU64 = AtomicU64::new(1);
 
 /// A thread-local memo of the last shadow page a thread resolved.
 ///
+/// Every check-path operation of [`ShadowMemory`] resolves its page
+/// through one: the per-thread fast path keeps it in
+/// [`ThreadCheckState`](crate::ThreadCheckState) across checks, one-off
+/// callers pass a fresh [`ShadowPageCache::new`].
+///
 /// The cached pointer is only dereferenced when the cache's instance id
 /// matches the [`ShadowMemory`] being queried *and* the cached reset
 /// generation equals the instance's current generation; on any mismatch
@@ -108,6 +113,21 @@ impl Page {
         }
         self.generation.store(global_gen, Ordering::Release);
     }
+
+    /// The Section 4.3 CAS on epoch slot `o`; on contention returns the
+    /// epoch found there.
+    #[inline]
+    fn cas(&self, o: usize, expected: Epoch, new: Epoch) -> Result<(), Epoch> {
+        self.epochs[o]
+            .compare_exchange(
+                expected.raw(),
+                new.raw(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .map(|_| ())
+            .map_err(Epoch::from_raw)
+    }
 }
 
 /// Statistics about shadow-memory usage.
@@ -130,13 +150,14 @@ pub struct ShadowStats {
 /// # Examples
 ///
 /// ```
-/// use clean_core::{Epoch, ShadowMemory};
+/// use clean_core::{Epoch, ShadowMemory, ShadowPageCache};
 /// let shadow = ShadowMemory::new(1 << 20);
-/// assert_eq!(shadow.load(0x1234), Epoch::ZERO);
+/// let mut cache = ShadowPageCache::new();
+/// assert_eq!(shadow.load(0x1234, &mut cache), Epoch::ZERO);
 /// shadow.store(0x1234, Epoch::from_raw(7));
-/// assert_eq!(shadow.load(0x1234), Epoch::from_raw(7));
+/// assert_eq!(shadow.load(0x1234, &mut cache), Epoch::from_raw(7));
 /// shadow.reset();
-/// assert_eq!(shadow.load(0x1234), Epoch::ZERO);
+/// assert_eq!(shadow.load(0x1234, &mut cache), Epoch::ZERO);
 /// ```
 pub struct ShadowMemory {
     pages: Box<[OnceLock<Page>]>,
@@ -187,37 +208,38 @@ impl ShadowMemory {
         (addr / PAGE_EPOCHS, addr % PAGE_EPOCHS)
     }
 
-    /// Loads the epoch of data byte `addr` (the `EPOCH_ADDRESS` dereference
-    /// of Figure 2, line 2).
-    ///
-    /// Never allocates: unmaterialized or stale pages read as
-    /// [`Epoch::ZERO`].
+    /// Resolves page `p` for reading through `cache`. `None` means the
+    /// page is unmaterialized or stale — logically all zero — and such
+    /// pages are not cached: they have no stable current-generation
+    /// contents to point at.
     #[inline]
-    pub fn load(&self, addr: usize) -> Epoch {
-        let (p, o) = self.split(addr);
-        match self.pages[p].get() {
-            Some(page) => {
-                let gen = self.generation.load(Ordering::Acquire);
-                if page.generation.load(Ordering::Acquire) == gen {
-                    Epoch::from_raw(page.epochs[o].load(Ordering::Acquire))
-                } else {
-                    Epoch::ZERO
-                }
-            }
-            None => Epoch::ZERO,
+    fn page_for_read<'a>(&'a self, p: usize, cache: &mut ShadowPageCache) -> Option<&'a Page> {
+        let gen = self.generation.load(Ordering::Acquire);
+        if let Some(page) = self.page_hit(cache, p, gen) {
+            return Some(page);
         }
+        let page = self.pages[p].get()?;
+        if page.generation.load(Ordering::Acquire) != gen {
+            return None;
+        }
+        self.fill_cache(cache, p, gen, page);
+        Some(page)
     }
 
-    fn page_for_write(&self, p: usize) -> &Page {
-        self.page_for_write_at(p, self.generation.load(Ordering::Acquire))
-    }
-
-    fn page_for_write_at(&self, p: usize, gen: u64) -> &Page {
+    /// Resolves page `p` for writing through `cache`, materializing and
+    /// freshening it on a miss (a written page is always cacheable).
+    #[inline]
+    fn page_for_write<'a>(&'a self, p: usize, cache: &mut ShadowPageCache) -> &'a Page {
+        let gen = self.generation.load(Ordering::Acquire);
+        if let Some(page) = self.page_hit(cache, p, gen) {
+            return page;
+        }
         let page = self.pages[p].get_or_init(|| {
             self.pages_allocated.fetch_add(1, Ordering::Relaxed);
             Page::new(gen)
         });
         page.freshen(gen);
+        self.fill_cache(cache, p, gen, page);
         page
     }
 
@@ -248,12 +270,28 @@ impl ShadowMemory {
         };
     }
 
+    /// Loads the epoch of data byte `addr` (the `EPOCH_ADDRESS` dereference
+    /// of Figure 2, line 2), resolving its page through `cache`: a hit on
+    /// the caller's last page skips the directory walk, `OnceLock`
+    /// resolution and per-page generation check.
+    ///
+    /// Never allocates: unmaterialized or stale pages read as
+    /// [`Epoch::ZERO`].
+    #[inline]
+    pub fn load(&self, addr: usize, cache: &mut ShadowPageCache) -> Epoch {
+        let (p, o) = self.split(addr);
+        match self.page_for_read(p, cache) {
+            Some(page) => Epoch::from_raw(page.epochs[o].load(Ordering::Acquire)),
+            None => Epoch::ZERO,
+        }
+    }
+
     /// Stores `epoch` for data byte `addr`, materializing the page if
     /// needed (Figure 2, line 6 without the atomicity guard).
-    #[inline]
     pub fn store(&self, addr: usize, epoch: Epoch) {
         let (p, o) = self.split(addr);
-        self.page_for_write(p).epochs[o].store(epoch.raw(), Ordering::Release);
+        self.page_for_write(p, &mut ShadowPageCache::new()).epochs[o]
+            .store(epoch.raw(), Ordering::Release);
     }
 
     /// Atomically publishes `new` for data byte `addr` only if the current
@@ -265,33 +303,15 @@ impl ShadowMemory {
     /// On contention returns the epoch actually found, which the caller
     /// interprets as a concurrently published racy write.
     #[inline]
-    pub fn compare_exchange(&self, addr: usize, expected: Epoch, new: Epoch) -> Result<(), Epoch> {
+    pub fn compare_exchange(
+        &self,
+        addr: usize,
+        expected: Epoch,
+        new: Epoch,
+        cache: &mut ShadowPageCache,
+    ) -> Result<(), Epoch> {
         let (p, o) = self.split(addr);
-        self.page_for_write(p).epochs[o]
-            .compare_exchange(
-                expected.raw(),
-                new.raw(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .map(|_| ())
-            .map_err(Epoch::from_raw)
-    }
-
-    /// Loads the epochs of `len` consecutive data bytes into `out`.
-    ///
-    /// Models the vector load of Section 4.4 (e.g. one AVX load of 8
-    /// epochs); the copy is not atomic across elements, exactly like the
-    /// hardware it stands in for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() < len`.
-    pub fn load_range(&self, addr: usize, len: usize, out: &mut [Epoch]) {
-        assert!(out.len() >= len, "output buffer too small");
-        for (i, slot) in out.iter_mut().take(len).enumerate() {
-            *slot = self.load(addr + i);
-        }
+        self.page_for_write(p, cache).cas(o, expected, new)
     }
 
     /// Returns true if all `len` bytes starting at `addr` currently carry
@@ -301,37 +321,37 @@ impl ShadowMemory {
     ///
     /// When the range lies within one shadow page the page is resolved
     /// once and the epochs compared back-to-back — the software analogue
-    /// of one vector load plus one vector compare.
-    pub fn range_uniform(&self, addr: usize, len: usize) -> Option<Epoch> {
+    /// of one vector load plus one vector compare. A range crossing a page
+    /// boundary is walked byte by byte.
+    #[inline]
+    pub fn range_uniform(
+        &self,
+        addr: usize,
+        len: usize,
+        cache: &mut ShadowPageCache,
+    ) -> Option<Epoch> {
         debug_assert!(len > 0);
         let (p, o) = self.split(addr);
-        if o + len <= PAGE_EPOCHS {
-            // Single-page fast path: one directory lookup, one generation
-            // check, then a tight compare loop.
-            return match self.pages[p].get() {
-                Some(page)
-                    if page.generation.load(Ordering::Acquire)
-                        == self.generation.load(Ordering::Acquire) =>
-                {
-                    let first = page.epochs[o].load(Ordering::Acquire);
-                    for i in 1..len {
-                        if page.epochs[o + i].load(Ordering::Acquire) != first {
-                            return None;
-                        }
-                    }
-                    Some(Epoch::from_raw(first))
+        if o + len > PAGE_EPOCHS {
+            let first = self.load(addr, cache);
+            for i in 1..len {
+                if self.load(addr + i, cache) != first {
+                    return None;
                 }
-                // Unmaterialized or stale page: the whole range reads zero.
-                _ => Some(Epoch::ZERO),
-            };
+            }
+            return Some(first);
         }
-        let first = self.load(addr);
+        // Unmaterialized or stale page: the whole range reads zero.
+        let Some(page) = self.page_for_read(p, cache) else {
+            return Some(Epoch::ZERO);
+        };
+        let first = page.epochs[o].load(Ordering::Acquire);
         for i in 1..len {
-            if self.load(addr + i) != first {
+            if page.epochs[o + i].load(Ordering::Acquire) != first {
                 return None;
             }
         }
-        Some(first)
+        Some(Epoch::from_raw(first))
     }
 
     /// [`range_uniform`](Self::range_uniform) restructured as the
@@ -342,29 +362,25 @@ impl ShadowMemory {
     /// end upgrades every element load at once — the ordering cost of one
     /// vector operation instead of `len` scalar acquires.
     ///
-    /// Semantically identical to `range_uniform`; only worth calling on
-    /// spans a [`CheckPlan`](clean_plan::CheckPlan) marked `batch`, where
+    /// Semantically identical to `range_uniform` (page-straddling ranges
+    /// take its byte-by-byte walk); only worth calling on spans a
+    /// [`CheckPlan`](clean_plan::CheckPlan) marked `batch`, where
     /// contiguous multi-byte checked accesses dominate.
-    pub fn range_uniform_batched(&self, addr: usize, len: usize) -> Option<Epoch> {
+    #[inline]
+    pub fn range_uniform_batched(
+        &self,
+        addr: usize,
+        len: usize,
+        cache: &mut ShadowPageCache,
+    ) -> Option<Epoch> {
         debug_assert!(len > 0);
         let (p, o) = self.split(addr);
         if o + len > PAGE_EPOCHS {
-            return self.range_uniform(addr, len);
+            return self.range_uniform(addr, len, cache);
         }
-        match self.pages[p].get() {
-            Some(page)
-                if page.generation.load(Ordering::Acquire)
-                    == self.generation.load(Ordering::Acquire) =>
-            {
-                Self::page_range_uniform_batched(page, o, len)
-            }
-            _ => Some(Epoch::ZERO),
-        }
-    }
-
-    /// The batched compare kernel over one resolved page.
-    #[inline]
-    fn page_range_uniform_batched(page: &Page, o: usize, len: usize) -> Option<Epoch> {
+        let Some(page) = self.page_for_read(p, cache) else {
+            return Some(Epoch::ZERO);
+        };
         let first = page.epochs[o].load(Ordering::Relaxed);
         let mut i = 1;
         while i < len {
@@ -389,7 +405,8 @@ impl ShadowMemory {
 
     /// Atomically publishes `new` over `[addr, addr+len)` where every
     /// epoch is expected to still equal `expected` (the wide-CAS publish
-    /// of Section 4.4).
+    /// of Section 4.4). A range crossing a page boundary is published
+    /// byte by byte.
     ///
     /// # Errors
     ///
@@ -397,193 +414,28 @@ impl ShadowMemory {
     /// found there; earlier bytes remain updated (exactly like a sequence
     /// of hardware wide-CAS operations interrupted by a conflict — the
     /// caller reports the race and the execution stops).
+    #[inline]
     pub fn compare_exchange_range(
         &self,
         addr: usize,
         len: usize,
         expected: Epoch,
         new: Epoch,
+        cache: &mut ShadowPageCache,
     ) -> Result<(), (usize, Epoch)> {
         debug_assert!(len > 0);
         let (p, o) = self.split(addr);
-        if o + len <= PAGE_EPOCHS {
-            let page = self.page_for_write(p);
+        if o + len > PAGE_EPOCHS {
             for i in 0..len {
-                if let Err(found) = page.epochs[o + i].compare_exchange(
-                    expected.raw(),
-                    new.raw(),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    return Err((addr + i, Epoch::from_raw(found)));
-                }
+                self.compare_exchange(addr + i, expected, new, cache)
+                    .map_err(|found| (addr + i, found))?;
             }
             return Ok(());
         }
+        let page = self.page_for_write(p, cache);
         for i in 0..len {
-            self.compare_exchange(addr + i, expected, new)
+            page.cas(o + i, expected, new)
                 .map_err(|found| (addr + i, found))?;
-        }
-        Ok(())
-    }
-
-    /// [`load`](Self::load) through a [`ShadowPageCache`]: a hit on the
-    /// thread's last page skips the directory walk, `OnceLock` resolution
-    /// and per-page generation check.
-    #[inline]
-    pub fn load_cached(&self, addr: usize, cache: &mut ShadowPageCache) -> Epoch {
-        let (p, o) = self.split(addr);
-        let gen = self.generation.load(Ordering::Acquire);
-        if let Some(page) = self.page_hit(cache, p, gen) {
-            return Epoch::from_raw(page.epochs[o].load(Ordering::Acquire));
-        }
-        match self.pages[p].get() {
-            Some(page) if page.generation.load(Ordering::Acquire) == gen => {
-                self.fill_cache(cache, p, gen, page);
-                Epoch::from_raw(page.epochs[o].load(Ordering::Acquire))
-            }
-            // Unmaterialized or stale pages are not cached: they have no
-            // stable current-generation contents to point at.
-            _ => Epoch::ZERO,
-        }
-    }
-
-    /// [`range_uniform`](Self::range_uniform) through a
-    /// [`ShadowPageCache`]. Ranges crossing a page boundary fall back to
-    /// the uncached path (they cannot be answered by one cached page).
-    #[inline]
-    pub fn range_uniform_cached(
-        &self,
-        addr: usize,
-        len: usize,
-        cache: &mut ShadowPageCache,
-    ) -> Option<Epoch> {
-        debug_assert!(len > 0);
-        let (p, o) = self.split(addr);
-        if o + len > PAGE_EPOCHS {
-            return self.range_uniform(addr, len);
-        }
-        let gen = self.generation.load(Ordering::Acquire);
-        let page = match self.page_hit(cache, p, gen) {
-            Some(page) => page,
-            None => match self.pages[p].get() {
-                Some(page) if page.generation.load(Ordering::Acquire) == gen => {
-                    self.fill_cache(cache, p, gen, page);
-                    page
-                }
-                _ => return Some(Epoch::ZERO),
-            },
-        };
-        let first = page.epochs[o].load(Ordering::Acquire);
-        for i in 1..len {
-            if page.epochs[o + i].load(Ordering::Acquire) != first {
-                return None;
-            }
-        }
-        Some(Epoch::from_raw(first))
-    }
-
-    /// [`range_uniform_batched`](Self::range_uniform_batched) through a
-    /// [`ShadowPageCache`]. Ranges crossing a page boundary fall back to
-    /// the uncached scalar path.
-    #[inline]
-    pub fn range_uniform_batched_cached(
-        &self,
-        addr: usize,
-        len: usize,
-        cache: &mut ShadowPageCache,
-    ) -> Option<Epoch> {
-        debug_assert!(len > 0);
-        let (p, o) = self.split(addr);
-        if o + len > PAGE_EPOCHS {
-            return self.range_uniform(addr, len);
-        }
-        let gen = self.generation.load(Ordering::Acquire);
-        let page = match self.page_hit(cache, p, gen) {
-            Some(page) => page,
-            None => match self.pages[p].get() {
-                Some(page) if page.generation.load(Ordering::Acquire) == gen => {
-                    self.fill_cache(cache, p, gen, page);
-                    page
-                }
-                _ => return Some(Epoch::ZERO),
-            },
-        };
-        Self::page_range_uniform_batched(page, o, len)
-    }
-
-    /// [`compare_exchange`](Self::compare_exchange) through a
-    /// [`ShadowPageCache`], filling it on miss (the write path always
-    /// materializes and freshens the page, so it is always cacheable).
-    #[inline]
-    pub fn compare_exchange_cached(
-        &self,
-        addr: usize,
-        expected: Epoch,
-        new: Epoch,
-        cache: &mut ShadowPageCache,
-    ) -> Result<(), Epoch> {
-        let (p, o) = self.split(addr);
-        let gen = self.generation.load(Ordering::Acquire);
-        let page = match self.page_hit(cache, p, gen) {
-            Some(page) => page,
-            None => {
-                let page = self.page_for_write_at(p, gen);
-                self.fill_cache(cache, p, gen, page);
-                page
-            }
-        };
-        page.epochs[o]
-            .compare_exchange(
-                expected.raw(),
-                new.raw(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .map(|_| ())
-            .map_err(Epoch::from_raw)
-    }
-
-    /// [`compare_exchange_range`](Self::compare_exchange_range) through a
-    /// [`ShadowPageCache`]. Ranges crossing a page boundary fall back to
-    /// the uncached path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as the uncached variant: the offending address and
-    /// epoch on first mismatch, earlier bytes left updated.
-    #[inline]
-    pub fn compare_exchange_range_cached(
-        &self,
-        addr: usize,
-        len: usize,
-        expected: Epoch,
-        new: Epoch,
-        cache: &mut ShadowPageCache,
-    ) -> Result<(), (usize, Epoch)> {
-        debug_assert!(len > 0);
-        let (p, o) = self.split(addr);
-        if o + len > PAGE_EPOCHS {
-            return self.compare_exchange_range(addr, len, expected, new);
-        }
-        let gen = self.generation.load(Ordering::Acquire);
-        let page = match self.page_hit(cache, p, gen) {
-            Some(page) => page,
-            None => {
-                let page = self.page_for_write_at(p, gen);
-                self.fill_cache(cache, p, gen, page);
-                page
-            }
-        };
-        for i in 0..len {
-            if let Err(found) = page.epochs[o + i].compare_exchange(
-                expected.raw(),
-                new.raw(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                return Err((addr + i, Epoch::from_raw(found)));
-            }
         }
         Ok(())
     }
@@ -627,8 +479,9 @@ mod tests {
     #[test]
     fn fresh_shadow_reads_zero() {
         let s = ShadowMemory::new(64 * 1024);
+        let mut c = ShadowPageCache::new();
         for addr in [0usize, 1, 4095, 4096, 65535] {
-            assert_eq!(s.load(addr), Epoch::ZERO);
+            assert_eq!(s.load(addr, &mut c), Epoch::ZERO);
         }
         assert_eq!(s.stats().pages_allocated, 0, "loads must not allocate");
     }
@@ -636,84 +489,80 @@ mod tests {
     #[test]
     fn store_then_load() {
         let s = ShadowMemory::new(8192);
+        let mut c = ShadowPageCache::new();
         s.store(5000, Epoch::from_raw(42));
-        assert_eq!(s.load(5000), Epoch::from_raw(42));
-        assert_eq!(s.load(5001), Epoch::ZERO);
+        assert_eq!(s.load(5000, &mut c), Epoch::from_raw(42));
+        assert_eq!(s.load(5001, &mut c), Epoch::ZERO);
         assert_eq!(s.stats().pages_allocated, 1);
     }
 
     #[test]
     fn cas_success_and_failure() {
         let s = ShadowMemory::new(4096);
+        let mut c = ShadowPageCache::new();
         assert!(s
-            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(1))
+            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(1), &mut c)
             .is_ok());
         let err = s
-            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(2))
+            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(2), &mut c)
             .unwrap_err();
         assert_eq!(err, Epoch::from_raw(1));
-        assert_eq!(s.load(10), Epoch::from_raw(1));
+        assert_eq!(s.load(10, &mut c), Epoch::from_raw(1));
     }
 
     #[test]
     fn reset_is_logical_zeroing() {
         let s = ShadowMemory::new(4096 * 3);
+        let mut c = ShadowPageCache::new();
         s.store(0, Epoch::from_raw(9));
         s.store(9000, Epoch::from_raw(11));
         s.reset();
-        assert_eq!(s.load(0), Epoch::ZERO);
-        assert_eq!(s.load(9000), Epoch::ZERO);
+        assert_eq!(s.load(0, &mut c), Epoch::ZERO);
+        assert_eq!(s.load(9000, &mut c), Epoch::ZERO);
         assert_eq!(s.stats().resets, 1);
         // Writing after a reset works on the freshened page.
         s.store(0, Epoch::from_raw(3));
-        assert_eq!(s.load(0), Epoch::from_raw(3));
-        assert_eq!(s.load(1), Epoch::ZERO);
+        assert_eq!(s.load(0, &mut c), Epoch::from_raw(3));
+        assert_eq!(s.load(1, &mut c), Epoch::ZERO);
     }
 
     #[test]
     fn cas_after_reset_sees_zero() {
         let s = ShadowMemory::new(4096);
+        let mut c = ShadowPageCache::new();
         s.store(7, Epoch::from_raw(5));
         s.reset();
         // The old value is logically gone; CAS against ZERO must succeed.
         assert!(s
-            .compare_exchange(7, Epoch::ZERO, Epoch::from_raw(6))
+            .compare_exchange(7, Epoch::ZERO, Epoch::from_raw(6), &mut c)
             .is_ok());
-        assert_eq!(s.load(7), Epoch::from_raw(6));
+        assert_eq!(s.load(7, &mut c), Epoch::from_raw(6));
     }
 
     #[test]
     fn range_uniform_detects_mixed_epochs() {
         let s = ShadowMemory::new(4096);
+        let mut c = ShadowPageCache::new();
         for i in 0..8 {
             s.store(100 + i, Epoch::from_raw(4));
         }
-        assert_eq!(s.range_uniform(100, 8), Some(Epoch::from_raw(4)));
+        assert_eq!(s.range_uniform(100, 8, &mut c), Some(Epoch::from_raw(4)));
         s.store(103, Epoch::from_raw(5));
-        assert_eq!(s.range_uniform(100, 8), None);
-        assert_eq!(s.range_uniform(104, 4), Some(Epoch::from_raw(4)));
-    }
-
-    #[test]
-    fn load_range_copies() {
-        let s = ShadowMemory::new(4096);
-        s.store(0, Epoch::from_raw(1));
-        s.store(2, Epoch::from_raw(3));
-        let mut buf = [Epoch::ZERO; 4];
-        s.load_range(0, 4, &mut buf);
-        assert_eq!(buf[0], Epoch::from_raw(1));
-        assert_eq!(buf[1], Epoch::ZERO);
-        assert_eq!(buf[2], Epoch::from_raw(3));
+        assert_eq!(s.range_uniform(100, 8, &mut c), None);
+        assert_eq!(s.range_uniform(104, 4, &mut c), Some(Epoch::from_raw(4)));
     }
 
     #[test]
     fn spans_page_boundary() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
+        let mut c = ShadowPageCache::new();
         let base = PAGE_EPOCHS - 2;
         for i in 0..4 {
             s.store(base + i, Epoch::from_raw(7));
         }
-        assert_eq!(s.range_uniform(base, 4), Some(Epoch::from_raw(7)));
+        assert_eq!(s.range_uniform(base, 4, &mut c), Some(Epoch::from_raw(7)));
+        s.store(PAGE_EPOCHS, Epoch::from_raw(8));
+        assert_eq!(s.range_uniform(base, 4, &mut c), None);
         assert_eq!(s.stats().pages_allocated, 2);
     }
 
@@ -730,7 +579,8 @@ mod tests {
         for t in 1..=8u32 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
-                s.compare_exchange(0, Epoch::ZERO, Epoch::from_raw(t))
+                let mut c = ShadowPageCache::new();
+                s.compare_exchange(0, Epoch::ZERO, Epoch::from_raw(t), &mut c)
                     .is_ok()
             }));
         }
@@ -745,82 +595,99 @@ mod tests {
     #[test]
     fn range_uniform_on_unmaterialized_page_is_zero() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
-        assert_eq!(s.range_uniform(100, 8), Some(Epoch::ZERO));
+        let mut c = ShadowPageCache::new();
+        assert_eq!(s.range_uniform(100, 8, &mut c), Some(Epoch::ZERO));
         assert_eq!(s.stats().pages_allocated, 0, "no allocation on reads");
     }
 
     #[test]
     fn range_uniform_after_reset_is_zero() {
         let s = ShadowMemory::new(4096);
+        let mut c = ShadowPageCache::new();
         for i in 0..8 {
             s.store(64 + i, Epoch::from_raw(9));
         }
+        assert_eq!(s.range_uniform(64, 8, &mut c), Some(Epoch::from_raw(9)));
+        // The cache now holds the page; the reset must still win.
         s.reset();
-        assert_eq!(s.range_uniform(64, 8), Some(Epoch::ZERO));
+        assert_eq!(s.range_uniform(64, 8, &mut c), Some(Epoch::ZERO));
     }
 
     #[test]
     fn cas_range_single_page() {
         let s = ShadowMemory::new(4096);
-        s.compare_exchange_range(16, 8, Epoch::ZERO, Epoch::from_raw(5))
+        let mut c = ShadowPageCache::new();
+        s.compare_exchange_range(16, 8, Epoch::ZERO, Epoch::from_raw(5), &mut c)
             .unwrap();
-        assert_eq!(s.range_uniform(16, 8), Some(Epoch::from_raw(5)));
+        assert_eq!(s.range_uniform(16, 8, &mut c), Some(Epoch::from_raw(5)));
         // Mismatch reports the offending address.
         s.store(19, Epoch::from_raw(7));
         let (at, found) = s
-            .compare_exchange_range(16, 8, Epoch::from_raw(5), Epoch::from_raw(6))
+            .compare_exchange_range(16, 8, Epoch::from_raw(5), Epoch::from_raw(6), &mut c)
             .unwrap_err();
         assert_eq!(at, 19);
         assert_eq!(found, Epoch::from_raw(7));
         // Bytes before the conflict were updated (wide-CAS sequence).
-        assert_eq!(s.load(16), Epoch::from_raw(6));
-        assert_eq!(s.load(18), Epoch::from_raw(6));
-        assert_eq!(s.load(20), Epoch::from_raw(5));
+        assert_eq!(s.load(16, &mut c), Epoch::from_raw(6));
+        assert_eq!(s.load(18, &mut c), Epoch::from_raw(6));
+        assert_eq!(s.load(20, &mut c), Epoch::from_raw(5));
     }
 
     #[test]
     fn cas_range_across_pages() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
+        let mut c = ShadowPageCache::new();
         let base = PAGE_EPOCHS - 3;
-        s.compare_exchange_range(base, 6, Epoch::ZERO, Epoch::from_raw(4))
+        s.compare_exchange_range(base, 6, Epoch::ZERO, Epoch::from_raw(4), &mut c)
             .unwrap();
-        assert_eq!(s.range_uniform(base, 6), Some(Epoch::from_raw(4)));
+        assert_eq!(s.range_uniform(base, 6, &mut c), Some(Epoch::from_raw(4)));
+        assert_eq!(
+            s.range_uniform(base, 6, &mut ShadowPageCache::new()),
+            Some(Epoch::from_raw(4))
+        );
         assert_eq!(s.stats().pages_allocated, 2);
+        // A conflict on the second page names its address.
+        s.store(PAGE_EPOCHS + 1, Epoch::from_raw(9));
+        let (at, found) = s
+            .compare_exchange_range(base, 6, Epoch::from_raw(4), Epoch::from_raw(5), &mut c)
+            .unwrap_err();
+        assert_eq!((at, found), (PAGE_EPOCHS + 1, Epoch::from_raw(9)));
     }
 
     #[test]
-    fn cached_ops_match_uncached() {
+    fn warm_cache_matches_fresh_cache() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
         let mut c = ShadowPageCache::new();
-        assert_eq!(s.load_cached(10, &mut c), Epoch::ZERO);
-        s.compare_exchange_cached(10, Epoch::ZERO, Epoch::from_raw(3), &mut c)
+        assert_eq!(s.load(10, &mut c), Epoch::ZERO);
+        s.compare_exchange(10, Epoch::ZERO, Epoch::from_raw(3), &mut c)
             .unwrap();
-        assert_eq!(s.load_cached(10, &mut c), Epoch::from_raw(3));
-        assert_eq!(s.load(10), Epoch::from_raw(3));
-        s.compare_exchange_range_cached(32, 8, Epoch::ZERO, Epoch::from_raw(3), &mut c)
+        assert_eq!(s.load(10, &mut c), Epoch::from_raw(3));
+        assert_eq!(s.load(10, &mut ShadowPageCache::new()), Epoch::from_raw(3));
+        s.compare_exchange_range(32, 8, Epoch::ZERO, Epoch::from_raw(3), &mut c)
             .unwrap();
+        assert_eq!(s.range_uniform(32, 8, &mut c), Some(Epoch::from_raw(3)));
         assert_eq!(
-            s.range_uniform_cached(32, 8, &mut c),
+            s.range_uniform(32, 8, &mut ShadowPageCache::new()),
             Some(Epoch::from_raw(3))
         );
-        assert_eq!(s.range_uniform(32, 8), Some(Epoch::from_raw(3)));
+        // A hit must still see fresh element values.
         s.store(35, Epoch::from_raw(9));
-        assert_eq!(s.range_uniform_cached(32, 8, &mut c), None);
+        assert_eq!(s.range_uniform(32, 8, &mut c), None);
     }
 
     #[test]
     fn cache_invalidated_by_reset() {
         let s = ShadowMemory::new(4096);
         let mut c = ShadowPageCache::new();
-        s.compare_exchange_cached(7, Epoch::ZERO, Epoch::from_raw(5), &mut c)
+        s.compare_exchange(7, Epoch::ZERO, Epoch::from_raw(5), &mut c)
             .unwrap();
         s.reset();
         // Stale cached generation must miss and read the logical zero.
-        assert_eq!(s.load_cached(7, &mut c), Epoch::ZERO);
+        assert_eq!(s.load(7, &mut c), Epoch::ZERO);
         assert!(s
-            .compare_exchange_cached(7, Epoch::ZERO, Epoch::from_raw(6), &mut c)
+            .compare_exchange(7, Epoch::ZERO, Epoch::from_raw(6), &mut c)
             .is_ok());
-        assert_eq!(s.load(7), Epoch::from_raw(6));
+        assert_eq!(s.load(7, &mut ShadowPageCache::new()), Epoch::from_raw(6));
     }
 
     #[test]
@@ -828,72 +695,52 @@ mod tests {
         let a = ShadowMemory::new(4096);
         let b = ShadowMemory::new(4096);
         let mut c = ShadowPageCache::new();
-        a.compare_exchange_cached(0, Epoch::ZERO, Epoch::from_raw(8), &mut c)
+        a.compare_exchange(0, Epoch::ZERO, Epoch::from_raw(8), &mut c)
             .unwrap();
         // Same page index, same generation — different instance: the uid
         // check must force a miss, reading b's (empty) state.
-        assert_eq!(b.load_cached(0, &mut c), Epoch::ZERO);
-        assert_eq!(a.load(0), Epoch::from_raw(8));
-    }
-
-    #[test]
-    fn cached_range_ops_cross_page_boundary() {
-        let s = ShadowMemory::new(PAGE_EPOCHS * 2);
-        let mut c = ShadowPageCache::new();
-        let base = PAGE_EPOCHS - 3;
-        s.compare_exchange_range_cached(base, 6, Epoch::ZERO, Epoch::from_raw(4), &mut c)
-            .unwrap();
-        assert_eq!(
-            s.range_uniform_cached(base, 6, &mut c),
-            Some(Epoch::from_raw(4))
-        );
-        assert_eq!(s.range_uniform(base, 6), Some(Epoch::from_raw(4)));
-        assert_eq!(s.stats().pages_allocated, 2);
+        assert_eq!(b.load(0, &mut c), Epoch::ZERO);
+        assert_eq!(a.load(0, &mut ShadowPageCache::new()), Epoch::from_raw(8));
     }
 
     #[test]
     fn batched_uniform_matches_scalar() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
+        let mut c = ShadowPageCache::new();
         // Fresh: zero. Uniform span, mixed span, page-straddling span —
         // the batched path must agree with range_uniform on each.
-        assert_eq!(s.range_uniform_batched(100, 64), Some(Epoch::ZERO));
+        assert_eq!(s.range_uniform_batched(100, 64, &mut c), Some(Epoch::ZERO));
         for i in 0..64 {
             s.store(100 + i, Epoch::from_raw(4));
         }
-        assert_eq!(s.range_uniform_batched(100, 64), Some(Epoch::from_raw(4)));
-        assert_eq!(s.range_uniform_batched(100, 1), Some(Epoch::from_raw(4)));
+        assert_eq!(
+            s.range_uniform_batched(100, 64, &mut c),
+            Some(Epoch::from_raw(4))
+        );
+        assert_eq!(
+            s.range_uniform_batched(100, 1, &mut c),
+            Some(Epoch::from_raw(4))
+        );
         // Mismatch in the middle of a chunk and at a chunk boundary.
         s.store(130, Epoch::from_raw(9));
-        assert_eq!(s.range_uniform_batched(100, 64), None);
-        assert_eq!(s.range_uniform(100, 64), None);
-        assert_eq!(s.range_uniform_batched(100, 30), Some(Epoch::from_raw(4)));
+        assert_eq!(s.range_uniform_batched(100, 64, &mut c), None);
+        assert_eq!(s.range_uniform(100, 64, &mut c), None);
+        assert_eq!(
+            s.range_uniform_batched(100, 30, &mut c),
+            Some(Epoch::from_raw(4))
+        );
         // Cross-page spans fall back to the scalar walk.
         let base = PAGE_EPOCHS - 3;
         for i in 0..6 {
             s.store(base + i, Epoch::from_raw(7));
         }
-        assert_eq!(s.range_uniform_batched(base, 6), Some(Epoch::from_raw(7)));
-    }
-
-    #[test]
-    fn batched_uniform_cached_matches_and_respects_reset() {
-        let s = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
-        for i in 0..16 {
-            s.store(64 + i, Epoch::from_raw(3));
-        }
         assert_eq!(
-            s.range_uniform_batched_cached(64, 16, &mut c),
-            Some(Epoch::from_raw(3))
+            s.range_uniform_batched(base, 6, &mut c),
+            Some(Epoch::from_raw(7))
         );
-        // Cache now primed; a hit must still see fresh element values.
-        s.store(70, Epoch::from_raw(5));
-        assert_eq!(s.range_uniform_batched_cached(64, 16, &mut c), None);
+        // A primed cache respects the reset.
         s.reset();
-        assert_eq!(
-            s.range_uniform_batched_cached(64, 16, &mut c),
-            Some(Epoch::ZERO)
-        );
+        assert_eq!(s.range_uniform_batched(100, 64, &mut c), Some(Epoch::ZERO));
     }
 
     #[test]

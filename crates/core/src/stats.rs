@@ -4,10 +4,13 @@
 //! Counters live in cache-line-padded *shards* so concurrent threads do
 //! not contend on (or false-share) the same lines while the detector is
 //! hot; [`DetectorStats::snapshot`] sums the shards into the plain-value
-//! [`StatsSnapshot`] totals. A single-shard instance degenerates to the
-//! old globally shared layout.
+//! [`StatsSnapshot`] totals.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Number of statistics shards: enough to spread the paper's 8-core
+/// working point across distinct cache lines.
+pub const DEFAULT_STATS_SHARDS: usize = 8;
 
 /// One cache-line-padded bundle of detection counters.
 ///
@@ -50,16 +53,11 @@ pub struct StatsShard {
     pub plan_batched: AtomicU64,
 }
 
-/// Thread-safe counters accumulated by the detector, sharded by thread.
-#[derive(Debug)]
+/// Thread-safe counters accumulated by the detector, sharded by thread
+/// over [`DEFAULT_STATS_SHARDS`] cache-line-padded shards.
+#[derive(Debug, Default)]
 pub struct DetectorStats {
-    shards: Box<[StatsShard]>,
-}
-
-impl Default for DetectorStats {
-    fn default() -> Self {
-        Self::new()
-    }
+    shards: Box<[StatsShard; DEFAULT_STATS_SHARDS]>,
 }
 
 /// A plain-value snapshot of [`DetectorStats`], summed across shards.
@@ -110,31 +108,16 @@ impl StatsSnapshot {
 }
 
 impl DetectorStats {
-    /// Creates zeroed single-shard statistics (the contended layout —
-    /// every thread bumps the same cache lines).
+    /// Creates zeroed statistics.
     pub fn new() -> Self {
-        Self::with_shards(1)
+        Self::default()
     }
 
-    /// Creates zeroed statistics spread over `shards` padded shards
-    /// (clamped to at least one).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        DetectorStats {
-            shards: (0..shards).map(|_| StatsShard::default()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard thread `tid_index` should bump. With one shard this is
-    /// the shared bundle; with more, threads spread across lines.
+    /// The shard thread `tid_index` should bump: threads spread across
+    /// lines, wrapping past [`DEFAULT_STATS_SHARDS`].
     #[inline]
     pub fn shard(&self, tid_index: usize) -> &StatsShard {
-        &self.shards[tid_index % self.shards.len()]
+        &self.shards[tid_index % DEFAULT_STATS_SHARDS]
     }
 
     /// Takes a consistent-enough snapshot: each counter summed over all
@@ -189,22 +172,22 @@ mod tests {
 
     #[test]
     fn snapshot_sums_across_shards() {
-        let s = DetectorStats::with_shards(4);
-        assert_eq!(s.shard_count(), 4);
-        for tid in 0..9 {
+        let s = DetectorStats::new();
+        for tid in 0..DEFAULT_STATS_SHARDS + 1 {
             DetectorStats::bump(&s.shard(tid).reads_checked);
         }
         DetectorStats::bump(&s.shard(2).filter_hits);
         let snap = s.snapshot();
-        assert_eq!(snap.reads_checked, 9);
+        assert_eq!(snap.reads_checked, DEFAULT_STATS_SHARDS as u64 + 1);
         assert_eq!(snap.filter_hits, 1);
     }
 
     #[test]
     fn shard_selection_wraps() {
-        let s = DetectorStats::with_shards(2);
-        assert!(std::ptr::eq(s.shard(0), s.shard(2)));
-        assert!(std::ptr::eq(s.shard(1), s.shard(3)));
+        let s = DetectorStats::new();
+        let n = DEFAULT_STATS_SHARDS;
+        assert!(std::ptr::eq(s.shard(0), s.shard(n)));
+        assert!(std::ptr::eq(s.shard(1), s.shard(n + 1)));
         assert!(!std::ptr::eq(s.shard(0), s.shard(1)));
     }
 
@@ -212,14 +195,6 @@ mod tests {
     fn shards_are_cache_line_padded() {
         assert!(std::mem::align_of::<StatsShard>() >= 128);
         assert!(std::mem::size_of::<StatsShard>() >= 128);
-    }
-
-    #[test]
-    fn zero_shards_clamps_to_one() {
-        let s = DetectorStats::with_shards(0);
-        assert_eq!(s.shard_count(), 1);
-        DetectorStats::bump(&s.shard(7).races_reported);
-        assert_eq!(s.snapshot().races_reported, 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! vectorized/non-vectorized detector equivalence.
 
 use clean_core::{
-    CleanDetector, DetectorConfig, Epoch, EpochLayout, RolloverCoordinator, ShadowMemory, ThreadId,
-    VectorClock,
+    CleanDetector, DetectorConfig, Epoch, EpochLayout, RolloverCoordinator, ShadowMemory,
+    ShadowPageCache, ThreadId, VectorClock,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -192,12 +192,13 @@ proptest! {
             (0usize..8192, 0u32..5000, prop::bool::ANY), 1..200),
     ) {
         let shadow = ShadowMemory::new(8192);
+        let mut cache = ShadowPageCache::new();
         let mut model: HashMap<usize, u32> = HashMap::new();
         for (addr, val, use_cas) in ops {
             if use_cas {
                 let cur = *model.get(&addr).unwrap_or(&0);
                 let ok = shadow
-                    .compare_exchange(addr, Epoch::from_raw(cur), Epoch::from_raw(val))
+                    .compare_exchange(addr, Epoch::from_raw(cur), Epoch::from_raw(val), &mut cache)
                     .is_ok();
                 prop_assert!(ok, "model-matched CAS must succeed");
                 model.insert(addr, val);
@@ -205,7 +206,7 @@ proptest! {
                 shadow.store(addr, Epoch::from_raw(val));
                 model.insert(addr, val);
             }
-            prop_assert_eq!(shadow.load(addr).raw(), model[&addr]);
+            prop_assert_eq!(shadow.load(addr, &mut cache).raw(), model[&addr]);
         }
     }
 
@@ -214,12 +215,13 @@ proptest! {
         addrs in proptest::collection::vec(0usize..4096, 1..50),
     ) {
         let shadow = ShadowMemory::new(4096);
+        let mut cache = ShadowPageCache::new();
         for (i, a) in addrs.iter().enumerate() {
             shadow.store(*a, Epoch::from_raw(i as u32 + 1));
         }
         shadow.reset();
         for a in &addrs {
-            prop_assert_eq!(shadow.load(*a), Epoch::ZERO);
+            prop_assert_eq!(shadow.load(*a, &mut cache), Epoch::ZERO);
         }
     }
 

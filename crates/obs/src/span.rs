@@ -2,8 +2,7 @@
 //!
 //! A [`StageSpans`] bundle owns one histogram per [`Stage`]. When the
 //! observability knob is off the bundle is simply not constructed and
-//! every call site pays a single `Option` branch — the same soundness
-//! argument as the detector's `write_filter` knob: the off path is
+//! every call site pays a single `Option` branch: the off path is
 //! byte-for-byte the pre-obs code plus one predictable branch.
 //!
 //! ```

@@ -51,19 +51,6 @@ pub struct RuntimeConfig {
     /// offline cross-validation against the `clean-baselines` engines.
     /// Serializes every event through one lock — testing only.
     pub record_trace: bool,
-    /// Enable the per-thread SFR write-set filter: provably redundant
-    /// checks on ranges a thread already published this SFR are skipped
-    /// (the software analogue of the paper's Section 5 LLC filtering).
-    pub write_filter: bool,
-    /// Enable the thread-local last-shadow-page cache on the check path.
-    pub page_cache: bool,
-    /// Batch the statistics bumps of filter-answered checks into plain
-    /// per-thread counters, drained into the shards on epoch increments
-    /// and thread exit (the filter-hit path then touches no shared state).
-    pub deferred_stats: bool,
-    /// Spread detector statistics over cache-line-padded per-thread
-    /// shards instead of one contended set of counters.
-    pub sharded_stats: bool,
     /// Optional compiled static check plan (derive with
     /// `clean-analyze plan` or [`clean_core::PlanObserver`]): per-range
     /// check elision, coalesced filtering, and batched compare spans.
@@ -88,10 +75,6 @@ impl RuntimeConfig {
             layout: EpochLayout::paper_default(),
             atomicity: AtomicityMode::LockFree,
             record_trace: false,
-            write_filter: true,
-            page_cache: true,
-            deferred_stats: true,
-            sharded_stats: true,
             check_plan: None,
             detector_obs: false,
         }
@@ -151,31 +134,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables or disables the SFR write-set filter.
-    pub fn write_filter(mut self, on: bool) -> Self {
-        self.write_filter = on;
-        self
-    }
-
-    /// Enables or disables the thread-local shadow-page cache.
-    pub fn page_cache(mut self, on: bool) -> Self {
-        self.page_cache = on;
-        self
-    }
-
-    /// Enables or disables sharded detector statistics.
-    pub fn sharded_stats(mut self, on: bool) -> Self {
-        self.sharded_stats = on;
-        self
-    }
-
-    /// Enables or disables deferred (per-thread batched) filter-hit
-    /// statistics.
-    pub fn deferred_stats(mut self, on: bool) -> Self {
-        self.deferred_stats = on;
-        self
-    }
-
     /// Installs (or clears) a compiled static check plan.
     pub fn check_plan(mut self, plan: Option<Arc<CompiledPlan>>) -> Self {
         self.check_plan = plan;
@@ -203,17 +161,7 @@ mod tests {
     fn default_is_full_clean() {
         let c = RuntimeConfig::default();
         assert!(c.detection && c.det_sync && c.vectorized);
-        assert!(c.write_filter && c.page_cache && c.sharded_stats);
         assert_eq!(c.layout.clock_bits(), 23);
-    }
-
-    #[test]
-    fn fast_path_knobs_toggle() {
-        let c = RuntimeConfig::new()
-            .write_filter(false)
-            .page_cache(false)
-            .sharded_stats(false);
-        assert!(!c.write_filter && !c.page_cache && !c.sharded_stats);
     }
 
     #[test]

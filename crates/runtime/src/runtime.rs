@@ -240,10 +240,6 @@ impl CleanRuntime {
                     .layout(config.layout)
                     .vectorized(config.vectorized)
                     .atomicity(config.atomicity)
-                    .write_filter(config.write_filter)
-                    .page_cache(config.page_cache)
-                    .deferred_stats(config.deferred_stats)
-                    .sharded_stats(config.sharded_stats)
                     .check_plan(config.check_plan.clone()),
             );
             if config.detector_obs {

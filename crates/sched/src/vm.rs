@@ -74,13 +74,6 @@ pub struct VmConfig {
     /// Exploration leaves this off so the trace also exhibits what the
     /// full baseline detectors see *after* CLEAN's exception point.
     pub stop_on_race: bool,
-    /// Enable the detector's per-thread SFR write-set filter — the
-    /// schedule-exploration differential for the fast path runs every
-    /// corpus program with this on and off and demands identical
-    /// verdicts.
-    pub write_filter: bool,
-    /// Enable the detector's thread-local shadow-page cache.
-    pub page_cache: bool,
     /// Optional compiled static check plan installed in the VM's
     /// detector — the exploration differential runs corpus programs with
     /// a derived plan on and off and demands identical verdicts.
@@ -94,8 +87,6 @@ impl Default for VmConfig {
             heap_cells: 64,
             max_steps: 4096,
             stop_on_race: false,
-            write_filter: true,
-            page_cache: true,
             check_plan: None,
         }
     }
@@ -1207,8 +1198,6 @@ pub fn run_schedule(
         cfg.heap_cells * CELL_BYTES,
         DetectorConfig::new()
             .layout(layout)
-            .write_filter(cfg.write_filter)
-            .page_cache(cfg.page_cache)
             .check_plan(cfg.check_plan.clone()),
     );
     let (yield_tx, yield_rx) = channel::<usize>();

@@ -84,54 +84,6 @@ fn differential_clean_on_race_free_programs_under_pct() {
 }
 
 #[test]
-fn fast_path_filter_never_changes_verdicts_on_the_corpus() {
-    // The SFR write filter and shadow-page cache must be verdict-neutral:
-    // with `stop_on_race` off the same PCT seed yields the same schedule
-    // whether the fast path is on or not, so the executions are directly
-    // comparable — identical schedules, digests, and race lists.
-    use clean_sched::picker::PctPicker;
-    use clean_sched::programs::registry;
-
-    for spec in registry() {
-        let mut on_cfg = spec.cfg.clone();
-        on_cfg.write_filter = true;
-        on_cfg.page_cache = true;
-        let mut off_cfg = spec.cfg.clone();
-        off_cfg.write_filter = false;
-        off_cfg.page_cache = false;
-        for seed in 0..20u64 {
-            let mut p_on = PctPicker::new(seed, 3, spec.cfg.max_steps.min(256));
-            let on = run_schedule(&spec.factory, &on_cfg, &mut p_on, None);
-            let mut p_off = PctPicker::new(seed, 3, spec.cfg.max_steps.min(256));
-            let off = run_schedule(&spec.factory, &off_cfg, &mut p_off, None);
-            assert_eq!(
-                on.schedule, off.schedule,
-                "{} seed {seed}: schedule diverged",
-                spec.name
-            );
-            assert_eq!(
-                on.digest(),
-                off.digest(),
-                "{} seed {seed}: observable execution diverged",
-                spec.name
-            );
-            let key = |races: &[(usize, clean_core::RaceReport)]| -> Vec<(usize, String, usize)> {
-                races
-                    .iter()
-                    .map(|(i, r)| (*i, r.kind.to_string(), r.addr))
-                    .collect()
-            };
-            assert_eq!(
-                key(&on.clean_races),
-                key(&off.clean_races),
-                "{} seed {seed}: race verdicts diverged",
-                spec.name
-            );
-        }
-    }
-}
-
-#[test]
 fn offline_engines_see_the_recorded_trace_identically() {
     // The VM's trace encoding (pseudo-locks for barriers and rwlocks,
     // fork/join edges) must reconstruct the same happens-before relation

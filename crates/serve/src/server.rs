@@ -100,7 +100,7 @@ pub struct ServerConfig {
     /// Record per-stage timing spans (decode / check / verdict /
     /// store-insert / peer-fetch) into the metrics registry. Off means
     /// the span bundle is never constructed — every call site pays one
-    /// `Option` branch and nothing else, the `write_filter` knob idiom.
+    /// `Option` branch and nothing else.
     /// Counters and the journal stay on either way (relaxed atomics at
     /// request granularity).
     pub obs_spans: bool,
