@@ -25,23 +25,28 @@
 //! additionally thread per-thread [`ThreadCheckState`] through the check:
 //! the SFR write-set filter answers provably redundant checks without
 //! touching shadow memory at all (the software analogue of the paper's
-//! Section 5 LLC-ownership filtering) and defers their statistics into
-//! plain per-thread counters, and the thread's last-page cache skips the
-//! shadow directory walk for same-page accesses. The plain entry points
-//! run the same check bodies with a fresh page cache and no filter. The
-//! filter is sound by construction: it only answers checks whose full
+//! Section 5 LLC-ownership filtering), and the thread's last-page cache
+//! skips the shadow directory walk for same-page accesses. The plain entry
+//! points run the same check bodies with a fresh page cache and no filter.
+//! The filter is sound by construction: it only answers checks whose full
 //! Figure 2 outcome is already known (see DESIGN.md, "SFR write-set
 //! filter").
+//!
+//! Either way the check bodies count into plain [`PendingStats`] and touch
+//! no shared memory but the shadow epochs: the `*_with` entry points keep
+//! the counts in the thread's state until
+//! [`drain_check_state`](CleanDetector::drain_check_state), the plain ones
+//! flush a stack-local copy at the end of the call.
 //!
 //! [`check_read_with`]: CleanDetector::check_read_with
 //! [`check_write_with`]: CleanDetector::check_write_with
 
 use crate::clock::VectorClock;
 use crate::epoch::{Epoch, EpochLayout, ThreadId};
-use crate::filter::ThreadCheckState;
+use crate::filter::{PendingStats, ThreadCheckState};
 use crate::report::{AccessKind, RaceReport};
 use crate::shadow::{ShadowMemory, ShadowPageCache};
-use crate::stats::{DetectorStats, StatsShard, StatsSnapshot};
+use crate::stats::{DetectorStats, StatsSnapshot};
 use clean_plan::{CompiledPlan, PlanDecision};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -139,14 +144,15 @@ impl Default for DetectorConfig {
 /// The detector's own [`DetectorStats`] shards stay the source of truth
 /// for every per-access quantity; this bundle only mirrors the *rare*
 /// events into registry counters — SFR-boundary drains (where the
-/// deferred filter-hit statistics land) and race reports. Nothing on the
-/// per-access check path touches these counters, so attaching observers
-/// costs a handful of relaxed atomics per SFR, and a detector without
-/// one pays a single never-taken branch per drain.
+/// deferred check statistics land) and race reports (when the counts
+/// that hold them are flushed). Nothing on the per-access check path
+/// touches these counters, so attaching observers costs a handful of
+/// relaxed atomics per SFR, and a detector without one pays a single
+/// never-taken branch per drain.
 #[derive(Debug, Clone)]
 pub struct DetectorObs {
     /// Non-empty [`CleanDetector::drain_check_state`] calls — roughly
-    /// one per SFR that took at least one deferred fast path.
+    /// one per SFR that checked at least one access.
     drains: clean_obs::Counter,
     /// Filter-answered checks, mirrored from the drained pendings.
     filter_hits: clean_obs::Counter,
@@ -269,19 +275,30 @@ impl CleanDetector {
     }
 
     /// Snapshot of the accumulated statistics (summed across shards).
+    ///
+    /// Counts still pending in a thread's [`ThreadCheckState`] are not
+    /// included: the snapshot under-reports until that thread's next
+    /// [`drain_check_state`](Self::drain_check_state). The stateless
+    /// entry points leave nothing pending.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
     }
 
-    #[inline]
-    fn shard(&self, tid: ThreadId) -> &StatsShard {
-        self.stats.shard(tid.index())
+    /// Adds `p` into `tid`'s stats shard and mirrors its races into the
+    /// metrics bridge: the one way check-path counts reach shared state.
+    fn flush(&self, tid: ThreadId, p: &PendingStats) {
+        self.stats.absorb(tid.index(), p);
+        if p.races_reported != 0 {
+            if let Some(obs) = &self.obs {
+                obs.races.add(p.races_reported);
+            }
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn report(
         &self,
-        shard: &StatsShard,
+        pending: &mut PendingStats,
         kind: AccessKind,
         vc: &VectorClock,
         tid: ThreadId,
@@ -289,10 +306,7 @@ impl CleanDetector {
         size: usize,
         previous: Epoch,
     ) -> RaceReport {
-        DetectorStats::bump(&shard.races_reported);
-        if let Some(obs) = &self.obs {
-            obs.races.inc();
-        }
+        pending.races_reported += 1;
         RaceReport {
             kind: kind.race_kind(),
             addr,
@@ -324,12 +338,16 @@ impl CleanDetector {
         size: usize,
     ) -> Result<(), RaceReport> {
         debug_assert!(size > 0);
-        let shard = self.shard(tid);
-        DetectorStats::bump(&shard.reads_checked);
-        DetectorStats::add(&shard.bytes_checked, size as u64);
+        let mut pending = PendingStats {
+            reads_checked: 1,
+            bytes_checked: size as u64,
+            ..PendingStats::default()
+        };
         let _guard = self.check_guard(addr);
         let mut cache = ShadowPageCache::new();
-        self.read_body(&mut cache, shard, vc, tid, addr, size, false)
+        let result = self.read_body(&mut cache, &mut pending, vc, tid, addr, size, false);
+        self.flush(tid, &pending);
+        result
     }
 
     /// [`check_read`](Self::check_read) through the per-thread fast-path
@@ -359,6 +377,8 @@ impl CleanDetector {
                 return Ok(());
             }
         }
+        state.pending.reads_checked += 1;
+        state.pending.bytes_checked += size as u64;
         let epoch_raw = vc.write_epoch(tid).raw();
         let generation = self.shadow.generation();
         if state.filter.covers(addr, size, epoch_raw, generation)
@@ -368,24 +388,27 @@ impl CleanDetector {
             // Every covered byte still holds this thread's current epoch,
             // so the read trivially happens-after the last write. The hit
             // path touches no shared state at all.
-            state.pending.reads_checked += 1;
-            state.pending.bytes_checked += size as u64;
             state.pending.filter_hits += 1;
             return Ok(());
         }
         let batched = matches!(decision, Some(PlanDecision::Batch));
-        let shard = self.shard(tid);
-        DetectorStats::bump(&shard.reads_checked);
-        DetectorStats::add(&shard.bytes_checked, size as u64);
         let _guard = self.check_guard(addr);
-        self.read_body(&mut state.page_cache, shard, vc, tid, addr, size, batched)
+        self.read_body(
+            &mut state.page_cache,
+            &mut state.pending,
+            vc,
+            tid,
+            addr,
+            size,
+            batched,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
     fn read_body(
         &self,
         cache: &mut ShadowPageCache,
-        shard: &StatsShard,
+        pending: &mut PendingStats,
         vc: &VectorClock,
         tid: ThreadId,
         addr: usize,
@@ -398,25 +421,25 @@ impl CleanDetector {
             // Plan-batched spans take the chunked compare loop instead of
             // the scalar-acquire walk; verdicts are identical.
             let uniform = if batched {
-                DetectorStats::bump(&shard.plan_batched);
+                pending.plan_batched += 1;
                 self.shadow.range_uniform_batched(addr, size, cache)
             } else {
                 self.shadow.range_uniform(addr, size, cache)
             };
             if let Some(e) = uniform {
-                DetectorStats::bump(&shard.uniform_fast_path);
+                pending.uniform_fast_path += 1;
                 if vc.races_with(e) {
-                    return Err(self.report(shard, AccessKind::Read, vc, tid, addr, size, e));
+                    return Err(self.report(pending, AccessKind::Read, vc, tid, addr, size, e));
                 }
                 return Ok(());
             }
-            DetectorStats::bump(&shard.per_byte_slow_path);
+            pending.per_byte_slow_path += 1;
         }
 
         for i in 0..size {
             let e = self.shadow.load(addr + i, cache);
             if vc.races_with(e) {
-                return Err(self.report(shard, AccessKind::Read, vc, tid, addr + i, 1, e));
+                return Err(self.report(pending, AccessKind::Read, vc, tid, addr + i, 1, e));
             }
         }
         Ok(())
@@ -445,13 +468,26 @@ impl CleanDetector {
         size: usize,
     ) -> Result<(), RaceReport> {
         debug_assert!(size > 0);
-        let shard = self.shard(tid);
-        DetectorStats::bump(&shard.writes_checked);
-        DetectorStats::add(&shard.bytes_checked, size as u64);
+        let mut pending = PendingStats {
+            writes_checked: 1,
+            bytes_checked: size as u64,
+            ..PendingStats::default()
+        };
         let _guard = self.check_guard(addr);
         let new_epoch = vc.write_epoch(tid);
         let mut cache = ShadowPageCache::new();
-        self.write_body(&mut cache, shard, vc, tid, addr, size, new_epoch, false)
+        let result = self.write_body(
+            &mut cache,
+            &mut pending,
+            vc,
+            tid,
+            addr,
+            size,
+            new_epoch,
+            false,
+        );
+        self.flush(tid, &pending);
+        result
     }
 
     /// [`check_write`](Self::check_write) through the per-thread fast-path
@@ -483,6 +519,8 @@ impl CleanDetector {
                 return Ok(());
             }
         }
+        state.pending.writes_checked += 1;
+        state.pending.bytes_checked += size as u64;
         let new_epoch = vc.write_epoch(tid);
         let generation = self.shadow.generation();
         let coalesce = matches!(decision, Some(PlanDecision::Coalesce));
@@ -494,19 +532,14 @@ impl CleanDetector {
         {
             // Every covered byte already holds exactly `new_epoch`: the
             // full check would pass and take the Figure 2 line 5 skip.
-            state.pending.writes_checked += 1;
-            state.pending.bytes_checked += size as u64;
             state.pending.filter_hits += 1;
             return Ok(());
         }
         let batched = matches!(decision, Some(PlanDecision::Batch));
-        let shard = self.shard(tid);
-        DetectorStats::bump(&shard.writes_checked);
-        DetectorStats::add(&shard.bytes_checked, size as u64);
         let _guard = self.check_guard(addr);
         let result = self.write_body(
             &mut state.page_cache,
-            shard,
+            &mut state.pending,
             vc,
             tid,
             addr,
@@ -535,7 +568,7 @@ impl CleanDetector {
     fn write_body(
         &self,
         cache: &mut ShadowPageCache,
-        shard: &StatsShard,
+        pending: &mut PendingStats,
         vc: &VectorClock,
         tid: ThreadId,
         addr: usize,
@@ -545,42 +578,42 @@ impl CleanDetector {
     ) -> Result<(), RaceReport> {
         if self.config.vectorized && size > 1 {
             let uniform = if batched {
-                DetectorStats::bump(&shard.plan_batched);
+                pending.plan_batched += 1;
                 self.shadow.range_uniform_batched(addr, size, cache)
             } else {
                 self.shadow.range_uniform(addr, size, cache)
             };
             if let Some(e) = uniform {
-                DetectorStats::bump(&shard.uniform_fast_path);
+                pending.uniform_fast_path += 1;
                 if vc.races_with(e) {
-                    return Err(self.report(shard, AccessKind::Write, vc, tid, addr, size, e));
+                    return Err(self.report(pending, AccessKind::Write, vc, tid, addr, size, e));
                 }
                 if e == new_epoch {
                     // Figure 2 line 5: update not needed.
-                    DetectorStats::bump(&shard.update_skipped);
+                    pending.update_skipped += 1;
                     return Ok(());
                 }
                 // Wide-CAS publish: groups of up to WIDE_CAS_EPOCHS epochs
                 // are updated per modelled 128-bit CAS (Section 4.4).
-                return self.publish_range(cache, shard, vc, tid, addr, size, e, new_epoch);
+                return self.publish_range(cache, pending, vc, tid, addr, size, e, new_epoch);
             }
-            DetectorStats::bump(&shard.per_byte_slow_path);
+            pending.per_byte_slow_path += 1;
         }
 
         for i in 0..size {
             let e = self.shadow.load(addr + i, cache);
             if vc.races_with(e) {
-                return Err(self.report(shard, AccessKind::Write, vc, tid, addr + i, 1, e));
+                return Err(self.report(pending, AccessKind::Write, vc, tid, addr + i, 1, e));
             }
             if e == new_epoch {
-                DetectorStats::bump(&shard.update_skipped);
+                pending.update_skipped += 1;
                 continue;
             }
             if let Err(found) = self.shadow.compare_exchange(addr + i, e, new_epoch, cache) {
-                DetectorStats::bump(&shard.cas_conflicts);
-                return Err(self.report(shard, AccessKind::Write, vc, tid, addr + i, 1, found));
+                pending.cas_conflicts += 1;
+                return Err(self.report(pending, AccessKind::Write, vc, tid, addr + i, 1, found));
             }
-            DetectorStats::bump(&shard.epoch_updates);
+            pending.epoch_updates += 1;
         }
         Ok(())
     }
@@ -591,7 +624,7 @@ impl CleanDetector {
     fn publish_range(
         &self,
         cache: &mut ShadowPageCache,
-        shard: &StatsShard,
+        pending: &mut PendingStats,
         vc: &VectorClock,
         tid: ThreadId,
         addr: usize,
@@ -606,13 +639,10 @@ impl CleanDetector {
             // A concurrent check interleaved between our load and CAS.
             // Seeing our own new epoch is impossible (no thread races
             // with itself), so this is a concurrent unordered write.
-            DetectorStats::bump(&shard.cas_conflicts);
-            return Err(self.report(shard, AccessKind::Write, vc, tid, at, 1, found));
+            pending.cas_conflicts += 1;
+            return Err(self.report(pending, AccessKind::Write, vc, tid, at, 1, found));
         }
-        DetectorStats::add(
-            &shard.epoch_updates,
-            (size as u64).div_ceil(WIDE_CAS_EPOCHS as u64),
-        );
+        pending.epoch_updates += (size as u64).div_ceil(WIDE_CAS_EPOCHS as u64);
         Ok(())
     }
 
@@ -657,25 +687,20 @@ impl CleanDetector {
         }
     }
 
-    /// Drains `state`'s batched filter-hit statistics into `tid`'s stats
+    /// Drains `state`'s batched check statistics into `tid`'s stats
     /// shard, leaving the pending counters zero.
     ///
-    /// The filter-hit and plan-elide fast paths accumulate into plain
-    /// per-thread counters; call this on every epoch increment and at
-    /// thread exit so [`stats`](Self::stats) snapshots converge to the
-    /// exact totals (until then they under-report the deferred counters).
-    /// Calling it when nothing is pending is free.
+    /// The `*_with` entry points count every check into plain per-thread
+    /// counters; call this on every epoch increment and at thread exit so
+    /// [`stats`](Self::stats) snapshots converge to the exact totals
+    /// (until then they under-report). Calling it when nothing is pending
+    /// is free.
     pub fn drain_check_state(&self, tid: ThreadId, state: &mut ThreadCheckState) {
         let p = std::mem::take(&mut state.pending);
         if p.is_empty() {
             return;
         }
-        let shard = self.shard(tid);
-        DetectorStats::add(&shard.reads_checked, p.reads_checked);
-        DetectorStats::add(&shard.writes_checked, p.writes_checked);
-        DetectorStats::add(&shard.bytes_checked, p.bytes_checked);
-        DetectorStats::add(&shard.filter_hits, p.filter_hits);
-        DetectorStats::add(&shard.plan_elided, p.plan_elided);
+        self.flush(tid, &p);
         if let Some(obs) = &self.obs {
             obs.drains.inc();
             obs.filter_hits.add(p.filter_hits);
@@ -946,7 +971,9 @@ mod tests {
         vcs[0].increment(t0).unwrap();
         let mut st = ThreadCheckState::new();
         det.check_write_with(&vcs[0], t0, 0, 8, &mut st).unwrap();
+        det.drain_check_state(t0, &mut st);
         let updates_after_first = det.stats().epoch_updates;
+        assert_eq!(updates_after_first, 2, "one 8-byte wide-CAS publish");
         // Repeat writes and reads of the published range: all filter hits,
         // no further shadow traffic.
         for _ in 0..10 {
@@ -1133,6 +1160,7 @@ mod tests {
         // A foreign thread in the same range takes the full check path.
         det.check_write_with(&vc1, t1, 0x10, 8, &mut st1).unwrap();
         assert_eq!(det.epoch_at(0x10), vc1.write_epoch(t1));
+        det.drain_check_state(t1, &mut st1);
         assert_eq!(det.stats().writes_checked, 1);
         // Owner accesses outside the planned footprint are checked.
         det.check_write_with(&vc0, t0, 0x200, 8, &mut st0).unwrap();
@@ -1185,8 +1213,91 @@ mod tests {
                 .unwrap_err();
             assert_eq!(race.kind, RaceKind::ReadAfterWrite);
             assert_eq!(race.addr, 0x40);
+            det.drain_check_state(t0, &mut st0);
+            det.drain_check_state(t1, &mut st1);
             assert_eq!(det.stats().plan_batched > 0, planned);
         }
+    }
+
+    /// Runs one fixed access sequence through the `*_with` entry points
+    /// (`stateful`) or the stateless ones and returns the drained stats.
+    fn stats_of_check_sequence(stateful: bool) -> StatsSnapshot {
+        use crate::shadow::PAGE_EPOCHS;
+        use AccessKind::{Read, Write};
+        let p = PAGE_EPOCHS;
+        let plan = plan_of(vec![action_entry(
+            p,
+            p + 0x100,
+            clean_plan::PlanAction::Batch,
+        )]);
+        let det = CleanDetector::new(1 << 16, DetectorConfig::new().check_plan(Some(plan)));
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        let mut vc0 = VectorClock::new(2, det.layout());
+        let vc1 = VectorClock::new(2, det.layout());
+        let (mut st0, mut st1) = (ThreadCheckState::new(), ThreadCheckState::new());
+        let check = |kind, vc: &VectorClock, tid, addr, size, st: &mut ThreadCheckState| {
+            if stateful {
+                det.check_access_with(kind, vc, tid, addr, size, st)
+            } else {
+                det.check_access(kind, vc, tid, addr, size)
+            }
+        };
+        vc0.increment(t0).unwrap();
+        // Uniform publishes over fresh bytes: ⌈8/4⌉ wide CASes each.
+        check(Write, &vc0, t0, 0x40, 8, &mut st0).unwrap();
+        // Nothing reaches the shards before a drain; a stateless call
+        // flushes at once.
+        assert_eq!(det.stats().total_checked(), u64::from(!stateful));
+        check(Write, &vc0, t0, 0x48, 8, &mut st0).unwrap();
+        // A filter hit; as a 1-byte check the stateless path counts
+        // nothing beyond the access itself either.
+        check(Read, &vc0, t0, 0x40, 1, &mut st0).unwrap();
+        // Wider than either filter entry and all current: update skipped.
+        check(Write, &vc0, t0, 0x40, 16, &mut st0).unwrap();
+        // One uniform publish just below a page boundary, then, in the
+        // next SFR, a straddle over old and fresh epochs: per-byte check,
+        // one CAS per byte.
+        check(Write, &vc0, t0, p - 4, 4, &mut st0).unwrap();
+        vc0.increment(t0).unwrap();
+        det.drain_check_state(t0, &mut st0);
+        st0.on_epoch_increment();
+        check(Write, &vc0, t0, p - 4, 8, &mut st0).unwrap();
+        // A plan-batched span: one uniform publish of 16 wide CASes.
+        check(Write, &vc0, t0, p + 0x40, 64, &mut st0).unwrap();
+        // t1 never synchronized with t0: one RAW.
+        check(Read, &vc1, t1, 0x40, 8, &mut st1).unwrap_err();
+        det.drain_check_state(t0, &mut st0);
+        det.drain_check_state(t1, &mut st1);
+        det.stats()
+    }
+
+    #[test]
+    fn check_path_stats_are_exact_after_drain() {
+        let expected = StatsSnapshot {
+            reads_checked: 2,
+            writes_checked: 6,
+            bytes_checked: 8 + 8 + 1 + 16 + 4 + 8 + 64 + 8,
+            uniform_fast_path: 6,
+            per_byte_slow_path: 1,
+            epoch_updates: 2 + 2 + 1 + 8 + 16,
+            update_skipped: 1,
+            cas_conflicts: 0,
+            races_reported: 1,
+            filter_hits: 1,
+            plan_elided: 0,
+            plan_batched: 1,
+        };
+        assert_eq!(stats_of_check_sequence(true), expected);
+        // The stateless entry points consult neither the filter nor the
+        // plan; every other count is the same.
+        assert_eq!(
+            stats_of_check_sequence(false),
+            StatsSnapshot {
+                filter_hits: 0,
+                plan_batched: 0,
+                ..expected
+            }
+        );
     }
 
     #[test]
@@ -1202,6 +1313,7 @@ mod tests {
         det.check_write_with(&vc, t0, 0xfc, 8, &mut st).unwrap();
         assert_eq!(st.pending.plan_elided, 0);
         assert_eq!(det.epoch_at(0xfc), vc.write_epoch(t0));
+        det.drain_check_state(t0, &mut st);
         assert_eq!(det.stats().writes_checked, 1);
     }
 
@@ -1226,7 +1338,7 @@ mod tests {
         assert_eq!(snap.counter("detector_sfr_drains", &[]), Some(1));
         assert_eq!(snap.counter("detector_filter_hits", &[]), Some(2));
         assert_eq!(snap.counter("detector_races_total", &[]), Some(0));
-        // A race report lands immediately (reports are rare).
+        // A stateless check flushes its counts, and so its race, at once.
         det.check_write(&vc1, t1, 0, 8).unwrap_err();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("detector_races_total", &[]), Some(1));

@@ -179,40 +179,51 @@ impl SfrWriteFilter {
     }
 }
 
-/// Plain (non-atomic) per-thread statistics accumulated on the filter-hit
-/// and plan-elide fast paths.
+/// Plain (non-atomic) per-thread statistics: every counter the check
+/// path writes, one field per [`StatsSnapshot`](crate::StatsSnapshot)
+/// field.
 ///
-/// A filter hit is the one place the check pipeline touches *no* shared
-/// state at all — bumping three shared atomics there costs more than the
-/// check itself. These counters batch the bumps locally; the owner drains
-/// them into the sharded atomics with
+/// A checked access bumps these with plain adds; the detector's shared,
+/// sharded atomics are touched only when the counts are drained. The
+/// `*_with` entry points accumulate here across a whole SFR and the owner
+/// drains them with
 /// [`CleanDetector::drain_check_state`](crate::CleanDetector::drain_check_state)
 /// on every epoch increment (sync operations are rare relative to
-/// accesses) and at thread exit.
+/// accesses) and at thread exit; the stateless entry points flush a
+/// stack-local one at the end of each call.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PendingStats {
-    /// Read checks answered by the filter, not yet drained.
+    /// Read checks, filter hits included.
     pub reads_checked: u64,
-    /// Write checks answered by the filter, not yet drained.
+    /// Write checks, filter hits included.
     pub writes_checked: u64,
     /// Bytes covered by those checks.
     pub bytes_checked: u64,
-    /// Filter hits (always `reads_checked + writes_checked` here; kept
-    /// separate so draining is a blind field-wise add).
+    /// Multi-byte accesses resolved by the uniform-epoch fast path.
+    pub uniform_fast_path: u64,
+    /// Multi-byte accesses that fell back to per-byte checks.
+    pub per_byte_slow_path: u64,
+    /// Epoch updates published.
+    pub epoch_updates: u64,
+    /// Write checks that found the epoch already current.
+    pub update_skipped: u64,
+    /// CAS publications that lost to a concurrent unordered write.
+    pub cas_conflicts: u64,
+    /// Races reported.
+    pub races_reported: u64,
+    /// Checks answered by the SFR write-set filter.
     pub filter_hits: u64,
-    /// Checks skipped under a compiled plan's elide ranges, not yet
-    /// drained.
+    /// Checks skipped under a compiled plan's elide ranges.
     pub plan_elided: u64,
+    /// Accesses resolved by the plan-directed chunked compare loop.
+    pub plan_batched: u64,
 }
 
 impl PendingStats {
     /// True when there is nothing to drain.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.filter_hits == 0
-            && self.reads_checked == 0
-            && self.writes_checked == 0
-            && self.plan_elided == 0
+        *self == Self::default()
     }
 }
 
@@ -220,14 +231,14 @@ impl PendingStats {
 /// through [`check_read_with`](crate::CleanDetector::check_read_with) and
 /// [`check_write_with`](crate::CleanDetector::check_write_with): the SFR
 /// write-set filter, the last-shadow-page cache, and the batched
-/// filter-hit statistics.
+/// check statistics.
 #[derive(Debug, Default)]
 pub struct ThreadCheckState {
     /// Ranges this thread already published this SFR.
     pub filter: SfrWriteFilter,
     /// Last shadow page this thread resolved.
     pub page_cache: ShadowPageCache,
-    /// Filter-hit statistics not yet drained into the sharded counters.
+    /// Check statistics not yet drained into the sharded counters.
     pub pending: PendingStats,
 }
 

@@ -4,8 +4,11 @@
 //! Counters live in cache-line-padded *shards* so concurrent threads do
 //! not contend on (or false-share) the same lines while the detector is
 //! hot; [`DetectorStats::snapshot`] sums the shards into the plain-value
-//! [`StatsSnapshot`] totals.
+//! [`StatsSnapshot`] totals. The check path itself never touches them: it
+//! counts into a thread's plain [`PendingStats`], which reach the shards
+//! when drained.
 
+use crate::filter::PendingStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of statistics shards: enough to spread the paper's 8-core
@@ -14,9 +17,9 @@ pub const DEFAULT_STATS_SHARDS: usize = 8;
 
 /// One cache-line-padded bundle of detection counters.
 ///
-/// All counters are monotone and updated with relaxed atomics; a snapshot
-/// taken while threads run is approximate but each final value (after the
-/// program quiesces) is exact.
+/// All counters are monotone and updated with relaxed atomics when a
+/// thread's [`PendingStats`] are drained; a snapshot under-reports by
+/// whatever is still pending and is exact once every thread has drained.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct StatsShard {
@@ -113,7 +116,7 @@ impl DetectorStats {
         Self::default()
     }
 
-    /// The shard thread `tid_index` should bump: threads spread across
+    /// The shard thread `tid_index` drains into: threads spread across
     /// lines, wrapping past [`DEFAULT_STATS_SHARDS`].
     #[inline]
     pub fn shard(&self, tid_index: usize) -> &StatsShard {
@@ -141,14 +144,28 @@ impl DetectorStats {
         s
     }
 
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+    /// Adds a thread's plain check-path counts into its shard: the one
+    /// place those counts meet shared atomics. Zero counts are skipped.
+    pub(crate) fn absorb(&self, tid_index: usize, p: &PendingStats) {
+        let shard = self.shard(tid_index);
+        for (counter, n) in [
+            (&shard.reads_checked, p.reads_checked),
+            (&shard.writes_checked, p.writes_checked),
+            (&shard.bytes_checked, p.bytes_checked),
+            (&shard.uniform_fast_path, p.uniform_fast_path),
+            (&shard.per_byte_slow_path, p.per_byte_slow_path),
+            (&shard.epoch_updates, p.epoch_updates),
+            (&shard.update_skipped, p.update_skipped),
+            (&shard.cas_conflicts, p.cas_conflicts),
+            (&shard.races_reported, p.races_reported),
+            (&shard.filter_hits, p.filter_hits),
+            (&shard.plan_elided, p.plan_elided),
+            (&shard.plan_batched, p.plan_batched),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -157,12 +174,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_reflects_bumps() {
+    fn snapshot_reflects_absorbed_counts() {
         let s = DetectorStats::new();
-        DetectorStats::bump(&s.shard(0).reads_checked);
-        DetectorStats::bump(&s.shard(0).reads_checked);
-        DetectorStats::bump(&s.shard(0).writes_checked);
-        DetectorStats::add(&s.shard(0).bytes_checked, 12);
+        s.absorb(
+            0,
+            &PendingStats {
+                reads_checked: 2,
+                writes_checked: 1,
+                bytes_checked: 12,
+                ..Default::default()
+            },
+        );
         let snap = s.snapshot();
         assert_eq!(snap.reads_checked, 2);
         assert_eq!(snap.writes_checked, 1);
@@ -173,10 +195,20 @@ mod tests {
     #[test]
     fn snapshot_sums_across_shards() {
         let s = DetectorStats::new();
+        let one_read = PendingStats {
+            reads_checked: 1,
+            ..Default::default()
+        };
         for tid in 0..DEFAULT_STATS_SHARDS + 1 {
-            DetectorStats::bump(&s.shard(tid).reads_checked);
+            s.absorb(tid, &one_read);
         }
-        DetectorStats::bump(&s.shard(2).filter_hits);
+        s.absorb(
+            2,
+            &PendingStats {
+                filter_hits: 1,
+                ..Default::default()
+            },
+        );
         let snap = s.snapshot();
         assert_eq!(snap.reads_checked, DEFAULT_STATS_SHARDS as u64 + 1);
         assert_eq!(snap.filter_hits, 1);

@@ -3,23 +3,38 @@
 //! guarded predicate admits only some of them, so the losers must
 //! re-check and re-wait exactly as the Pthread contract demands — under
 //! both deterministic synchronization and the plain (uncontrolled) path.
+//!
+//! Also the determinism of det-sync itself: the sequence of Kendo turns a
+//! race-free program is granted, recorded through
+//! [`CleanRuntime::set_sched_hook`], must be the same in every run — for
+//! the broadcast program and for a mutex-and-barrier program.
 
+use clean_core::ThreadId;
 use clean_runtime::{CleanRuntime, RuntimeConfig, RuntimeStats};
+use clean_sync::SchedHook;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const WAITERS: usize = 3;
 
-/// Producer/consumer round where every slot is announced by `broadcast`,
-/// so each round wakes all waiters while only one can consume: the rest
-/// experience spurious wakeups and must loop. Returns (wakeups, stats).
-fn broadcast_one_slot_rounds(det: bool) -> (u64, RuntimeStats) {
+fn runtime(det: bool, hook: Option<Arc<dyn SchedHook>>) -> CleanRuntime {
     let rt = CleanRuntime::new(
         RuntimeConfig::new()
             .heap_size(1 << 16)
             .max_threads(8)
             .det_sync(det),
     );
+    if let Some(hook) = hook {
+        assert!(rt.set_sched_hook(hook));
+    }
+    rt
+}
+
+/// Producer/consumer round where every slot is announced by `broadcast`,
+/// so each round wakes all waiters while only one can consume: the rest
+/// experience spurious wakeups and must loop. Returns (wakeups, stats).
+fn broadcast_one_slot_rounds(det: bool, hook: Option<Arc<dyn SchedHook>>) -> (u64, RuntimeStats) {
+    let rt = runtime(det, hook);
     // data[0] = available slots, data[1] = consumed count,
     // data[2] = payload checked by consumers.
     let data = rt.alloc_array::<u64>(3).unwrap();
@@ -77,7 +92,7 @@ fn broadcast_one_slot_rounds(det: bool) -> (u64, RuntimeStats) {
 
 #[test]
 fn broadcast_over_wakeups_are_spurious_and_rewait_det() {
-    let (wakeups, stats) = broadcast_one_slot_rounds(true);
+    let (wakeups, stats) = broadcast_one_slot_rounds(true, None);
     // Every waiter consumed exactly once, yet the broadcasts delivered
     // more wakeups than consumptions: the surplus re-entered cond_wait
     // through the predicate loop instead of claiming a slot.
@@ -90,7 +105,7 @@ fn broadcast_over_wakeups_are_spurious_and_rewait_det() {
 
 #[test]
 fn broadcast_over_wakeups_are_spurious_and_rewait_plain() {
-    let (wakeups, _) = broadcast_one_slot_rounds(false);
+    let (wakeups, _) = broadcast_one_slot_rounds(false, None);
     // The plain path's ticket queue drains fully on broadcast, so the
     // same over-wakeup shape holds without deterministic ordering.
     assert!(
@@ -101,8 +116,8 @@ fn broadcast_over_wakeups_are_spurious_and_rewait_plain() {
 
 #[test]
 fn condvar_rounds_are_deterministic_under_det_sync() {
-    let (w1, s1) = broadcast_one_slot_rounds(true);
-    let (w2, s2) = broadcast_one_slot_rounds(true);
+    let (w1, s1) = broadcast_one_slot_rounds(true, None);
+    let (w2, s2) = broadcast_one_slot_rounds(true, None);
     assert_eq!(
         s1.digest(),
         s2.digest(),
@@ -161,4 +176,92 @@ fn signal_wakes_exactly_one_waiter() {
         (WAITERS as u64..=2 * WAITERS as u64).contains(&w),
         "signal path over-woke: {w} wakeups for {WAITERS} slots"
     );
+}
+
+/// Two threads write their own cells, bump a shared counter under a mutex
+/// every `LOCK_EVERY` accesses, and meet at a barrier after each round.
+/// Race-free.
+fn lock_barrier_rounds(hook: Option<Arc<dyn SchedHook>>) -> RuntimeStats {
+    const ROUNDS: usize = 4;
+    const CELLS: usize = 256;
+    const LOCK_EVERY: usize = 32;
+    let rt = runtime(true, hook);
+    // Two slices of CELLS, then the shared counter.
+    let data = rt.alloc_array::<u64>(2 * CELLS + 1).unwrap();
+    let counter = 2 * CELLS;
+    let m = rt.create_mutex();
+    let b = rt.create_barrier(2);
+    rt.run(|ctx| {
+        let mut kids = Vec::new();
+        for t in 0..2 {
+            let (m, b) = (m.clone(), b.clone());
+            kids.push(ctx.spawn(move |c| {
+                for round in 0..ROUNDS {
+                    for i in 0..CELLS {
+                        c.write(&data, t * CELLS + i, (round * CELLS + i) as u64)?;
+                        if i % LOCK_EVERY == 0 {
+                            c.lock(&m)?;
+                            let n = c.read(&data, counter)?;
+                            c.write(&data, counter, n + 1)?;
+                            c.unlock(&m)?;
+                        }
+                    }
+                    c.barrier_wait(&b)?;
+                }
+                Ok(())
+            })?);
+        }
+        for k in kids {
+            ctx.join(k)??;
+        }
+        assert_eq!(
+            ctx.read(&data, counter)?,
+            (2 * ROUNDS * CELLS / LOCK_EVERY) as u64
+        );
+        Ok(())
+    })
+    .unwrap();
+    assert!(rt.first_race().is_none(), "{:?}", rt.first_race());
+    rt.stats()
+}
+
+/// Records every granted Kendo turn as (tid, counter), in grant order.
+#[derive(Default)]
+struct Grants(Mutex<Vec<(u16, u64)>>);
+
+impl SchedHook for Grants {
+    fn on_turn_granted(&self, tid: ThreadId, counter: u64) {
+        self.0.lock().unwrap().push((tid.raw(), counter));
+    }
+}
+
+/// Runs `program` 20 times with a fresh [`Grants`] hook and asserts that
+/// every run was granted the same turns and ended with the same digest.
+fn assert_grants_repeat(program: impl Fn(Arc<Grants>) -> RuntimeStats) {
+    let mut first: Option<(Vec<(u16, u64)>, u64)> = None;
+    for run in 0..20 {
+        let grants = Arc::new(Grants::default());
+        let digest = program(Arc::clone(&grants)).digest();
+        let seen = std::mem::take(&mut *grants.0.lock().unwrap());
+        assert!(!seen.is_empty(), "the program takes turns");
+        match &first {
+            None => first = Some((seen, digest)),
+            Some((want, want_digest)) => {
+                let at = want.iter().zip(&seen).position(|(a, b)| a != b);
+                assert!(
+                    seen == *want,
+                    "run {run}: {} grants against {}, first difference at {at:?}",
+                    seen.len(),
+                    want.len()
+                );
+                assert_eq!(digest, *want_digest, "run {run}: digest");
+            }
+        }
+    }
+}
+
+#[test]
+fn grant_sequences_are_identical_across_runs() {
+    assert_grants_repeat(|g| lock_barrier_rounds(Some(g)));
+    assert_grants_repeat(|g| broadcast_one_slot_rounds(true, Some(g)).1);
 }

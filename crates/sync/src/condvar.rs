@@ -107,12 +107,17 @@ impl DetCondvar {
             "DetCondvar::wait requires holding the mutex"
         );
         let stamp = (handle.counter(), handle.tid());
-        {
-            let mut st = self.state.lock();
-            st.waiters.insert(stamp, handle.tid());
-            handle.exclude();
-        }
-        mutex.unlock_excluded(handle);
+        self.state.lock().waiters.insert(stamp, handle.tid());
+        // Stamp the release while still published, and only then leave
+        // turn arbitration. Excluding first would let a logically later
+        // locker take its turn while the mutex may still be physically
+        // held, so whether its attempt fails (and advances its counter)
+        // would be timing. In this order a logically earlier locker
+        // fails on the release stamp whether or not the mutex is free
+        // yet, and a later one gets no turn until the exclusion, after
+        // the release.
+        mutex.unlock_for_wait(handle);
+        handle.exclude();
         // Spin until a signal names us.
         let resume = loop {
             {
@@ -256,6 +261,54 @@ mod tests {
             assert!(j.join().unwrap() > 500);
         }
         assert_eq!(cv.waiter_count(), 0);
+    }
+
+    #[test]
+    fn waiter_releases_the_mutex_before_leaving_arbitration() {
+        use crate::kendo::{SchedHook, EXCLUDED};
+
+        /// Records every thread that excluded itself while still owning
+        /// the mutex: from then on a logically later locker could take
+        /// its turn and find the mutex held or free depending on timing.
+        struct ExcludeWhileHolding {
+            mutex: Arc<DetMutex>,
+            violations: Mutex<Vec<ThreadId>>,
+        }
+        impl SchedHook for ExcludeWhileHolding {
+            fn on_publish(&self, tid: ThreadId, counter: u64) {
+                if counter == EXCLUDED && self.mutex.owner() == Some(tid) {
+                    self.violations.lock().push(tid);
+                }
+            }
+        }
+
+        let k = Arc::new(Kendo::new(2));
+        let m = Arc::new(DetMutex::new());
+        let cv = Arc::new(DetCondvar::new());
+        let hook = Arc::new(ExcludeWhileHolding {
+            mutex: Arc::clone(&m),
+            violations: Mutex::new(Vec::new()),
+        });
+        assert!(k.set_hook(Arc::clone(&hook) as Arc<dyn SchedHook>));
+        let mut waiter = k.register(ThreadId::new(0), 0);
+        let mut signaller = k.register(ThreadId::new(1), 0);
+        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
+        let t = std::thread::spawn(move || {
+            m2.lock(&mut waiter, || false).unwrap();
+            cv2.wait(&m2, &mut waiter, || false).unwrap();
+            m2.unlock(&mut waiter);
+        });
+        while !t.is_finished() {
+            m.lock(&mut signaller, || false).unwrap();
+            cv.signal(&mut signaller);
+            m.unlock(&mut signaller);
+        }
+        t.join().unwrap();
+        let violations = hook.violations.lock();
+        assert!(
+            violations.is_empty(),
+            "excluded while holding: {violations:?}"
+        );
     }
 
     #[test]

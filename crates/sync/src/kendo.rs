@@ -65,13 +65,22 @@ pub trait SchedHook: Send + Sync {
     }
 }
 
+/// One published counter on a cache line of its own.
+///
+/// Every checked access publishes its owner's counter, so two slots on one
+/// line would bounce that line between the two cores on every access.
+/// Same layout as `clean_core::StatsShard`.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Slot(AtomicU64);
+
 /// Shared table of published deterministic counters, one slot per possible
 /// thread id.
 ///
 /// The table itself is passive; per-thread mutation goes through the owning
 /// thread's [`DetHandle`].
 pub struct Kendo {
-    slots: Box<[AtomicU64]>,
+    slots: Box<[Slot]>,
     /// Optional scheduler hook, set at most once per table. An unset hook
     /// costs one atomic load on the publish path.
     hook: OnceLock<Arc<dyn SchedHook>>,
@@ -96,7 +105,9 @@ impl Kendo {
     pub fn new(max_threads: usize) -> Self {
         assert!(max_threads > 0, "need at least one thread slot");
         Kendo {
-            slots: (0..max_threads).map(|_| AtomicU64::new(EXCLUDED)).collect(),
+            slots: (0..max_threads)
+                .map(|_| Slot(AtomicU64::new(EXCLUDED)))
+                .collect(),
             hook: OnceLock::new(),
         }
     }
@@ -126,7 +137,7 @@ impl Kendo {
     /// Panics if the slot is already registered or out of range.
     pub fn register(self: &std::sync::Arc<Self>, tid: ThreadId, initial: u64) -> DetHandle {
         assert!(tid.index() < self.slots.len(), "tid out of range");
-        let prev = self.slots[tid.index()].swap(initial, Ordering::SeqCst);
+        let prev = self.slots[tid.index()].0.swap(initial, Ordering::SeqCst);
         assert_eq!(prev, EXCLUDED, "slot {tid} registered twice");
         if let Some(h) = self.hook() {
             h.on_register(tid, initial);
@@ -140,7 +151,7 @@ impl Kendo {
 
     /// Reads a slot's published counter ([`EXCLUDED`] if not running).
     pub fn published(&self, tid: ThreadId) -> u64 {
-        self.slots[tid.index()].load(Ordering::Acquire)
+        self.slots[tid.index()].0.load(Ordering::Acquire)
     }
 
     /// Publishes `counter` on behalf of an *excluded* thread that is being
@@ -156,7 +167,7 @@ impl Kendo {
     /// which is always safe); the waiter's own
     /// [`DetHandle::include`] then settles the exact value.
     pub fn publish_on_behalf(&self, tid: ThreadId, counter: u64) {
-        self.slots[tid.index()].store(counter, Ordering::SeqCst);
+        self.slots[tid.index()].0.store(counter, Ordering::SeqCst);
         if let Some(h) = self.hook() {
             h.on_publish(tid, counter);
         }
@@ -170,7 +181,7 @@ impl Kendo {
             if j == tid.index() {
                 continue;
             }
-            let c = slot.load(Ordering::Acquire);
+            let c = slot.0.load(Ordering::Acquire);
             if c < counter || (c == counter && j < tid.index()) {
                 return false;
             }
@@ -230,7 +241,9 @@ impl DetHandle {
         // Release suffices: counters are monotone per slot, and a stale
         // (smaller) value read by another thread only makes that thread
         // wait longer — it can never grant a turn too early.
-        self.kendo.slots[self.tid.index()].store(value, Ordering::Release);
+        self.kendo.slots[self.tid.index()]
+            .0
+            .store(value, Ordering::Release);
         if let Some(h) = self.kendo.hook() {
             h.on_publish(self.tid, value);
         }
@@ -358,6 +371,12 @@ mod tests {
         assert!(k.is_turn(h0.tid(), h0.counter()));
         drop(h1);
         assert!(k.is_turn(h0.tid(), h0.counter()));
+    }
+
+    #[test]
+    fn slots_are_cache_line_padded() {
+        assert!(std::mem::align_of::<Slot>() >= 128);
+        assert!(std::mem::size_of::<Slot>() >= 128);
     }
 
     #[test]

@@ -160,15 +160,15 @@ impl DetMutex {
 }
 
 impl DetMutex {
-    /// Releases the mutex on behalf of a handle that has already excluded
-    /// itself from turn arbitration (the condition-variable wait path).
-    /// Stamps the release with the handle's retained counter without
-    /// republishing it, so the exclusion stays in effect.
+    /// Releases the mutex on the condition-variable wait path: stamps the
+    /// release with the handle's current counter without advancing it, so
+    /// the waiter's enqueue stamp and the release stamp coincide. The
+    /// caller excludes itself from turn arbitration right after.
     ///
     /// # Panics
     ///
     /// Panics if the calling handle does not own the mutex.
-    pub(crate) fn unlock_excluded(&self, handle: &DetHandle) {
+    pub(crate) fn unlock_for_wait(&self, handle: &DetHandle) {
         let mut st = self.state.lock();
         assert_eq!(
             st.owner,
