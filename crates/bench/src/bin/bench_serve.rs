@@ -17,18 +17,15 @@
 //! * **fleet** — the same hot workload through a CSRV router fronting a
 //!   3-node digest-sharded fleet, against the 1-node baseline.
 //!
-//! The run fails if the STATS counters disagree with the regime (a hot
-//! round that misses the cache means memoization broke) or if a racy
-//! trace yields no races. The daemon's `METRICS` exposition is fetched
-//! alongside STATS in both the single-node and fleet phases and must
-//! agree with it counter-for-counter — the bench validates the
-//! observability wire, not just the service. Results land in
-//! `BENCH_serve.json` (override with `--out`); `--small` selects the
-//! quick CI profile. `CLEAN_THREADS` scales the client fan-out.
+//! The run fails if the service counters, read from the `METRICS`
+//! exposition, disagree with the regime (a hot round that misses the
+//! cache means memoization broke) or if a racy trace yields no races.
+//! Results land in `BENCH_serve.json` (override with `--out`); `--small`
+//! selects the quick CI profile. `CLEAN_THREADS` scales the client
+//! fan-out.
 
 use clean_bench::{env_threads, fmt_pct, trace_dir, Table};
-use clean_obs::Snapshot;
-use clean_serve::client::Client;
+use clean_serve::client::{stat, Client};
 use clean_serve::protocol::Response;
 use clean_serve::router::{Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig, ServerHandle};
@@ -167,9 +164,12 @@ fn main() {
     }
     let cold_secs = t0.elapsed().as_secs_f64();
     let cold_verdicts = corpus.len() * engines.len();
-    let stats_cold = seed_client.stats().expect("stats after cold phase");
+    let stats_cold = seed_client
+        .metrics_snapshot()
+        .expect("stats after cold phase");
     assert_eq!(
-        stats_cold.cache_hits, 0,
+        stat(&stats_cold, "cache_hits"),
+        0,
         "cold phase must not hit the cache"
     );
 
@@ -214,27 +214,8 @@ fn main() {
     let resubmit_secs = t0.elapsed().as_secs_f64();
     let resubmit_count = clients * corpus.len();
 
-    let stats = seed_client.stats().expect("final stats");
-    // The METRICS exposition must tell the same story as the STATS
-    // wire reply: same registry cells, two renderings.
-    let metrics = Snapshot::parse(&seed_client.metrics().expect("final METRICS"))
-        .expect("parse METRICS exposition");
-    assert_eq!(
-        metrics.counter("cache_hits", &[]),
-        Some(stats.cache_hits),
-        "METRICS cache_hits must match STATS"
-    );
-    assert_eq!(
-        metrics.counter("cache_misses", &[]),
-        Some(stats.cache_misses),
-        "METRICS cache_misses must match STATS"
-    );
-    assert_eq!(
-        metrics.counter("submits", &[]),
-        Some(stats.submits),
-        "METRICS submits must match STATS"
-    );
-    let analyze_hist = metrics
+    let stats = seed_client.metrics_snapshot().expect("final stats");
+    let analyze_hist = stats
         .hist("serve_latency_micros", &[("verb", "analyze")])
         .expect("analyze latency histogram in METRICS");
     assert!(
@@ -264,10 +245,15 @@ fn main() {
         }
     }
     let warm_secs = t0.elapsed().as_secs_f64();
-    let warm_stats = warm_client.stats().expect("warm stats");
-    assert_eq!(warm_stats.jobs_completed, 0, "warm restart must not replay");
+    let warm_stats = warm_client.metrics_snapshot().expect("warm stats");
+    let warm_persist_hits = stat(&warm_stats, "cache_persist_hits");
     assert_eq!(
-        warm_stats.cache_persist_hits as usize, cold_verdicts,
+        stat(&warm_stats, "jobs_completed"),
+        0,
+        "warm restart must not replay"
+    );
+    assert_eq!(
+        warm_persist_hits as usize, cold_verdicts,
         "every warm verdict must come from the persisted cache"
     );
     warm.shutdown();
@@ -342,39 +328,34 @@ fn main() {
     });
     let fleet_secs = t0.elapsed().as_secs_f64();
 
-    let fleet_stats = fleet_client.stats().expect("fleet stats");
     // The router's merged exposition: node-stamped backend snapshots
-    // plus its own counters. Cross-node sums must agree with the
-    // merged STATS reply, and the hot phase must have reused pooled
-    // backend connections instead of dialing per forward.
-    let fleet_metrics = Snapshot::parse(&fleet_client.metrics().expect("fleet METRICS"))
-        .expect("parse fleet METRICS exposition");
-    assert_eq!(
-        fleet_metrics.counter_family_total("cache_misses"),
-        fleet_stats.cache_misses,
-        "node-summed METRICS cache_misses must match merged STATS"
-    );
-    assert_eq!(
-        fleet_metrics.counter_family_total("submits"),
-        fleet_stats.submits,
-        "node-summed METRICS submits must match merged STATS"
-    );
-    let fleet_pool_hits = fleet_metrics.counter_family_total("router_pool_hits");
+    // plus its own counters, summed across nodes. The hot phase must
+    // have reused pooled backend connections instead of dialing per
+    // forward.
+    let fleet_stats = fleet_client.metrics_snapshot().expect("fleet stats");
+    let fleet_pool_hits = stat(&fleet_stats, "router_pool_hits");
+    let fleet_forwards = stat(&fleet_stats, "forwards");
+    let fleet_store_traces = stat(&fleet_stats, "store_traces");
     assert!(
         fleet_pool_hits > 0,
         "the fleet hot phase must reuse pooled backend connections"
     );
     assert_eq!(
-        fleet_stats.store_traces as usize,
+        fleet_store_traces as usize,
         corpus.len() * 2,
         "each trace lives on its primary and one replica"
     );
     assert_eq!(
-        fleet_stats.cache_misses as usize, cold_verdicts,
+        stat(&fleet_stats, "cache_misses") as usize,
+        cold_verdicts,
         "only the fleet's cold analyzes may miss"
     );
-    assert_eq!(fleet_stats.fetches, 0, "a healthy fleet never peer-fetches");
-    assert!(fleet_stats.forwards > 0, "the router must be forwarding");
+    assert_eq!(
+        stat(&fleet_stats, "fetches"),
+        0,
+        "a healthy fleet never peer-fetches"
+    );
+    assert!(fleet_forwards > 0, "the router must be forwarding");
     match fleet_client.shutdown().expect("fleet shutdown") {
         Response::ShuttingDown => {}
         other => panic!("fleet shutdown failed: {other:?}"),
@@ -386,16 +367,18 @@ fn main() {
     let _ = std::fs::remove_dir_all(&fleet_dir);
 
     // Memoization must have served the entire hot phase from the cache.
+    let hits = stat(&stats, "cache_hits");
+    let misses = stat(&stats, "cache_misses");
     assert_eq!(
-        stats.cache_misses as usize, cold_verdicts,
+        misses as usize, cold_verdicts,
         "only the cold phase may miss"
     );
     assert!(
-        stats.cache_hits as usize >= hot_verdicts,
+        hits as usize >= hot_verdicts,
         "hot phase must be all cache hits"
     );
-    assert_eq!(stats.store_traces as usize, corpus.len());
-    let hit_rate = stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses) as f64;
+    assert_eq!(stat(&stats, "store_traces") as usize, corpus.len());
+    let hit_rate = hits as f64 / (hits + misses) as f64;
 
     let mut t = Table::new(&["phase", "requests", "secs", "req/s"]);
     for (phase, n, secs) in [
@@ -419,7 +402,7 @@ fn main() {
         corpus.len(),
         corpus_bytes as f64 / (1 << 20) as f64,
         fmt_pct(hit_rate),
-        stats.submit_dedup_hits,
+        stat(&stats, "submit_dedup_hits"),
     );
 
     let json = format!(
@@ -435,17 +418,17 @@ fn main() {
         resubmit_secs,
         hot_verdicts as f64 / hot_secs,
         hit_rate,
-        stats.submit_dedup_hits,
-        stats.jobs_completed,
-        stats.jobs_rejected,
+        stat(&stats, "submit_dedup_hits"),
+        stat(&stats, "jobs_completed"),
+        stat(&stats, "jobs_rejected"),
         warm_secs,
-        warm_stats.cache_persist_hits,
+        warm_persist_hits,
         fleet_nodes,
         fleet_secs,
         hot_verdicts as f64 / fleet_secs,
-        fleet_stats.forwards,
+        fleet_forwards,
         fleet_pool_hits,
-        fleet_stats.store_traces,
+        fleet_store_traces,
     );
     std::fs::write(&out, &json).expect("write result JSON");
     println!("wrote {}", out.display());

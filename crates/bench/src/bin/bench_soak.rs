@@ -41,7 +41,7 @@ use clean_bench::soak::{
 };
 use clean_bench::{env_threads, trace_dir};
 use clean_obs::{Counter, Hist, Registry, Snapshot};
-use clean_serve::client::Client;
+use clean_serve::client::{stat, Client};
 use clean_serve::protocol::{Response, MAGIC, VERSION};
 use clean_serve::router::{Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig, ServerHandle};
@@ -99,6 +99,7 @@ fn record_corpus(dir: &std::path::Path) -> Vec<CorpusTrace> {
                 Replay::new(engine)
                     .lanes(4)
                     .events(&events)
+                    .expect("replay the corpus trace")
                     .races
                     .into_iter()
                     .collect::<HashSet<_>>()
@@ -313,6 +314,7 @@ fn op_cold_submit(
     let truth: HashSet<FoundRace> = Replay::new(EngineKind::Clean)
         .lanes(2)
         .events(&events)
+        .expect("replay the corpus trace")
         .races
         .into_iter()
         .collect();
@@ -714,8 +716,7 @@ fn main() {
     // One exposition fetched through the router covers every node; the
     // p99 gates below read the server-side service histograms out of
     // it, so a broken observability path fails the soak outright.
-    let metrics_text = seed_client.metrics().expect("final fleet METRICS");
-    let fleet_snap = Snapshot::parse(&metrics_text).expect("parse fleet METRICS exposition");
+    let fleet_snap = seed_client.metrics_snapshot().expect("final fleet METRICS");
     let hot_srv = fleet_hist(&fleet_snap, "serve_latency_micros", &["verb=\"analyze\""]);
     let cold_srv = fleet_hist(
         &fleet_snap,
@@ -733,7 +734,6 @@ fn main() {
     let requests_total = fleet_snap.counter_family_total("serve_requests_total");
     let pool_hits = fleet_snap.counter_family_total("router_pool_hits");
 
-    let stats = seed_client.stats().expect("final fleet stats");
     match seed_client.policy().expect("final policy read") {
         Response::Policy { rules, .. } => assert_eq!(rules, 1, "policy must still be live"),
         other => panic!("policy read failed: {other:?}"),
@@ -773,12 +773,12 @@ fn main() {
     println!(
         "fleet counters: coalesced {}, shed {}, forwards {}, fetches {}, \
          evictions {}, suppressed_hits {}, requests {requests_total}, pool hits {pool_hits}",
-        stats.jobs_coalesced,
-        stats.jobs_rejected,
-        stats.forwards,
-        stats.fetches,
-        stats.store_evictions,
-        stats.suppressed_hits
+        stat(&fleet_snap, "jobs_coalesced"),
+        stat(&fleet_snap, "jobs_rejected"),
+        stat(&fleet_snap, "forwards"),
+        stat(&fleet_snap, "fetches"),
+        stat(&fleet_snap, "store_evictions"),
+        stat(&fleet_snap, "suppressed_hits")
     );
     println!(
         "server-side p99 (from METRICS): analyze {hot_p99}us over {} samples, \
@@ -824,12 +824,12 @@ fn main() {
         hot_p99,
         cold_p99,
         dup_p99,
-        stats.jobs_coalesced,
-        stats.jobs_rejected,
-        stats.forwards,
-        stats.fetches,
-        stats.store_evictions,
-        stats.suppressed_hits,
+        stat(&fleet_snap, "jobs_coalesced"),
+        stat(&fleet_snap, "jobs_rejected"),
+        stat(&fleet_snap, "forwards"),
+        stat(&fleet_snap, "fetches"),
+        stat(&fleet_snap, "store_evictions"),
+        stat(&fleet_snap, "suppressed_hits"),
     );
     std::fs::write(&args.out, &json).expect("write result JSON");
     println!("wrote {}", args.out.display());
@@ -863,7 +863,7 @@ fn main() {
     if suppressed_seen == 0 {
         failures.push("no suppressed verdict observed after the policy flip".into());
     }
-    if stats.suppressed_hits == 0 {
+    if stat(&fleet_snap, "suppressed_hits") == 0 {
         failures.push("fleet suppressed_hits counter stayed 0".into());
     }
     if let Some(limit_ms) = args.p99_limit_ms {

@@ -288,11 +288,13 @@ mod tests {
         assert!(!Replay::new(EngineKind::Clean)
             .lanes(2)
             .events(&racy)
+            .unwrap()
             .races
             .is_empty());
         assert!(Replay::new(EngineKind::Clean)
             .lanes(2)
             .events(&clean)
+            .unwrap()
             .races
             .is_empty());
     }

@@ -84,6 +84,15 @@ fn split_key(key: &str) -> (&str, Vec<(String, String)>) {
     (&key[..brace], labels)
 }
 
+/// Sums the values of `name` bare and of `name{...}` under any labels.
+fn family_total(metrics: &BTreeMap<String, u64>, name: &str) -> u64 {
+    metrics
+        .iter()
+        .filter(|(k, _)| *k == name || k.starts_with(name) && k[name.len()..].starts_with('{'))
+        .map(|(_, v)| v)
+        .sum()
+}
+
 /// An error from [`Snapshot::parse`]: the offending line number
 /// (1-based) and a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,11 +182,13 @@ impl Snapshot {
     /// Sums every counter whose key starts with `name` (bare or with
     /// any label set) — the cross-label total of one metric family.
     pub fn counter_family_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| *k == name || k.starts_with(name) && k[name.len()..].starts_with('{'))
-            .map(|(_, v)| v)
-            .sum()
+        family_total(&self.counters, name)
+    }
+
+    /// [`Snapshot::counter_family_total`] for gauges: on a router's
+    /// merged exposition, the fleet-wide sum of one per-node gauge.
+    pub fn gauge_family_total(&self, name: &str) -> u64 {
+        family_total(&self.gauges, name)
     }
 
     /// Renders the `CMET v1` text exposition: the header, then one
@@ -374,6 +385,11 @@ mod tests {
             .insert(metric_key("requests", &[("verb", "analyze")]), 8);
         s.counters.insert("requests_other".to_string(), 999);
         assert_eq!(s.counter_family_total("requests"), 50);
+        s.gauges
+            .insert(metric_key("store_bytes", &[("node", "1")]), 7);
+        s.gauges.insert("store_bytes_max".to_string(), 999);
+        assert_eq!(s.gauge_family_total("store_bytes"), 65536 + 7);
+        assert_eq!(s.gauge_family_total("requests"), 0, "kinds stay apart");
     }
 
     #[test]

@@ -236,6 +236,52 @@ fn cv_handoff() -> ProgramFn {
     })
 }
 
+/// The condvar broadcast rounds of `clean-runtime`'s `tests/condvar.rs`:
+/// the root publishes one slot per round (cell 0 = free slots, cell 2 =
+/// payload) and announces it with a broadcast, which wakes every waiter
+/// while only one can consume; the rest re-check and re-wait. Waiters
+/// count consumptions in cell 1. Race-free, and never stuck: the root
+/// publishes one slot per waiter. Two waiters rather than that test's
+/// three keep the space exhaustible (10,172 schedules; three waiters
+/// pass 35k schedules without finishing).
+fn cv_broadcast() -> ProgramFn {
+    const WAITERS: u64 = 2;
+    Arc::new(|| {
+        Box::new(|c| {
+            let m = c.create_mutex();
+            let cv = c.create_condvar();
+            let mut waiters = Vec::new();
+            for _ in 0..WAITERS {
+                waiters.push(c.spawn(move |c| {
+                    c.lock(m)?;
+                    while c.read(0)? == 0 {
+                        c.cond_wait(cv, m)?;
+                    }
+                    let slots = c.read(0)?;
+                    c.write(0, slots - 1)?;
+                    let done = c.read(1)?;
+                    c.write(1, done + 1)?;
+                    let payload = c.read(2)?;
+                    c.unlock(m)?;
+                    Ok(payload)
+                })?);
+            }
+            for round in 0..WAITERS {
+                c.lock(m)?;
+                let slots = c.read(0)?;
+                c.write(0, slots + 1)?;
+                c.write(2, 40 + round)?;
+                c.cond_broadcast(cv)?;
+                c.unlock(m)?;
+            }
+            for t in waiters {
+                c.join(t)?;
+            }
+            c.read(1)
+        })
+    })
+}
+
 /// A writer initializes a cell under the write lock, spawns a reader
 /// while still holding it, publishes by *downgrading* to a shared hold,
 /// and keeps reading under that hold. The downgrade's release edge is
@@ -384,6 +430,13 @@ pub fn registry() -> Vec<ProgramSpec> {
             expect: Expect::RaceFree,
             cfg: cfg(3),
             factory: cv_handoff(),
+        },
+        ProgramSpec {
+            name: "cv_broadcast",
+            about: "one slot per broadcast round: over-woken waiters re-check and re-wait",
+            expect: Expect::RaceFree,
+            cfg: cfg(3),
+            factory: cv_broadcast(),
         },
         ProgramSpec {
             name: "ab_deadlock",

@@ -74,7 +74,13 @@ fn clean_flags_the_first_racy_access() {
 
 #[test]
 fn differential_clean_on_race_free_programs_under_pct() {
-    for name in ["lock_counter", "barrier_phase", "rw_shared", "cv_handoff"] {
+    for name in [
+        "lock_counter",
+        "barrier_phase",
+        "rw_shared",
+        "cv_handoff",
+        "cv_broadcast",
+    ] {
         let spec = find(name).unwrap();
         let report = explore_pct(&spec, 7, 100, 3, &ExploreOpts::default());
         assert_eq!(report.schedules, 100, "{name}");
@@ -98,6 +104,7 @@ fn offline_engines_see_the_recorded_trace_identically() {
         "barrier_phase",
         "rw_shared",
         "cv_handoff",
+        "cv_broadcast",
     ] {
         let spec = find(name).unwrap();
         let exec = run_schedule(&spec.factory, &spec.cfg, &mut DefaultPicker, None);

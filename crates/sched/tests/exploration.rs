@@ -179,18 +179,22 @@ fn race_free_corpus_is_race_free_on_every_schedule() {
         assert_eq!(report.deadlocks, 0, "{name} deadlocked");
         assert!(report.schedules > 1, "{name}: trivial schedule space");
     }
-    // rw_shared's 4-thread space is ~84k schedules (exhausted by the CI
-    // sched-explore job in release mode); here a bounded slice suffices.
-    let spec = find("rw_shared").unwrap();
-    let mut frontier = DfsExplorer::new();
-    let opts = ExploreOpts {
-        max_schedules: 2_000,
-        time_budget: None,
-    };
-    let report = explore_dfs(&spec, &mut frontier, &opts);
-    assert!(report.ok(), "rw_shared: {:#?}", report.failures);
-    assert_eq!(report.schedules, 2_000);
-    assert_eq!(report.clean_race_schedules, 0, "rw_shared raced");
+    // rw_shared's space is ~84k schedules and cv_broadcast's 10,172
+    // (exhausted by the CI sched-explore job in release mode); here a
+    // bounded slice of each suffices.
+    for name in ["rw_shared", "cv_broadcast"] {
+        let spec = find(name).unwrap();
+        let mut frontier = DfsExplorer::new();
+        let opts = ExploreOpts {
+            max_schedules: 2_000,
+            time_budget: None,
+        };
+        let report = explore_dfs(&spec, &mut frontier, &opts);
+        assert!(report.ok(), "{name}: {:#?}", report.failures);
+        assert_eq!(report.schedules, 2_000);
+        assert_eq!(report.clean_race_schedules, 0, "{name} raced");
+        assert_eq!(report.deadlocks, 0, "{name} deadlocked");
+    }
 }
 
 #[test]

@@ -18,8 +18,7 @@
 //! configured with every sibling as a FETCH peer — and then routes to
 //! them. A SHUTDOWN frame sent to the router drains the whole fleet.
 
-use clean_serve::client::Client;
-use clean_serve::protocol::StatsReply;
+use clean_serve::client::{stats_text, Client};
 use clean_serve::router::{Router, RouterConfig};
 use std::net::TcpStream;
 use std::process::{Child, Command, ExitCode};
@@ -42,7 +41,8 @@ USAGE:
       each with store <dir>/node-<i> and every sibling as a FETCH peer,
       then route to them. A SHUTDOWN frame drains the whole fleet.
   clean-fleet status <addr>
-      Print aggregated fleet counters from a router address.
+      Print the fleet-wide service counters from a router address: each
+      is the sum over every node of the merged METRICS exposition.
   clean-fleet metrics <addr>
       Print the fleet-wide `CMET v1` metrics merge from a router
       address: every backend's counters, gauges, and histograms under
@@ -238,32 +238,16 @@ fn cmd_spawn(args: &[String]) -> Result<ExitCode, String> {
     result
 }
 
-fn print_stats(s: &StatsReply) {
-    println!("submits            {}", s.submits);
-    println!("submit_dedup_hits  {}", s.submit_dedup_hits);
-    println!("analyzes           {}", s.analyzes);
-    println!("cache_hits         {}", s.cache_hits);
-    println!("cache_misses       {}", s.cache_misses);
-    println!("jobs_completed     {}", s.jobs_completed);
-    println!("jobs_rejected      {}", s.jobs_rejected);
-    println!("jobs_coalesced     {}", s.jobs_coalesced);
-    println!("store_traces       {}", s.store_traces);
-    println!("store_bytes        {}", s.store_bytes);
-    println!("store_evictions    {}", s.store_evictions);
-    println!("forwards           {}", s.forwards);
-    println!("fetches            {}", s.fetches);
-    println!("cache_persist_hits {}", s.cache_persist_hits);
-    println!("suppressed_hits    {}", s.suppressed_hits);
-}
-
 fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
     let [addr] = args else {
         return Err("usage: clean-fleet status <addr>".into());
     };
     let mut client =
         Client::connect(addr.as_str()).map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("request failed: {e}"))?;
-    print_stats(&stats);
+    let snap = client
+        .metrics_snapshot()
+        .map_err(|e| format!("request failed: {e}"))?;
+    print!("{}", stats_text(&snap));
     Ok(ExitCode::SUCCESS)
 }
 

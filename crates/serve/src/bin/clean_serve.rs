@@ -22,9 +22,9 @@
 //! race suppressed to a warning), 10 = analysis found unsuppressed
 //! race(s), 1 = any other failure.
 
-use clean_serve::client::Client;
+use clean_serve::client::{stats_text, Client};
 use clean_serve::policy::SuppressionPolicy;
-use clean_serve::protocol::{Response, StatsReply};
+use clean_serve::protocol::Response;
 use clean_serve::server::{Server, ServerConfig};
 use clean_trace::{EngineKind, TraceDigest};
 use std::process::ExitCode;
@@ -57,7 +57,7 @@ USAGE:
   clean-serve status <addr> <job>
       Poll a job id from a --no-wait analyze.
   clean-serve stats <addr>
-      Print the service counters.
+      Print the service counters, read from the METRICS exposition.
   clean-serve metrics <addr>
       Print the `CMET v1` metrics exposition: counters, gauges,
       latency histograms, and the recent-event journal. Against a
@@ -313,31 +313,12 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
     report_verdict(client.status(job).map_err(rpc_err)?)
 }
 
-fn print_stats(s: &StatsReply) {
-    println!("submits            {}", s.submits);
-    println!("submit_dedup_hits  {}", s.submit_dedup_hits);
-    println!("analyzes           {}", s.analyzes);
-    println!("cache_hits         {}", s.cache_hits);
-    println!("cache_misses       {}", s.cache_misses);
-    println!("jobs_completed     {}", s.jobs_completed);
-    println!("jobs_rejected      {}", s.jobs_rejected);
-    println!("jobs_coalesced     {}", s.jobs_coalesced);
-    println!("store_traces       {}", s.store_traces);
-    println!("store_bytes        {}", s.store_bytes);
-    println!("store_evictions    {}", s.store_evictions);
-    println!("forwards           {}", s.forwards);
-    println!("fetches            {}", s.fetches);
-    println!("cache_persist_hits {}", s.cache_persist_hits);
-    println!("suppressed_hits    {}", s.suppressed_hits);
-}
-
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let [addr] = args else {
         return Err("usage: clean-serve stats <addr>".into());
     };
-    let mut client = connect(addr)?;
-    let stats = client.stats().map_err(rpc_err)?;
-    print_stats(&stats);
+    let snap = connect(addr)?.metrics_snapshot().map_err(rpc_err)?;
+    print!("{}", stats_text(&snap));
     Ok(ExitCode::SUCCESS)
 }
 

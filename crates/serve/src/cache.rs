@@ -26,7 +26,7 @@
 //! or worse, misparsing — the rest), and the log is compacted —
 //! duplicates dropped, torn lines removed — every time it is opened. Hits served by reloaded entries
 //! are counted separately ([`VerdictCache::persist_hits`]) so the
-//! warm-restart path is observable in STATS.
+//! warm-restart path is observable in METRICS (`cache_persist_hits`).
 
 use clean_baselines::{FoundRace, FullRaceKind};
 use clean_core::ThreadId;

@@ -7,7 +7,8 @@
 //! [`Client::analyze_with_retry`] layers the obvious sleep-and-retry
 //! loop on top for callers that just want a verdict.
 
-use crate::protocol::{Request, Response, StatsReply};
+use crate::protocol::{Request, Response};
+use clean_obs::Snapshot;
 use clean_trace::{EngineKind, TraceDigest};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -151,21 +152,6 @@ impl Client {
         })
     }
 
-    /// Fetches the service counters.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, or a non-STATS reply.
-    pub fn stats(&mut self) -> io::Result<StatsReply> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected STATS reply, got {other:?}"),
-            )),
-        }
-    }
-
     /// Fetches the `CMET v1` metrics exposition. Against a router this
     /// is the fleet-wide merge with `node` labels.
     ///
@@ -182,6 +168,16 @@ impl Client {
         }
     }
 
+    /// [`Client::metrics`], parsed; read the service counters off it
+    /// with [`stat`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::metrics`], or an unparseable exposition.
+    pub fn metrics_snapshot(&mut self) -> io::Result<Snapshot> {
+        Snapshot::parse(&self.metrics()?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
     /// Asks the server to drain and exit.
     ///
     /// # Errors
@@ -189,5 +185,63 @@ impl Client {
     /// Transport failures.
     pub fn shutdown(&mut self) -> io::Result<Response> {
         self.call(&Request::Shutdown)
+    }
+}
+
+/// The service counters `clean-serve stats` and `clean-fleet status`
+/// print, in order. Each names a METRICS family.
+const STATS: [&str; 15] = [
+    "submits",            // valid SUBMITs, new or deduplicated
+    "submit_dedup_hits",  // SUBMITs of an already-stored trace
+    "analyzes",           // ANALYZE requests received
+    "cache_hits",         // ANALYZEs answered from the verdict cache
+    "cache_misses",       // ANALYZEs that ran or joined a replay job
+    "jobs_completed",     // replay jobs the worker pool finished
+    "jobs_rejected",      // ANALYZEs shed with retry-after
+    "jobs_coalesced",     // ANALYZEs attached to an identical in-flight job
+    "store_traces",       // traces resident in the store (gauge)
+    "store_bytes",        // bytes resident in the store (gauge)
+    "store_evictions",    // traces the LRU size bound evicted
+    "forwards",           // frames a router forwarded to backends
+    "fetches",            // traces pulled from a peer by FETCH
+    "cache_persist_hits", // cache hits served from the reloaded verdict log
+    "suppressed_hits",    // races a CSUP rule demoted, per served verdict
+];
+
+/// One service counter from a METRICS snapshot: the family total across
+/// labels, so on a router's merged exposition the sum over every node
+/// that answered. `store_traces` and `store_bytes` are gauges; the rest
+/// are counters. A family the exposition lacks reads 0.
+pub fn stat(snap: &Snapshot, name: &str) -> u64 {
+    match name {
+        "store_traces" | "store_bytes" => snap.gauge_family_total(name),
+        _ => snap.counter_family_total(name),
+    }
+}
+
+/// The `clean-serve stats` / `clean-fleet status` table: one
+/// `name  value` line per service counter.
+pub fn stats_text(snap: &Snapshot) -> String {
+    STATS
+        .iter()
+        .map(|name| format!("{name:<18} {}\n", stat(snap, name)))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_text_sums_each_family_across_nodes() {
+        let mut snap = Snapshot::default();
+        snap.counters.insert("submits{node=\"0\"}".into(), 2);
+        snap.counters.insert("submits{node=\"1\"}".into(), 4);
+        snap.gauges.insert("store_traces{node=\"0\"}".into(), 3);
+        let text = stats_text(&snap);
+        assert_eq!(text.lines().count(), STATS.len());
+        assert!(text.starts_with("submits            6\n"), "{text}");
+        assert!(text.contains("\nstore_traces       3\n"), "{text}");
+        assert!(text.ends_with("\nsuppressed_hits    0\n"), "{text}");
     }
 }

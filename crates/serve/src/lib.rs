@@ -8,8 +8,8 @@
 //! The moving parts:
 //!
 //! * [`protocol`] — the `CSRV` length-prefixed binary frame protocol
-//!   (SUBMIT / ANALYZE / STATUS / STATS / SHUTDOWN, plus the FETCH
-//!   peer-replication frame),
+//!   (SUBMIT / ANALYZE / STATUS / METRICS / POLICY / SHUTDOWN, plus the
+//!   FETCH peer-replication frame),
 //! * [`store`] — a digest-addressed on-disk trace store with a
 //!   size-bounded LRU, crash-tolerant index, and streaming ingestion,
 //! * [`cache`] — the sharded `(digest, engine)` → verdict memo table,
@@ -72,7 +72,7 @@ pub mod store;
 pub use cache::{Verdict, VerdictCache, VerdictKey};
 pub use client::Client;
 pub use policy::{PolicyError, Rule, SuppressionPolicy};
-pub use protocol::{Request, Response, StatsReply, WireRace};
+pub use protocol::{Request, Response, WireRace};
 pub use queue::{Admission, JobQueue, JobState};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{Server, ServerConfig, ServerHandle};

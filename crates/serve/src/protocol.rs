@@ -24,12 +24,14 @@ use std::io::{self, Read, Write};
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"CSRV";
 /// Protocol version carried in every frame. Version 2 added the FETCH /
-/// TRACE_DATA peer-replication frames and the fleet STATS counters;
-/// version 3 added the POLICY suppression frames, the per-race
-/// `suppressed` flag in VERDICT bodies, and the coalesce/suppression
-/// STATS counters; version 4 added per-rule hit counters to the POLICY
-/// reply (the audit trail behind `suppress prune`); version 5 added the
-/// METRICS frames carrying the `CMET v1` text exposition.
+/// TRACE_DATA peer-replication frames; version 3 added the POLICY
+/// suppression frames and the per-race `suppressed` flag in VERDICT
+/// bodies; version 4 added per-rule hit counters to the POLICY reply
+/// (the audit trail behind `suppress prune`); version 5 added the
+/// METRICS frames carrying the `CMET v1` text exposition. The STATS
+/// verb (request 0x04, reply 0x85) was later retired without a version
+/// bump — METRICS carries every counter it did — and both opcodes stay
+/// reserved: a peer that still sends 0x04 gets `BAD_FRAME`.
 pub const VERSION: u8 = 5;
 /// Hard cap on a frame body (64 MiB) — submissions beyond this are
 /// rejected before allocation, bounding per-connection memory.
@@ -74,8 +76,6 @@ pub enum Request {
         /// Job id from [`Response::Pending`].
         job: u64,
     },
-    /// Fetch the service counters.
-    Stats,
     /// Begin graceful drain: finish queued jobs, then exit.
     Shutdown,
     /// Fetch the raw bytes of a stored trace — the peer-replication
@@ -138,102 +138,6 @@ impl WireRace {
     }
 }
 
-/// The service counters reported by [`Response::Stats`], in wire order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsReply {
-    /// SUBMIT requests accepted (valid traces, new or deduplicated).
-    pub submits: u64,
-    /// Submissions answered by an already-stored identical trace.
-    pub submit_dedup_hits: u64,
-    /// ANALYZE requests received.
-    pub analyzes: u64,
-    /// ANALYZE requests answered from the verdict cache.
-    pub cache_hits: u64,
-    /// ANALYZE requests that had to run (or join) a replay job.
-    pub cache_misses: u64,
-    /// Jobs completed by the worker pool.
-    pub jobs_completed: u64,
-    /// ANALYZE requests shed with retry-after (queue full or per-client
-    /// cap exceeded).
-    pub jobs_rejected: u64,
-    /// ANALYZE requests that attached to an identical in-flight job
-    /// instead of enqueueing a duplicate replay.
-    pub jobs_coalesced: u64,
-    /// Traces currently resident in the store.
-    pub store_traces: u64,
-    /// Bytes currently resident in the store.
-    pub store_bytes: u64,
-    /// Traces evicted by the LRU size bound since startup.
-    pub store_evictions: u64,
-    /// Frames forwarded to backends (router nodes only; zero on a
-    /// plain `clean-serve` daemon).
-    pub forwards: u64,
-    /// Traces pulled from a peer via FETCH because a requested digest
-    /// was missing locally.
-    pub fetches: u64,
-    /// Cache hits served by verdicts reloaded from the persisted
-    /// verdict log (warm-restart hits).
-    pub cache_persist_hits: u64,
-    /// Races demoted to warnings by a matching `CSUP` suppression rule,
-    /// counted once per race per served verdict.
-    pub suppressed_hits: u64,
-}
-
-impl StatsReply {
-    const COUNTERS: usize = 15;
-
-    fn to_words(self) -> [u64; Self::COUNTERS] {
-        [
-            self.submits,
-            self.submit_dedup_hits,
-            self.analyzes,
-            self.cache_hits,
-            self.cache_misses,
-            self.jobs_completed,
-            self.jobs_rejected,
-            self.jobs_coalesced,
-            self.store_traces,
-            self.store_bytes,
-            self.store_evictions,
-            self.forwards,
-            self.fetches,
-            self.cache_persist_hits,
-            self.suppressed_hits,
-        ]
-    }
-
-    fn from_words(w: [u64; Self::COUNTERS]) -> Self {
-        StatsReply {
-            submits: w[0],
-            submit_dedup_hits: w[1],
-            analyzes: w[2],
-            cache_hits: w[3],
-            cache_misses: w[4],
-            jobs_completed: w[5],
-            jobs_rejected: w[6],
-            jobs_coalesced: w[7],
-            store_traces: w[8],
-            store_bytes: w[9],
-            store_evictions: w[10],
-            forwards: w[11],
-            fetches: w[12],
-            cache_persist_hits: w[13],
-            suppressed_hits: w[14],
-        }
-    }
-
-    /// Field-wise sum — how a router aggregates backend counters.
-    pub fn merge(self, other: StatsReply) -> StatsReply {
-        let a = self.to_words();
-        let b = other.to_words();
-        let mut out = [0u64; Self::COUNTERS];
-        for (o, (x, y)) in out.iter_mut().zip(a.iter().zip(b.iter())) {
-            *o = x.wrapping_add(*y);
-        }
-        StatsReply::from_words(out)
-    }
-}
-
 /// A server-to-client frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -269,8 +173,6 @@ pub enum Response {
         /// Suggested back-off in milliseconds.
         millis: u64,
     },
-    /// Service counters.
-    Stats(StatsReply),
     /// The request failed.
     Error {
         /// One of [`error_code`].
@@ -313,7 +215,7 @@ pub enum Response {
 pub(crate) const OP_SUBMIT: u8 = 0x01;
 const OP_ANALYZE: u8 = 0x02;
 const OP_STATUS: u8 = 0x03;
-const OP_STATS: u8 = 0x04;
+// 0x04 and 0x85 carried the retired STATS verb; never reuse them.
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_FETCH: u8 = 0x06;
 const OP_POLICY: u8 = 0x07;
@@ -323,7 +225,6 @@ const OP_SUBMITTED: u8 = 0x81;
 const OP_VERDICT: u8 = 0x82;
 const OP_PENDING: u8 = 0x83;
 const OP_RETRY_AFTER: u8 = 0x84;
-const OP_STATS_REPLY: u8 = 0x85;
 const OP_ERROR: u8 = 0x86;
 const OP_SHUTTING_DOWN: u8 = 0x87;
 const OP_TRACE_DATA: u8 = 0x88;
@@ -562,7 +463,6 @@ impl Request {
                 write_frame(w, OP_ANALYZE, &body)
             }
             Request::Status { job } => write_frame(w, OP_STATUS, &job.to_le_bytes()),
-            Request::Stats => write_frame(w, OP_STATS, &[]),
             Request::Shutdown => write_frame(w, OP_SHUTDOWN, &[]),
             Request::Fetch { digest } => write_frame(w, OP_FETCH, &digest.to_bytes()),
             Request::Policy { set } => {
@@ -603,7 +503,6 @@ impl Request {
                 }
             }
             OP_STATUS => Request::Status { job: b.u64()? },
-            OP_STATS => Request::Stats,
             OP_SHUTDOWN => Request::Shutdown,
             OP_FETCH => Request::Fetch {
                 digest: b.digest()?,
@@ -685,13 +584,6 @@ impl Response {
             Response::RetryAfter { millis } => {
                 write_frame(w, OP_RETRY_AFTER, &millis.to_le_bytes())
             }
-            Response::Stats(stats) => {
-                let mut body = Vec::with_capacity(8 * StatsReply::COUNTERS);
-                for wd in stats.to_words() {
-                    body.extend_from_slice(&wd.to_le_bytes());
-                }
-                write_frame(w, OP_STATS_REPLY, &body)
-            }
             Response::Error { code, message } => {
                 let mut body = Vec::with_capacity(1 + message.len());
                 body.push(*code);
@@ -767,13 +659,6 @@ impl Response {
             }
             OP_PENDING => Response::Pending { job: b.u64()? },
             OP_RETRY_AFTER => Response::RetryAfter { millis: b.u64()? },
-            OP_STATS_REPLY => {
-                let mut words = [0u64; StatsReply::COUNTERS];
-                for wd in &mut words {
-                    *wd = b.u64()?;
-                }
-                Response::Stats(StatsReply::from_words(words))
-            }
             OP_ERROR => {
                 let code = b.u8()?;
                 let message = String::from_utf8_lossy(b.rest()).into_owned();
@@ -847,7 +732,6 @@ mod tests {
             }
         }
         roundtrip_request(Request::Status { job: u64::MAX });
-        roundtrip_request(Request::Stats);
         roundtrip_request(Request::Shutdown);
         roundtrip_request(Request::Fetch {
             digest: TraceDigest(0xffee_ddcc_bbaa_0099_8877_6655_4433_2211),
@@ -900,23 +784,6 @@ mod tests {
         });
         roundtrip_response(Response::Pending { job: 9 });
         roundtrip_response(Response::RetryAfter { millis: 250 });
-        roundtrip_response(Response::Stats(StatsReply {
-            submits: 1,
-            submit_dedup_hits: 2,
-            analyzes: 3,
-            cache_hits: 4,
-            cache_misses: 5,
-            jobs_completed: 6,
-            jobs_rejected: 7,
-            jobs_coalesced: 8,
-            store_traces: 9,
-            store_bytes: 10,
-            store_evictions: 11,
-            forwards: 12,
-            fetches: 13,
-            cache_persist_hits: 14,
-            suppressed_hits: 15,
-        }));
         roundtrip_response(Response::Error {
             code: error_code::BAD_TRACE,
             message: "not a trace".into(),
@@ -949,32 +816,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_is_fieldwise_sum() {
-        let a = StatsReply {
-            submits: 3,
-            fetches: 1,
-            forwards: 2,
-            ..Default::default()
-        };
-        let b = StatsReply {
-            submits: 4,
-            cache_persist_hits: 5,
-            ..Default::default()
-        };
-        let m = a.merge(b);
-        assert_eq!(m.submits, 7);
-        assert_eq!(m.fetches, 1);
-        assert_eq!(m.forwards, 2);
-        assert_eq!(m.cache_persist_hits, 5);
-        assert_eq!(m.analyzes, 0);
-        let c = StatsReply {
-            jobs_coalesced: 4,
-            suppressed_hits: 6,
-            ..Default::default()
-        };
-        let m2 = m.merge(c);
-        assert_eq!(m2.jobs_coalesced, 4);
-        assert_eq!(m2.suppressed_hits, 6);
+    fn retired_stats_opcodes_are_rejected() {
+        // What an old client sends, and what an old server answers.
+        let mut request = Vec::new();
+        write_frame(&mut request, 0x04, &[]).unwrap();
+        let err = Request::read(&mut request.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut reply = Vec::new();
+        write_frame(&mut reply, 0x85, &[0u8; 8 * 15]).unwrap();
+        let err = Response::read(&mut reply.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -987,12 +838,12 @@ mod tests {
     fn malformed_frames_are_rejected() {
         // Wrong magic.
         let mut buf = Vec::new();
-        Request::Stats.write(&mut buf).unwrap();
+        Request::Metrics.write(&mut buf).unwrap();
         buf[0] = b'X';
         assert!(Request::read(&mut buf.as_slice()).is_err());
         // Wrong version.
         let mut buf = Vec::new();
-        Request::Stats.write(&mut buf).unwrap();
+        Request::Metrics.write(&mut buf).unwrap();
         buf[4] = 99;
         assert!(Request::read(&mut buf.as_slice()).is_err());
         // Truncated header.
@@ -1004,7 +855,7 @@ mod tests {
         assert!(Request::read(&mut buf.as_slice()).is_err());
         // Unknown opcode.
         let mut buf = Vec::new();
-        Request::Stats.write(&mut buf).unwrap();
+        Request::Metrics.write(&mut buf).unwrap();
         buf[5] = 0x7f;
         assert!(Request::read(&mut buf.as_slice()).is_err());
         // Trailing garbage inside the declared body.

@@ -30,12 +30,11 @@
 //! (`job | idx << 56`) before handing it to the client, and strips the
 //! tag to route a later `STATUS` poll back to the right backend.
 //!
-//! `STATS` fans out to every backend, sums the counters field-wise
-//! (skipping unreachable nodes), and adds the router's own `forwards`
-//! count. `METRICS` fans out likewise, but merges the backends' `CMET`
-//! expositions under `node="<idx>"` labels (the router's own metrics
-//! carry `node="router"`). `SHUTDOWN` fans out to every backend and
-//! then drains the router itself.
+//! `METRICS` fans out to every backend (skipping unreachable nodes) and
+//! merges the backends' `CMET` expositions under `node="<idx>"` labels;
+//! the router's own metrics, `forwards` among them, carry
+//! `node="router"`. `SHUTDOWN` fans out to every backend and then
+//! drains the router itself.
 //!
 //! # Connection pooling
 //!
@@ -50,7 +49,7 @@
 //! failed call simply falls through to the fresh-dial path.
 
 use crate::client::Client;
-use crate::protocol::{error_code, Request, Response, StatsReply};
+use crate::protocol::{error_code, Request, Response};
 use crate::server::{verb_of, Obs};
 use clean_obs::{Snapshot, Stage};
 use clean_trace::{Digester, TraceDigest, TraceReader};
@@ -302,7 +301,6 @@ impl RouterShared {
                 self.route_read(digest, request)
             }
             Request::Status { job } => self.route_status(job),
-            Request::Stats => Response::Stats(self.aggregate_stats()),
             Request::Metrics => self.aggregate_metrics(),
             Request::Policy { set } => self.route_policy(set),
             Request::Shutdown => {
@@ -453,21 +451,6 @@ impl RouterShared {
                 message: format!("backend {idx} unreachable"),
             },
         }
-    }
-
-    /// Field-wise sum of every reachable backend's counters plus the
-    /// router's own forward count.
-    fn aggregate_stats(&self) -> StatsReply {
-        let mut merged = StatsReply {
-            forwards: self.forwards.value(),
-            ..StatsReply::default()
-        };
-        for idx in 0..self.backends.len() {
-            if let Some(Response::Stats(s)) = self.forward(idx, &Request::Stats) {
-                merged = merged.merge(s);
-            }
-        }
-        merged
     }
 
     /// Fans METRICS out to every backend and merges the expositions:

@@ -39,8 +39,7 @@ use crate::cache::{Verdict, VerdictCache, VerdictKey};
 use crate::client::Client;
 use crate::policy::{SuppressionPolicy, POLICY_FILE};
 use crate::protocol::{
-    error_code, read_frame_body, read_frame_header, Request, Response, StatsReply, WireRace,
-    OP_SUBMIT,
+    error_code, read_frame_body, read_frame_header, Request, Response, WireRace, OP_SUBMIT,
 };
 use crate::queue::{Admission, JobQueue, JobState};
 use crate::store::{StoreError, TraceStore};
@@ -237,8 +236,7 @@ impl ActivePolicy {
 }
 
 /// Counters that live outside store and queue, backed by the metrics
-/// registry — the STATS wire reply and the METRICS exposition read the
-/// same cells.
+/// registry the METRICS exposition renders.
 #[derive(Debug)]
 struct ServiceCounters {
     submits: Counter,
@@ -340,32 +338,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats_reply(&self) -> StatsReply {
-        let store = self.store.stats();
-        let (jobs_completed, jobs_rejected, jobs_coalesced) = self.queue.counters();
-        StatsReply {
-            submits: self.counters.submits.value(),
-            submit_dedup_hits: self.counters.submit_dedup_hits.value(),
-            analyzes: self.counters.analyzes.value(),
-            cache_hits: self.counters.cache_hits.value(),
-            cache_misses: self.counters.cache_misses.value(),
-            jobs_completed,
-            jobs_rejected,
-            jobs_coalesced,
-            store_traces: store.traces,
-            store_bytes: store.bytes,
-            store_evictions: store.evictions,
-            // A plain daemon forwards nothing; the router owns this one.
-            forwards: 0,
-            fetches: self.counters.fetches.value(),
-            cache_persist_hits: self.cache.persist_hits(),
-            suppressed_hits: self.counters.suppressed_hits.value(),
-        }
-    }
-
     /// Renders the `CMET v1` exposition: the registry snapshot, plus
     /// the store/queue/cache counters (which own their cells elsewhere)
-    /// overlaid under their STATS names, plus the journal as comments.
+    /// overlaid under their own names, plus the journal as comments.
     fn metrics_text(&self) -> String {
         let mut snap = self.obs.registry.snapshot();
         let store = self.store.stats();
@@ -622,7 +597,6 @@ pub(crate) fn verb_of(request: &Request) -> &'static str {
         Request::Submit { .. } => "submit",
         Request::Analyze { .. } => "analyze",
         Request::Status { .. } => "status",
-        Request::Stats => "stats",
         Request::Shutdown => "shutdown",
         Request::Fetch { .. } => "fetch",
         Request::Policy { .. } => "policy",
@@ -867,7 +841,6 @@ fn handle_request(shared: &Shared, client: &str, request: Request) -> Response {
             Some(JobState::Done(v)) => verdict_response_for_job(shared, job, &v),
             Some(JobState::Failed(e)) => error_response(error_code::INTERNAL, e),
         },
-        Request::Stats => Response::Stats(shared.stats_reply()),
         // The drain itself starts in `serve_connection` after the reply
         // is written out.
         Request::Shutdown => Response::ShuttingDown,

@@ -6,7 +6,7 @@
 use clean_baselines::{FoundRace, FullRaceKind};
 use clean_core::{ThreadId, TraceEvent};
 use clean_serve::cache::{Verdict, VerdictCache, VerdictKey};
-use clean_serve::client::Client;
+use clean_serve::client::{stat, Client};
 use clean_serve::protocol::Response;
 use clean_serve::server::{Server, ServerConfig, VERDICT_LOG};
 use clean_trace::{encode_trace, EngineKind, TraceDigest};
@@ -171,8 +171,8 @@ fn server_warm_restart_replays_only_the_torn_verdict() {
     let (cached, n) = analyze(&mut client, digests[1]);
     assert!(!cached, "torn log line must be dropped and replayed");
     assert_eq!(n, race_counts[1], "the replay must reproduce the verdict");
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_persist_hits, 1, "exactly one persisted hit");
+    let persisted = stat(&client.metrics_snapshot().unwrap(), "cache_persist_hits");
+    assert_eq!(persisted, 1, "exactly one persisted hit");
     warm.shutdown();
     warm.join();
 
@@ -184,7 +184,8 @@ fn server_warm_restart_replays_only_the_torn_verdict() {
         assert!(cached, "everything must be cached after the heal");
         assert_eq!(got, n);
     }
-    assert_eq!(client.stats().unwrap().cache_persist_hits, 2);
+    let persisted = stat(&client.metrics_snapshot().unwrap(), "cache_persist_hits");
+    assert_eq!(persisted, 2);
     third.shutdown();
     third.join();
     let _ = std::fs::remove_dir_all(&dir);

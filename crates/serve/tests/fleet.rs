@@ -5,7 +5,7 @@
 //! peer FETCH from the surviving replica.
 
 use clean_obs::Snapshot;
-use clean_serve::client::Client;
+use clean_serve::client::{stat, Client};
 use clean_serve::protocol::{error_code, Response};
 use clean_serve::router::{primary_backend, Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig, ServerHandle};
@@ -100,6 +100,7 @@ fn ground_truth(dir: &Path, corpus: &[Vec<u8>]) -> Truth {
                     Replay::new(engine)
                         .lanes(4)
                         .events(&events)
+                        .unwrap()
                         .races
                         .into_iter()
                         .collect::<HashSet<_>>()
@@ -204,12 +205,13 @@ fn fleet_matches_single_node_and_direct_replay_with_kill() {
     // Dedup across nodes: every submit was forwarded to primary +
     // replica, and each (digest, node) pair stored exactly once.
     let mut client = Client::connect(router_addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.submits, 32, "16 submits x replication 2");
-    assert_eq!(stats.submit_dedup_hits, 24, "8 unique (digest, node) pairs");
-    assert_eq!(stats.store_traces, 8, "4 digests x 2 copies");
-    assert!(stats.forwards >= 32, "forwards: {}", stats.forwards);
-    assert_eq!(stats.fetches, 0, "healthy fleet never peer-fetches");
+    let s = client.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "submits"), 32, "16 submits x replication 2");
+    assert_eq!(stat(&s, "submit_dedup_hits"), 24, "8 (digest, node) pairs");
+    assert_eq!(stat(&s, "store_traces"), 8, "4 digests x 2 copies");
+    let forwards = stat(&s, "forwards");
+    assert!(forwards >= 32, "forwards: {forwards}");
+    assert_eq!(stat(&s, "fetches"), 0, "healthy fleet never peer-fetches");
 
     // Kill the primary of digest 0. The read failover lands on a node
     // that does NOT hold the replica (it sits at the ring predecessor),
@@ -223,11 +225,10 @@ fn fleet_matches_single_node_and_direct_replay_with_kill() {
     for (engine, expect) in EngineKind::ALL.iter().zip(per_engine0) {
         assert_verdict_matches(&mut client, *digest0, *engine, expect, "post-kill");
     }
-    let stats = client.stats().unwrap();
+    let fetches = stat(&client.metrics_snapshot().unwrap(), "fetches");
     assert!(
-        stats.fetches >= 1,
-        "killed primary must force a peer fetch, got {}",
-        stats.fetches
+        fetches >= 1,
+        "killed primary must force a peer fetch, got {fetches}"
     );
 
     router.join();
@@ -347,11 +348,10 @@ fn failover_under_load_keeps_serving_direct_replay_verdicts() {
     // The failover read landed on a node without the trace at least
     // once, so the peer-FETCH path must have fired.
     let mut client = Client::connect(router_addr).unwrap();
-    let stats = client.stats().unwrap();
+    let fetches = stat(&client.metrics_snapshot().unwrap(), "fetches");
     assert!(
-        stats.fetches >= 1,
-        "killing the primary must force a peer fetch, got {}",
-        stats.fetches
+        fetches >= 1,
+        "killing the primary must force a peer fetch, got {fetches}"
     );
 
     router.join();
@@ -401,10 +401,10 @@ fn router_metrics_merge_equals_per_backend_snapshots() {
         .iter()
         .map(|addr| {
             let mut direct = Client::connect(addr.as_str()).unwrap();
-            Snapshot::parse(&direct.metrics().unwrap()).unwrap()
+            direct.metrics_snapshot().unwrap()
         })
         .collect();
-    let merged = Snapshot::parse(&client.metrics().unwrap()).unwrap();
+    let merged = client.metrics_snapshot().unwrap();
 
     for name in ["submits", "analyzes", "cache_hits", "cache_misses"] {
         let mut sum = 0;
@@ -501,6 +501,7 @@ fn router_tags_jobs_and_routes_status_polls() {
     let direct: HashSet<_> = Replay::new(EngineKind::VcFull)
         .lanes(4)
         .events(&read_trace(&path).unwrap())
+        .unwrap()
         .races
         .into_iter()
         .collect();

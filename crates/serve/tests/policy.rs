@@ -6,7 +6,7 @@
 //! on every backend or fail loudly.
 
 use clean_core::{ThreadId, TraceEvent};
-use clean_serve::client::Client;
+use clean_serve::client::{stat, Client};
 use clean_serve::protocol::{error_code, Response};
 use clean_serve::router::{Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig};
@@ -66,7 +66,8 @@ fn suppression_demotes_matched_races_live_and_after_warm_restart() {
         flags.iter().all(|&s| !s),
         "no rule loaded, nothing may be suppressed"
     );
-    assert_eq!(client.stats().unwrap().suppressed_hits, 0);
+    let hits = stat(&client.metrics_snapshot().unwrap(), "suppressed_hits");
+    assert_eq!(hits, 0);
 
     // Phase 2: push a rule covering the racy address. The verdict is
     // already cached — suppression must reclassify it at serve time.
@@ -80,7 +81,7 @@ fn suppression_demotes_matched_races_live_and_after_warm_restart() {
         flags.iter().all(|&s| s),
         "every WAW at 0x40 must be demoted to a warning"
     );
-    let hits = client.stats().unwrap().suppressed_hits;
+    let hits = stat(&client.metrics_snapshot().unwrap(), "suppressed_hits");
     assert!(hits >= 1, "suppressed_hits must advance, got {hits}");
 
     // The set must have persisted beside the store.
@@ -100,7 +101,7 @@ fn suppression_demotes_matched_races_live_and_after_warm_restart() {
         flags.iter().all(|&s| s),
         "suppression must survive the restart"
     );
-    assert!(client.stats().unwrap().suppressed_hits >= 1);
+    assert!(stat(&client.metrics_snapshot().unwrap(), "suppressed_hits") >= 1);
     match client.policy().unwrap() {
         Response::Policy { rules, text, .. } => {
             assert_eq!(rules, 1);

@@ -3,7 +3,7 @@
 //! the acceptance bar — 16 concurrent clients whose served verdicts
 //! all equal a direct `Replay` run.
 
-use clean_serve::client::Client;
+use clean_serve::client::{stat, Client};
 use clean_serve::protocol::{error_code, Response};
 use clean_serve::server::{Server, ServerConfig};
 use clean_trace::{
@@ -73,6 +73,7 @@ fn submit_analyze_matches_direct_replay() {
         let direct: HashSet<_> = Replay::new(EngineKind::Clean)
             .lanes(4)
             .events(&direct_events)
+            .unwrap()
             .races
             .into_iter()
             .collect();
@@ -103,7 +104,7 @@ fn resubmit_dedups_and_repeat_analyze_hits_cache() {
         panic!("expected verdict");
     };
     assert!(!cached);
-    let stats_before = client.stats().unwrap();
+    let before = client.metrics_snapshot().unwrap();
     let Response::Verdict {
         cached: cached2,
         races: races2,
@@ -114,14 +115,15 @@ fn resubmit_dedups_and_repeat_analyze_hits_cache() {
     };
     assert!(cached2, "repeat ANALYZE is served from the verdict cache");
     assert_eq!(races2, races);
-    let stats_after = client.stats().unwrap();
-    assert_eq!(stats_after.cache_hits, stats_before.cache_hits + 1);
+    let after = client.metrics_snapshot().unwrap();
+    assert_eq!(stat(&after, "cache_hits"), stat(&before, "cache_hits") + 1);
     assert_eq!(
-        stats_after.jobs_completed, stats_before.jobs_completed,
+        stat(&after, "jobs_completed"),
+        stat(&before, "jobs_completed"),
         "a cache hit must not run a replay job"
     );
-    assert_eq!(stats_after.submit_dedup_hits, 1);
-    assert_eq!(stats_after.submits, 2);
+    assert_eq!(stat(&after, "submit_dedup_hits"), 1);
+    assert_eq!(stat(&after, "submits"), 2);
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -156,6 +158,7 @@ fn sixteen_concurrent_clients_get_direct_replay_verdicts() {
                 Replay::new(EngineKind::Clean)
                     .lanes(4)
                     .events(&events)
+                    .unwrap()
                     .races
                     .into_iter()
                     .collect(),
@@ -201,16 +204,18 @@ fn sixteen_concurrent_clients_get_direct_replay_verdicts() {
     }
 
     let mut client = Client::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.store_traces, 4, "4 distinct digests stored");
-    assert_eq!(stats.submit_dedup_hits, 12, "16 submits, 4 unique");
-    assert_eq!(stats.analyzes, 16 * 8, "two passes of four per client");
+    let s = client.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "store_traces"), 4, "4 distinct digests stored");
+    assert_eq!(stat(&s, "submit_dedup_hits"), 12, "16 submits, 4 unique");
+    assert_eq!(stat(&s, "analyzes"), 16 * 8, "two passes of four each");
     // Every key needs at least one replay job; coalescing and the
     // cache keep the rest cheap. Each client's second pass re-analyzes
     // keys whose verdicts it already waited for, so at least those four
     // per client are guaranteed cache hits.
-    assert!(stats.jobs_completed >= 4, "jobs: {}", stats.jobs_completed);
-    assert!(stats.cache_hits >= 16 * 4, "hits: {}", stats.cache_hits);
+    let jobs = stat(&s, "jobs_completed");
+    assert!(jobs >= 4, "jobs: {jobs}");
+    let hits = stat(&s, "cache_hits");
+    assert!(hits >= 16 * 4, "hits: {hits}");
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -231,8 +236,8 @@ fn zero_capacity_queue_sheds_with_retry_after() {
         Response::RetryAfter { millis } => assert_eq!(millis, 123),
         other => panic!("expected RetryAfter, got {other:?}"),
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.jobs_rejected, 1);
+    let s = client.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "jobs_rejected"), 1);
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -285,8 +290,8 @@ fn per_client_cap_sheds_nowait_flood() {
         }
     }
     assert!(shed >= 1, "a 3-deep flood over a 2-job cap must shed");
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.jobs_rejected, shed);
+    let s = client.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "jobs_rejected"), shed);
     // The admitted jobs still finish and can be polled to verdicts.
     for job in jobs {
         loop {
@@ -436,6 +441,7 @@ fn graceful_shutdown_drains_queued_job() {
     let direct: HashSet<_> = Replay::new(EngineKind::Clean)
         .lanes(4)
         .events(&read_trace(&path).unwrap())
+        .unwrap()
         .races
         .into_iter()
         .collect();
@@ -484,11 +490,12 @@ fn warm_restart_serves_persisted_verdicts_without_replaying() {
         assert!(cached, "warm restart must serve from the persisted log");
         verdicts.push(races);
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.jobs_completed, 0, "no replay ran after restart");
-    assert_eq!(stats.cache_hits, 2);
+    let s = client.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "jobs_completed"), 0, "no replay ran after restart");
+    assert_eq!(stat(&s, "cache_hits"), 2);
     assert_eq!(
-        stats.cache_persist_hits, 2,
+        stat(&s, "cache_persist_hits"),
+        2,
         "both hits came from reloaded entries"
     );
     // And the reloaded verdicts are the real ones.
@@ -502,6 +509,7 @@ fn warm_restart_serves_persisted_verdicts_without_replaying() {
         let direct: HashSet<_> = Replay::new(engine)
             .lanes(4)
             .events(&events)
+            .unwrap()
             .races
             .into_iter()
             .collect();
@@ -536,22 +544,23 @@ fn peer_fetch_pulls_missing_trace_before_replaying() {
     let direct: HashSet<_> = Replay::new(EngineKind::Clean)
         .lanes(4)
         .events(&read_trace(&path).unwrap())
+        .unwrap()
         .races
         .into_iter()
         .collect();
     let served: HashSet<_> = races.into_iter().map(|r| r.to_found()).collect();
     assert_eq!(served, direct, "fetched-trace verdict must equal direct");
 
-    let stats = client_b.stats().unwrap();
-    assert_eq!(stats.fetches, 1, "exactly one peer fetch");
-    assert_eq!(stats.store_traces, 1, "the fetched trace is now resident");
+    let s = client_b.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "fetches"), 1, "exactly one peer fetch");
+    assert_eq!(stat(&s, "store_traces"), 1, "the fetched trace is resident");
 
     // A repeat analyze is a local cache hit — no second fetch.
     assert!(matches!(
         client_b.analyze(digest, EngineKind::Clean, true).unwrap(),
         Response::Verdict { cached: true, .. }
     ));
-    assert_eq!(client_b.stats().unwrap().fetches, 1);
+    assert_eq!(stat(&client_b.metrics_snapshot().unwrap(), "fetches"), 1);
 
     // A digest nobody holds still fails cleanly after the peer round.
     match client_b
@@ -602,18 +611,15 @@ fn evicted_digest_is_refetched_from_peer() {
             Response::Verdict { .. }
         ));
     }
-    let stats = client_b.stats().unwrap();
-    assert_eq!(stats.fetches, 4);
+    let s = client_b.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "fetches"), 4);
     // The exact eviction count races the worker's deferred unpin (a
     // still-pinned predecessor survives one insert and is collected by
     // the next); what is deterministic is that evictions happened at
     // all, and — asserted below via the fetch counter — that digest 0
     // was among the victims.
-    assert!(
-        stats.store_evictions >= 1,
-        "evictions: {}",
-        stats.store_evictions
-    );
+    let evictions = stat(&s, "store_evictions");
+    assert!(evictions >= 1, "evictions: {evictions}");
 
     // The first digest was evicted long ago. Its verdict is still
     // cached, so analysis under the *same* engine never needs the bytes
@@ -624,7 +630,8 @@ fn evicted_digest_is_refetched_from_peer() {
             .unwrap(),
         Response::Verdict { cached: true, .. }
     ));
-    assert_eq!(client_b.stats().unwrap().fetches, 4, "cache hit, no fetch");
+    let fetches = stat(&client_b.metrics_snapshot().unwrap(), "fetches");
+    assert_eq!(fetches, 4, "cache hit, no fetch");
     // ...but a *different* engine must replay, which re-fetches and
     // re-pins the evicted trace.
     let Response::Verdict { races, .. } = client_b
@@ -633,13 +640,14 @@ fn evicted_digest_is_refetched_from_peer() {
     else {
         panic!("expected verdict after re-fetch");
     };
-    let stats = client_b.stats().unwrap();
-    assert_eq!(stats.fetches, 5, "evicted digest fetched again");
+    let s = client_b.metrics_snapshot().unwrap();
+    assert_eq!(stat(&s, "fetches"), 5, "evicted digest fetched again");
     let path = dir.join("refetch.cltr");
     std::fs::write(&path, &corpus[0]).unwrap();
     let direct: HashSet<_> = Replay::new(EngineKind::FastTrack)
         .lanes(4)
         .events(&read_trace(&path).unwrap())
+        .unwrap()
         .races
         .into_iter()
         .collect();
@@ -667,6 +675,7 @@ fn verdicts_consistent_across_engines() {
         let direct: HashSet<_> = Replay::new(engine)
             .lanes(4)
             .events(&events)
+            .unwrap()
             .races
             .into_iter()
             .collect();

@@ -7,6 +7,7 @@ use clean_core::{ThreadId, TraceEvent};
 use clean_obs::{Snapshot, EXPOSITION_HEADER};
 use clean_serve::client::Client;
 use clean_serve::protocol::{error_code, Request, Response, MAGIC, VERSION};
+use clean_serve::router::{Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig};
 use clean_trace::{encode_trace, TraceDigest};
 use std::io::{Read, Write};
@@ -21,21 +22,29 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn stats_over_raw_socket() {
-    let dir = scratch("stats");
+fn retired_stats_opcode_gets_bad_frame_from_server_and_router() {
+    let dir = scratch("retired");
     let server = Server::start(ServerConfig::new(&dir)).unwrap();
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
-
-    // Hand-rolled STATS frame: magic, version, opcode 0x04, empty body.
+    let router = Router::start(RouterConfig::new(vec![server.addr().to_string()])).unwrap();
+    // What a client of the retired STATS verb sends: opcode 0x04, empty
+    // body, current version.
     let mut frame = Vec::new();
     frame.extend_from_slice(&MAGIC);
     frame.push(VERSION);
     frame.push(0x04);
     frame.extend_from_slice(&0u32.to_le_bytes());
-    sock.write_all(&frame).unwrap();
-
-    let reply = Response::read(&mut sock).unwrap().unwrap();
-    assert!(matches!(reply, Response::Stats(_)), "got {reply:?}");
+    for addr in [server.addr(), router.addr()] {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&frame).unwrap();
+        match Response::read(&mut sock).unwrap().unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, error_code::BAD_FRAME),
+            other => panic!("{addr}: expected BAD_FRAME error, got {other:?}"),
+        }
+        // The refusal costs that connection only.
+        let mut client = Client::connect(addr).unwrap();
+        client.metrics_snapshot().expect("a fresh client is served");
+    }
+    router.join();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -67,7 +76,7 @@ fn wrong_version_and_unknown_opcode_are_rejected() {
     let dir = scratch("version");
     let server = Server::start(ServerConfig::new(&dir)).unwrap();
 
-    for (version, opcode) in [(VERSION + 1, 0x04u8), (VERSION, 0x6fu8)] {
+    for (version, opcode) in [(VERSION + 1, 0x08u8), (VERSION, 0x6fu8)] {
         let mut sock = TcpStream::connect(server.addr()).unwrap();
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
@@ -115,10 +124,10 @@ fn half_frame_then_disconnect_is_tolerated() {
     }
     // The server is still healthy afterwards.
     let mut sock = TcpStream::connect(server.addr()).unwrap();
-    Request::Stats.write(&mut sock).unwrap();
+    Request::Metrics.write(&mut sock).unwrap();
     assert!(matches!(
         Response::read(&mut sock).unwrap().unwrap(),
-        Response::Stats(_)
+        Response::Metrics { .. }
     ));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -225,10 +234,10 @@ fn idle_connection_outlives_the_io_timeout() {
     // Idle at a frame boundary for several timeout periods: the server
     // must keep the connection, only mid-frame stalls are evicted.
     std::thread::sleep(Duration::from_millis(350));
-    Request::Stats.write(&mut sock).unwrap();
+    Request::Metrics.write(&mut sock).unwrap();
     assert!(matches!(
         Response::read(&mut sock).unwrap().unwrap(),
-        Response::Stats(_)
+        Response::Metrics { .. }
     ));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -286,7 +295,7 @@ fn metrics_over_raw_socket_round_trips_the_exposition() {
     }
 
     // The typed client path reads the same exposition.
-    let typed = Snapshot::parse(&client.metrics().unwrap()).unwrap();
+    let typed = client.metrics_snapshot().unwrap();
     assert_eq!(typed.counter("submits", &[]), Some(1));
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

@@ -11,7 +11,7 @@
 //! One server instance is shared across all cases (each case costs only
 //! a connect), with a short io timeout so stalls resolve quickly.
 
-use clean_serve::client::Client;
+use clean_serve::client::{stat, Client};
 use clean_serve::protocol::{error_code, Response, MAGIC, VERSION};
 use clean_serve::server::{Server, ServerConfig};
 use proptest::prelude::*;
@@ -179,7 +179,7 @@ proptest! {
         let bytes = frame(MAGIC, VERSION, opcode, body.len() as u32, &body);
         // exchange() panics on wedge or unparseable reply; any reply
         // variant is acceptable — random bodies can spell valid
-        // requests (e.g. opcode 0x04 STATS with an empty body).
+        // requests (e.g. opcode 0x08 METRICS with an empty body).
         let _ = exchange(&bytes, false);
     }
 
@@ -197,8 +197,8 @@ proptest! {
             // Drop: mid-header (or mid-frame) EOF.
         }
         let mut client = Client::connect(target()).expect("server must accept new clients");
-        let stats = client.stats().expect("server must still answer STATS");
-        prop_assert!(stats.submits == 0, "the fuzzer never submits a valid trace");
+        let snap = client.metrics_snapshot().expect("server must still answer METRICS");
+        prop_assert!(stat(&snap, "submits") == 0, "the fuzzer never submits a valid trace");
     }
 }
 
@@ -208,8 +208,8 @@ proptest! {
 #[test]
 fn zz_fuzz_target_survives_the_whole_session() {
     let mut client = Client::connect(target()).expect("connect after fuzzing");
-    let stats = client.stats().expect("STATS after fuzzing");
+    let snap = client.metrics_snapshot().expect("METRICS after fuzzing");
     // No fuzz case ever spells a valid SUBMIT (they would need a real
     // trace body); a responsive, zero-submit server is a healthy one.
-    assert_eq!(stats.submits, 0);
+    assert_eq!(stat(&snap, "submits"), 0);
 }

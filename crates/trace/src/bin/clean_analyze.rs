@@ -356,7 +356,10 @@ fn cmd_replay(rest: &[String]) -> Result<ExitCode, CliError> {
         let start = Instant::now();
         let replay = Replay::new(kind).lanes(lanes);
         let (races, detail) = match &slice {
-            Some(events) => (replay.events(events).races, String::new()),
+            Some(events) => (
+                replay.events(events).map_err(trace_err)?.races,
+                String::new(),
+            ),
             None => {
                 let done = replay.file(path).map_err(trace_err)?;
                 let detail = format!(
@@ -448,8 +451,9 @@ fn cmd_diff(rest: &[String]) -> Result<ExitCode, CliError> {
     let events = read_trace(path).map_err(trace_err)?;
     let verdicts: Vec<(EngineKind, Vec<FoundRace>)> = EngineKind::ALL
         .iter()
-        .map(|&k| (k, Replay::new(k).lanes(shards).events(&events).races))
-        .collect();
+        .map(|&k| Ok((k, Replay::new(k).lanes(shards).events(&events)?.races)))
+        .collect::<clean_trace::Result<_>>()
+        .map_err(trace_err)?;
     for (kind, races) in &verdicts {
         let (waw, raw, war) = kind_counts(races);
         println!(

@@ -38,7 +38,7 @@
 //! let back = read_trace("waw.cltr")?;
 //! assert_eq!(back, events);
 //! let replay = Replay::new(EngineKind::Clean).lanes(4);
-//! assert_eq!(replay.events(&back).races.len(), 1);
+//! assert_eq!(replay.events(&back)?.races.len(), 1);
 //! assert_eq!(replay.file("waw.cltr")?.races.len(), 1);
 //! # Ok::<(), clean_trace::TraceError>(())
 //! ```

@@ -152,6 +152,18 @@ pub fn required_threads(events: &[TraceEvent]) -> usize {
     events.iter().map(event_slots).max().unwrap_or(1)
 }
 
+/// Passes `slots` through if the engines can index that many threads,
+/// and refuses it with [`TraceError::TooManyThreads`] otherwise.
+fn fit_slots(slots: usize) -> Result<usize> {
+    if slots > MAX_THREADS {
+        return Err(TraceError::TooManyThreads {
+            threads: slots,
+            max: MAX_THREADS,
+        });
+    }
+    Ok(slots)
+}
+
 /// Result of one streaming pass over a trace file: its sizing facts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceScan {
@@ -364,7 +376,8 @@ pub struct Replayed {
 ///     TraceEvent::Write { tid: ThreadId::new(1), addr: 64, size: 4 },
 /// ];
 /// let replay = Replay::new(EngineKind::Clean);
-/// assert_eq!(replay.events(&events).races, replay.lanes(4).events(&events).races);
+/// assert_eq!(replay.events(&events)?.races, replay.lanes(4).events(&events)?.races);
+/// # Ok::<(), clean_trace::TraceError>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Replay {
@@ -393,14 +406,17 @@ impl Replay {
 
     /// Replays an in-memory trace.
     ///
+    /// # Errors
+    ///
+    /// [`TraceError::TooManyThreads`] if the events name more than
+    /// [`MAX_THREADS`] threads.
+    ///
     /// # Panics
     ///
-    /// Panics if the events name more than [`MAX_THREADS`] threads, or if
-    /// a lane thread panics.
-    pub fn events(&self, events: &[TraceEvent]) -> Replayed {
-        let source = events.iter().map(|ev| Ok(*ev));
-        self.run(required_threads(events), source, false)
-            .expect("a slice source cannot fail")
+    /// Panics if a lane thread panics.
+    pub fn events(&self, events: &[TraceEvent]) -> Result<Replayed> {
+        let slots = fit_slots(required_threads(events))?;
+        self.run(slots, events.iter().map(|ev| Ok(*ev)), false)
     }
 
     /// Replays a trace file of either format version without loading it
@@ -419,13 +435,7 @@ impl Replay {
     /// Panics if a lane thread panics.
     pub fn file(&self, path: impl AsRef<Path>) -> Result<Replayed> {
         let path = path.as_ref();
-        let slots = scan_trace(path)?.threads;
-        if slots > MAX_THREADS {
-            return Err(TraceError::TooManyThreads {
-                threads: slots,
-                max: MAX_THREADS,
-            });
-        }
+        let slots = fit_slots(scan_trace(path)?.threads)?;
         // The detectors index per-thread state by thread id: a file
         // whose table understates its thread count must not reach them.
         let in_table = move |ev: Result<TraceEvent>| match ev {

@@ -164,7 +164,7 @@ proptest! {
             w.finish().unwrap();
         }
         let replay = Replay::new(EngineKind::Clean).lanes(4);
-        let expected = replay.events(&events).races;
+        let expected = replay.events(&events).unwrap().races;
         prop_assert!(!expected.is_empty());
 
         let mut bytes = std::fs::read(&path).unwrap();

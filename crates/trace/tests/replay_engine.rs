@@ -135,7 +135,7 @@ fn every_engine_source_and_lane_count_matches_the_sequential_detector() {
         for lanes in [1, 2, 3, 8] {
             let replay = Replay::new(kind).lanes(lanes);
             let cells = [
-                ("slice", replay.events(&events)),
+                ("slice", replay.events(&events).unwrap()),
                 ("v1 file", replay.file(&v1).unwrap()),
                 ("v2 file", replay.file(&v2).unwrap()),
                 ("v2 file, 64-byte chunks", replay.file(&tiny).unwrap()),
@@ -154,7 +154,7 @@ fn every_engine_source_and_lane_count_matches_the_sequential_detector() {
 
 #[test]
 fn empty_and_missing_sources() {
-    let none = Replay::new(EngineKind::Clean).lanes(2).events(&[]);
+    let none = Replay::new(EngineKind::Clean).lanes(2).events(&[]).unwrap();
     assert!(none.races.is_empty());
     assert_eq!((none.events, none.batches, none.used_mmap), (0, 0, false));
     assert!(scan_trace("/nonexistent/clean-trace.cltr").is_err());
@@ -314,10 +314,13 @@ fn crafted_empty_oversized_and_wrapping_accesses_are_refused_on_every_path() {
         w(0, 128, 4),
         w(1, 128, 4),
     ];
-    let one = Replay::new(EngineKind::Clean).events(&slice);
+    let one = Replay::new(EngineKind::Clean).events(&slice).unwrap();
     assert_eq!(one.races.len(), 1);
     for lanes in [2, 3] {
-        let many = Replay::new(EngineKind::Clean).lanes(lanes).events(&slice);
+        let many = Replay::new(EngineKind::Clean)
+            .lanes(lanes)
+            .events(&slice)
+            .unwrap();
         assert_eq!(many.races, one.races);
     }
 }
@@ -377,5 +380,24 @@ fn more_threads_than_the_engines_have_ids_for_is_an_error_not_a_panic() {
             );
         }
         std::fs::remove_file(file).ok();
+    }
+}
+
+#[test]
+fn a_slice_naming_257_threads_is_an_error_not_a_panic() {
+    for lanes in [1, 2] {
+        let done = Replay::new(EngineKind::Clean)
+            .lanes(lanes)
+            .events(&[w(256, 0, 4)]);
+        assert!(
+            matches!(
+                done,
+                Err(TraceError::TooManyThreads {
+                    threads: 257,
+                    max: 256
+                })
+            ),
+            "{lanes} lanes gave {done:?}"
+        );
     }
 }

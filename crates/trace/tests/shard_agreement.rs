@@ -29,11 +29,11 @@ const PROFILES: &[&str] = &[
 ];
 
 fn sequential(events: &[TraceEvent], kind: EngineKind) -> Vec<FoundRace> {
-    Replay::new(kind).events(events).races
+    Replay::new(kind).events(events).unwrap().races
 }
 
 fn sharded(events: &[TraceEvent], kind: EngineKind, lanes: usize) -> Vec<FoundRace> {
-    Replay::new(kind).lanes(lanes).events(events).races
+    Replay::new(kind).lanes(lanes).events(events).unwrap().races
 }
 
 fn record(name: &str, threads: usize) -> Vec<TraceEvent> {
