@@ -23,7 +23,8 @@
 //! installed versus without, per action class — `plan_private` (whole
 //! footprint provably elidable), `plan_stride` (range-coalesced filter
 //! entries recover the filter-defeating sweep), `plan_batch` (wide
-//! accesses through the chunked epoch-compare loop). Plan-off and plan-on
+//! accesses in batch ranges, which run the same word-wide compare as any
+//! other check and are only counted apart). Plan-off and plan-on
 //! run in alternating pairs too; headline `plan_speedup` is the median
 //! per-pair ratio on `plan_private`.
 //!
@@ -248,7 +249,7 @@ struct PlanProfile {
 /// elidable); `plan_stride` is the filter-defeating sequential sweep the
 /// range-coalesced filter entries recover (32 KiB of 8-byte words evicts
 /// the 128 direct-mapped slots long before a revisit); `plan_batch`
-/// routes wide accesses through the chunked epoch-compare loop.
+/// checks wide accesses in batch ranges, counted in `plan_batched`.
 const PLAN_PROFILES: [PlanProfile; 3] = [
     PlanProfile {
         name: "plan_private",
@@ -373,7 +374,7 @@ fn run_plan_cell(
             ),
             PlanAction::Batch => assert!(
                 snap.plan_batched > 0,
-                "{}: batch spans must route through the chunked compare",
+                "{}: checks in batch spans must be counted",
                 profile.name
             ),
             PlanAction::Coalesce => assert!(

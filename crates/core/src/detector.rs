@@ -66,10 +66,6 @@ pub enum AtomicityMode {
     PerCheckLocking,
 }
 
-/// Width in epochs of the modelled wide CAS (Section 4.4: a 128-bit CAS
-/// updates 4 adjacent 32-bit epochs at once).
-pub const WIDE_CAS_EPOCHS: usize = 4;
-
 /// Number of stripes in the lock table of
 /// [`AtomicityMode::PerCheckLocking`].
 const LOCK_STRIPES: usize = 64;
@@ -90,8 +86,9 @@ pub struct DetectorConfig {
     /// entry points. Per planned range the detector elides provably
     /// thread-private checks (guarded: only the witness owner skips;
     /// foreign threads take the full check), routes strided sweeps
-    /// through growable coalesced filter ranges, or runs the chunked
-    /// batched epoch-compare loop. `None` (the default) changes nothing.
+    /// through growable coalesced filter ranges, or counts a `batch` span
+    /// in `plan_batched` (it runs the same word-wide compare as any other
+    /// check). `None` (the default) changes nothing.
     pub check_plan: Option<Arc<CompiledPlan>>,
 }
 
@@ -345,7 +342,7 @@ impl CleanDetector {
         };
         let _guard = self.check_guard(addr);
         let mut cache = ShadowPageCache::new();
-        let result = self.read_body(&mut cache, &mut pending, vc, tid, addr, size, false);
+        let result = self.read_body(&mut cache, &mut pending, vc, tid, addr, size);
         self.flush(tid, &pending);
         result
     }
@@ -391,7 +388,9 @@ impl CleanDetector {
             state.pending.filter_hits += 1;
             return Ok(());
         }
-        let batched = matches!(decision, Some(PlanDecision::Batch));
+        if matches!(decision, Some(PlanDecision::Batch)) {
+            state.pending.plan_batched += 1;
+        }
         let _guard = self.check_guard(addr);
         self.read_body(
             &mut state.page_cache,
@@ -400,11 +399,9 @@ impl CleanDetector {
             tid,
             addr,
             size,
-            batched,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn read_body(
         &self,
         cache: &mut ShadowPageCache,
@@ -413,20 +410,11 @@ impl CleanDetector {
         tid: ThreadId,
         addr: usize,
         size: usize,
-        batched: bool,
     ) -> Result<(), RaceReport> {
         if self.config.vectorized && size > 1 {
             // Section 4.4: vector-load all epochs; if they are all equal it
             // suffices to test one (there is a race on all bytes or none).
-            // Plan-batched spans take the chunked compare loop instead of
-            // the scalar-acquire walk; verdicts are identical.
-            let uniform = if batched {
-                pending.plan_batched += 1;
-                self.shadow.range_uniform_batched(addr, size, cache)
-            } else {
-                self.shadow.range_uniform(addr, size, cache)
-            };
-            if let Some(e) = uniform {
+            if let Some(e) = self.shadow.range_uniform(addr, size, cache) {
                 pending.uniform_fast_path += 1;
                 if vc.races_with(e) {
                     return Err(self.report(pending, AccessKind::Read, vc, tid, addr, size, e));
@@ -476,16 +464,7 @@ impl CleanDetector {
         let _guard = self.check_guard(addr);
         let new_epoch = vc.write_epoch(tid);
         let mut cache = ShadowPageCache::new();
-        let result = self.write_body(
-            &mut cache,
-            &mut pending,
-            vc,
-            tid,
-            addr,
-            size,
-            new_epoch,
-            false,
-        );
+        let result = self.write_body(&mut cache, &mut pending, vc, tid, addr, size, new_epoch);
         self.flush(tid, &pending);
         result
     }
@@ -535,7 +514,9 @@ impl CleanDetector {
             state.pending.filter_hits += 1;
             return Ok(());
         }
-        let batched = matches!(decision, Some(PlanDecision::Batch));
+        if matches!(decision, Some(PlanDecision::Batch)) {
+            state.pending.plan_batched += 1;
+        }
         let _guard = self.check_guard(addr);
         let result = self.write_body(
             &mut state.page_cache,
@@ -545,7 +526,6 @@ impl CleanDetector {
             addr,
             size,
             new_epoch,
-            batched,
         );
         if result.is_ok() {
             // The full check passed: all bytes now hold `new_epoch` under
@@ -574,16 +554,9 @@ impl CleanDetector {
         addr: usize,
         size: usize,
         new_epoch: Epoch,
-        batched: bool,
     ) -> Result<(), RaceReport> {
         if self.config.vectorized && size > 1 {
-            let uniform = if batched {
-                pending.plan_batched += 1;
-                self.shadow.range_uniform_batched(addr, size, cache)
-            } else {
-                self.shadow.range_uniform(addr, size, cache)
-            };
-            if let Some(e) = uniform {
+            if let Some(e) = self.shadow.range_uniform(addr, size, cache) {
                 pending.uniform_fast_path += 1;
                 if vc.races_with(e) {
                     return Err(self.report(pending, AccessKind::Write, vc, tid, addr, size, e));
@@ -593,8 +566,8 @@ impl CleanDetector {
                     pending.update_skipped += 1;
                     return Ok(());
                 }
-                // Wide-CAS publish: groups of up to WIDE_CAS_EPOCHS epochs
-                // are updated per modelled 128-bit CAS (Section 4.4).
+                // Wide-CAS publish: one 64-bit CAS per two-byte shadow
+                // word (Section 4.4).
                 return self.publish_range(cache, pending, vc, tid, addr, size, e, new_epoch);
             }
             pending.per_byte_slow_path += 1;
@@ -609,11 +582,7 @@ impl CleanDetector {
                 pending.update_skipped += 1;
                 continue;
             }
-            if let Err(found) = self.shadow.compare_exchange(addr + i, e, new_epoch, cache) {
-                pending.cas_conflicts += 1;
-                return Err(self.report(pending, AccessKind::Write, vc, tid, addr + i, 1, found));
-            }
-            pending.epoch_updates += 1;
+            self.publish_range(cache, pending, vc, tid, addr + i, 1, e, new_epoch)?;
         }
         Ok(())
     }
@@ -632,18 +601,22 @@ impl CleanDetector {
         expected: Epoch,
         new_epoch: Epoch,
     ) -> Result<(), RaceReport> {
-        if let Err((at, found)) = self
+        match self
             .shadow
             .compare_exchange_range(addr, size, expected, new_epoch, cache)
         {
-            // A concurrent check interleaved between our load and CAS.
-            // Seeing our own new epoch is impossible (no thread races
-            // with itself), so this is a concurrent unordered write.
-            pending.cas_conflicts += 1;
-            return Err(self.report(pending, AccessKind::Write, vc, tid, at, 1, found));
+            Ok(issued) => {
+                pending.epoch_updates += issued;
+                Ok(())
+            }
+            Err((at, found)) => {
+                // A concurrent check interleaved between our load and CAS.
+                // Seeing our own new epoch is impossible (no thread races
+                // with itself), so this is a concurrent unordered write.
+                pending.cas_conflicts += 1;
+                Err(self.report(pending, AccessKind::Write, vc, tid, at, 1, found))
+            }
         }
-        pending.epoch_updates += (size as u64).div_ceil(WIDE_CAS_EPOCHS as u64);
-        Ok(())
     }
 
     /// Unified entry point dispatching on [`AccessKind`].
@@ -973,7 +946,7 @@ mod tests {
         det.check_write_with(&vcs[0], t0, 0, 8, &mut st).unwrap();
         det.drain_check_state(t0, &mut st);
         let updates_after_first = det.stats().epoch_updates;
-        assert_eq!(updates_after_first, 2, "one 8-byte wide-CAS publish");
+        assert_eq!(updates_after_first, 4, "one 8-byte publish, 4 word CASes");
         // Repeat writes and reads of the published range: all filter hits,
         // no further shadow traffic.
         for _ in 0..10 {
@@ -1074,7 +1047,7 @@ mod tests {
     #[test]
     fn fast_path_handles_page_straddles_like_plain_path() {
         use crate::shadow::PAGE_EPOCHS;
-        // Straddling ranges take the page cache's byte-by-byte walk and
+        // Straddling ranges are compared and published page by page and
         // never split filter entries: verdicts and shadow state must match
         // the plain path.
         let det = CleanDetector::new(1 << 16, DetectorConfig::new());
@@ -1243,7 +1216,7 @@ mod tests {
             }
         };
         vc0.increment(t0).unwrap();
-        // Uniform publishes over fresh bytes: ⌈8/4⌉ wide CASes each.
+        // Uniform publishes over fresh bytes: one CAS per two-byte word.
         check(Write, &vc0, t0, 0x40, 8, &mut st0).unwrap();
         // Nothing reaches the shards before a drain; a stateless call
         // flushes at once.
@@ -1262,7 +1235,7 @@ mod tests {
         det.drain_check_state(t0, &mut st0);
         st0.on_epoch_increment();
         check(Write, &vc0, t0, p - 4, 8, &mut st0).unwrap();
-        // A plan-batched span: one uniform publish of 16 wide CASes.
+        // A plan-batched span: one uniform publish of 32 word CASes.
         check(Write, &vc0, t0, p + 0x40, 64, &mut st0).unwrap();
         // t1 never synchronized with t0: one RAW.
         check(Read, &vc1, t1, 0x40, 8, &mut st1).unwrap_err();
@@ -1279,7 +1252,7 @@ mod tests {
             bytes_checked: 8 + 8 + 1 + 16 + 4 + 8 + 64 + 8,
             uniform_fast_path: 6,
             per_byte_slow_path: 1,
-            epoch_updates: 2 + 2 + 1 + 8 + 16,
+            epoch_updates: 4 + 4 + 2 + 8 + 32,
             update_skipped: 1,
             cas_conflicts: 0,
             races_reported: 1,

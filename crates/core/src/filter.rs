@@ -203,7 +203,7 @@ pub struct PendingStats {
     pub uniform_fast_path: u64,
     /// Multi-byte accesses that fell back to per-byte checks.
     pub per_byte_slow_path: u64,
-    /// Epoch updates published.
+    /// Shadow-word CASes issued to publish epochs.
     pub epoch_updates: u64,
     /// Write checks that found the epoch already current.
     pub update_skipped: u64,
@@ -215,7 +215,7 @@ pub struct PendingStats {
     pub filter_hits: u64,
     /// Checks skipped under a compiled plan's elide ranges.
     pub plan_elided: u64,
-    /// Accesses resolved by the plan-directed chunked compare loop.
+    /// Checks in a compiled plan's batch ranges that missed the filter.
     pub plan_batched: u64,
 }
 

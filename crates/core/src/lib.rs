@@ -65,12 +65,12 @@ mod stats;
 mod trace_event;
 
 pub use clock::{ClockRolloverError, VectorClock};
-pub use detector::{AtomicityMode, CleanDetector, DetectorConfig, DetectorObs, WIDE_CAS_EPOCHS};
+pub use detector::{AtomicityMode, CleanDetector, DetectorConfig, DetectorObs};
 pub use epoch::{Epoch, EpochLayout, ThreadId};
 pub use filter::{PendingStats, SfrWriteFilter, ThreadCheckState, FILTER_SLOTS, RANGE_SLOTS};
 pub use report::{AccessKind, RaceKind, RaceReport};
 pub use rollover::RolloverCoordinator;
-pub use shadow::{ShadowMemory, ShadowPageCache, ShadowStats, BATCH_CHUNK, PAGE_EPOCHS};
+pub use shadow::{ShadowMemory, ShadowPageCache, ShadowStats, PAGE_EPOCHS};
 pub use stats::{DetectorStats, StatsShard, StatsSnapshot, DEFAULT_STATS_SHARDS};
 pub use trace_event::{EventSink, LockId, TraceEvent};
 

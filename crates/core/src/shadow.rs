@@ -14,20 +14,50 @@
 //!   region, a global generation counter is bumped; pages whose generation
 //!   is stale read as zero — the software analogue of remapping epoch pages
 //!   to the kernel's copy-on-write zero page.
+//!
+//! **Page layout.** A page holds the epochs of 4096 consecutive data bytes
+//! in 2048 `AtomicU64` words, two adjacent bytes per word: byte `o` of the
+//! page lives in word `o / 2`, in the low half when `o` is even. Every
+//! access to a word — load, store or CAS — is a 64-bit atomic, so no
+//! location is ever accessed at two widths. A uniform compare reads one
+//! word per two bytes, and the wide publish of Section 4.4 is one CAS
+//! `(e, e) → (n, n)` per whole word, with a half-word CAS only at an odd
+//! start or end.
+//!
+//! **Half-word CAS rule.** A CAS on one byte loads its word, fails if
+//! *its* half differs from the expected epoch, and otherwise CASes the
+//! word with only that half replaced. It retries only when the *other*
+//! half changed in between, so a neighbour's publish never causes a false
+//! conflict. Any two writes that overlap in a byte both CAS the word
+//! holding that byte, so two unordered overlapping writes — however they
+//! are aligned — never both succeed (Section 4.3).
 
 use crate::epoch::Epoch;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Number of epochs per shadow page. 4096 epochs = 16 KiB of metadata
 /// covering 4 KiB of data, mirroring an OS page of program data.
 pub const PAGE_EPOCHS: usize = 4096;
 
-/// Chunk width of the plan-directed batched compare loop: eight 32-bit
-/// epochs, the contents of one 256-bit vector register (Section 4.4's
-/// AVX analogy made literal in the access pattern).
-pub const BATCH_CHUNK: usize = 8;
+/// Bit position of byte `o`'s epoch within its shadow word.
+#[inline]
+fn shift(o: usize) -> u32 {
+    32 * (o % 2) as u32
+}
+
+/// A shadow word holding `e` for both of its bytes.
+#[inline]
+fn pair(e: Epoch) -> u64 {
+    u64::from(e.raw()) * 0x1_0000_0001
+}
+
+/// `word` with byte `o`'s half replaced by `e`.
+#[inline]
+fn with_half(word: u64, o: usize, e: Epoch) -> u64 {
+    word & !(u64::from(u32::MAX) << shift(o)) | u64::from(e.raw()) << shift(o)
+}
 
 /// Process-wide id source for [`ShadowMemory`] instances (starts at 1 so
 /// a default-constructed [`ShadowPageCache`] can never spuriously hit).
@@ -85,16 +115,18 @@ struct Page {
     generation: AtomicU64,
     /// Guards the stale→fresh transition so exactly one thread clears.
     refresh: Mutex<()>,
-    epochs: Box<[AtomicU32]>,
+    /// Two byte epochs per word: byte `o` is the half at [`shift`]`(o)`
+    /// of `words[o / 2]`.
+    words: Box<[AtomicU64]>,
 }
 
 impl Page {
     fn new(generation: u64) -> Self {
-        let epochs = (0..PAGE_EPOCHS).map(|_| AtomicU32::new(0)).collect();
+        let words = (0..PAGE_EPOCHS / 2).map(|_| AtomicU64::new(0)).collect();
         Page {
             generation: AtomicU64::new(generation),
             refresh: Mutex::new(()),
-            epochs,
+            words,
         }
     }
 
@@ -108,25 +140,106 @@ impl Page {
         if self.generation.load(Ordering::Acquire) == global_gen {
             return;
         }
-        for e in self.epochs.iter() {
-            e.store(0, Ordering::Relaxed);
+        for w in self.words.iter() {
+            w.store(0, Ordering::Relaxed);
         }
         self.generation.store(global_gen, Ordering::Release);
     }
 
-    /// The Section 4.3 CAS on epoch slot `o`; on contention returns the
-    /// epoch found there.
+    /// The epoch of byte `o`.
     #[inline]
-    fn cas(&self, o: usize, expected: Epoch, new: Epoch) -> Result<(), Epoch> {
-        self.epochs[o]
-            .compare_exchange(
-                expected.raw(),
-                new.raw(),
+    fn load(&self, o: usize) -> Epoch {
+        Epoch::from_raw((self.words[o / 2].load(Ordering::Acquire) >> shift(o)) as u32)
+    }
+
+    /// The epoch all bytes `[o, o+len)` of this page carry, or `None` if
+    /// two differ. Each word is loaded once and compared whole against
+    /// `pair(first)`; an odd start or end masks off the half of its edge
+    /// word that lies outside the range.
+    #[inline]
+    fn range_uniform(&self, o: usize, len: usize) -> Option<Epoch> {
+        let end = o + len;
+        let words = &self.words[o / 2..end.div_ceil(2)];
+        let mut word = words[0].load(Ordering::Acquire);
+        let first = Epoch::from_raw((word >> shift(o)) as u32);
+        let want = pair(first);
+        let mut mask = !0u64 << shift(o);
+        for next in &words[1..] {
+            if (word ^ want) & mask != 0 {
+                return None;
+            }
+            word = next.load(Ordering::Acquire);
+            mask = !0;
+        }
+        mask &= !0u64 >> shift(end);
+        ((word ^ want) & mask == 0).then_some(first)
+    }
+
+    /// The Section 4.3 CAS on byte `o` under the half-word rule (see the
+    /// module docs). Returns the number of CASes issued — more than one
+    /// only when the word's other byte changed under it — or, when byte
+    /// `o` does not hold `expected`, the epoch found there.
+    #[inline]
+    fn cas(&self, o: usize, expected: Epoch, new: Epoch) -> Result<u64, Epoch> {
+        let word = &self.words[o / 2];
+        let mut cur = word.load(Ordering::Acquire);
+        let mut issued = 0;
+        loop {
+            let found = Epoch::from_raw((cur >> shift(o)) as u32);
+            if found != expected {
+                return Err(found);
+            }
+            issued += 1;
+            match word.compare_exchange(
+                cur,
+                with_half(cur, o, new),
                 Ordering::AcqRel,
                 Ordering::Acquire,
-            )
-            .map(|_| ())
-            .map_err(Epoch::from_raw)
+            ) {
+                Ok(_) => return Ok(issued),
+                Err(now) => cur = now,
+            }
+        }
+    }
+
+    /// Publishes `new` over bytes `[o, o+len)` of this page, all expected
+    /// to hold `expected`: one word CAS `(e, e) → (n, n)` per whole word,
+    /// a half-word [`cas`](Self::cas) at an odd start or end. Returns the
+    /// number of CASes issued, or the offset and epoch of the first byte
+    /// of a failed CAS's word found not holding `expected`.
+    #[inline]
+    fn cas_range(
+        &self,
+        o: usize,
+        len: usize,
+        expected: Epoch,
+        new: Epoch,
+    ) -> Result<u64, (usize, Epoch)> {
+        let end = o + len;
+        let mut issued = 0;
+        let mut i = o;
+        if i % 2 == 1 {
+            issued += self.cas(i, expected, new).map_err(|found| (i, found))?;
+            i += 1;
+        }
+        while i + 2 <= end {
+            issued += 1;
+            if let Err(found) = self.words[i / 2].compare_exchange(
+                pair(expected),
+                pair(new),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                // The first byte of the word not holding `expected`.
+                let at = i + usize::from(found as u32 == expected.raw());
+                return Err((at, Epoch::from_raw((found >> shift(at)) as u32)));
+            }
+            i += 2;
+        }
+        if i < end {
+            issued += self.cas(i, expected, new).map_err(|found| (i, found))?;
+        }
+        Ok(issued)
     }
 }
 
@@ -281,22 +394,27 @@ impl ShadowMemory {
     pub fn load(&self, addr: usize, cache: &mut ShadowPageCache) -> Epoch {
         let (p, o) = self.split(addr);
         match self.page_for_read(p, cache) {
-            Some(page) => Epoch::from_raw(page.epochs[o].load(Ordering::Acquire)),
+            Some(page) => page.load(o),
             None => Epoch::ZERO,
         }
     }
 
     /// Stores `epoch` for data byte `addr`, materializing the page if
-    /// needed (Figure 2, line 6 without the atomicity guard).
+    /// needed (Figure 2, line 6 without the atomicity guard). The word's
+    /// other byte is left as it is.
     pub fn store(&self, addr: usize, epoch: Epoch) {
         let (p, o) = self.split(addr);
-        self.page_for_write(p, &mut ShadowPageCache::new()).epochs[o]
-            .store(epoch.raw(), Ordering::Release);
+        let word = &self.page_for_write(p, &mut ShadowPageCache::new()).words[o / 2];
+        let _ = word.fetch_update(Ordering::Release, Ordering::Relaxed, |w| {
+            Some(with_half(w, o, epoch))
+        });
     }
 
     /// Atomically publishes `new` for data byte `addr` only if the current
     /// epoch still equals `expected` — the CAS of Section 4.3 that makes
-    /// concurrent WAW checks sound without locks.
+    /// concurrent WAW checks sound without locks. Returns the number of
+    /// CASes issued: one, unless a publish to the other byte of the same
+    /// shadow word forced a retry.
     ///
     /// # Errors
     ///
@@ -309,20 +427,20 @@ impl ShadowMemory {
         expected: Epoch,
         new: Epoch,
         cache: &mut ShadowPageCache,
-    ) -> Result<(), Epoch> {
+    ) -> Result<u64, Epoch> {
         let (p, o) = self.split(addr);
         self.page_for_write(p, cache).cas(o, expected, new)
     }
 
-    /// Returns true if all `len` bytes starting at `addr` currently carry
-    /// the same epoch — the common case (>99.7% of accesses in every
-    /// benchmark, Section 6.2.3) that enables the single-comparison fast
-    /// path of Section 4.4.
+    /// Returns the epoch all `len` bytes starting at `addr` carry, if they
+    /// carry one — the common case (>99.7% of accesses in every benchmark,
+    /// Section 6.2.3) that enables the single-comparison fast path of
+    /// Section 4.4.
     ///
-    /// When the range lies within one shadow page the page is resolved
-    /// once and the epochs compared back-to-back — the software analogue
-    /// of one vector load plus one vector compare. A range crossing a page
-    /// boundary is walked byte by byte.
+    /// Each page the range touches is resolved once and compared a whole
+    /// shadow word (two bytes) at a time — the software analogue of one
+    /// vector load plus one vector compare. A range crossing a page
+    /// boundary is compared page by page.
     #[inline]
     pub fn range_uniform(
         &self,
@@ -331,89 +449,40 @@ impl ShadowMemory {
         cache: &mut ShadowPageCache,
     ) -> Option<Epoch> {
         debug_assert!(len > 0);
-        let (p, o) = self.split(addr);
-        if o + len > PAGE_EPOCHS {
-            let first = self.load(addr, cache);
-            for i in 1..len {
-                if self.load(addr + i, cache) != first {
-                    return None;
-                }
+        let mut part = |at: usize, n: usize| {
+            let (p, o) = self.split(at);
+            // Unmaterialized or stale page: the part reads zero.
+            match self.page_for_read(p, cache) {
+                Some(page) => page.range_uniform(o, n),
+                None => Some(Epoch::ZERO),
             }
-            return Some(first);
-        }
-        // Unmaterialized or stale page: the whole range reads zero.
-        let Some(page) = self.page_for_read(p, cache) else {
-            return Some(Epoch::ZERO);
         };
-        let first = page.epochs[o].load(Ordering::Acquire);
-        for i in 1..len {
-            if page.epochs[o + i].load(Ordering::Acquire) != first {
+        let (end, head) = (addr + len, len.min(PAGE_EPOCHS - addr % PAGE_EPOCHS));
+        let first = part(addr, head)?;
+        // A range crossing a page boundary goes on page by page.
+        let mut at = addr + head;
+        while at < end {
+            let n = (end - at).min(PAGE_EPOCHS);
+            if part(at, n)? != first {
                 return None;
             }
+            at += n;
         }
-        Some(Epoch::from_raw(first))
-    }
-
-    /// [`range_uniform`](Self::range_uniform) restructured as the
-    /// plan-directed *batched* compare loop: element epochs are read with
-    /// `Relaxed` loads accumulated branch-free over [`BATCH_CHUNK`]-wide
-    /// chunks (the shape autovectorizers turn into one vector load plus
-    /// one vector compare per chunk), and a single `Acquire` fence at the
-    /// end upgrades every element load at once — the ordering cost of one
-    /// vector operation instead of `len` scalar acquires.
-    ///
-    /// Semantically identical to `range_uniform` (page-straddling ranges
-    /// take its byte-by-byte walk); only worth calling on spans a
-    /// [`CheckPlan`](clean_plan::CheckPlan) marked `batch`, where
-    /// contiguous multi-byte checked accesses dominate.
-    #[inline]
-    pub fn range_uniform_batched(
-        &self,
-        addr: usize,
-        len: usize,
-        cache: &mut ShadowPageCache,
-    ) -> Option<Epoch> {
-        debug_assert!(len > 0);
-        let (p, o) = self.split(addr);
-        if o + len > PAGE_EPOCHS {
-            return self.range_uniform(addr, len, cache);
-        }
-        let Some(page) = self.page_for_read(p, cache) else {
-            return Some(Epoch::ZERO);
-        };
-        let first = page.epochs[o].load(Ordering::Relaxed);
-        let mut i = 1;
-        while i < len {
-            let end = (i + BATCH_CHUNK).min(len);
-            let mut mismatch = false;
-            for j in i..end {
-                // Branch-free accumulate within the chunk; mismatches
-                // only cause an exit at chunk granularity, like a vector
-                // compare + movemask test.
-                mismatch |= page.epochs[o + j].load(Ordering::Relaxed) != first;
-            }
-            if mismatch {
-                return None;
-            }
-            i = end;
-        }
-        // A non-uniform result needs no ordering (the caller re-checks
-        // per byte); a uniform one is upgraded here, once.
-        std::sync::atomic::fence(Ordering::Acquire);
-        Some(Epoch::from_raw(first))
+        Some(first)
     }
 
     /// Atomically publishes `new` over `[addr, addr+len)` where every
     /// epoch is expected to still equal `expected` (the wide-CAS publish
-    /// of Section 4.4). A range crossing a page boundary is published
-    /// byte by byte.
+    /// of Section 4.4): one 64-bit CAS per shadow word, page by page.
+    /// Returns the number of CASes issued.
     ///
     /// # Errors
     ///
-    /// On the first mismatch returns the offending address and the epoch
-    /// found there; earlier bytes remain updated (exactly like a sequence
-    /// of hardware wide-CAS operations interrupted by a conflict — the
-    /// caller reports the race and the execution stops).
+    /// When a CAS fails, returns the first address of its word that does
+    /// not hold `expected` and the epoch found there. Earlier *words*
+    /// remain updated, the failed word is left as found (exactly like a
+    /// sequence of hardware wide-CAS operations interrupted by a conflict
+    /// — the caller reports the race and the execution stops).
     #[inline]
     pub fn compare_exchange_range(
         &self,
@@ -422,22 +491,24 @@ impl ShadowMemory {
         expected: Epoch,
         new: Epoch,
         cache: &mut ShadowPageCache,
-    ) -> Result<(), (usize, Epoch)> {
+    ) -> Result<u64, (usize, Epoch)> {
         debug_assert!(len > 0);
-        let (p, o) = self.split(addr);
-        if o + len > PAGE_EPOCHS {
-            for i in 0..len {
-                self.compare_exchange(addr + i, expected, new, cache)
-                    .map_err(|found| (addr + i, found))?;
-            }
-            return Ok(());
+        let mut part = |at: usize, n: usize| {
+            let (p, o) = self.split(at);
+            self.page_for_write(p, cache)
+                .cas_range(o, n, expected, new)
+                .map_err(|(i, found)| (p * PAGE_EPOCHS + i, found))
+        };
+        let (end, head) = (addr + len, len.min(PAGE_EPOCHS - addr % PAGE_EPOCHS));
+        let mut issued = part(addr, head)?;
+        // A range crossing a page boundary goes on page by page.
+        let mut at = addr + head;
+        while at < end {
+            let n = (end - at).min(PAGE_EPOCHS);
+            issued += part(at, n)?;
+            at += n;
         }
-        let page = self.page_for_write(p, cache);
-        for i in 0..len {
-            page.cas(o + i, expected, new)
-                .map_err(|found| (addr + i, found))?;
-        }
-        Ok(())
+        Ok(issued)
     }
 
     /// Deterministic O(1) metadata reset (Section 4.5): all epochs revert
@@ -627,10 +698,155 @@ mod tests {
             .unwrap_err();
         assert_eq!(at, 19);
         assert_eq!(found, Epoch::from_raw(7));
-        // Bytes before the conflict were updated (wide-CAS sequence).
+        // Words before the conflict were updated (wide-CAS sequence); the
+        // conflicting word [18, 20) was not, byte 18 included.
         assert_eq!(s.load(16, &mut c), Epoch::from_raw(6));
-        assert_eq!(s.load(18, &mut c), Epoch::from_raw(6));
+        assert_eq!(s.load(17, &mut c), Epoch::from_raw(6));
+        assert_eq!(s.load(18, &mut c), Epoch::from_raw(5));
         assert_eq!(s.load(20, &mut c), Epoch::from_raw(5));
+    }
+
+    /// Every start parity and every length up to 7, with both neighbours
+    /// that share an edge word holding a different epoch: the odd-start
+    /// and odd-end half-words must count exactly the bytes in range.
+    fn odd_edge_cases() -> impl Iterator<Item = (usize, usize)> {
+        [100, 101]
+            .into_iter()
+            .flat_map(|start| (1..=7).map(move |len| (start, len)))
+    }
+
+    #[test]
+    fn range_uniform_odd_edges() {
+        for (start, len) in odd_edge_cases() {
+            let s = ShadowMemory::new(4096);
+            let mut c = ShadowPageCache::new();
+            s.store(start - 1, Epoch::from_raw(9));
+            s.store(start + len, Epoch::from_raw(9));
+            for b in start..start + len {
+                s.store(b, Epoch::from_raw(4));
+            }
+            assert_eq!(
+                s.range_uniform(start, len, &mut c),
+                Some(Epoch::from_raw(4)),
+                "[{start}, +{len})"
+            );
+            // One differing byte breaks uniformity unless it is the range.
+            let odd_one_out = (len == 1).then_some(Epoch::from_raw(5));
+            for b in start..start + len {
+                s.store(b, Epoch::from_raw(5));
+                assert_eq!(s.range_uniform(start, len, &mut c), odd_one_out, "byte {b}");
+                s.store(b, Epoch::from_raw(4));
+            }
+        }
+    }
+
+    #[test]
+    fn cas_range_odd_edges() {
+        for (start, len) in odd_edge_cases() {
+            let s = ShadowMemory::new(4096);
+            let mut c = ShadowPageCache::new();
+            s.store(start - 1, Epoch::from_raw(9));
+            s.store(start + len, Epoch::from_raw(9));
+            // One CAS per word the range touches; the neighbours' halves
+            // cause no conflict and keep their epoch.
+            let words = (start + len).div_ceil(2) - start / 2;
+            let issued = s
+                .compare_exchange_range(start, len, Epoch::ZERO, Epoch::from_raw(4), &mut c)
+                .unwrap();
+            assert_eq!(issued, words as u64, "[{start}, +{len})");
+            assert_eq!(
+                s.range_uniform(start, len, &mut c),
+                Some(Epoch::from_raw(4))
+            );
+            assert_eq!(s.load(start - 1, &mut c), Epoch::from_raw(9));
+            assert_eq!(s.load(start + len, &mut c), Epoch::from_raw(9));
+            // A conflict on the last byte names it.
+            let last = start + len - 1;
+            s.store(last, Epoch::from_raw(7));
+            let err = s
+                .compare_exchange_range(start, len, Epoch::from_raw(4), Epoch::from_raw(6), &mut c)
+                .unwrap_err();
+            assert_eq!(err, (last, Epoch::from_raw(7)), "[{start}, +{len})");
+        }
+    }
+
+    #[test]
+    fn half_word_cas_never_conflicts_with_neighbour() {
+        const ROUNDS: u32 = 100_000;
+        let s = ShadowMemory::new(4096);
+        let align = std::sync::Barrier::new(2);
+        let conflicts: Vec<u32> = std::thread::scope(|scope| {
+            // Bytes 0 and 1 share one shadow word. The threads realign
+            // every 10,000 rounds so that their CASes keep interleaving, and
+            // count conflicts instead of panicking, so neither is left
+            // waiting at the barrier.
+            let threads: Vec<_> = [0usize, 1]
+                .into_iter()
+                .map(|byte| {
+                    let (s, align) = (&s, &align);
+                    scope.spawn(move || {
+                        let mut c = ShadowPageCache::new();
+                        (0..ROUNDS)
+                            .filter(|&i| {
+                                if i % 10_000 == 0 {
+                                    align.wait();
+                                }
+                                let (cur, next) = (Epoch::from_raw(i), Epoch::from_raw(i + 1));
+                                s.compare_exchange(byte, cur, next, &mut c).is_err()
+                            })
+                            .count() as u32
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(conflicts, [0, 0]);
+        let mut c = ShadowPageCache::new();
+        assert_eq!(s.load(0, &mut c), Epoch::from_raw(ROUNDS));
+        assert_eq!(s.load(1, &mut c), Epoch::from_raw(ROUNDS));
+    }
+
+    #[test]
+    fn overlapping_unaligned_publishes_never_both_succeed() {
+        const ROUNDS: usize = 20_000;
+        const STRIDE: usize = 16;
+        // Thread 0 publishes [r, r+8); thread 1 alternates between
+        // [r+1, r+9), whose first word is thread 0's first word, and
+        // [r+4, r+8), whose first word is thread 0's third: there, CASing
+        // only each range's first word and storing the rest would let
+        // both publish.
+        let range = |thread: usize, r: usize| match (thread, r % 2) {
+            (0, _) => (r * STRIDE, 8),
+            (_, 0) => (r * STRIDE + 1, 8),
+            _ => (r * STRIDE + 4, 4),
+        };
+        let s = ShadowMemory::new(ROUNDS * STRIDE);
+        let round = std::sync::Barrier::new(2);
+        let wins: Vec<Vec<bool>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|thread| {
+                    let (s, round) = (&s, &round);
+                    let new = Epoch::from_raw(thread as u32 + 1);
+                    scope.spawn(move || {
+                        let mut c = ShadowPageCache::new();
+                        (0..ROUNDS)
+                            .map(|r| {
+                                let (addr, len) = range(thread, r);
+                                round.wait();
+                                s.compare_exchange_range(addr, len, Epoch::ZERO, new, &mut c)
+                                    .is_ok()
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        // Both ranges CAS every word they share, in address order, so the
+        // first shared word decides: exactly one of them publishes.
+        for (r, (a, b)) in wins[0].iter().zip(&wins[1]).enumerate() {
+            assert_ne!(a, b, "round {r}");
+        }
     }
 
     #[test]
@@ -652,6 +868,27 @@ mod tests {
             .compare_exchange_range(base, 6, Epoch::from_raw(4), Epoch::from_raw(5), &mut c)
             .unwrap_err();
         assert_eq!((at, found), (PAGE_EPOCHS + 1, Epoch::from_raw(9)));
+    }
+
+    #[test]
+    fn ranges_over_three_pages() {
+        let s = ShadowMemory::new(PAGE_EPOCHS * 3);
+        let mut c = ShadowPageCache::new();
+        let (base, len) = (100, 2 * PAGE_EPOCHS);
+        let issued = s
+            .compare_exchange_range(base, len, Epoch::ZERO, Epoch::from_raw(3), &mut c)
+            .unwrap();
+        assert_eq!(issued, len as u64 / 2, "one CAS per word");
+        assert_eq!(s.range_uniform(base, len, &mut c), Some(Epoch::from_raw(3)));
+        let far = 2 * PAGE_EPOCHS + 50;
+        s.store(far, Epoch::from_raw(9));
+        assert_eq!(s.range_uniform(base, len, &mut c), None);
+        let err = s
+            .compare_exchange_range(base, len, Epoch::from_raw(3), Epoch::from_raw(4), &mut c)
+            .unwrap_err();
+        assert_eq!(err, (far, Epoch::from_raw(9)));
+        // The parts before the conflict were published.
+        assert_eq!(s.load(PAGE_EPOCHS + 7, &mut c), Epoch::from_raw(4));
     }
 
     #[test]
@@ -701,46 +938,6 @@ mod tests {
         // check must force a miss, reading b's (empty) state.
         assert_eq!(b.load(0, &mut c), Epoch::ZERO);
         assert_eq!(a.load(0, &mut ShadowPageCache::new()), Epoch::from_raw(8));
-    }
-
-    #[test]
-    fn batched_uniform_matches_scalar() {
-        let s = ShadowMemory::new(PAGE_EPOCHS * 2);
-        let mut c = ShadowPageCache::new();
-        // Fresh: zero. Uniform span, mixed span, page-straddling span —
-        // the batched path must agree with range_uniform on each.
-        assert_eq!(s.range_uniform_batched(100, 64, &mut c), Some(Epoch::ZERO));
-        for i in 0..64 {
-            s.store(100 + i, Epoch::from_raw(4));
-        }
-        assert_eq!(
-            s.range_uniform_batched(100, 64, &mut c),
-            Some(Epoch::from_raw(4))
-        );
-        assert_eq!(
-            s.range_uniform_batched(100, 1, &mut c),
-            Some(Epoch::from_raw(4))
-        );
-        // Mismatch in the middle of a chunk and at a chunk boundary.
-        s.store(130, Epoch::from_raw(9));
-        assert_eq!(s.range_uniform_batched(100, 64, &mut c), None);
-        assert_eq!(s.range_uniform(100, 64, &mut c), None);
-        assert_eq!(
-            s.range_uniform_batched(100, 30, &mut c),
-            Some(Epoch::from_raw(4))
-        );
-        // Cross-page spans fall back to the scalar walk.
-        let base = PAGE_EPOCHS - 3;
-        for i in 0..6 {
-            s.store(base + i, Epoch::from_raw(7));
-        }
-        assert_eq!(
-            s.range_uniform_batched(base, 6, &mut c),
-            Some(Epoch::from_raw(7))
-        );
-        // A primed cache respects the reset.
-        s.reset();
-        assert_eq!(s.range_uniform_batched(100, 64, &mut c), Some(Epoch::ZERO));
     }
 
     #[test]

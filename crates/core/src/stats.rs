@@ -34,7 +34,8 @@ pub struct StatsShard {
     pub uniform_fast_path: AtomicU64,
     /// Multi-byte accesses that fell back to per-byte checks.
     pub per_byte_slow_path: AtomicU64,
-    /// Epoch updates published (Figure 2, line 6).
+    /// Shadow-word CASes issued to publish epochs (Figure 2, line 6):
+    /// one per two bytes on the uniform path, one per byte otherwise.
     pub epoch_updates: AtomicU64,
     /// Write checks that skipped the update because the epoch was already
     /// current (Figure 2, line 5 `epoch != newEpoch` false).
@@ -51,8 +52,7 @@ pub struct StatsShard {
     /// Checks skipped because a compiled check plan proved the range
     /// thread-private for the accessing thread.
     pub plan_elided: AtomicU64,
-    /// Multi-byte accesses resolved by the plan-directed chunked
-    /// (batched) epoch-compare loop.
+    /// Checks in a compiled plan's batch ranges that missed the filter.
     pub plan_batched: AtomicU64,
 }
 
@@ -76,7 +76,7 @@ pub struct StatsSnapshot {
     pub uniform_fast_path: u64,
     /// Accesses that required per-byte checks.
     pub per_byte_slow_path: u64,
-    /// Epoch updates published.
+    /// Shadow-word CASes issued to publish epochs.
     pub epoch_updates: u64,
     /// Redundant updates skipped.
     pub update_skipped: u64,
@@ -88,7 +88,7 @@ pub struct StatsSnapshot {
     pub filter_hits: u64,
     /// Checks skipped under a compiled plan's elide ranges.
     pub plan_elided: u64,
-    /// Accesses resolved by the plan-directed chunked compare loop.
+    /// Checks in a compiled plan's batch ranges that missed the filter.
     pub plan_batched: u64,
 }
 

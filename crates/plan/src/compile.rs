@@ -16,7 +16,7 @@ pub enum PlanDecision {
     },
     /// Insert/probe a growable range entry in the SFR write filter.
     Coalesce,
-    /// Use the chunked (vectorized) epoch-compare loop.
+    /// A contiguous shared span: checked as usual, counted apart.
     Batch,
 }
 

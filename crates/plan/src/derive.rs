@@ -10,8 +10,8 @@
 //! * shared granules whose writes are mostly *sequential* (each write
 //!   starts where the thread's previous write ended) → **coalesce**,
 //!   the strided-sweep shape the direct-mapped filter slots miss;
-//! * every other shared granule → **batch**, routed through the
-//!   chunked epoch-compare loop.
+//! * every other shared granule → **batch**, a contiguous shared span
+//!   checked as usual.
 
 use crate::{CheckPlan, PlanAction, PlanEntry, PlanProfile, Witness};
 use std::collections::{BTreeMap, HashMap, HashSet};

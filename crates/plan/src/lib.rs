@@ -18,9 +18,9 @@
 //!   detector's direct-mapped `addr >> 3` SFR filter slots keep
 //!   evicting; the detector gives these ranges growable *range* filter
 //!   entries that extend with the stride and answer whole re-sweeps.
-//! * **batch** — contiguous checked spans routed through the
-//!   vectorized epoch-compare loop over chunked shadow loads (the
-//!   paper's Fig. 8 experiment, made real).
+//! * **batch** — contiguous checked spans. The detector checks them
+//!   with the same word-wide epoch compare as every other access and
+//!   counts them apart (`plan_batched`).
 //!
 //! The plan is serialized as a line-oriented `CPLN v1` text file:
 //!
@@ -130,8 +130,7 @@ pub enum PlanAction {
     /// Use a growable range entry in the SFR write filter so strided
     /// sweeps stop thrashing the direct-mapped slots.
     Coalesce,
-    /// Route multi-byte checks through the chunked (vectorized)
-    /// epoch-compare loop.
+    /// A contiguous shared span: checked as usual, counted apart.
     Batch,
 }
 
