@@ -21,11 +21,9 @@
 //!
 //! **Plan**: checked-write throughput with a compiled static check plan
 //! installed versus without, per action class — `plan_private` (whole
-//! footprint provably elidable), `plan_stride` (range-coalesced filter
-//! entries recover the filter-defeating sweep), `plan_batch` (wide
-//! accesses in batch ranges, which run the same word-wide compare as any
-//! other check and are only counted apart). Plan-off and plan-on
-//! run in alternating pairs too; headline `plan_speedup` is the median
+//! footprint provably elidable) and `plan_stride` (range-coalesced
+//! filter entries recover the filter-defeating sweep). Plan-off and
+//! plan-on run in alternating pairs too; headline `plan_speedup` is the median
 //! per-pair ratio on `plan_private`.
 //!
 //! **Obs**: the observability-bridge ablation — the `sfr_local` shape
@@ -248,9 +246,8 @@ struct PlanProfile {
 /// `plan_private` is the thread-private-heavy shape (every check provably
 /// elidable); `plan_stride` is the filter-defeating sequential sweep the
 /// range-coalesced filter entries recover (32 KiB of 8-byte words evicts
-/// the 128 direct-mapped slots long before a revisit); `plan_batch`
-/// checks wide accesses in batch ranges, counted in `plan_batched`.
-const PLAN_PROFILES: [PlanProfile; 3] = [
+/// the 128 direct-mapped slots long before a revisit).
+const PLAN_PROFILES: [PlanProfile; 2] = [
     PlanProfile {
         name: "plan_private",
         region: 4096,
@@ -266,14 +263,6 @@ const PLAN_PROFILES: [PlanProfile; 3] = [
         access: 8,
         revisits: 4,
         action: PlanAction::Coalesce,
-    },
-    PlanProfile {
-        name: "plan_batch",
-        region: 32768,
-        words: 512,
-        access: 64,
-        revisits: 4,
-        action: PlanAction::Batch,
     },
 ];
 
@@ -365,16 +354,11 @@ fn run_plan_cell(
         profile.name
     );
     assert_eq!(snap.races_reported, 0, "workload is race-free");
-    if let Some(p) = &plan {
+    if plan.is_some() {
         match profile.action {
             PlanAction::Elide => assert_eq!(
                 snap.plan_elided, accesses,
                 "{}: the whole footprint is elidable",
-                profile.name
-            ),
-            PlanAction::Batch => assert!(
-                snap.plan_batched > 0,
-                "{}: checks in batch spans must be counted",
                 profile.name
             ),
             PlanAction::Coalesce => assert!(
@@ -383,7 +367,6 @@ fn run_plan_cell(
                 profile.name
             ),
         }
-        let _ = p;
     }
     accesses as f64 / best.as_secs_f64() / 1e6
 }

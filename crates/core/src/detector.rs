@@ -86,9 +86,8 @@ pub struct DetectorConfig {
     /// entry points. Per planned range the detector elides provably
     /// thread-private checks (guarded: only the witness owner skips;
     /// foreign threads take the full check), routes strided sweeps
-    /// through growable coalesced filter ranges, or counts a `batch` span
-    /// in `plan_batched` (it runs the same word-wide compare as any other
-    /// check). `None` (the default) changes nothing.
+    /// through growable coalesced filter ranges. `None` (the default)
+    /// changes nothing.
     pub check_plan: Option<Arc<CompiledPlan>>,
 }
 
@@ -388,9 +387,6 @@ impl CleanDetector {
             state.pending.filter_hits += 1;
             return Ok(());
         }
-        if matches!(decision, Some(PlanDecision::Batch)) {
-            state.pending.plan_batched += 1;
-        }
         let _guard = self.check_guard(addr);
         self.read_body(
             &mut state.page_cache,
@@ -513,9 +509,6 @@ impl CleanDetector {
             // full check would pass and take the Figure 2 line 5 skip.
             state.pending.filter_hits += 1;
             return Ok(());
-        }
-        if matches!(decision, Some(PlanDecision::Batch)) {
-            state.pending.plan_batched += 1;
         }
         let _guard = self.check_guard(addr);
         let result = self.write_body(
@@ -1168,42 +1161,13 @@ mod tests {
         assert_eq!(det.epoch_at(4095), vc.write_epoch(t0));
     }
 
-    #[test]
-    fn plan_batch_keeps_verdicts_and_counts_batched_spans() {
-        let plan = plan_of(vec![action_entry(0, 0x1000, clean_plan::PlanAction::Batch)]);
-        for planned in [false, true] {
-            let cfg = DetectorConfig::new().check_plan(planned.then(|| Arc::clone(&plan)));
-            let det = CleanDetector::new(1 << 16, cfg);
-            let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
-            let mut vc0 = VectorClock::new(2, det.layout());
-            let vc1 = VectorClock::new(2, det.layout());
-            let mut st0 = ThreadCheckState::new();
-            let mut st1 = ThreadCheckState::new();
-            vc0.increment(t0).unwrap();
-            det.check_write_with(&vc0, t0, 0x40, 64, &mut st0).unwrap();
-            let race = det
-                .check_read_with(&vc1, t1, 0x40, 64, &mut st1)
-                .unwrap_err();
-            assert_eq!(race.kind, RaceKind::ReadAfterWrite);
-            assert_eq!(race.addr, 0x40);
-            det.drain_check_state(t0, &mut st0);
-            det.drain_check_state(t1, &mut st1);
-            assert_eq!(det.stats().plan_batched > 0, planned);
-        }
-    }
-
     /// Runs one fixed access sequence through the `*_with` entry points
     /// (`stateful`) or the stateless ones and returns the drained stats.
     fn stats_of_check_sequence(stateful: bool) -> StatsSnapshot {
         use crate::shadow::PAGE_EPOCHS;
         use AccessKind::{Read, Write};
         let p = PAGE_EPOCHS;
-        let plan = plan_of(vec![action_entry(
-            p,
-            p + 0x100,
-            clean_plan::PlanAction::Batch,
-        )]);
-        let det = CleanDetector::new(1 << 16, DetectorConfig::new().check_plan(Some(plan)));
+        let det = CleanDetector::new(1 << 16, DetectorConfig::new());
         let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
         let mut vc0 = VectorClock::new(2, det.layout());
         let vc1 = VectorClock::new(2, det.layout());
@@ -1235,7 +1199,7 @@ mod tests {
         det.drain_check_state(t0, &mut st0);
         st0.on_epoch_increment();
         check(Write, &vc0, t0, p - 4, 8, &mut st0).unwrap();
-        // A plan-batched span: one uniform publish of 32 word CASes.
+        // A wide span: one uniform publish of 32 word CASes.
         check(Write, &vc0, t0, p + 0x40, 64, &mut st0).unwrap();
         // t1 never synchronized with t0: one RAW.
         check(Read, &vc1, t1, 0x40, 8, &mut st1).unwrap_err();
@@ -1258,16 +1222,14 @@ mod tests {
             races_reported: 1,
             filter_hits: 1,
             plan_elided: 0,
-            plan_batched: 1,
         };
         assert_eq!(stats_of_check_sequence(true), expected);
-        // The stateless entry points consult neither the filter nor the
-        // plan; every other count is the same.
+        // The stateless entry points do not consult the filter; every
+        // other count is the same.
         assert_eq!(
             stats_of_check_sequence(false),
             StatsSnapshot {
                 filter_hits: 0,
-                plan_batched: 0,
                 ..expected
             }
         );

@@ -215,8 +215,6 @@ pub struct PendingStats {
     pub filter_hits: u64,
     /// Checks skipped under a compiled plan's elide ranges.
     pub plan_elided: u64,
-    /// Checks in a compiled plan's batch ranges that missed the filter.
-    pub plan_batched: u64,
 }
 
 impl PendingStats {

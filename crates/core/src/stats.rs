@@ -52,8 +52,6 @@ pub struct StatsShard {
     /// Checks skipped because a compiled check plan proved the range
     /// thread-private for the accessing thread.
     pub plan_elided: AtomicU64,
-    /// Checks in a compiled plan's batch ranges that missed the filter.
-    pub plan_batched: AtomicU64,
 }
 
 /// Thread-safe counters accumulated by the detector, sharded by thread
@@ -88,8 +86,6 @@ pub struct StatsSnapshot {
     pub filter_hits: u64,
     /// Checks skipped under a compiled plan's elide ranges.
     pub plan_elided: u64,
-    /// Checks in a compiled plan's batch ranges that missed the filter.
-    pub plan_batched: u64,
 }
 
 impl StatsSnapshot {
@@ -139,7 +135,6 @@ impl DetectorStats {
             s.races_reported += shard.races_reported.load(Ordering::Relaxed);
             s.filter_hits += shard.filter_hits.load(Ordering::Relaxed);
             s.plan_elided += shard.plan_elided.load(Ordering::Relaxed);
-            s.plan_batched += shard.plan_batched.load(Ordering::Relaxed);
         }
         s
     }
@@ -160,7 +155,6 @@ impl DetectorStats {
             (&shard.races_reported, p.races_reported),
             (&shard.filter_hits, p.filter_hits),
             (&shard.plan_elided, p.plan_elided),
-            (&shard.plan_batched, p.plan_batched),
         ] {
             if n != 0 {
                 counter.fetch_add(n, Ordering::Relaxed);

@@ -16,8 +16,6 @@ pub enum PlanDecision {
     },
     /// Insert/probe a growable range entry in the SFR write filter.
     Coalesce,
-    /// A contiguous shared span: checked as usual, counted apart.
-    Batch,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +51,6 @@ impl CompiledPlan {
                         owner: e.witness.expect("validated elide has a witness").owner,
                     },
                     PlanAction::Coalesce => PlanDecision::Coalesce,
-                    PlanAction::Batch => PlanDecision::Batch,
                 },
             })
             .collect();
@@ -123,7 +120,7 @@ mod tests {
                 PlanEntry {
                     lo: 0x2000,
                     hi: 0x3000,
-                    action: PlanAction::Batch,
+                    action: PlanAction::Coalesce,
                     witness: None,
                 },
             ],
@@ -137,7 +134,7 @@ mod tests {
         let p = plan();
         assert_eq!(p.lookup(0x1000, 8), Some(PlanDecision::Elide { owner: 3 }));
         assert_eq!(p.lookup(0x1ff8, 8), Some(PlanDecision::Elide { owner: 3 }));
-        assert_eq!(p.lookup(0x2000, 4), Some(PlanDecision::Batch));
+        assert_eq!(p.lookup(0x2000, 4), Some(PlanDecision::Coalesce));
         assert_eq!(p.lookup(0x4800, 64), Some(PlanDecision::Coalesce));
     }
 
@@ -163,7 +160,7 @@ mod tests {
     #[test]
     fn adjacent_ranges_do_not_bleed() {
         // 0x1fff+1-byte access sits wholly in the elide range; the same
-        // address with 2 bytes straddles into batch and must miss.
+        // address with 2 bytes straddles into coalesce and must miss.
         let p = plan();
         assert_eq!(p.lookup(0x1fff, 1), Some(PlanDecision::Elide { owner: 3 }));
         assert_eq!(p.lookup(0x1fff, 2), None);

@@ -3,15 +3,15 @@
 //! [`PlanObserver`] folds `(tid, addr, size, is_write)` observations —
 //! typically replayed from a recorded CLTR trace — into per-granule
 //! ownership and stride statistics, then classifies contiguous runs of
-//! granules into the three plan actions:
+//! granules into the two plan actions:
 //!
 //! * every granule touched by exactly one thread → **elide**, with the
 //!   witness (owner, observed count, foreign = 0) recorded per entry;
 //! * shared granules whose writes are mostly *sequential* (each write
 //!   starts where the thread's previous write ended) → **coalesce**,
-//!   the strided-sweep shape the direct-mapped filter slots miss;
-//! * every other shared granule → **batch**, a contiguous shared span
-//!   checked as usual.
+//!   the strided-sweep shape the direct-mapped filter slots miss.
+//!
+//! Every other shared granule gets no entry and is checked as usual.
 
 use crate::{CheckPlan, PlanAction, PlanEntry, PlanProfile, Witness};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -49,14 +49,10 @@ pub struct Coverage {
     pub elide_bytes: u64,
     /// Bytes covered by coalesce entries.
     pub coalesce_bytes: u64,
-    /// Bytes covered by batch entries.
-    pub batch_bytes: u64,
     /// Elide entry count.
     pub elide_entries: usize,
     /// Coalesce entry count.
     pub coalesce_entries: usize,
-    /// Batch entry count.
-    pub batch_entries: usize,
     /// Total observed accesses.
     pub observed_accesses: u64,
     /// Accesses that fell in elide ranges (checks a consumer skips
@@ -67,7 +63,7 @@ pub struct Coverage {
 impl Coverage {
     /// Total bytes covered by any plan entry.
     pub fn total_bytes(&self) -> u64 {
-        self.elide_bytes + self.coalesce_bytes + self.batch_bytes
+        self.elide_bytes + self.coalesce_bytes
     }
 
     /// Fraction of covered bytes in `class_bytes` (0 when nothing is
@@ -91,7 +87,6 @@ impl Coverage {
         format!(
             "elide    {:>6} entries  {:>12} bytes ({:5.1}%)\n\
              coalesce {:>6} entries  {:>12} bytes ({:5.1}%)\n\
-             batch    {:>6} entries  {:>12} bytes ({:5.1}%)\n\
              observed {} accesses, {:.1}% in elide ranges",
             self.elide_entries,
             self.elide_bytes,
@@ -99,9 +94,6 @@ impl Coverage {
             self.coalesce_entries,
             self.coalesce_bytes,
             pct(self.coalesce_bytes),
-            self.batch_entries,
-            self.batch_bytes,
-            pct(self.batch_bytes),
             self.observed_accesses,
             access_pct,
         )
@@ -220,6 +212,8 @@ impl PlanObserver {
             let lo = first * self.granule;
             let hi = (last + 1) * self.granule;
             let (action, witness) = match class {
+                // Shared granules keep their full checks: no entry.
+                Class::Shared => return,
                 Class::Private(owner) => (
                     PlanAction::Elide,
                     Some(Witness {
@@ -229,7 +223,6 @@ impl PlanObserver {
                     }),
                 ),
                 Class::Strided => (PlanAction::Coalesce, None),
-                Class::Shared => (PlanAction::Batch, None),
             };
             entries.push(PlanEntry {
                 lo,
@@ -263,10 +256,6 @@ impl PlanObserver {
                 PlanAction::Coalesce => {
                     coverage.coalesce_bytes += bytes;
                     coverage.coalesce_entries += 1;
-                }
-                PlanAction::Batch => {
-                    coverage.batch_bytes += bytes;
-                    coverage.batch_entries += 1;
                 }
             }
         }
@@ -302,7 +291,7 @@ mod tests {
         let (plan, cov) = obs.derive();
         plan.validate().unwrap();
         assert_eq!(cov.elide_entries, 2);
-        assert_eq!(cov.coalesce_entries + cov.batch_entries, 0);
+        assert_eq!(cov.coalesce_entries, 0);
         let compiled = plan.compile().unwrap();
         assert_eq!(
             compiled.lookup(0, 8),
@@ -336,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_random_accesses_become_batch() {
+    fn shared_random_accesses_get_no_entry() {
         let mut obs = PlanObserver::new();
         // Two threads ping-pong over the same cells with scattered
         // (non-sequential) writes.
@@ -345,11 +334,9 @@ mod tests {
             obs.observe((i % 2) as u32, addr, 8, i % 3 == 0);
         }
         let (plan, cov) = obs.derive();
-        assert!(cov.batch_entries > 0, "{cov:?}");
-        assert_eq!(cov.elide_bytes, 0);
-        for e in &plan.entries {
-            assert_ne!(e.action, PlanAction::Elide);
-        }
+        assert!(plan.is_empty(), "{plan:?}");
+        assert_eq!(cov.total_bytes(), 0);
+        assert_eq!(cov.observed_accesses, 256);
     }
 
     #[test]
@@ -388,6 +375,6 @@ mod tests {
         let (plan, cov) = PlanObserver::new().derive();
         assert!(plan.is_empty());
         assert_eq!(cov.total_bytes(), 0);
-        assert_eq!(cov.render().lines().count(), 4);
+        assert_eq!(cov.render().lines().count(), 3);
     }
 }

@@ -18,9 +18,8 @@
 //!   detector's direct-mapped `addr >> 3` SFR filter slots keep
 //!   evicting; the detector gives these ranges growable *range* filter
 //!   entries that extend with the stride and answer whole re-sweeps.
-//! * **batch** — contiguous checked spans. The detector checks them
-//!   with the same word-wide epoch compare as every other access and
-//!   counts them apart (`plan_batched`).
+//!
+//! Every byte outside a planned range is checked as usual.
 //!
 //! The plan is serialized as a line-oriented `CPLN v1` text file:
 //!
@@ -29,7 +28,6 @@
 //! # comments run to end of line; addresses are hex, ranges half-open
 //! elide 1000..2000 owner=2 observed=4096 foreign=0
 //! coalesce 8000..c000
-//! batch 10000..14000
 //! ```
 //!
 //! [`CompiledPlan`] is the immutable, binary-searchable form the
@@ -130,8 +128,6 @@ pub enum PlanAction {
     /// Use a growable range entry in the SFR write filter so strided
     /// sweeps stop thrashing the direct-mapped slots.
     Coalesce,
-    /// A contiguous shared span: checked as usual, counted apart.
-    Batch,
 }
 
 impl PlanAction {
@@ -140,7 +136,6 @@ impl PlanAction {
         match self {
             PlanAction::Elide => "elide",
             PlanAction::Coalesce => "coalesce",
-            PlanAction::Batch => "batch",
         }
     }
 
@@ -148,7 +143,6 @@ impl PlanAction {
         match tag {
             "elide" => Some(PlanAction::Elide),
             "coalesce" => Some(PlanAction::Coalesce),
-            "batch" => Some(PlanAction::Batch),
             _ => None,
         }
     }
@@ -547,7 +541,7 @@ mod tests {
 
     #[test]
     fn header_is_required() {
-        let e = CheckPlan::parse("batch 0..10\n").unwrap_err();
+        let e = CheckPlan::parse("coalesce 0..10\n").unwrap_err();
         assert!(matches!(e, PlanError::Parse { line: 1, .. }), "{e}");
     }
 
@@ -561,12 +555,6 @@ mod tests {
                     lo: 0x8000,
                     hi: 0xc000,
                     action: PlanAction::Coalesce,
-                    witness: None,
-                },
-                PlanEntry {
-                    lo: 0x10000,
-                    hi: 0x14000,
-                    action: PlanAction::Batch,
                     witness: None,
                 },
             ],
@@ -591,7 +579,9 @@ mod tests {
         assert_eq!(CheckPlan::parse(&text).unwrap(), plan);
         // Pre-stamp files (no profile line) still parse, to None.
         assert_eq!(
-            CheckPlan::parse("CPLN v1\nbatch 0..10\n").unwrap().profile,
+            CheckPlan::parse("CPLN v1\ncoalesce 0..10\n")
+                .unwrap()
+                .profile,
             None
         );
         // A second stamp is an error, not a silent overwrite.
@@ -651,10 +641,12 @@ mod tests {
     fn parse_errors_name_their_line() {
         for (text, line) in [
             ("CPLN v1\nbogus 0..10\n", 2),
-            ("CPLN v1\n\nbatch 10\n", 3),
-            ("CPLN v1\nbatch zz..10\n", 2),
+            ("CPLN v1\n\ncoalesce 10\n", 3),
+            ("CPLN v1\ncoalesce zz..10\n", 2),
             ("CPLN v1\nelide 0..10\n", 2),
-            ("CPLN v1\nbatch 0..10 extra\n", 2),
+            ("CPLN v1\ncoalesce 0..10 extra\n", 2),
+            // The retired `batch` action is an unknown action like any other.
+            ("CPLN v1\ncoalesce 0..10\nbatch 10..20\n", 3),
         ] {
             let e = CheckPlan::parse(text).unwrap_err();
             match e {
@@ -681,7 +673,7 @@ mod tests {
             entries: vec![PlanEntry {
                 lo: 0x100,
                 hi: 0x100,
-                action: PlanAction::Batch,
+                action: PlanAction::Coalesce,
                 witness: None,
             }],
         };
@@ -692,7 +684,7 @@ mod tests {
                 PlanEntry {
                     lo: 0x100,
                     hi: 0x300,
-                    action: PlanAction::Batch,
+                    action: PlanAction::Coalesce,
                     witness: None,
                 },
                 PlanEntry {

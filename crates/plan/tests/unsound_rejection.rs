@@ -11,10 +11,12 @@ fn arb_range() -> impl Strategy<Value = (usize, usize)> {
 }
 
 fn arb_action() -> impl Strategy<Value = PlanAction> {
-    (0u32..3).prop_map(|k| match k {
-        0 => PlanAction::Elide,
-        1 => PlanAction::Coalesce,
-        _ => PlanAction::Batch,
+    proptest::bool::ANY.prop_map(|elide| {
+        if elide {
+            PlanAction::Elide
+        } else {
+            PlanAction::Coalesce
+        }
     })
 }
 
@@ -115,7 +117,6 @@ proptest! {
                     prop_assert_eq!(owner, e.witness.unwrap().owner);
                 }
                 (PlanAction::Coalesce, PlanDecision::Coalesce) => {}
-                (PlanAction::Batch, PlanDecision::Batch) => {}
                 (a, d) => prop_assert!(false, "action {a:?} compiled to {d:?}"),
             }
         }

@@ -53,7 +53,7 @@ pub struct RuntimeConfig {
     pub record_trace: bool,
     /// Optional compiled static check plan (derive with
     /// `clean-analyze plan` or [`clean_core::PlanObserver`]): per-range
-    /// check elision, coalesced filtering, and batched compare spans.
+    /// check elision and coalesced filtering.
     pub check_plan: Option<Arc<CompiledPlan>>,
     /// Attach a [`clean_core::DetectorObs`] bridge to the detector,
     /// mirroring SFR drains and race reports into the process-wide

@@ -18,6 +18,9 @@
 //! configured with every sibling as a FETCH peer — and then routes to
 //! them. A SHUTDOWN frame sent to the router drains the whole fleet.
 
+mod args;
+
+use args::{parse_num, take_value, take_values};
 use clean_serve::client::{stats_text, Client};
 use clean_serve::router::{Router, RouterConfig};
 use std::net::TcpStream;
@@ -74,32 +77,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Pulls the value of `--flag value` out of `args`, removing both.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(value))
-}
-
-/// Pulls every occurrence of `--flag value` out of `args`.
-fn take_values(args: &mut Vec<String>, flag: &str) -> Result<Vec<String>, String> {
-    let mut values = Vec::new();
-    while let Some(v) = take_value(args, flag)? {
-        values.push(v);
-    }
-    Ok(values)
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("bad {what}: {value:?}"))
 }
 
 /// Applies the router flags shared by `route` and `spawn`.

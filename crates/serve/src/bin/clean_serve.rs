@@ -22,6 +22,9 @@
 //! race suppressed to a warning), 10 = analysis found unsuppressed
 //! race(s), 1 = any other failure.
 
+mod args;
+
+use args::{parse_num, take_value, take_values};
 use clean_serve::client::{stats_text, Client};
 use clean_serve::policy::SuppressionPolicy;
 use clean_serve::protocol::Response;
@@ -113,28 +116,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls the value of `--flag value` out of `args`, removing both.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(value))
-}
-
-/// Pulls every occurrence of `--flag value` out of `args`.
-fn take_values(args: &mut Vec<String>, flag: &str) -> Result<Vec<String>, String> {
-    let mut values = Vec::new();
-    while let Some(v) = take_value(args, flag)? {
-        values.push(v);
-    }
-    Ok(values)
-}
-
 /// Removes `--flag` from `args` if present, returning whether it was.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     if let Some(pos) = args.iter().position(|a| a == flag) {
@@ -143,10 +124,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     } else {
         false
     }
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("bad {what}: {value:?}"))
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {

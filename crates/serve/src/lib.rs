@@ -19,11 +19,14 @@
 //! * [`policy`] — the `CSUP v1` race-suppression rules applied at
 //!   verdict-classification time, demoting known-benign races to
 //!   warnings,
-//! * [`server`] — the bounded-concurrency TCP daemon wiring the three
-//!   together over a replay worker pool, with peer FETCH for fleets,
+//! * [`server`] — the `clean-serve` daemon wiring the three together
+//!   over a replay worker pool, with peer FETCH for fleets,
 //! * [`router`] — the `clean-fleet` front that shards requests by
 //!   digest prefix across N backends with replication and failover,
 //! * [`client`] — a blocking client for the protocol.
+//!
+//! Both daemons run on one skeleton — acceptor pool, I/O deadlines, frame
+//! loop, drain and join — and each supplies only its request handler.
 //!
 //! The design premise is the same one that justifies the trace store in
 //! the first place: a trace digest names an *immutable* event sequence,
@@ -62,6 +65,7 @@
 
 pub mod cache;
 pub mod client;
+mod daemon;
 pub mod policy;
 pub mod protocol;
 pub mod queue;

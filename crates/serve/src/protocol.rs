@@ -273,6 +273,14 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Whether `e` is a socket read or write timeout.
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Writes one frame.
 fn write_frame(w: &mut impl Write, opcode: u8, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_BODY {
@@ -311,23 +319,8 @@ pub fn read_frame_header(r: &mut impl Read) -> io::Result<Option<FrameHeader>> {
     while filled < header.len() {
         let n = match r.read(&mut header[filled..]) {
             Ok(n) => n,
-            Err(e)
-                if filled == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Err(e);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(bad("timed out mid frame header"));
-            }
+            Err(e) if filled == 0 && is_timeout(&e) => return Err(e),
+            Err(e) if is_timeout(&e) => return Err(bad("timed out mid frame header")),
             Err(e) => return Err(e),
         };
         if n == 0 {
@@ -361,10 +354,7 @@ pub fn read_frame_header(r: &mut impl Read) -> io::Result<Option<FrameHeader>> {
 pub fn read_frame_body(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
     let mut body = vec![0u8; len];
     r.read_exact(&mut body).map_err(|e| {
-        if matches!(
-            e.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        ) {
+        if is_timeout(&e) {
             bad("timed out mid frame body")
         } else {
             e
@@ -540,6 +530,14 @@ impl Request {
 }
 
 impl Response {
+    /// An [`Response::Error`] reply.
+    pub(crate) fn error(code: u8, message: impl Into<String>) -> Response {
+        Response::Error {
+            code,
+            message: message.into(),
+        }
+    }
+
     /// Serializes the response as one frame.
     ///
     /// # Errors

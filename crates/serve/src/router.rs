@@ -1,5 +1,7 @@
 //! The `clean-fleet` router: a thin CSRV front that shards requests by
-//! digest prefix across N `clean-serve` backends.
+//! digest prefix across N `clean-serve` backends, on the daemon skeleton
+//! both share. Its handler buffers each body, refuses work once draining,
+//! and routes.
 //!
 //! # Placement
 //!
@@ -28,7 +30,9 @@
 //! A `PENDING` job id is only meaningful on the backend that issued it,
 //! so the router tags the backend index into the top byte of the id
 //! (`job | idx << 56`) before handing it to the client, and strips the
-//! tag to route a later `STATUS` poll back to the right backend.
+//! tag to route a later `STATUS` poll back to the right backend. One
+//! byte names at most 256 backends, so [`Router::start`] refuses a
+//! larger fleet.
 //!
 //! `METRICS` fans out to every backend (skipping unreachable nodes) and
 //! merges the backends' `CMET` expositions under `node="<idx>"` labels;
@@ -38,38 +42,38 @@
 //!
 //! # Connection pooling
 //!
-//! Forwarding used to dial a fresh TCP connection per frame, which
-//! dominated hot-path fan-out cost. The router now keeps a small
-//! per-backend pool of parked connections: a forward checks one out
-//! (`router_pool_hits`), falls back to a fresh dial when the pool is
-//! empty or the parked connection died (`router_pool_misses`), and
-//! parks the connection back afterwards. Parked connections are reaped
-//! after an idle period well below the backend's 30 s I/O timeout, so
-//! a reused connection is rarely half-closed — and when it is, the
-//! failed call simply falls through to the fresh-dial path.
+//! Dialing per frame would dominate hot-path fan-out cost, so the router
+//! keeps a small per-backend pool of parked connections: a forward
+//! checks one out (`router_pool_hits`), falls back to a fresh dial when
+//! the pool is empty or the parked connection died
+//! (`router_pool_misses`), and parks the connection back afterwards.
+//! Parked connections are reaped after 10 s idle, well below the
+//! backend's 30 s I/O timeout, so a reused connection is rarely
+//! half-closed — and when it is, the failed call simply falls through
+//! to the fresh-dial path.
 
 use crate::client::Client;
+use crate::daemon::{self, DaemonHandle, Frame, Next, Obs, Reply, Service};
 use crate::protocol::{error_code, Request, Response};
-use crate::server::{verb_of, Obs};
 use clean_obs::{Snapshot, Stage};
 use clean_trace::{Digester, TraceDigest, TraceReader};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use parking_lot::Mutex;
+use std::io;
 use std::time::{Duration, Instant};
 
 /// Parked connections kept per backend. Small on purpose: each parked
 /// connection occupies one acceptor on the backend until reaped.
 const POOL_CAP: usize = 4;
+/// Idle time after which the pool reaps a parked connection: well under
+/// the backend I/O timeout, so reuse rarely races the backend's close.
+const POOL_IDLE: Duration = Duration::from_secs(10);
 
 /// Bit position of the backend tag in a router-issued job id.
 const JOB_TAG_SHIFT: u32 = 56;
 /// Mask selecting the untagged (backend-local) part of a job id.
 const JOB_ID_MASK: u64 = (1 << JOB_TAG_SHIFT) - 1;
+/// The most backends a job tag can name: the tag is the top byte.
+const MAX_BACKENDS: usize = 1 << (64 - JOB_TAG_SHIFT);
 
 /// Tags a backend-local job id with the backend that issued it.
 pub fn tag_job(job: u64, backend: usize) -> u64 {
@@ -122,17 +126,11 @@ pub struct RouterConfig {
     pub acceptors: usize,
     /// Per-client-connection I/O timeout in milliseconds (0 = none).
     pub io_timeout_millis: u64,
-    /// How long a parked backend connection may idle before the pool
-    /// reaps it, in milliseconds. 0 disables pooling (dial-per-forward,
-    /// the pre-pool behavior). Keep this well under the backend I/O
-    /// timeout so reuse rarely races the backend closing the socket.
-    pub pool_idle_millis: u64,
 }
 
 impl RouterConfig {
     /// Defaults: loopback ephemeral port, replication 2, 3 connect
-    /// retries 50 ms apart, 32 acceptors, 30 s I/O timeout, 10 s pool
-    /// idle reap.
+    /// retries 50 ms apart, 32 acceptors, 30 s I/O timeout.
     pub fn new(backends: Vec<String>) -> Self {
         RouterConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -142,7 +140,6 @@ impl RouterConfig {
             retry_delay_millis: 50,
             acceptors: 32,
             io_timeout_millis: 30_000,
-            pool_idle_millis: 10_000,
         }
     }
 
@@ -181,19 +178,6 @@ impl RouterConfig {
         self.io_timeout_millis = millis;
         self
     }
-
-    /// Sets the backend-pool idle reap period (0 disables pooling).
-    pub fn pool_idle_millis(mut self, millis: u64) -> Self {
-        self.pool_idle_millis = millis;
-        self
-    }
-}
-
-/// One parked backend connection.
-#[derive(Debug)]
-struct PooledConn {
-    client: Client,
-    parked_at: Instant,
 }
 
 #[derive(Debug)]
@@ -202,12 +186,9 @@ struct RouterShared {
     replication: usize,
     connect_retries: usize,
     retry_delay: Duration,
-    acceptors: usize,
-    io_timeout: Option<Duration>,
-    /// Parked backend connections, one pool per backend. `None` when
-    /// pooling is disabled.
-    pools: Option<Vec<Mutex<Vec<PooledConn>>>>,
-    pool_idle: Duration,
+    /// Parked backend connections and when each was parked, one pool
+    /// per backend.
+    pools: Vec<Mutex<Vec<(Client, Instant)>>>,
     /// Request frames forwarded to backends (registry-backed).
     forwards: clean_obs::Counter,
     /// Forwards served by a parked connection.
@@ -215,24 +196,16 @@ struct RouterShared {
     /// Forwards that had to dial a fresh connection.
     pool_misses: clean_obs::Counter,
     obs: Obs,
-    draining: AtomicBool,
-    drain_flag: Mutex<bool>,
-    drain_cv: Condvar,
-    addr: SocketAddr,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
 }
 
 impl RouterShared {
     /// Pops a live parked connection for backend `idx`, reaping any
-    /// that idled past the reap period (a long-parked connection is
-    /// likely half-closed by the backend's I/O timeout anyway).
+    /// that idled past [`POOL_IDLE`].
     fn checkout(&self, idx: usize) -> Option<Client> {
-        let pools = self.pools.as_ref()?;
-        let mut pool = pools[idx].lock();
-        while let Some(parked) = pool.pop() {
-            if parked.parked_at.elapsed() < self.pool_idle {
-                return Some(parked.client);
+        let mut pool = self.pools[idx].lock();
+        while let Some((client, parked_at)) = pool.pop() {
+            if parked_at.elapsed() < POOL_IDLE {
+                return Some(client);
             }
         }
         None
@@ -240,16 +213,10 @@ impl RouterShared {
 
     /// Parks a connection for reuse (dropped if the pool is full).
     fn park(&self, idx: usize, client: Client) {
-        let Some(pools) = self.pools.as_ref() else {
-            return;
-        };
-        let mut pool = pools[idx].lock();
-        pool.retain(|p| p.parked_at.elapsed() < self.pool_idle);
+        let mut pool = self.pools[idx].lock();
+        pool.retain(|(_, parked_at)| parked_at.elapsed() < POOL_IDLE);
         if pool.len() < POOL_CAP {
-            pool.push(PooledConn {
-                client,
-                parked_at: Instant::now(),
-            });
+            pool.push((client, Instant::now()));
         }
     }
 
@@ -294,7 +261,7 @@ impl RouterShared {
         }
     }
 
-    fn handle(&self, request: Request) -> Response {
+    fn route(&self, request: Request) -> Response {
         match request {
             Request::Submit { trace } => self.route_submit(trace),
             Request::Analyze { digest, .. } | Request::Fetch { digest } => {
@@ -305,9 +272,9 @@ impl RouterShared {
             Request::Policy { set } => self.route_policy(set),
             Request::Shutdown => {
                 // Fan the drain out to every backend. The router's own
-                // drain starts in `serve_connection` AFTER the reply is
-                // written: `join()` closes every registered connection,
-                // so draining here would race the ShuttingDown frame.
+                // drain starts once this reply is written: the join
+                // closes every registered connection, so draining here
+                // would race the ShuttingDown frame.
                 for idx in 0..self.backends.len() {
                     let _ = self.forward(idx, &Request::Shutdown);
                 }
@@ -321,17 +288,14 @@ impl RouterShared {
     /// to the primary and its replica predecessors.
     fn route_submit(&self, trace: Vec<u8>) -> Response {
         // Digest-based backend selection is the router's "shard" stage.
-        let shard_span = self.obs.spans.as_ref().map(|s| s.start(Stage::Shard));
+        let shard_span = self.obs.spans.start(Stage::Shard);
         let digest = digest_of(&trace);
         drop(shard_span);
-        let digest = match digest {
-            Some(d) => d,
-            None => {
-                return Response::Error {
-                    code: error_code::BAD_TRACE,
-                    message: "invalid trace: undecodable CLTR stream".into(),
-                }
-            }
+        let Some(digest) = digest else {
+            return Response::error(
+                error_code::BAD_TRACE,
+                "invalid trace: undecodable CLTR stream",
+            );
         };
         let request = Request::Submit { trace };
         let mut first_ok: Option<Response> = None;
@@ -347,10 +311,10 @@ impl RouterShared {
             }
         }
         // One durable copy is enough to answer; zero is a failure.
-        first_ok.or(last_refusal).unwrap_or(Response::Error {
-            code: error_code::INTERNAL,
-            message: "no backend accepted the submission".into(),
-        })
+        first_ok.or(last_refusal).unwrap_or(Response::error(
+            error_code::INTERNAL,
+            "no backend accepted the submission",
+        ))
     }
 
     /// Forwards a digest-addressed read (ANALYZE / FETCH), failing over
@@ -378,10 +342,10 @@ impl RouterShared {
                 }
             }
         }
-        last.unwrap_or(Response::Error {
-            code: error_code::INTERNAL,
-            message: "no backend reachable for digest".into(),
-        })
+        last.unwrap_or(Response::error(
+            error_code::INTERNAL,
+            "no backend reachable for digest",
+        ))
     }
 
     /// Routes a POLICY frame. A *set* must land on every backend —
@@ -397,59 +361,46 @@ impl RouterShared {
             for idx in 0..self.backends.len() {
                 match self.forward(idx, &request) {
                     Some(resp @ Response::Policy { .. }) => last_ok = Some(resp),
-                    Some(Response::Error { code, message }) => {
-                        return Response::Error { code, message }
-                    }
+                    Some(err @ Response::Error { .. }) => return err,
                     Some(other) => {
-                        return Response::Error {
-                            code: error_code::INTERNAL,
-                            message: format!("backend {idx} refused the policy: {other:?}"),
-                        }
+                        return Response::error(
+                            error_code::INTERNAL,
+                            format!("backend {idx} refused the policy: {other:?}"),
+                        )
                     }
                     None => {
-                        return Response::Error {
-                            code: error_code::INTERNAL,
-                            message: format!("backend {idx} unreachable; policy not fleet-wide"),
-                        }
+                        return Response::error(
+                            error_code::INTERNAL,
+                            format!("backend {idx} unreachable; policy not fleet-wide"),
+                        )
                     }
                 }
             }
-            return last_ok.unwrap_or(Response::Error {
-                code: error_code::INTERNAL,
-                message: "no backends".into(),
-            });
+            return last_ok.unwrap_or(Response::error(error_code::INTERNAL, "no backends"));
         }
         for idx in 0..self.backends.len() {
             if let Some(resp) = self.forward(idx, &request) {
                 return resp;
             }
         }
-        Response::Error {
-            code: error_code::INTERNAL,
-            message: "no backend reachable for policy read".into(),
-        }
+        Response::error(error_code::INTERNAL, "no backend reachable for policy read")
     }
 
     fn route_status(&self, job: u64) -> Response {
         let (idx, raw) = untag_job(job);
         if idx >= self.backends.len() {
-            return Response::Error {
-                code: error_code::UNKNOWN_JOB,
-                message: format!(
-                    "job {job} names backend {idx} of a {}-node fleet",
-                    self.backends.len()
-                ),
-            };
+            let n = self.backends.len();
+            return Response::error(
+                error_code::UNKNOWN_JOB,
+                format!("job {job} names backend {idx} of a {n}-node fleet"),
+            );
         }
         match self.forward(idx, &Request::Status { job: raw }) {
             Some(Response::Pending { job }) => Response::Pending {
                 job: tag_job(job, idx),
             },
             Some(resp) => resp,
-            None => Response::Error {
-                code: error_code::INTERNAL,
-                message: format!("backend {idx} unreachable"),
-            },
+            None => Response::error(error_code::INTERNAL, format!("backend {idx} unreachable")),
         }
     }
 
@@ -494,68 +445,29 @@ fn digest_of(trace: &[u8]) -> Option<TraceDigest> {
     Some(digester.finish())
 }
 
-fn begin_drain(shared: &RouterShared) {
-    if shared.draining.swap(true, Ordering::SeqCst) {
-        return;
+impl Service for RouterShared {
+    fn obs(&self) -> &Obs {
+        &self.obs
     }
-    *shared.drain_flag.lock() = true;
-    shared.drain_cv.notify_all();
-    for _ in 0..shared.acceptors {
-        let _ = TcpStream::connect(shared.addr);
+
+    fn handle(&self, mut frame: Frame<'_>) -> io::Result<Reply> {
+        // Every body is buffered: routing a SUBMIT needs its digest.
+        let request = frame.request()?;
+        if frame.draining() {
+            return Ok(Reply {
+                response: Response::ShuttingDown,
+                counted: None,
+                next: Next::Close,
+            });
+        }
+        Ok(Reply::answer(request, |request| self.route(request)))
     }
 }
 
-/// Handle to a running router: address, shutdown, join.
-#[derive(Debug)]
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    acceptors: Vec<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address (useful with an ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// Starts the router's drain (backends are left running; a client
-    /// `SHUTDOWN` frame is what fans out to them).
-    pub fn shutdown(&self) {
-        begin_drain(&self.shared);
-    }
-
-    /// Blocks until someone initiates shutdown.
-    pub fn wait_until_draining(&self) {
-        let mut flag = self.shared.drain_flag.lock();
-        while !*flag {
-            self.shared.drain_cv.wait(&mut flag);
-        }
-    }
-
-    /// Drains and joins every router thread.
-    pub fn join(mut self) {
-        self.join_inner();
-    }
-
-    fn join_inner(&mut self) {
-        begin_drain(&self.shared);
-        for (_, conn) in self.shared.conns.lock().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        for _ in 0..self.acceptors.len() {
-            let _ = TcpStream::connect(self.shared.addr);
-        }
-        for h in self.acceptors.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.join_inner();
-    }
-}
+/// Handle to a running router: address, shutdown, join. Its shutdown
+/// drains the router only; a client `SHUTDOWN` frame is what fans out to
+/// the backends.
+pub type RouterHandle = DaemonHandle;
 
 /// The `clean-fleet` router service.
 #[derive(Debug)]
@@ -566,141 +478,37 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Bind/listen failures, or an empty backend list.
+    /// Bind/listen failures, an empty backend list, or more backends
+    /// than a job tag can name (256).
     pub fn start(config: RouterConfig) -> io::Result<RouterHandle> {
-        if config.backends.is_empty() {
+        let n = config.backends.len();
+        if n == 0 || n > MAX_BACKENDS {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "router needs at least one backend",
+                format!("router needs 1 to {MAX_BACKENDS} backends, got {n}"),
             ));
         }
-        let listener =
-            TcpListener::bind(
-                config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "bad bind address")
-                })?,
-            )?;
-        let addr = listener.local_addr()?;
-        let acceptor_count = config.acceptors.max(1);
-        let obs = Obs::new(true);
-        let forwards = obs.registry.counter("forwards");
-        let pool_hits = obs.registry.counter("router_pool_hits");
-        let pool_misses = obs.registry.counter("router_pool_misses");
-        let shared = Arc::new(RouterShared {
+        let listener = daemon::bind(&config.addr)?;
+        let obs = Obs::new();
+        let shared = RouterShared {
             replication: config.replication.max(1),
             connect_retries: config.connect_retries,
             retry_delay: Duration::from_millis(config.retry_delay_millis),
-            acceptors: acceptor_count,
-            io_timeout: (config.io_timeout_millis > 0)
-                .then(|| Duration::from_millis(config.io_timeout_millis)),
-            pools: (config.pool_idle_millis > 0).then(|| {
-                (0..config.backends.len())
-                    .map(|_| Mutex::new(Vec::new()))
-                    .collect()
-            }),
-            pool_idle: Duration::from_millis(config.pool_idle_millis),
-            backends: config.backends.clone(),
-            forwards,
-            pool_hits,
-            pool_misses,
+            pools: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            backends: config.backends,
+            forwards: obs.registry.counter("forwards"),
+            pool_hits: obs.registry.counter("router_pool_hits"),
+            pool_misses: obs.registry.counter("router_pool_misses"),
             obs,
-            draining: AtomicBool::new(false),
-            drain_flag: Mutex::new(false),
-            drain_cv: Condvar::new(),
-            addr,
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-        });
-        let listener = Arc::new(listener);
-        let acceptors: Vec<JoinHandle<()>> = (0..acceptor_count)
-            .map(|i| {
-                let listener = Arc::clone(&listener);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("clean-fleet-accept-{i}"))
-                    .spawn(move || acceptor_loop(&listener, &shared))
-                    .expect("spawn router acceptor")
-            })
-            .collect();
-        Ok(RouterHandle { shared, acceptors })
-    }
-}
-
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => break,
         };
-        if shared.draining.load(Ordering::SeqCst) {
-            let mut w = BufWriter::new(&stream);
-            let _ = Response::ShuttingDown.write(&mut w);
-            break;
-        }
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().insert(conn_id, clone);
-        }
-        serve_connection(stream, shared);
-        shared.conns.lock().remove(&conn_id);
-    }
-}
-
-fn serve_connection(stream: TcpStream, shared: &RouterShared) {
-    if let Some(t) = shared.io_timeout {
-        let _ = stream.set_read_timeout(Some(t));
-        let _ = stream.set_write_timeout(Some(t));
-    }
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let request = match Request::read(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle at a frame boundary is fine; draining ends it.
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let _ = Response::Error {
-                    code: error_code::BAD_FRAME,
-                    message: e.to_string(),
-                }
-                .write(&mut writer);
-                break;
-            }
-            Err(_) => break,
-        };
-        if shared.draining.load(Ordering::SeqCst) {
-            let _ = Response::ShuttingDown.write(&mut writer);
-            break;
-        }
-        let started = Instant::now();
-        let verb = verb_of(&request);
-        let is_shutdown = matches!(request, Request::Shutdown);
-        let response = shared.handle(request);
-        shared
-            .obs
-            .record_request(verb, None, started.elapsed().as_micros() as u64);
-        let write_ok = response.write(&mut writer).is_ok();
-        if is_shutdown {
-            begin_drain(shared);
-            break;
-        }
-        if !write_ok {
-            break;
-        }
+        daemon::spawn(
+            listener,
+            shared,
+            "clean-fleet",
+            config.acceptors,
+            0,
+            config.io_timeout_millis,
+        )
     }
 }
 

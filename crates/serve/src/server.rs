@@ -1,20 +1,9 @@
-//! The `clean-serve` daemon: a bounded-concurrency TCP server over the
-//! [`crate::protocol`] frames, gluing together the trace store, verdict
-//! cache, and job queue.
-//!
-//! Thread layout:
-//!
-//! * a bounded pool of **acceptor** threads, each looping
-//!   accept-then-serve — concurrent connections are capped at the pool
-//!   size and excess connections queue in the OS listen backlog instead
-//!   of spawning unbounded threads,
-//! * a pool of **worker** threads draining the job queue through the
-//!   offline replay engines.
-//!
-//! Connections carry per-direction I/O timeouts: an idle connection
-//! parked *at a frame boundary* is welcome to stay, but a peer that
-//! stalls mid-frame (the slow-loris shape) gets a `BAD_FRAME` error and
-//! a disconnect — one stuck sender cannot hold an acceptor hostage.
+//! The `clean-serve` daemon: the request handler that glues the trace
+//! store, verdict cache and job queue to the [`crate::protocol`] frames,
+//! plus a pool of **worker** threads draining the job queue through the
+//! offline replay engine. Accept, I/O deadlines, the frame loop, drain
+//! and join are the skeleton it shares with the router (the `daemon`
+//! module); the SUBMIT stream and the decode span are this handler's own.
 //!
 //! SUBMIT bodies are *streamed* into the content-addressed store — the
 //! bytes go straight from the socket to a staged temp file and are
@@ -30,30 +19,24 @@
 //! address including port): per-client caps bound what a single
 //! connection can hold in flight.
 //!
-//! Graceful shutdown (`SHUTDOWN` frame or [`ServerHandle::shutdown`])
+//! Graceful shutdown (`SHUTDOWN` frame or `ServerHandle::shutdown`)
 //! closes the queue to new work but *drains* what was admitted: workers
 //! finish every queued job (waiting clients get their verdicts), then
 //! lingering connections are disconnected and all threads joined.
 
 use crate::cache::{Verdict, VerdictCache, VerdictKey};
 use crate::client::Client;
+use crate::daemon::{self, DaemonHandle, Frame, Next, Obs, Reply, Service};
 use crate::policy::{SuppressionPolicy, POLICY_FILE};
-use crate::protocol::{
-    error_code, read_frame_body, read_frame_header, Request, Response, WireRace, OP_SUBMIT,
-};
+use crate::protocol::{error_code, is_timeout, Request, Response, WireRace, OP_SUBMIT};
 use crate::queue::{Admission, JobQueue, JobState};
 use crate::store::{StoreError, TraceStore};
-use clean_obs::{Counter, Journal, Registry, Stage, StageSpans};
+use clean_obs::{Counter, Registry, Stage};
 use clean_trace::{EngineKind, Replay, TraceDigest};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use parking_lot::Mutex;
+use std::io::{self, Read};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// File name of the durable verdict log, under the store directory.
 pub const VERDICT_LOG: &str = "verdicts.log";
@@ -96,13 +79,6 @@ pub struct ServerConfig {
     /// `POLICY` frame installs new rules, so suppression survives
     /// restarts.
     pub policy_path: Option<PathBuf>,
-    /// Record per-stage timing spans (decode / check / verdict /
-    /// store-insert / peer-fetch) into the metrics registry. Off means
-    /// the span bundle is never constructed — every call site pays one
-    /// `Option` branch and nothing else.
-    /// Counters and the journal stay on either way (relaxed atomics at
-    /// request granularity).
-    pub obs_spans: bool,
 }
 
 impl ServerConfig {
@@ -128,7 +104,6 @@ impl ServerConfig {
             io_timeout_millis: 30_000,
             persist_verdicts: true,
             policy_path: None,
-            obs_spans: true,
         }
     }
 
@@ -210,12 +185,6 @@ impl ServerConfig {
         self.policy_path = Some(path.into());
         self
     }
-
-    /// Enables or disables per-stage timing spans.
-    pub fn obs_spans(mut self, on: bool) -> Self {
-        self.obs_spans = on;
-        self
-    }
 }
 
 /// The live suppression policy plus its audit trail: one counter per
@@ -262,47 +231,6 @@ impl ServiceCounters {
     }
 }
 
-/// An observability bundle shared by the daemon and the router: the
-/// metrics registry, the event journal, and (when the spans knob is on)
-/// the per-stage timing histograms.
-#[derive(Debug)]
-pub(crate) struct Obs {
-    pub(crate) registry: Registry,
-    pub(crate) journal: Journal,
-    pub(crate) spans: Option<StageSpans>,
-}
-
-impl Obs {
-    pub(crate) fn new(spans_on: bool) -> Self {
-        let registry = Registry::new();
-        let spans = spans_on.then(|| StageSpans::new(&registry, "serve_stage_micros"));
-        Obs {
-            registry,
-            journal: Journal::default(),
-            spans,
-        }
-    }
-
-    /// Counts one handled request and records its service latency,
-    /// keyed by verb (and dedup outcome for submissions, so the soak
-    /// harness can separate cold from duplicate submits server-side).
-    pub(crate) fn record_request(&self, verb: &'static str, dedup: Option<bool>, micros: u64) {
-        self.registry
-            .counter_with("serve_requests_total", &[("verb", verb)])
-            .inc();
-        let hist = match dedup {
-            Some(d) => self.registry.hist_with(
-                "serve_latency_micros",
-                &[("verb", verb), ("dedup", if d { "true" } else { "false" })],
-            ),
-            None => self
-                .registry
-                .hist_with("serve_latency_micros", &[("verb", verb)]),
-        };
-        hist.record(micros);
-    }
-}
-
 /// State shared by every server thread.
 #[derive(Debug)]
 struct Shared {
@@ -319,22 +247,6 @@ struct Shared {
     policy_path: PathBuf,
     shards: usize,
     peers: Vec<String>,
-    acceptors: usize,
-    io_timeout: Option<Duration>,
-    /// Set once shutdown begins; checked by acceptors before serving a
-    /// fresh connection and by request handlers admitting new work.
-    draining: AtomicBool,
-    /// Condvar'd mirror of `draining` so a foreground daemon can block
-    /// in [`ServerHandle::wait_until_draining`] instead of polling.
-    drain_flag: Mutex<bool>,
-    drain_cv: Condvar,
-    addr: SocketAddr,
-    /// Live connection sockets (clones keyed by connection id), so the
-    /// drain can unblock parked readers. Entries are removed when their
-    /// acceptor finishes the connection — a lingering clone would hold
-    /// the TCP connection open after the server side is done with it.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
 }
 
 impl Shared {
@@ -370,7 +282,7 @@ impl Shared {
         let Some(path) = self.store.path_of(digest) else {
             return Err(format!("trace {digest} no longer in store"));
         };
-        let _check_span = self.obs.spans.as_ref().map(|s| s.start(Stage::Check));
+        let _check_span = self.obs.spans.start(Stage::Check);
         // Every trace streams off the store file: nothing is loaded whole,
         // and a file that fails to decode never yields a verdict.
         let done = Replay::new(engine)
@@ -386,82 +298,52 @@ impl Shared {
     }
 }
 
-/// Handle to a running server: address, shutdown, join.
-#[derive(Debug)]
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    acceptors: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (useful with an ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+impl Service for Shared {
+    fn obs(&self) -> &Obs {
+        &self.obs
     }
 
-    /// Starts a graceful drain, as if a `SHUTDOWN` frame arrived.
-    pub fn shutdown(&self) {
-        begin_drain(&self.shared);
+    fn handle(&self, mut frame: Frame<'_>) -> io::Result<Reply> {
+        // SUBMIT bodies stream straight into the store; every other
+        // request body is small and buffered.
+        if frame.header.opcode == OP_SUBMIT {
+            let (response, intact) = handle_submit_stream(self, &mut frame);
+            let dedup = match &response {
+                Response::Submitted { dedup, .. } => Some(*dedup),
+                _ => None,
+            };
+            let next = if intact { Next::Serve } else { Next::Close };
+            return Ok(Reply {
+                response,
+                counted: Some(("submit", dedup)),
+                next,
+            });
+        }
+        let decode_span = self.obs.spans.start(Stage::Decode);
+        let request = frame.request()?;
+        drop(decode_span);
+        Ok(Reply::answer(request, |request| {
+            handle_request(self, frame.peer, request)
+        }))
     }
 
-    /// Blocks until someone initiates shutdown (a `SHUTDOWN` frame or
-    /// [`ServerHandle::shutdown`]) — the foreground daemon's park.
-    pub fn wait_until_draining(&self) {
-        let mut flag = self.shared.drain_flag.lock();
-        while !*flag {
-            self.shared.drain_cv.wait(&mut flag);
-        }
+    /// Closes the queue to new work; workers finish what it holds.
+    fn on_drain(&self) {
+        self.queue.close();
     }
 
-    /// Drains and joins every server thread. Idempotent with
-    /// [`ServerHandle::shutdown`]; called from `Drop` as a safety net.
-    pub fn join(mut self) {
-        self.join_inner();
-    }
-
-    fn join_inner(&mut self) {
-        begin_drain(&self.shared);
-        // Workers exit once the queue is closed *and* drained — every
-        // admitted job has completed by the time these joins return, so
-        // clients blocked in an ANALYZE-wait get their verdicts before
-        // their connections are cut below.
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Unblock acceptors still parked inside a connection read.
-        for (_, conn) in self.shared.conns.lock().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // And acceptors parked in accept(): one wake-up poke each.
-        for _ in 0..self.acceptors.len() {
-            let _ = TcpStream::connect(self.shared.addr);
-        }
-        for h in self.acceptors.drain(..) {
-            let _ = h.join();
+    fn work(&self) {
+        while let Some(job) = self.queue.next_job() {
+            let result = self.run_job(job.key.digest, job.key.engine);
+            self.queue.complete(job.id, result);
+            self.store.unpin(job.key.digest);
         }
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.join_inner();
-    }
-}
-
-/// Flags the server as draining, closes the queue, and pokes every
-/// acceptor awake with throwaway connections.
-fn begin_drain(shared: &Shared) {
-    if shared.draining.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    shared.queue.close();
-    *shared.drain_flag.lock() = true;
-    shared.drain_cv.notify_all();
-    for _ in 0..shared.acceptors {
-        let _ = TcpStream::connect(shared.addr);
-    }
-}
+/// Handle to a running server: address, shutdown, join. Its join
+/// waits for every admitted job before cutting lingering connections.
+pub type ServerHandle = DaemonHandle;
 
 /// The `clean-serve` service.
 #[derive(Debug)]
@@ -476,20 +358,13 @@ impl Server {
     /// Bind/listen failures, store-open failures, or verdict-log
     /// failures.
     pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
-        let listener =
-            TcpListener::bind(
-                config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "bad bind address")
-                })?,
-            )?;
-        let addr = listener.local_addr()?;
+        let listener = daemon::bind(&config.addr)?;
         let store = TraceStore::open(&config.store_dir, config.store_max_bytes)?;
         let cache = if config.persist_verdicts {
             VerdictCache::open(config.store_dir.join(VERDICT_LOG))?
         } else {
             VerdictCache::new()
         };
-        let acceptor_count = config.acceptors.max(1);
         let policy_path = config
             .policy_path
             .clone()
@@ -497,9 +372,9 @@ impl Server {
         // A missing file is the empty policy; an unparseable one fails
         // startup loudly rather than silently un-suppressing races.
         let policy = SuppressionPolicy::load(&policy_path)?;
-        let obs = Obs::new(config.obs_spans);
+        let obs = Obs::new();
         let counters = ServiceCounters::new(&obs.registry);
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             store,
             cache,
             policy: Mutex::new(ActivePolicy::new(policy)),
@@ -508,99 +383,16 @@ impl Server {
             counters,
             obs,
             shards: config.shards,
-            peers: config.peers.clone(),
-            acceptors: acceptor_count,
-            io_timeout: (config.io_timeout_millis > 0)
-                .then(|| Duration::from_millis(config.io_timeout_millis)),
-            draining: AtomicBool::new(false),
-            drain_flag: Mutex::new(false),
-            drain_cv: Condvar::new(),
-            addr,
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-        });
-
-        let workers: Vec<JoinHandle<()>> = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("clean-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        let listener = Arc::new(listener);
-        let acceptors: Vec<JoinHandle<()>> = (0..acceptor_count)
-            .map(|i| {
-                let listener = Arc::clone(&listener);
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("clean-serve-accept-{i}"))
-                    .spawn(move || acceptor_loop(&listener, &shared))
-                    .expect("spawn acceptor thread")
-            })
-            .collect();
-
-        Ok(ServerHandle {
-            shared,
-            acceptors,
-            workers,
-        })
-    }
-}
-
-/// One acceptor: accept a connection, serve it to completion, repeat.
-/// The pool size bounds concurrency; the OS backlog bounds admission.
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let (stream, peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => break,
+            peers: config.peers,
         };
-        if shared.draining.load(Ordering::SeqCst) {
-            // Best effort: tell the late arrival we are going away.
-            let mut w = BufWriter::new(&stream);
-            let _ = Response::ShuttingDown.write(&mut w);
-            break;
-        }
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().insert(conn_id, clone);
-        }
-        serve_connection(stream, peer, shared);
-        // Drop the drain clone too, or the TCP connection stays
-        // half-open after this acceptor is done serving it.
-        shared.conns.lock().remove(&conn_id);
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.next_job() {
-        let result = shared.run_job(job.key.digest, job.key.engine);
-        shared.queue.complete(job.id, result);
-        shared.store.unpin(job.key.digest);
-    }
-}
-
-fn error_response(code: u8, message: impl Into<String>) -> Response {
-    Response::Error {
-        code,
-        message: message.into(),
-    }
-}
-
-/// Stable `verb` label value for a request (the `serve_requests_total`
-/// key space).
-pub(crate) fn verb_of(request: &Request) -> &'static str {
-    match request {
-        Request::Submit { .. } => "submit",
-        Request::Analyze { .. } => "analyze",
-        Request::Status { .. } => "status",
-        Request::Shutdown => "shutdown",
-        Request::Fetch { .. } => "fetch",
-        Request::Policy { .. } => "policy",
-        Request::Metrics => "metrics",
+        daemon::spawn(
+            listener,
+            shared,
+            "clean-serve",
+            config.acceptors,
+            config.workers,
+            config.io_timeout_millis,
+        )
     }
 }
 
@@ -621,7 +413,7 @@ fn verdict_response(
         let ActivePolicy { policy, hits } = &mut *active;
         policy.classify_with_hits(digest, &v.races, hits)
     };
-    let _verdict_span = shared.obs.spans.as_ref().map(|s| s.start(Stage::Verdict));
+    let _verdict_span = shared.obs.spans.start(Stage::Verdict);
     let suppressed = flags.iter().filter(|&&s| s).count() as u64;
     if suppressed > 0 {
         shared.counters.suppressed_hits.add(suppressed);
@@ -648,118 +440,20 @@ fn verdict_response(
     }
 }
 
-fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: &Shared) {
-    let client = peer.to_string();
-    if let Some(t) = shared.io_timeout {
-        let _ = stream.set_read_timeout(Some(t));
-        let _ = stream.set_write_timeout(Some(t));
-    }
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let header = match read_frame_header(&mut reader) {
-            Ok(Some(h)) => h,
-            // Clean disconnect, or the drain shut the socket down.
-            Ok(None) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle at a frame boundary: welcome to keep waiting —
-                // unless the server is draining, in which case the park
-                // is over.
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Protocol error (bad magic/version, or a mid-frame
-                // stall): report and drop the connection — the stream
-                // position is unreliable.
-                shared.obs.journal.record("bad_frame", e.to_string());
-                let _ = error_response(error_code::BAD_FRAME, e.to_string()).write(&mut writer);
-                break;
-            }
-            Err(_) => break,
-        };
-        let started = Instant::now();
-        // SUBMIT bodies stream straight into the store; every other
-        // request body is small and buffered.
-        if header.opcode == OP_SUBMIT {
-            let (response, framing_intact) = handle_submit_stream(shared, &mut reader, header.len);
-            let dedup = match &response {
-                Response::Submitted { dedup, .. } => Some(*dedup),
-                _ => None,
-            };
-            shared
-                .obs
-                .record_request("submit", dedup, started.elapsed().as_micros() as u64);
-            if response.write(&mut writer).is_err() || !framing_intact {
-                break;
-            }
-            continue;
-        }
-        let decode_span = shared.obs.spans.as_ref().map(|s| s.start(Stage::Decode));
-        let body = match read_frame_body(&mut reader, header.len) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                shared.obs.journal.record("bad_frame", e.to_string());
-                let _ = error_response(error_code::BAD_FRAME, e.to_string()).write(&mut writer);
-                break;
-            }
-            Err(_) => break,
-        };
-        let request = match Request::from_frame(header.opcode, &body) {
-            Ok(req) => req,
-            Err(e) => {
-                shared.obs.journal.record("bad_frame", e.to_string());
-                let _ = error_response(error_code::BAD_FRAME, e.to_string()).write(&mut writer);
-                break;
-            }
-        };
-        drop(decode_span);
-        let verb = verb_of(&request);
-        let is_shutdown = matches!(request, Request::Shutdown);
-        let response = handle_request(shared, &client, request);
-        shared
-            .obs
-            .record_request(verb, None, started.elapsed().as_micros() as u64);
-        let write_ok = response.write(&mut writer).is_ok();
-        if is_shutdown {
-            // Drain only after the reply is on the wire: `join()` closes
-            // every registered connection, racing the write otherwise.
-            begin_drain(shared);
-            break;
-        }
-        if !write_ok {
-            break;
-        }
-    }
-}
-
 /// Streams a SUBMIT body from the socket into the store. Returns the
 /// response plus whether the connection's framing is still intact (a
 /// body that was not fully consumed leaves the stream unusable).
-fn handle_submit_stream(shared: &Shared, reader: &mut impl Read, len: usize) -> (Response, bool) {
-    if shared.draining.load(Ordering::SeqCst) {
+fn handle_submit_stream(shared: &Shared, frame: &mut Frame<'_>) -> (Response, bool) {
+    let len = frame.header.len;
+    if frame.draining() {
         // Consume the declared body so the refusal leaves the stream at
         // a frame boundary.
-        let drained = io::copy(&mut (&mut *reader).take(len as u64), &mut io::sink());
+        let drained = io::copy(&mut (&mut *frame.body).take(len as u64), &mut io::sink());
         return (Response::ShuttingDown, drained.ok() == Some(len as u64));
     }
     let evictions_before = shared.store.stats().evictions;
-    let insert_span = shared
-        .obs
-        .spans
-        .as_ref()
-        .map(|s| s.start(Stage::StoreInsert));
-    let inserted = shared.store.insert_stream(reader, len as u64, None);
+    let insert_span = shared.obs.spans.start(Stage::StoreInsert);
+    let inserted = shared.store.insert_stream(frame.body, len as u64, None);
     drop(insert_span);
     match inserted {
         Ok(stored) => {
@@ -785,64 +479,44 @@ fn handle_submit_stream(shared: &Shared, reader: &mut impl Read, len: usize) -> 
         }
         // The store consumed the full body before rejecting: the
         // connection is still usable.
-        Err(e @ StoreError::BadTrace(_)) => (error_response(e.code(), e.to_string()), true),
+        Err(e @ StoreError::BadTrace(_)) => (Response::error(e.code(), e.to_string()), true),
         Err(StoreError::Io(e)) => {
             // The copy stopped early: stream position unknown, so the
             // connection must drop. A socket timeout here is the
             // slow-loris shape and reports as BAD_FRAME.
-            let timed_out = matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            );
-            let resp = if timed_out {
-                error_response(error_code::BAD_FRAME, "timed out mid frame body")
+            let resp = if is_timeout(&e) {
+                Response::error(error_code::BAD_FRAME, "timed out mid frame body")
             } else {
-                error_response(error_code::INTERNAL, format!("store I/O error: {e}"))
+                Response::error(error_code::INTERNAL, format!("store I/O error: {e}"))
             };
             (resp, false)
         }
     }
 }
 
-fn handle_request(shared: &Shared, client: &str, request: Request) -> Response {
+/// Answers every verb but SUBMIT, whose body streams through
+/// [`handle_submit_stream`] instead.
+fn handle_request(shared: &Shared, peer: SocketAddr, request: Request) -> Response {
     match request {
-        Request::Submit { trace } => {
-            // Unreachable from `serve_connection` (SUBMIT streams), but
-            // kept for in-process callers of the request API.
-            if shared.draining.load(Ordering::SeqCst) {
-                return Response::ShuttingDown;
-            }
-            match shared.store.insert(&trace) {
-                Ok(stored) => {
-                    shared.counters.submits.inc();
-                    if stored.dedup {
-                        shared.counters.submit_dedup_hits.inc();
-                    }
-                    Response::Submitted {
-                        digest: stored.digest,
-                        dedup: stored.dedup,
-                        bytes: stored.bytes,
-                    }
-                }
-                Err(e) => error_response(e.code(), e.to_string()),
-            }
-        }
+        Request::Submit { .. } => unreachable!("SUBMIT bodies stream into the store"),
         Request::Analyze {
             digest,
             engine,
             wait,
         } => {
             shared.counters.analyzes.inc();
-            analyze(shared, client, digest, engine, wait)
+            analyze(shared, peer, digest, engine, wait)
         }
         Request::Status { job } => match shared.queue.status(job) {
-            None => error_response(error_code::UNKNOWN_JOB, format!("unknown job {job}")),
+            None => Response::error(error_code::UNKNOWN_JOB, format!("unknown job {job}")),
             Some(JobState::Queued | JobState::Running) => Response::Pending { job },
-            Some(JobState::Done(v)) => verdict_response_for_job(shared, job, &v),
-            Some(JobState::Failed(e)) => error_response(error_code::INTERNAL, e),
+            Some(JobState::Done(v)) => match shared.queue.job_key(job) {
+                Some(key) => verdict_response(shared, key.digest, key.engine, false, &v),
+                None => Response::error(error_code::UNKNOWN_JOB, format!("unknown job {job}")),
+            },
+            Some(JobState::Failed(e)) => Response::error(error_code::INTERNAL, e),
         },
-        // The drain itself starts in `serve_connection` after the reply
-        // is written out.
+        // The drain itself starts once this reply is written.
         Request::Shutdown => Response::ShuttingDown,
         Request::Fetch { digest } => {
             // Pin across the path lookup and the read so eviction cannot
@@ -851,9 +525,9 @@ fn handle_request(shared: &Shared, client: &str, request: Request) -> Response {
             let response = match shared.store.path_of(digest) {
                 Some(path) => match std::fs::read(&path) {
                     Ok(trace) => Response::TraceData { digest, trace },
-                    Err(e) => error_response(error_code::INTERNAL, e.to_string()),
+                    Err(e) => Response::error(error_code::INTERNAL, e.to_string()),
                 },
-                None => error_response(
+                None => Response::error(
                     error_code::UNKNOWN_DIGEST,
                     format!("trace {digest} not in store"),
                 ),
@@ -884,10 +558,10 @@ fn handle_policy(shared: &Shared, set: Option<String>) -> Response {
         Some(text) => {
             let parsed = match SuppressionPolicy::parse(&text) {
                 Ok(p) => p,
-                Err(e) => return error_response(error_code::BAD_POLICY, e.to_string()),
+                Err(e) => return Response::error(error_code::BAD_POLICY, e.to_string()),
             };
             if let Err(e) = parsed.save(&shared.policy_path) {
-                return error_response(
+                return Response::error(
                     error_code::INTERNAL,
                     format!("persisting policy failed: {e}"),
                 );
@@ -903,20 +577,12 @@ fn handle_policy(shared: &Shared, set: Option<String>) -> Response {
     }
 }
 
-/// Builds the VERDICT frame for a finished job id.
-fn verdict_response_for_job(shared: &Shared, job: u64, v: &Verdict) -> Response {
-    match shared.queue.job_key(job) {
-        Some(key) => verdict_response(shared, key.digest, key.engine, false, v),
-        None => error_response(error_code::UNKNOWN_JOB, format!("unknown job {job}")),
-    }
-}
-
 /// Tries to pull `digest` from each configured peer in turn. The caller
 /// holds a pin on `digest`, so a successful insert cannot be evicted
 /// before the analysis that wanted it runs. Returns true once the trace
 /// is resident locally.
 fn fetch_from_peers(shared: &Shared, digest: TraceDigest) -> bool {
-    let _fetch_span = shared.obs.spans.as_ref().map(|s| s.start(Stage::PeerFetch));
+    let _fetch_span = shared.obs.spans.start(Stage::PeerFetch);
     for peer in &shared.peers {
         let Ok(mut client) = Client::connect(peer.as_str()) else {
             continue;
@@ -943,9 +609,10 @@ fn fetch_from_peers(shared: &Shared, digest: TraceDigest) -> bool {
     false
 }
 
+/// Answers an ANALYZE, admitting a cache miss under `peer`'s cap.
 fn analyze(
     shared: &Shared,
-    client: &str,
+    peer: SocketAddr,
     digest: TraceDigest,
     engine: EngineKind,
     wait: bool,
@@ -969,13 +636,14 @@ fn analyze(
         && (shared.peers.is_empty() || !fetch_from_peers(shared, digest))
     {
         shared.store.unpin(digest);
-        return error_response(
+        return Response::error(
             error_code::UNKNOWN_DIGEST,
             format!("trace {digest} not in store; SUBMIT it first"),
         );
     }
     shared.counters.cache_misses.inc();
-    match shared.queue.submit(key, client) {
+    let client = peer.to_string();
+    match shared.queue.submit(key, &client) {
         Admission::Rejected { retry_millis } => {
             shared.store.unpin(digest);
             shared
@@ -1002,8 +670,8 @@ fn analyze(
             }
             match shared.queue.wait(job) {
                 Some(JobState::Done(v)) => verdict_response(shared, digest, engine, false, &v),
-                Some(JobState::Failed(e)) => error_response(error_code::INTERNAL, e),
-                _ => error_response(error_code::INTERNAL, "job vanished"),
+                Some(JobState::Failed(e)) => Response::error(error_code::INTERNAL, e),
+                _ => Response::error(error_code::INTERNAL, "job vanished"),
             }
         }
     }

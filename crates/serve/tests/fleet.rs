@@ -7,7 +7,7 @@
 use clean_obs::Snapshot;
 use clean_serve::client::{stat, Client};
 use clean_serve::protocol::{error_code, Response};
-use clean_serve::router::{primary_backend, Router, RouterConfig};
+use clean_serve::router::{primary_backend, tag_job, untag_job, Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig, ServerHandle};
 use clean_trace::{
     digest_events, read_trace, record_kernel_trace, EngineKind, RecordOptions, Replay, TraceDigest,
@@ -518,4 +518,23 @@ fn router_tags_jobs_and_routes_status_polls() {
         node.join();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleets_past_256_backends_are_refused() {
+    // A job id carries its backend in the top byte: 255 is the last
+    // index a tag can name, and backend 256's tag would wrap to backend
+    // 0's, routing its STATUS polls to the wrong node.
+    let job = (1 << 56) - 2;
+    assert_eq!(untag_job(tag_job(job, 255)), (255, job));
+    assert_eq!(untag_job(tag_job(job, 256)).0, 0);
+    let backends = |n: usize| (0..n).map(|i| format!("127.0.0.1:{}", 1 + i)).collect();
+    for n in [0, 257, 1000] {
+        let err = Router::start(RouterConfig::new(backends(n)).acceptors(1)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{n} backends");
+    }
+    // Starting dials no backend, so 256 dead addresses start fine.
+    Router::start(RouterConfig::new(backends(256)).acceptors(1))
+        .unwrap()
+        .join();
 }

@@ -1,7 +1,9 @@
 //! Wire-level tests: raw bytes against a live server socket, checking
 //! the frame grammar is enforced end to end — not just by the codec
 //! unit tests — and that protocol errors are reported before the
-//! connection drops.
+//! connection drops. The framing tests run against a server and against
+//! a router in front of it: both daemons share one frame loop, and these
+//! tests hold them to the same behaviour.
 
 use clean_core::{ThreadId, TraceEvent};
 use clean_obs::{Snapshot, EXPOSITION_HEADER};
@@ -11,7 +13,7 @@ use clean_serve::router::{Router, RouterConfig};
 use clean_serve::server::{Server, ServerConfig};
 use clean_trace::{encode_trace, TraceDigest};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -21,6 +23,67 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// The default I/O timeout of both daemons.
+const IO_TIMEOUT_MILLIS: u64 = 30_000;
+
+/// Runs `check` against a server, then against a router in front of it,
+/// both started with `io_timeout_millis`.
+fn against_server_and_router(tag: &str, io_timeout_millis: u64, check: impl Fn(SocketAddr)) {
+    let dir = scratch(tag);
+    let server =
+        Server::start(ServerConfig::new(&dir).io_timeout_millis(io_timeout_millis)).unwrap();
+    let router = Router::start(
+        RouterConfig::new(vec![server.addr().to_string()]).io_timeout_millis(io_timeout_millis),
+    )
+    .unwrap();
+    for addr in [server.addr(), router.addr()] {
+        check(addr);
+    }
+    router.join();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads one reply and asserts it is a `BAD_FRAME` error; returns its
+/// message.
+fn expect_bad_frame(sock: &mut TcpStream, addr: SocketAddr) -> String {
+    match Response::read(sock).unwrap().unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, error_code::BAD_FRAME, "{addr}: {message}");
+            message
+        }
+        other => panic!("{addr}: expected BAD_FRAME error, got {other:?}"),
+    }
+}
+
+/// Asserts the daemon dropped the connection: either a clean EOF or a
+/// reset (the daemon closed with bytes still unread).
+fn expect_disconnect(sock: &mut TcpStream, addr: SocketAddr) {
+    let mut rest = Vec::new();
+    match sock.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "{addr}: must disconnect"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{addr}"),
+    }
+}
+
+/// Asserts a METRICS round trip on `sock` succeeds.
+fn expect_metrics(sock: &mut TcpStream, addr: SocketAddr) {
+    Request::Metrics.write(sock).unwrap();
+    match Response::read(sock).unwrap().unwrap() {
+        Response::Metrics { .. } => {}
+        other => panic!("{addr}: expected METRICS reply, got {other:?}"),
+    }
+}
+
+/// A frame header declaring `len` body bytes.
+fn header(version: u8, opcode: u8, len: u32) -> Vec<u8> {
+    let mut frame = MAGIC.to_vec();
+    frame.push(version);
+    frame.push(opcode);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame
+}
+
 #[test]
 fn retired_stats_opcode_gets_bad_frame_from_server_and_router() {
     let dir = scratch("retired");
@@ -28,11 +91,7 @@ fn retired_stats_opcode_gets_bad_frame_from_server_and_router() {
     let router = Router::start(RouterConfig::new(vec![server.addr().to_string()])).unwrap();
     // What a client of the retired STATS verb sends: opcode 0x04, empty
     // body, current version.
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(0x04);
-    frame.extend_from_slice(&0u32.to_le_bytes());
+    let frame = header(VERSION, 0x04, 0);
     for addr in [server.addr(), router.addr()] {
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&frame).unwrap();
@@ -51,86 +110,47 @@ fn retired_stats_opcode_gets_bad_frame_from_server_and_router() {
 
 #[test]
 fn bad_magic_gets_error_then_disconnect() {
-    let dir = scratch("magic");
-    let server = Server::start(ServerConfig::new(&dir)).unwrap();
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
-    sock.write_all(b"BOGUS frame bytes").unwrap();
-
-    match Response::read(&mut sock).unwrap().unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, error_code::BAD_FRAME),
-        other => panic!("expected BAD_FRAME error, got {other:?}"),
-    }
-    // After a framing error the server drops the connection: either a
-    // clean EOF or a reset (the server closed with bytes still unread).
-    let mut rest = Vec::new();
-    match sock.read_to_end(&mut rest) {
-        Ok(_) => assert!(rest.is_empty()),
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
-    }
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    against_server_and_router("magic", IO_TIMEOUT_MILLIS, |addr| {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(b"BOGUS frame bytes").unwrap();
+        expect_bad_frame(&mut sock, addr);
+        expect_disconnect(&mut sock, addr);
+    });
 }
 
 #[test]
 fn wrong_version_and_unknown_opcode_are_rejected() {
-    let dir = scratch("version");
-    let server = Server::start(ServerConfig::new(&dir)).unwrap();
-
-    for (version, opcode) in [(VERSION + 1, 0x08u8), (VERSION, 0x6fu8)] {
-        let mut sock = TcpStream::connect(server.addr()).unwrap();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC);
-        frame.push(version);
-        frame.push(opcode);
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        sock.write_all(&frame).unwrap();
-        match Response::read(&mut sock).unwrap().unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, error_code::BAD_FRAME),
-            other => panic!("expected BAD_FRAME error, got {other:?}"),
+    against_server_and_router("version", IO_TIMEOUT_MILLIS, |addr| {
+        for (version, opcode) in [(VERSION + 1, 0x08u8), (VERSION, 0x6fu8)] {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.write_all(&header(version, opcode, 0)).unwrap();
+            expect_bad_frame(&mut sock, addr);
         }
-    }
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 #[test]
 fn oversized_body_length_is_rejected_without_hanging() {
-    let dir = scratch("oversize");
-    let server = Server::start(ServerConfig::new(&dir)).unwrap();
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
-    // Declares a 4 GiB body; the server must refuse at the header.
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(0x01);
-    frame.extend_from_slice(&u32::MAX.to_le_bytes());
-    sock.write_all(&frame).unwrap();
-    match Response::read(&mut sock).unwrap().unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, error_code::BAD_FRAME),
-        other => panic!("expected BAD_FRAME error, got {other:?}"),
-    }
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    against_server_and_router("oversize", IO_TIMEOUT_MILLIS, |addr| {
+        // Declares a 4 GiB SUBMIT body; the daemon must refuse at the
+        // header.
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&header(VERSION, 0x01, u32::MAX)).unwrap();
+        expect_bad_frame(&mut sock, addr);
+    });
 }
 
 #[test]
 fn half_frame_then_disconnect_is_tolerated() {
-    let dir = scratch("halfframe");
-    let server = Server::start(ServerConfig::new(&dir)).unwrap();
-    {
-        let mut sock = TcpStream::connect(server.addr()).unwrap();
-        sock.write_all(&MAGIC[..2]).unwrap();
-        // Drop mid-header: the server must not wedge.
-    }
-    // The server is still healthy afterwards.
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
-    Request::Metrics.write(&mut sock).unwrap();
-    assert!(matches!(
-        Response::read(&mut sock).unwrap().unwrap(),
-        Response::Metrics { .. }
-    ));
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    against_server_and_router("halfframe", IO_TIMEOUT_MILLIS, |addr| {
+        {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.write_all(&MAGIC[..2]).unwrap();
+            // Drop mid-header: the daemon must not wedge.
+        }
+        // The daemon is still healthy afterwards.
+        expect_metrics(&mut TcpStream::connect(addr).unwrap(), addr);
+    });
 }
 
 #[test]
@@ -152,11 +172,7 @@ fn fetch_over_raw_socket_returns_stored_bytes() {
 
     // Hand-rolled FETCH frame: opcode 0x06, 16-byte digest body.
     let mut sock = TcpStream::connect(server.addr()).unwrap();
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(0x06);
-    frame.extend_from_slice(&16u32.to_le_bytes());
+    let mut frame = header(VERSION, 0x06, 16);
     frame.extend_from_slice(&digest.to_bytes());
     sock.write_all(&frame).unwrap();
     match Response::read(&mut sock).unwrap().unwrap() {
@@ -186,61 +202,37 @@ fn fetch_over_raw_socket_returns_stored_bytes() {
 
 #[test]
 fn slow_loris_mid_frame_gets_bad_frame_and_disconnect() {
-    let dir = scratch("loris");
-    let server = Server::start(ServerConfig::new(&dir).io_timeout_millis(150)).unwrap();
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    against_server_and_router("loris", 150, |addr| {
+        // Half a frame header, then stall: the per-connection read
+        // timeout must trip, answer BAD_FRAME, and drop the connection.
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&MAGIC[..3]).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let message = expect_bad_frame(&mut sock, addr);
+        assert!(message.contains("timed out"), "{addr}: got {message:?}");
+        expect_disconnect(&mut sock, addr);
 
-    // Half a frame header, then stall: the per-connection read timeout
-    // must trip, answer BAD_FRAME, and drop the connection.
-    sock.write_all(&MAGIC[..3]).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    match Response::read(&mut sock).unwrap().unwrap() {
-        Response::Error { code, message } => {
-            assert_eq!(code, error_code::BAD_FRAME);
-            assert!(message.contains("timed out"), "got {message:?}");
-        }
-        other => panic!("expected BAD_FRAME error, got {other:?}"),
-    }
-    let mut rest = Vec::new();
-    match sock.read_to_end(&mut rest) {
-        Ok(_) => assert!(rest.is_empty(), "server must disconnect the staller"),
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
-    }
-
-    // Stalling mid-*body* is the same offense: declare a STATUS body and
-    // send half of it.
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(0x03);
-    frame.extend_from_slice(&8u32.to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]);
-    sock.write_all(&frame).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    match Response::read(&mut sock).unwrap().unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, error_code::BAD_FRAME),
-        other => panic!("expected BAD_FRAME error, got {other:?}"),
-    }
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+        // Stalling mid-*body* is the same offense: declare a STATUS body
+        // and send half of it.
+        let mut sock = TcpStream::connect(addr).unwrap();
+        let mut frame = header(VERSION, 0x03, 8);
+        frame.extend_from_slice(&[0u8; 4]);
+        sock.write_all(&frame).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        expect_bad_frame(&mut sock, addr);
+    });
 }
 
 #[test]
 fn idle_connection_outlives_the_io_timeout() {
-    let dir = scratch("idle");
-    let server = Server::start(ServerConfig::new(&dir).io_timeout_millis(100)).unwrap();
-    let mut sock = TcpStream::connect(server.addr()).unwrap();
-    // Idle at a frame boundary for several timeout periods: the server
-    // must keep the connection, only mid-frame stalls are evicted.
-    std::thread::sleep(Duration::from_millis(350));
-    Request::Metrics.write(&mut sock).unwrap();
-    assert!(matches!(
-        Response::read(&mut sock).unwrap().unwrap(),
-        Response::Metrics { .. }
-    ));
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
+    against_server_and_router("idle", 100, |addr| {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        // Idle at a frame boundary for several timeout periods: the
+        // daemon must keep the connection, only mid-frame stalls are
+        // evicted.
+        std::thread::sleep(Duration::from_millis(350));
+        expect_metrics(&mut sock, addr);
+    });
 }
 
 #[test]
@@ -261,12 +253,7 @@ fn metrics_over_raw_socket_round_trips_the_exposition() {
 
     // Hand-rolled METRICS frame: opcode 0x08, empty body.
     let mut sock = TcpStream::connect(server.addr()).unwrap();
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(0x08);
-    frame.extend_from_slice(&0u32.to_le_bytes());
-    sock.write_all(&frame).unwrap();
+    sock.write_all(&header(VERSION, 0x08, 0)).unwrap();
     match Response::read(&mut sock).unwrap().unwrap() {
         Response::Metrics { text } => {
             assert!(

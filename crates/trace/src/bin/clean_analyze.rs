@@ -93,13 +93,14 @@ USAGE:
       Derive a static check plan (CPLN v1) from the trace's observed
       access pattern: thread-private ranges become elide entries (with
       their soundness witness), strided shared writers coalesce, and the
-      remaining shared spans batch. Prints the coverage split; with
-      --out the plan is saved for loading via the runtime's check_plan
-      knob. --granule sets the derivation granule in bytes (default 64).
-      Saved plans carry a derivation-footprint stamp (granule, granule,
-      event and thread counts); --against <plan> audits an existing plan
-      file's stamp against this trace's footprint and warns loudly (and
-      bumps the plan_stale metric) when they diverge beyond 50%.
+      remaining shared spans keep their full checks. Prints the coverage
+      split; with --out the plan is saved for loading via the runtime's
+      check_plan knob. --granule sets the derivation granule in bytes
+      (default 64). Saved plans carry a derivation-footprint stamp
+      (granule, granule, event and thread counts); --against <plan> audits
+      an existing plan file's stamp against this trace's footprint and
+      warns loudly (and bumps the plan_stale metric) when they diverge
+      beyond 50%.
 
 EXIT CODES:
   0   success; for replay: no race found

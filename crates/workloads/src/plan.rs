@@ -6,8 +6,8 @@
 //! [`PlanObserver`](clean_core::PlanObserver), and the resulting plan is
 //! compiled for installation via
 //! [`RuntimeConfig::check_plan`](clean_runtime::RuntimeConfig::check_plan).
-//! The production run then elides provably thread-private checks,
-//! range-coalesces strided sweeps, and batches shared spans.
+//! The production run then elides provably thread-private checks and
+//! range-coalesces strided sweeps.
 
 use clean_core::{CheckPlan, CompiledPlan, Coverage, PlanObserver, TraceEvent};
 use clean_runtime::{CleanRuntime, Result, RuntimeConfig};

@@ -20,7 +20,7 @@
 //!
 //! * [`core`]: epochs, vector clocks, shadow memory, the Figure 2 race
 //!   check, rollover coordination ([`clean_core`]),
-//! * [`plan`]: the CPLN static check-plan format — elide/coalesce/batch
+//! * [`plan`]: the CPLN static check-plan format — elide/coalesce
 //!   ranges with soundness witnesses — and its compiler ([`clean_plan`]),
 //! * [`sync`]: deterministic mutex/barrier/condvar and thread registry
 //!   ([`clean_sync`]),

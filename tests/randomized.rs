@@ -254,8 +254,8 @@ fn random_race_free_programs_are_clean_and_deterministic() {
 #[test]
 fn derived_check_plans_are_verdict_neutral_across_200_random_seeds() {
     // A derived check plan may only change *which* accesses run through
-    // the full Figure 2 check — elided, coalesced, and batched ranges
-    // must never change what the execution concludes. For 200 generated
+    // the full Figure 2 check — elided and coalesced ranges must never
+    // change what the execution concludes. For 200 generated
     // programs — half race-free, half with an injected WAW — a
     // profiling run with plans off records a trace, a plan is derived
     // from that trace, and the same program re-runs with the plan
