@@ -261,7 +261,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Element-count bound for [`vec`]; converts from `usize` (exact
+    /// Element-count bound for [`vec()`]; converts from `usize` (exact
     /// length) and from half-open/inclusive ranges.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -295,7 +295,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -4,8 +4,7 @@
 //! vector-clock and shadow-memory primitives.
 
 use clean_core::{
-    CleanDetector, DetectorConfig, Epoch, EpochLayout, ShadowMemory, ShadowPageCache, ThreadId,
-    VectorClock,
+    CleanDetector, DetectorConfig, Epoch, EpochLayout, ShadowMemory, ThreadId, VectorClock,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -57,18 +56,16 @@ fn bench_primitives(c: &mut Criterion) {
     g.bench_function("shadow_load", |b| {
         let s = ShadowMemory::new(1 << 16);
         s.store(64, Epoch::from_raw(7));
-        let mut cache = ShadowPageCache::new();
-        b.iter(|| s.load(black_box(64), &mut cache));
+        b.iter(|| s.load(black_box(64)));
     });
     g.bench_function("shadow_cas", |b| {
         let s = ShadowMemory::new(1 << 16);
-        let mut cache = ShadowPageCache::new();
         b.iter_batched(
             || (),
             |_| {
-                let cur = s.load(64, &mut cache);
+                let cur = s.load(64);
                 let next = Epoch::from_raw(cur.raw().wrapping_add(1));
-                let _ = s.compare_exchange(64, cur, next, &mut cache);
+                let _ = s.compare_exchange(64, cur, next);
             },
             BatchSize::SmallInput,
         );

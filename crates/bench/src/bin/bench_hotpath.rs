@@ -3,7 +3,7 @@
 //! **Online**: multi-threaded checked-write throughput on one detector
 //! through its two entry points — the shipped fast path
 //! (`check_write_with` threading a per-thread `ThreadCheckState`: SFR
-//! write-set filter, deferred filter-hit stats, shadow-page cache) and the
+//! write-set filter, deferred filter-hit stats) and the
 //! stateless `check_write` (the same Figure 2 check bodies with none of
 //! the per-thread state) — over two workload profiles:
 //!

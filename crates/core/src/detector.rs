@@ -25,9 +25,8 @@
 //! additionally thread per-thread [`ThreadCheckState`] through the check:
 //! the SFR write-set filter answers provably redundant checks without
 //! touching shadow memory at all (the software analogue of the paper's
-//! Section 5 LLC-ownership filtering), and the thread's last-page cache
-//! skips the shadow directory walk for same-page accesses. The plain entry
-//! points run the same check bodies with a fresh page cache and no filter.
+//! Section 5 LLC-ownership filtering). The plain entry points run the same
+//! check bodies without the filter.
 //! The filter is sound by construction: it only answers checks whose full
 //! Figure 2 outcome is already known (see DESIGN.md, "SFR write-set
 //! filter").
@@ -45,7 +44,7 @@ use crate::clock::VectorClock;
 use crate::epoch::{Epoch, EpochLayout, ThreadId};
 use crate::filter::{PendingStats, ThreadCheckState};
 use crate::report::{AccessKind, RaceReport};
-use crate::shadow::{ShadowMemory, ShadowPageCache};
+use crate::shadow::ShadowMemory;
 use crate::stats::{DetectorStats, StatsSnapshot};
 use clean_plan::{CompiledPlan, PlanDecision};
 use parking_lot::Mutex;
@@ -340,16 +339,15 @@ impl CleanDetector {
             ..PendingStats::default()
         };
         let _guard = self.check_guard(addr);
-        let mut cache = ShadowPageCache::new();
-        let result = self.read_body(&mut cache, &mut pending, vc, tid, addr, size);
+        let result = self.read_body(&mut pending, vc, tid, addr, size);
         self.flush(tid, &pending);
         result
     }
 
     /// [`check_read`](Self::check_read) through the per-thread fast-path
     /// state: a write-set filter hit answers the check without touching
-    /// shadow memory; otherwise the check runs through the thread's
-    /// last-page cache. Verdicts are identical to the plain entry point.
+    /// shadow memory; otherwise the full check runs. Verdicts are identical
+    /// to the plain entry point.
     ///
     /// # Errors
     ///
@@ -388,19 +386,11 @@ impl CleanDetector {
             return Ok(());
         }
         let _guard = self.check_guard(addr);
-        self.read_body(
-            &mut state.page_cache,
-            &mut state.pending,
-            vc,
-            tid,
-            addr,
-            size,
-        )
+        self.read_body(&mut state.pending, vc, tid, addr, size)
     }
 
     fn read_body(
         &self,
-        cache: &mut ShadowPageCache,
         pending: &mut PendingStats,
         vc: &VectorClock,
         tid: ThreadId,
@@ -410,7 +400,7 @@ impl CleanDetector {
         if self.config.vectorized && size > 1 {
             // Section 4.4: vector-load all epochs; if they are all equal it
             // suffices to test one (there is a race on all bytes or none).
-            if let Some(e) = self.shadow.range_uniform(addr, size, cache) {
+            if let Some(e) = self.shadow.range_uniform(addr, size) {
                 pending.uniform_fast_path += 1;
                 if vc.races_with(e) {
                     return Err(self.report(pending, AccessKind::Read, vc, tid, addr, size, e));
@@ -421,7 +411,7 @@ impl CleanDetector {
         }
 
         for i in 0..size {
-            let e = self.shadow.load(addr + i, cache);
+            let e = self.shadow.load(addr + i);
             if vc.races_with(e) {
                 return Err(self.report(pending, AccessKind::Read, vc, tid, addr + i, 1, e));
             }
@@ -459,8 +449,7 @@ impl CleanDetector {
         };
         let _guard = self.check_guard(addr);
         let new_epoch = vc.write_epoch(tid);
-        let mut cache = ShadowPageCache::new();
-        let result = self.write_body(&mut cache, &mut pending, vc, tid, addr, size, new_epoch);
+        let result = self.write_body(&mut pending, vc, tid, addr, size, new_epoch);
         self.flush(tid, &pending);
         result
     }
@@ -511,15 +500,7 @@ impl CleanDetector {
             return Ok(());
         }
         let _guard = self.check_guard(addr);
-        let result = self.write_body(
-            &mut state.page_cache,
-            &mut state.pending,
-            vc,
-            tid,
-            addr,
-            size,
-            new_epoch,
-        );
+        let result = self.write_body(&mut state.pending, vc, tid, addr, size, new_epoch);
         if result.is_ok() {
             // The full check passed: all bytes now hold `new_epoch` under
             // `generation`, which is exactly the filter's validity claim.
@@ -537,10 +518,8 @@ impl CleanDetector {
         result
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn write_body(
         &self,
-        cache: &mut ShadowPageCache,
         pending: &mut PendingStats,
         vc: &VectorClock,
         tid: ThreadId,
@@ -549,7 +528,7 @@ impl CleanDetector {
         new_epoch: Epoch,
     ) -> Result<(), RaceReport> {
         if self.config.vectorized && size > 1 {
-            if let Some(e) = self.shadow.range_uniform(addr, size, cache) {
+            if let Some(e) = self.shadow.range_uniform(addr, size) {
                 pending.uniform_fast_path += 1;
                 if vc.races_with(e) {
                     return Err(self.report(pending, AccessKind::Write, vc, tid, addr, size, e));
@@ -561,13 +540,13 @@ impl CleanDetector {
                 }
                 // Wide-CAS publish: one 64-bit CAS per two-byte shadow
                 // word (Section 4.4).
-                return self.publish_range(cache, pending, vc, tid, addr, size, e, new_epoch);
+                return self.publish_range(pending, vc, tid, addr, size, e, new_epoch);
             }
             pending.per_byte_slow_path += 1;
         }
 
         for i in 0..size {
-            let e = self.shadow.load(addr + i, cache);
+            let e = self.shadow.load(addr + i);
             if vc.races_with(e) {
                 return Err(self.report(pending, AccessKind::Write, vc, tid, addr + i, 1, e));
             }
@@ -575,7 +554,7 @@ impl CleanDetector {
                 pending.update_skipped += 1;
                 continue;
             }
-            self.publish_range(cache, pending, vc, tid, addr + i, 1, e, new_epoch)?;
+            self.publish_range(pending, vc, tid, addr + i, 1, e, new_epoch)?;
         }
         Ok(())
     }
@@ -585,7 +564,6 @@ impl CleanDetector {
     #[allow(clippy::too_many_arguments)]
     fn publish_range(
         &self,
-        cache: &mut ShadowPageCache,
         pending: &mut PendingStats,
         vc: &VectorClock,
         tid: ThreadId,
@@ -596,7 +574,7 @@ impl CleanDetector {
     ) -> Result<(), RaceReport> {
         match self
             .shadow
-            .compare_exchange_range(addr, size, expected, new_epoch, cache)
+            .compare_exchange_range(addr, size, expected, new_epoch)
         {
             Ok(issued) => {
                 pending.epoch_updates += issued;
@@ -609,47 +587,6 @@ impl CleanDetector {
                 pending.cas_conflicts += 1;
                 Err(self.report(pending, AccessKind::Write, vc, tid, at, 1, found))
             }
-        }
-    }
-
-    /// Unified entry point dispatching on [`AccessKind`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the race reports of [`check_read`](Self::check_read) /
-    /// [`check_write`](Self::check_write).
-    pub fn check_access(
-        &self,
-        kind: AccessKind,
-        vc: &VectorClock,
-        tid: ThreadId,
-        addr: usize,
-        size: usize,
-    ) -> Result<(), RaceReport> {
-        match kind {
-            AccessKind::Read => self.check_read(vc, tid, addr, size),
-            AccessKind::Write => self.check_write(vc, tid, addr, size),
-        }
-    }
-
-    /// [`check_access`](Self::check_access) through the per-thread
-    /// fast-path state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the race reports of the dispatched check.
-    pub fn check_access_with(
-        &self,
-        kind: AccessKind,
-        vc: &VectorClock,
-        tid: ThreadId,
-        addr: usize,
-        size: usize,
-        state: &mut ThreadCheckState,
-    ) -> Result<(), RaceReport> {
-        match kind {
-            AccessKind::Read => self.check_read_with(vc, tid, addr, size, state),
-            AccessKind::Write => self.check_write_with(vc, tid, addr, size, state),
         }
     }
 
@@ -677,14 +614,14 @@ impl CleanDetector {
     /// The epoch currently recorded for data byte `addr` (test/diagnostic
     /// aid; the hardware simulator keeps its own metadata).
     pub fn epoch_at(&self, addr: usize) -> Epoch {
-        self.shadow.load(addr, &mut ShadowPageCache::new())
+        self.shadow.load(addr)
     }
 
     /// Deterministic metadata reset (Section 4.5). The caller must have
     /// brought the program to a globally deterministic quiescent point and
     /// must reset all thread and lock vector clocks alongside. Per-thread
-    /// [`ThreadCheckState`] needs no flush: filter entries and cached
-    /// pages are tagged with the reset generation and self-invalidate.
+    /// [`ThreadCheckState`] needs no flush: filter entries are tagged with
+    /// the reset generation and self-invalidate.
     pub fn reset_metadata(&self) {
         self.shadow.reset();
     }
@@ -858,20 +795,6 @@ mod tests {
         // accepted miss of Section 4.5.
         let fresh = VectorClock::new(2, det.layout());
         det.check_read(&fresh, ThreadId::new(1), 0, 4).unwrap();
-    }
-
-    #[test]
-    fn check_access_dispatch() {
-        let (det, vcs) = setup(1);
-        det.check_access(AccessKind::Write, &vcs[0], ThreadId::new(0), 0, 2)
-            .unwrap();
-        det.check_access(AccessKind::Read, &vcs[0], ThreadId::new(0), 0, 2)
-            .unwrap();
-        let mut st = ThreadCheckState::new();
-        det.check_access_with(AccessKind::Write, &vcs[0], ThreadId::new(0), 0, 2, &mut st)
-            .unwrap();
-        det.check_access_with(AccessKind::Read, &vcs[0], ThreadId::new(0), 0, 2, &mut st)
-            .unwrap();
     }
 
     #[test]
@@ -1172,12 +1095,13 @@ mod tests {
         let mut vc0 = VectorClock::new(2, det.layout());
         let vc1 = VectorClock::new(2, det.layout());
         let (mut st0, mut st1) = (ThreadCheckState::new(), ThreadCheckState::new());
-        let check = |kind, vc: &VectorClock, tid, addr, size, st: &mut ThreadCheckState| {
-            if stateful {
-                det.check_access_with(kind, vc, tid, addr, size, st)
-            } else {
-                det.check_access(kind, vc, tid, addr, size)
-            }
+        let check = |kind, vc: &VectorClock, tid, addr, size, st: &mut ThreadCheckState| match (
+            kind, stateful,
+        ) {
+            (Read, true) => det.check_read_with(vc, tid, addr, size, st),
+            (Write, true) => det.check_write_with(vc, tid, addr, size, st),
+            (Read, false) => det.check_read(vc, tid, addr, size),
+            (Write, false) => det.check_write(vc, tid, addr, size),
         };
         vc0.increment(t0).unwrap();
         // Uniform publishes over fresh bytes: one CAS per two-byte word.

@@ -20,8 +20,6 @@
 //! explicit [`clear`](SfrWriteFilter::clear) on sync operations merely
 //! keeps the table from carrying dead weight across SFRs.
 
-use crate::shadow::ShadowPageCache;
-
 /// Number of direct-mapped filter slots. 128 slots × 24 B ≈ 3 KiB per
 /// thread — small enough to stay L1-resident next to the thread's stack.
 pub const FILTER_SLOTS: usize = 128;
@@ -228,14 +226,11 @@ impl PendingStats {
 /// The per-thread mutable state the fast-path check pipeline threads
 /// through [`check_read_with`](crate::CleanDetector::check_read_with) and
 /// [`check_write_with`](crate::CleanDetector::check_write_with): the SFR
-/// write-set filter, the last-shadow-page cache, and the batched
-/// check statistics.
+/// write-set filter and the batched check statistics.
 #[derive(Debug, Default)]
 pub struct ThreadCheckState {
     /// Ranges this thread already published this SFR.
     pub filter: SfrWriteFilter,
-    /// Last shadow page this thread resolved.
-    pub page_cache: ShadowPageCache,
     /// Check statistics not yet drained into the sharded counters.
     pub pending: PendingStats,
 }
@@ -247,9 +242,8 @@ impl ThreadCheckState {
     }
 
     /// Flush hook for epoch increments: empties the write-set filter.
-    /// (The page cache survives sync operations — page identity does not
-    /// depend on the thread's epoch.) Callers holding a detector should
-    /// drain [`pending`](Self::pending) first via
+    /// Callers holding a detector should drain [`pending`](Self::pending)
+    /// first via
     /// [`CleanDetector::drain_check_state`](crate::CleanDetector::drain_check_state).
     #[inline]
     pub fn on_epoch_increment(&mut self) {

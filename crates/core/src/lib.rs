@@ -70,7 +70,7 @@ pub use epoch::{Epoch, EpochLayout, ThreadId};
 pub use filter::{PendingStats, SfrWriteFilter, ThreadCheckState, FILTER_SLOTS, RANGE_SLOTS};
 pub use report::{AccessKind, RaceKind, RaceReport};
 pub use rollover::RolloverCoordinator;
-pub use shadow::{ShadowMemory, ShadowPageCache, ShadowStats, PAGE_EPOCHS};
+pub use shadow::{ShadowMemory, ShadowStats, PAGE_EPOCHS};
 pub use stats::{DetectorStats, StatsShard, StatsSnapshot, DEFAULT_STATS_SHARDS};
 pub use trace_event::{EventSink, LockId, TraceEvent};
 

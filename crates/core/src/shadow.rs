@@ -59,56 +59,6 @@ fn with_half(word: u64, o: usize, e: Epoch) -> u64 {
     word & !(u64::from(u32::MAX) << shift(o)) | u64::from(e.raw()) << shift(o)
 }
 
-/// Process-wide id source for [`ShadowMemory`] instances (starts at 1 so
-/// a default-constructed [`ShadowPageCache`] can never spuriously hit).
-static SHADOW_UID: AtomicU64 = AtomicU64::new(1);
-
-/// A thread-local memo of the last shadow page a thread resolved.
-///
-/// Every check-path operation of [`ShadowMemory`] resolves its page
-/// through one: the per-thread fast path keeps it in
-/// [`ThreadCheckState`](crate::ThreadCheckState) across checks, one-off
-/// callers pass a fresh [`ShadowPageCache::new`].
-///
-/// The cached pointer is only dereferenced when the cache's instance id
-/// matches the [`ShadowMemory`] being queried *and* the cached reset
-/// generation equals the instance's current generation; on any mismatch
-/// the slow path re-resolves and refills. Passing a cache that was filled
-/// from a different (even freed) `ShadowMemory` is therefore safe — the
-/// instance id (drawn from a process-global counter, never reused) can't
-/// match.
-#[derive(Debug)]
-pub struct ShadowPageCache {
-    uid: u64,
-    page_idx: usize,
-    generation: u64,
-    page: *const Page,
-}
-
-/// SAFETY: the raw pointer is only dereferenced under a live
-/// `&ShadowMemory` borrow whose uid matches, and pages live inline in the
-/// instance's never-reallocated directory, so sending the cache between
-/// threads cannot create a dangling dereference.
-unsafe impl Send for ShadowPageCache {}
-
-impl Default for ShadowPageCache {
-    fn default() -> Self {
-        ShadowPageCache {
-            uid: 0,
-            page_idx: 0,
-            generation: 0,
-            page: std::ptr::null(),
-        }
-    }
-}
-
-impl ShadowPageCache {
-    /// Creates an empty cache (first use always misses).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 struct Page {
     /// Generation this page's contents belong to. If it lags the global
     /// generation the page logically holds all-zero epochs.
@@ -263,14 +213,13 @@ pub struct ShadowStats {
 /// # Examples
 ///
 /// ```
-/// use clean_core::{Epoch, ShadowMemory, ShadowPageCache};
+/// use clean_core::{Epoch, ShadowMemory};
 /// let shadow = ShadowMemory::new(1 << 20);
-/// let mut cache = ShadowPageCache::new();
-/// assert_eq!(shadow.load(0x1234, &mut cache), Epoch::ZERO);
+/// assert_eq!(shadow.load(0x1234), Epoch::ZERO);
 /// shadow.store(0x1234, Epoch::from_raw(7));
-/// assert_eq!(shadow.load(0x1234, &mut cache), Epoch::from_raw(7));
+/// assert_eq!(shadow.load(0x1234), Epoch::from_raw(7));
 /// shadow.reset();
-/// assert_eq!(shadow.load(0x1234, &mut cache), Epoch::ZERO);
+/// assert_eq!(shadow.load(0x1234), Epoch::ZERO);
 /// ```
 pub struct ShadowMemory {
     pages: Box<[OnceLock<Page>]>,
@@ -278,8 +227,6 @@ pub struct ShadowMemory {
     pages_allocated: AtomicUsize,
     resets: AtomicU64,
     size: usize,
-    /// Process-unique instance id keying [`ShadowPageCache`] entries.
-    uid: u64,
 }
 
 impl ShadowMemory {
@@ -301,7 +248,6 @@ impl ShadowMemory {
             pages_allocated: AtomicUsize::new(0),
             resets: AtomicU64::new(0),
             size: data_size,
-            uid: SHADOW_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -321,79 +267,39 @@ impl ShadowMemory {
         (addr / PAGE_EPOCHS, addr % PAGE_EPOCHS)
     }
 
-    /// Resolves page `p` for reading through `cache`. `None` means the
-    /// page is unmaterialized or stale — logically all zero — and such
-    /// pages are not cached: they have no stable current-generation
-    /// contents to point at.
+    /// Resolves page `p` for reading. `None` means the page is
+    /// unmaterialized or stale — logically all zero. The global generation
+    /// is loaded before the page's own, so a reset that completed before
+    /// this call is always seen.
     #[inline]
-    fn page_for_read<'a>(&'a self, p: usize, cache: &mut ShadowPageCache) -> Option<&'a Page> {
+    fn page_for_read(&self, p: usize) -> Option<&Page> {
         let gen = self.generation.load(Ordering::Acquire);
-        if let Some(page) = self.page_hit(cache, p, gen) {
-            return Some(page);
-        }
         let page = self.pages[p].get()?;
-        if page.generation.load(Ordering::Acquire) != gen {
-            return None;
-        }
-        self.fill_cache(cache, p, gen, page);
-        Some(page)
+        (page.generation.load(Ordering::Acquire) == gen).then_some(page)
     }
 
-    /// Resolves page `p` for writing through `cache`, materializing and
-    /// freshening it on a miss (a written page is always cacheable).
+    /// Resolves page `p` for writing, materializing it on first use and
+    /// freshening it if a reset left it stale.
     #[inline]
-    fn page_for_write<'a>(&'a self, p: usize, cache: &mut ShadowPageCache) -> &'a Page {
+    fn page_for_write(&self, p: usize) -> &Page {
         let gen = self.generation.load(Ordering::Acquire);
-        if let Some(page) = self.page_hit(cache, p, gen) {
-            return page;
-        }
         let page = self.pages[p].get_or_init(|| {
             self.pages_allocated.fetch_add(1, Ordering::Relaxed);
             Page::new(gen)
         });
         page.freshen(gen);
-        self.fill_cache(cache, p, gen, page);
         page
     }
 
-    /// Returns the cached page if `cache` still describes page `p` of this
-    /// instance under the current generation `gen`.
-    #[inline]
-    fn page_hit<'a>(&'a self, cache: &ShadowPageCache, p: usize, gen: u64) -> Option<&'a Page> {
-        if cache.uid == self.uid && cache.page_idx == p && cache.generation == gen {
-            // SAFETY: a uid match proves the pointer was taken from this
-            // very instance (uids are never reused), and pages live inline
-            // in `self.pages`, a boxed slice that is never reallocated, so
-            // the pointee is alive for as long as `self` is borrowed. The
-            // generation match proves its contents are current: the page
-            // held `gen` when cached and page generations only advance
-            // together with the global one.
-            return Some(unsafe { &*cache.page });
-        }
-        None
-    }
-
-    #[inline]
-    fn fill_cache(&self, cache: &mut ShadowPageCache, p: usize, gen: u64, page: &Page) {
-        *cache = ShadowPageCache {
-            uid: self.uid,
-            page_idx: p,
-            generation: gen,
-            page,
-        };
-    }
-
     /// Loads the epoch of data byte `addr` (the `EPOCH_ADDRESS` dereference
-    /// of Figure 2, line 2), resolving its page through `cache`: a hit on
-    /// the caller's last page skips the directory walk, `OnceLock`
-    /// resolution and per-page generation check.
+    /// of Figure 2, line 2).
     ///
     /// Never allocates: unmaterialized or stale pages read as
     /// [`Epoch::ZERO`].
     #[inline]
-    pub fn load(&self, addr: usize, cache: &mut ShadowPageCache) -> Epoch {
+    pub fn load(&self, addr: usize) -> Epoch {
         let (p, o) = self.split(addr);
-        match self.page_for_read(p, cache) {
+        match self.page_for_read(p) {
             Some(page) => page.load(o),
             None => Epoch::ZERO,
         }
@@ -404,7 +310,7 @@ impl ShadowMemory {
     /// other byte is left as it is.
     pub fn store(&self, addr: usize, epoch: Epoch) {
         let (p, o) = self.split(addr);
-        let word = &self.page_for_write(p, &mut ShadowPageCache::new()).words[o / 2];
+        let word = &self.page_for_write(p).words[o / 2];
         let _ = word.fetch_update(Ordering::Release, Ordering::Relaxed, |w| {
             Some(with_half(w, o, epoch))
         });
@@ -421,15 +327,9 @@ impl ShadowMemory {
     /// On contention returns the epoch actually found, which the caller
     /// interprets as a concurrently published racy write.
     #[inline]
-    pub fn compare_exchange(
-        &self,
-        addr: usize,
-        expected: Epoch,
-        new: Epoch,
-        cache: &mut ShadowPageCache,
-    ) -> Result<u64, Epoch> {
+    pub fn compare_exchange(&self, addr: usize, expected: Epoch, new: Epoch) -> Result<u64, Epoch> {
         let (p, o) = self.split(addr);
-        self.page_for_write(p, cache).cas(o, expected, new)
+        self.page_for_write(p).cas(o, expected, new)
     }
 
     /// Returns the epoch all `len` bytes starting at `addr` carry, if they
@@ -442,17 +342,12 @@ impl ShadowMemory {
     /// vector load plus one vector compare. A range crossing a page
     /// boundary is compared page by page.
     #[inline]
-    pub fn range_uniform(
-        &self,
-        addr: usize,
-        len: usize,
-        cache: &mut ShadowPageCache,
-    ) -> Option<Epoch> {
+    pub fn range_uniform(&self, addr: usize, len: usize) -> Option<Epoch> {
         debug_assert!(len > 0);
-        let mut part = |at: usize, n: usize| {
+        let part = |at: usize, n: usize| {
             let (p, o) = self.split(at);
             // Unmaterialized or stale page: the part reads zero.
-            match self.page_for_read(p, cache) {
+            match self.page_for_read(p) {
                 Some(page) => page.range_uniform(o, n),
                 None => Some(Epoch::ZERO),
             }
@@ -490,12 +385,11 @@ impl ShadowMemory {
         len: usize,
         expected: Epoch,
         new: Epoch,
-        cache: &mut ShadowPageCache,
     ) -> Result<u64, (usize, Epoch)> {
         debug_assert!(len > 0);
-        let mut part = |at: usize, n: usize| {
+        let part = |at: usize, n: usize| {
             let (p, o) = self.split(at);
-            self.page_for_write(p, cache)
+            self.page_for_write(p)
                 .cas_range(o, n, expected, new)
                 .map_err(|(i, found)| (p * PAGE_EPOCHS + i, found))
         };
@@ -550,9 +444,8 @@ mod tests {
     #[test]
     fn fresh_shadow_reads_zero() {
         let s = ShadowMemory::new(64 * 1024);
-        let mut c = ShadowPageCache::new();
         for addr in [0usize, 1, 4095, 4096, 65535] {
-            assert_eq!(s.load(addr, &mut c), Epoch::ZERO);
+            assert_eq!(s.load(addr), Epoch::ZERO);
         }
         assert_eq!(s.stats().pages_allocated, 0, "loads must not allocate");
     }
@@ -560,80 +453,74 @@ mod tests {
     #[test]
     fn store_then_load() {
         let s = ShadowMemory::new(8192);
-        let mut c = ShadowPageCache::new();
         s.store(5000, Epoch::from_raw(42));
-        assert_eq!(s.load(5000, &mut c), Epoch::from_raw(42));
-        assert_eq!(s.load(5001, &mut c), Epoch::ZERO);
+        assert_eq!(s.load(5000), Epoch::from_raw(42));
+        assert_eq!(s.load(5001), Epoch::ZERO);
         assert_eq!(s.stats().pages_allocated, 1);
     }
 
     #[test]
     fn cas_success_and_failure() {
         let s = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
         assert!(s
-            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(1), &mut c)
+            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(1))
             .is_ok());
         let err = s
-            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(2), &mut c)
+            .compare_exchange(10, Epoch::ZERO, Epoch::from_raw(2))
             .unwrap_err();
         assert_eq!(err, Epoch::from_raw(1));
-        assert_eq!(s.load(10, &mut c), Epoch::from_raw(1));
+        assert_eq!(s.load(10), Epoch::from_raw(1));
     }
 
     #[test]
     fn reset_is_logical_zeroing() {
         let s = ShadowMemory::new(4096 * 3);
-        let mut c = ShadowPageCache::new();
         s.store(0, Epoch::from_raw(9));
         s.store(9000, Epoch::from_raw(11));
         s.reset();
-        assert_eq!(s.load(0, &mut c), Epoch::ZERO);
-        assert_eq!(s.load(9000, &mut c), Epoch::ZERO);
+        assert_eq!(s.load(0), Epoch::ZERO);
+        assert_eq!(s.load(9000), Epoch::ZERO);
         assert_eq!(s.stats().resets, 1);
         // Writing after a reset works on the freshened page.
         s.store(0, Epoch::from_raw(3));
-        assert_eq!(s.load(0, &mut c), Epoch::from_raw(3));
-        assert_eq!(s.load(1, &mut c), Epoch::ZERO);
+        assert_eq!(s.load(0), Epoch::from_raw(3));
+        assert_eq!(s.load(1), Epoch::ZERO);
     }
 
     #[test]
     fn cas_after_reset_sees_zero() {
         let s = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
         s.store(7, Epoch::from_raw(5));
         s.reset();
         // The old value is logically gone; CAS against ZERO must succeed.
         assert!(s
-            .compare_exchange(7, Epoch::ZERO, Epoch::from_raw(6), &mut c)
+            .compare_exchange(7, Epoch::ZERO, Epoch::from_raw(6))
             .is_ok());
-        assert_eq!(s.load(7, &mut c), Epoch::from_raw(6));
+        assert_eq!(s.load(7), Epoch::from_raw(6));
     }
 
     #[test]
     fn range_uniform_detects_mixed_epochs() {
         let s = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
         for i in 0..8 {
             s.store(100 + i, Epoch::from_raw(4));
         }
-        assert_eq!(s.range_uniform(100, 8, &mut c), Some(Epoch::from_raw(4)));
+        assert_eq!(s.range_uniform(100, 8), Some(Epoch::from_raw(4)));
         s.store(103, Epoch::from_raw(5));
-        assert_eq!(s.range_uniform(100, 8, &mut c), None);
-        assert_eq!(s.range_uniform(104, 4, &mut c), Some(Epoch::from_raw(4)));
+        assert_eq!(s.range_uniform(100, 8), None);
+        assert_eq!(s.range_uniform(104, 4), Some(Epoch::from_raw(4)));
     }
 
     #[test]
     fn spans_page_boundary() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
-        let mut c = ShadowPageCache::new();
         let base = PAGE_EPOCHS - 2;
         for i in 0..4 {
             s.store(base + i, Epoch::from_raw(7));
         }
-        assert_eq!(s.range_uniform(base, 4, &mut c), Some(Epoch::from_raw(7)));
+        assert_eq!(s.range_uniform(base, 4), Some(Epoch::from_raw(7)));
         s.store(PAGE_EPOCHS, Epoch::from_raw(8));
-        assert_eq!(s.range_uniform(base, 4, &mut c), None);
+        assert_eq!(s.range_uniform(base, 4), None);
         assert_eq!(s.stats().pages_allocated, 2);
     }
 
@@ -650,8 +537,7 @@ mod tests {
         for t in 1..=8u32 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
-                let mut c = ShadowPageCache::new();
-                s.compare_exchange(0, Epoch::ZERO, Epoch::from_raw(t), &mut c)
+                s.compare_exchange(0, Epoch::ZERO, Epoch::from_raw(t))
                     .is_ok()
             }));
         }
@@ -666,44 +552,40 @@ mod tests {
     #[test]
     fn range_uniform_on_unmaterialized_page_is_zero() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
-        let mut c = ShadowPageCache::new();
-        assert_eq!(s.range_uniform(100, 8, &mut c), Some(Epoch::ZERO));
+        assert_eq!(s.range_uniform(100, 8), Some(Epoch::ZERO));
         assert_eq!(s.stats().pages_allocated, 0, "no allocation on reads");
     }
 
     #[test]
     fn range_uniform_after_reset_is_zero() {
         let s = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
         for i in 0..8 {
             s.store(64 + i, Epoch::from_raw(9));
         }
-        assert_eq!(s.range_uniform(64, 8, &mut c), Some(Epoch::from_raw(9)));
-        // The cache now holds the page; the reset must still win.
+        assert_eq!(s.range_uniform(64, 8), Some(Epoch::from_raw(9)));
         s.reset();
-        assert_eq!(s.range_uniform(64, 8, &mut c), Some(Epoch::ZERO));
+        assert_eq!(s.range_uniform(64, 8), Some(Epoch::ZERO));
     }
 
     #[test]
     fn cas_range_single_page() {
         let s = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
-        s.compare_exchange_range(16, 8, Epoch::ZERO, Epoch::from_raw(5), &mut c)
+        s.compare_exchange_range(16, 8, Epoch::ZERO, Epoch::from_raw(5))
             .unwrap();
-        assert_eq!(s.range_uniform(16, 8, &mut c), Some(Epoch::from_raw(5)));
+        assert_eq!(s.range_uniform(16, 8), Some(Epoch::from_raw(5)));
         // Mismatch reports the offending address.
         s.store(19, Epoch::from_raw(7));
         let (at, found) = s
-            .compare_exchange_range(16, 8, Epoch::from_raw(5), Epoch::from_raw(6), &mut c)
+            .compare_exchange_range(16, 8, Epoch::from_raw(5), Epoch::from_raw(6))
             .unwrap_err();
         assert_eq!(at, 19);
         assert_eq!(found, Epoch::from_raw(7));
         // Words before the conflict were updated (wide-CAS sequence); the
         // conflicting word [18, 20) was not, byte 18 included.
-        assert_eq!(s.load(16, &mut c), Epoch::from_raw(6));
-        assert_eq!(s.load(17, &mut c), Epoch::from_raw(6));
-        assert_eq!(s.load(18, &mut c), Epoch::from_raw(5));
-        assert_eq!(s.load(20, &mut c), Epoch::from_raw(5));
+        assert_eq!(s.load(16), Epoch::from_raw(6));
+        assert_eq!(s.load(17), Epoch::from_raw(6));
+        assert_eq!(s.load(18), Epoch::from_raw(5));
+        assert_eq!(s.load(20), Epoch::from_raw(5));
     }
 
     /// Every start parity and every length up to 7, with both neighbours
@@ -719,14 +601,13 @@ mod tests {
     fn range_uniform_odd_edges() {
         for (start, len) in odd_edge_cases() {
             let s = ShadowMemory::new(4096);
-            let mut c = ShadowPageCache::new();
             s.store(start - 1, Epoch::from_raw(9));
             s.store(start + len, Epoch::from_raw(9));
             for b in start..start + len {
                 s.store(b, Epoch::from_raw(4));
             }
             assert_eq!(
-                s.range_uniform(start, len, &mut c),
+                s.range_uniform(start, len),
                 Some(Epoch::from_raw(4)),
                 "[{start}, +{len})"
             );
@@ -734,7 +615,7 @@ mod tests {
             let odd_one_out = (len == 1).then_some(Epoch::from_raw(5));
             for b in start..start + len {
                 s.store(b, Epoch::from_raw(5));
-                assert_eq!(s.range_uniform(start, len, &mut c), odd_one_out, "byte {b}");
+                assert_eq!(s.range_uniform(start, len), odd_one_out, "byte {b}");
                 s.store(b, Epoch::from_raw(4));
             }
         }
@@ -744,27 +625,23 @@ mod tests {
     fn cas_range_odd_edges() {
         for (start, len) in odd_edge_cases() {
             let s = ShadowMemory::new(4096);
-            let mut c = ShadowPageCache::new();
             s.store(start - 1, Epoch::from_raw(9));
             s.store(start + len, Epoch::from_raw(9));
             // One CAS per word the range touches; the neighbours' halves
             // cause no conflict and keep their epoch.
             let words = (start + len).div_ceil(2) - start / 2;
             let issued = s
-                .compare_exchange_range(start, len, Epoch::ZERO, Epoch::from_raw(4), &mut c)
+                .compare_exchange_range(start, len, Epoch::ZERO, Epoch::from_raw(4))
                 .unwrap();
             assert_eq!(issued, words as u64, "[{start}, +{len})");
-            assert_eq!(
-                s.range_uniform(start, len, &mut c),
-                Some(Epoch::from_raw(4))
-            );
-            assert_eq!(s.load(start - 1, &mut c), Epoch::from_raw(9));
-            assert_eq!(s.load(start + len, &mut c), Epoch::from_raw(9));
+            assert_eq!(s.range_uniform(start, len), Some(Epoch::from_raw(4)));
+            assert_eq!(s.load(start - 1), Epoch::from_raw(9));
+            assert_eq!(s.load(start + len), Epoch::from_raw(9));
             // A conflict on the last byte names it.
             let last = start + len - 1;
             s.store(last, Epoch::from_raw(7));
             let err = s
-                .compare_exchange_range(start, len, Epoch::from_raw(4), Epoch::from_raw(6), &mut c)
+                .compare_exchange_range(start, len, Epoch::from_raw(4), Epoch::from_raw(6))
                 .unwrap_err();
             assert_eq!(err, (last, Epoch::from_raw(7)), "[{start}, +{len})");
         }
@@ -785,14 +662,13 @@ mod tests {
                 .map(|byte| {
                     let (s, align) = (&s, &align);
                     scope.spawn(move || {
-                        let mut c = ShadowPageCache::new();
                         (0..ROUNDS)
                             .filter(|&i| {
                                 if i % 10_000 == 0 {
                                     align.wait();
                                 }
                                 let (cur, next) = (Epoch::from_raw(i), Epoch::from_raw(i + 1));
-                                s.compare_exchange(byte, cur, next, &mut c).is_err()
+                                s.compare_exchange(byte, cur, next).is_err()
                             })
                             .count() as u32
                     })
@@ -801,9 +677,8 @@ mod tests {
             threads.into_iter().map(|t| t.join().unwrap()).collect()
         });
         assert_eq!(conflicts, [0, 0]);
-        let mut c = ShadowPageCache::new();
-        assert_eq!(s.load(0, &mut c), Epoch::from_raw(ROUNDS));
-        assert_eq!(s.load(1, &mut c), Epoch::from_raw(ROUNDS));
+        assert_eq!(s.load(0), Epoch::from_raw(ROUNDS));
+        assert_eq!(s.load(1), Epoch::from_raw(ROUNDS));
     }
 
     #[test]
@@ -828,12 +703,11 @@ mod tests {
                     let (s, round) = (&s, &round);
                     let new = Epoch::from_raw(thread as u32 + 1);
                     scope.spawn(move || {
-                        let mut c = ShadowPageCache::new();
                         (0..ROUNDS)
                             .map(|r| {
                                 let (addr, len) = range(thread, r);
                                 round.wait();
-                                s.compare_exchange_range(addr, len, Epoch::ZERO, new, &mut c)
+                                s.compare_exchange_range(addr, len, Epoch::ZERO, new)
                                     .is_ok()
                             })
                             .collect()
@@ -852,20 +726,15 @@ mod tests {
     #[test]
     fn cas_range_across_pages() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 2);
-        let mut c = ShadowPageCache::new();
         let base = PAGE_EPOCHS - 3;
-        s.compare_exchange_range(base, 6, Epoch::ZERO, Epoch::from_raw(4), &mut c)
+        s.compare_exchange_range(base, 6, Epoch::ZERO, Epoch::from_raw(4))
             .unwrap();
-        assert_eq!(s.range_uniform(base, 6, &mut c), Some(Epoch::from_raw(4)));
-        assert_eq!(
-            s.range_uniform(base, 6, &mut ShadowPageCache::new()),
-            Some(Epoch::from_raw(4))
-        );
+        assert_eq!(s.range_uniform(base, 6), Some(Epoch::from_raw(4)));
         assert_eq!(s.stats().pages_allocated, 2);
         // A conflict on the second page names its address.
         s.store(PAGE_EPOCHS + 1, Epoch::from_raw(9));
         let (at, found) = s
-            .compare_exchange_range(base, 6, Epoch::from_raw(4), Epoch::from_raw(5), &mut c)
+            .compare_exchange_range(base, 6, Epoch::from_raw(4), Epoch::from_raw(5))
             .unwrap_err();
         assert_eq!((at, found), (PAGE_EPOCHS + 1, Epoch::from_raw(9)));
     }
@@ -873,71 +742,21 @@ mod tests {
     #[test]
     fn ranges_over_three_pages() {
         let s = ShadowMemory::new(PAGE_EPOCHS * 3);
-        let mut c = ShadowPageCache::new();
         let (base, len) = (100, 2 * PAGE_EPOCHS);
         let issued = s
-            .compare_exchange_range(base, len, Epoch::ZERO, Epoch::from_raw(3), &mut c)
+            .compare_exchange_range(base, len, Epoch::ZERO, Epoch::from_raw(3))
             .unwrap();
         assert_eq!(issued, len as u64 / 2, "one CAS per word");
-        assert_eq!(s.range_uniform(base, len, &mut c), Some(Epoch::from_raw(3)));
+        assert_eq!(s.range_uniform(base, len), Some(Epoch::from_raw(3)));
         let far = 2 * PAGE_EPOCHS + 50;
         s.store(far, Epoch::from_raw(9));
-        assert_eq!(s.range_uniform(base, len, &mut c), None);
+        assert_eq!(s.range_uniform(base, len), None);
         let err = s
-            .compare_exchange_range(base, len, Epoch::from_raw(3), Epoch::from_raw(4), &mut c)
+            .compare_exchange_range(base, len, Epoch::from_raw(3), Epoch::from_raw(4))
             .unwrap_err();
         assert_eq!(err, (far, Epoch::from_raw(9)));
         // The parts before the conflict were published.
-        assert_eq!(s.load(PAGE_EPOCHS + 7, &mut c), Epoch::from_raw(4));
-    }
-
-    #[test]
-    fn warm_cache_matches_fresh_cache() {
-        let s = ShadowMemory::new(PAGE_EPOCHS * 2);
-        let mut c = ShadowPageCache::new();
-        assert_eq!(s.load(10, &mut c), Epoch::ZERO);
-        s.compare_exchange(10, Epoch::ZERO, Epoch::from_raw(3), &mut c)
-            .unwrap();
-        assert_eq!(s.load(10, &mut c), Epoch::from_raw(3));
-        assert_eq!(s.load(10, &mut ShadowPageCache::new()), Epoch::from_raw(3));
-        s.compare_exchange_range(32, 8, Epoch::ZERO, Epoch::from_raw(3), &mut c)
-            .unwrap();
-        assert_eq!(s.range_uniform(32, 8, &mut c), Some(Epoch::from_raw(3)));
-        assert_eq!(
-            s.range_uniform(32, 8, &mut ShadowPageCache::new()),
-            Some(Epoch::from_raw(3))
-        );
-        // A hit must still see fresh element values.
-        s.store(35, Epoch::from_raw(9));
-        assert_eq!(s.range_uniform(32, 8, &mut c), None);
-    }
-
-    #[test]
-    fn cache_invalidated_by_reset() {
-        let s = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
-        s.compare_exchange(7, Epoch::ZERO, Epoch::from_raw(5), &mut c)
-            .unwrap();
-        s.reset();
-        // Stale cached generation must miss and read the logical zero.
-        assert_eq!(s.load(7, &mut c), Epoch::ZERO);
-        assert!(s
-            .compare_exchange(7, Epoch::ZERO, Epoch::from_raw(6), &mut c)
-            .is_ok());
-        assert_eq!(s.load(7, &mut ShadowPageCache::new()), Epoch::from_raw(6));
-    }
-
-    #[test]
-    fn cache_never_hits_across_instances() {
-        let a = ShadowMemory::new(4096);
-        let b = ShadowMemory::new(4096);
-        let mut c = ShadowPageCache::new();
-        a.compare_exchange(0, Epoch::ZERO, Epoch::from_raw(8), &mut c)
-            .unwrap();
-        // Same page index, same generation — different instance: the uid
-        // check must force a miss, reading b's (empty) state.
-        assert_eq!(b.load(0, &mut c), Epoch::ZERO);
-        assert_eq!(a.load(0, &mut ShadowPageCache::new()), Epoch::from_raw(8));
+        assert_eq!(s.load(PAGE_EPOCHS + 7), Epoch::from_raw(4));
     }
 
     #[test]

@@ -50,10 +50,11 @@ impl LogHistogram {
 
     /// Rebuilds a histogram from its parts (the exposition parse path).
     /// The sample count is recomputed from the buckets, which is exact:
-    /// every recorded sample lands in exactly one bucket.
+    /// every recorded sample lands in exactly one bucket. It saturates,
+    /// like `sum`, on bucket counts no recording could reach.
     pub fn from_parts(buckets: [u64; HISTOGRAM_BUCKETS], sum: u64, max: u64) -> Self {
         LogHistogram {
-            count: buckets.iter().sum(),
+            count: buckets.iter().fold(0, |n: u64, &b| n.saturating_add(b)),
             buckets,
             sum,
             max,
@@ -76,9 +77,9 @@ impl LogHistogram {
     /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+            *b = b.saturating_add(*o);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }

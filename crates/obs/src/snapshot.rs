@@ -89,8 +89,7 @@ fn family_total(metrics: &BTreeMap<String, u64>, name: &str) -> u64 {
     metrics
         .iter()
         .filter(|(k, _)| *k == name || k.starts_with(name) && k[name.len()..].starts_with('{'))
-        .map(|(_, v)| v)
-        .sum()
+        .fold(0, |sum: u64, (_, v)| sum.saturating_add(*v))
 }
 
 /// An error from [`Snapshot::parse`]: the offending line number
@@ -124,15 +123,18 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Folds `other` into `self`: counters and gauges add, histograms
-    /// merge element-wise. Adding gauges is the right fleet semantics
-    /// for the sizes we expose (bytes and entries held per node).
+    /// Folds `other` into `self`: counters and gauges add (saturating,
+    /// since `other` may be parsed off the wire), histograms merge
+    /// element-wise. Adding gauges is the right fleet semantics for the
+    /// sizes we expose (bytes and entries held per node).
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            let sum = self.counters.entry(k.clone()).or_insert(0);
+            *sum = sum.saturating_add(*v);
         }
         for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0) += v;
+            let sum = self.gauges.entry(k.clone()).or_insert(0);
+            *sum = sum.saturating_add(*v);
         }
         for (k, h) in &other.hists {
             self.hists.entry(k.clone()).or_default().merge(h);
@@ -404,6 +406,21 @@ mod tests {
         assert!(Snapshot::parse(&bad).is_err(), "bucket out of range");
         let ok = format!("{EXPOSITION_HEADER}\n\n# comment\n");
         assert_eq!(Snapshot::parse(&ok).unwrap(), Snapshot::default());
+    }
+
+    #[test]
+    fn huge_values_saturate_through_parse_merge_and_totals() {
+        let max = u64::MAX;
+        let text = format!(
+            "{EXPOSITION_HEADER}\ncounter c {max}\ncounter c{{k=\"v\"}} 1\n\
+             hist h sum=1 max=1 buckets=0:{max},1:1\n"
+        );
+        let mut s = Snapshot::parse(&text).unwrap();
+        assert_eq!(s.counter_family_total("c"), max);
+        s.merge(&s.clone());
+        assert_eq!(s.counter("c", &[]), Some(max));
+        let h = s.hist("h", &[]).unwrap();
+        assert_eq!((h.count(), h.bucket_counts()[0]), (max, max));
     }
 
     #[test]

@@ -463,8 +463,8 @@ pub struct ThreadCtx {
     /// baseline).
     pub(crate) local_reads: u64,
     pub(crate) local_writes: u64,
-    /// Per-thread fast-path check state (SFR write-set filter + last
-    /// shadow page cache); flushed on every epoch increment.
+    /// Per-thread fast-path check state (SFR write-set filter + batched
+    /// check statistics); flushed on every epoch increment.
     pub(crate) check: ThreadCheckState,
 }
 

@@ -23,7 +23,7 @@
 //!   frontier, and seeded PCT sweeps, both differentially checked;
 //! * [`differential`] — online CLEAN vs offline CLEAN/FastTrack/VcFull
 //!   agreement on every explored trace;
-//! * [`shrink`] — reduction of failing schedules to minimal repro tokens;
+//! * [`shrink`](mod@shrink) — reduction of failing schedules to minimal repro tokens;
 //! * [`programs`] — the built-in corpus, including the seeded
 //!   `racy_probe` kernel of the acceptance criteria.
 //!

@@ -9,7 +9,7 @@
 //! thread announces its next operation and parks; the scheduler computes
 //! the *enabled* set (a `lock` on a held mutex, a `join` on a running
 //! thread, a parked barrier arrival are not enabled), asks the
-//! [`Picker`](crate::picker::Picker) to choose, and grants exactly one
+//! [`Picker`] to choose, and grants exactly one
 //! thread, which performs exactly one operation and parks again. Given
 //! the same program and the same sequence of choices, an execution is
 //! bit-for-bit identical — which is what makes schedules replayable,
@@ -204,8 +204,9 @@ enum Pending {
 struct VThread {
     pending: Pending,
     vc: VectorClock,
-    /// Per-thread fast-path state (SFR write filter + page cache),
-    /// flushed on every epoch increment exactly like the runtime's.
+    /// Per-thread fast-path state (SFR write filter + batched check
+    /// statistics), flushed on every epoch increment exactly like the
+    /// runtime's.
     check: ThreadCheckState,
     /// Final vector clock, recorded at exit for the joiner.
     final_vc: Option<VectorClock>,

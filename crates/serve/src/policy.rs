@@ -213,7 +213,8 @@ fn parse_rule(tokens: &[&str], line: usize) -> Result<Rule, PolicyError> {
             Ok(Rule::Addr { lo, hi, kind })
         }
         [verb, ..] => Err(err(line, format!("unknown rule {verb:?}"))),
-        [] => unreachable!("blank lines are skipped before parse_rule"),
+        // Blank lines never get here, but a lone `expires=` token does.
+        [] => Err(err(line, "expires= without a rule")),
     }
 }
 
@@ -380,24 +381,8 @@ impl SuppressionPolicy {
             .any(|(i, r)| self.live(i, now) && r.matches(digest, race))
     }
 
-    /// Per-race suppression flags for a whole verdict, in order.
-    pub fn classify(&self, digest: TraceDigest, races: &[FoundRace]) -> Vec<bool> {
-        self.classify_at(digest, races, unix_now())
-    }
-
-    /// [`SuppressionPolicy::classify`] at an explicit time.
-    pub fn classify_at(&self, digest: TraceDigest, races: &[FoundRace], now: u64) -> Vec<bool> {
-        if self.rules.is_empty() {
-            return vec![false; races.len()];
-        }
-        races
-            .iter()
-            .map(|r| self.suppresses_at(digest, r, now))
-            .collect()
-    }
-
-    /// Like [`SuppressionPolicy::classify`], additionally crediting each
-    /// suppressed race to the *first* live rule that matched it by
+    /// Per-race suppression flags for a whole verdict, in order, crediting
+    /// each suppressed race to the *first* live rule that matched it by
     /// bumping that rule's slot in `hits` (which must have one slot per
     /// rule). First-match credit means a rule whose every match is
     /// already covered by an earlier rule collects no hits — exactly the
@@ -610,9 +595,14 @@ mod tests {
             race(FullRaceKind::Raw, 0x150),
             race(FullRaceKind::War, 0x250),
         ];
-        assert_eq!(p.classify(d, &races), vec![false, true, false]);
+        let mut hits = [0];
         assert_eq!(
-            SuppressionPolicy::empty().classify(d, &races),
+            p.classify_with_hits(d, &races, &mut hits),
+            vec![false, true, false]
+        );
+        assert_eq!(hits, [1]);
+        assert_eq!(
+            SuppressionPolicy::empty().classify_with_hits(d, &races, &mut []),
             vec![false; 3]
         );
     }
@@ -736,6 +726,12 @@ mod tests {
         assert_eq!(pruned.text(), "CSUP v1\naddr 300..3ff\n");
         // Before the deadline the same hits keep both rules.
         assert_eq!(p.prune_at(&[7, 3], 5), p);
+    }
+
+    #[test]
+    fn a_deadline_without_a_rule_is_an_error() {
+        let e = SuppressionPolicy::parse("CSUP v1\nexpires=5\n").unwrap_err();
+        assert_eq!(e.line, 2);
     }
 
     #[test]

@@ -409,6 +409,53 @@ fn crafted_empty_oversized_and_wrapping_accesses_get_errors_and_the_daemon_stays
 }
 
 #[test]
+fn a_clock_overflowing_trace_gets_an_error_and_the_worker_lives_on() {
+    use clean_core::{ThreadId, TraceEvent};
+    use clean_trace::replay::MAX_CLOCK_TICKS;
+    // Thread 0 releases once more than its 23-bit clock can count: the
+    // replay used to panic, killing the only worker with the job
+    // unanswered.
+    let (t0, release) = (
+        ThreadId::new(0),
+        TraceEvent::Release {
+            tid: ThreadId::new(0),
+            lock: 0,
+        },
+    );
+    let events: Vec<TraceEvent> = std::iter::once(TraceEvent::Write {
+        tid: t0,
+        addr: 0,
+        size: 4,
+    })
+    .chain(std::iter::repeat_n(release, MAX_CLOCK_TICKS as usize + 1))
+    .collect();
+    let overflowing = clean_trace::encode_trace(&events).unwrap();
+    drop(events);
+    let dir = scratch("clock-overflow");
+    let server = Server::start(ServerConfig::new(dir.join("store")).workers(1)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let (digest, _) = submit(&mut client, &overflowing);
+    match client.analyze(digest, EngineKind::Clean, true).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, error_code::INTERNAL);
+            assert!(message.contains("overflows thread 0's clock"), "{message}");
+        }
+        other => panic!("overflowing ANALYZE: {other:?}"),
+    }
+
+    // The one worker is still there to replay the next trace.
+    let trace = record(&dir, "dedup", true, 7);
+    let (digest, _) = submit(&mut client, &trace);
+    match client.analyze(digest, EngineKind::Clean, true).unwrap() {
+        Response::Verdict { races, .. } => assert!(!races.is_empty()),
+        other => panic!("expected a verdict after the overflowing trace: {other:?}"),
+    }
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn graceful_shutdown_drains_queued_job() {
     let dir = scratch("drain");
     let server = Server::start(ServerConfig::new(dir.join("store")).workers(1)).unwrap();

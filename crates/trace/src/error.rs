@@ -48,6 +48,14 @@ pub enum TraceError {
         /// Thread slots the engines support.
         max: usize,
     },
+    /// The trace synchronizes one thread more often than the engines'
+    /// epoch layout has clock values for.
+    ClockOverflow {
+        /// The thread whose clock would overflow.
+        thread: u16,
+        /// Index of the event that would overflow it.
+        event: u64,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -79,6 +87,9 @@ impl fmt::Display for TraceError {
                 f,
                 "trace needs {threads} thread slots; the engines support {max}"
             ),
+            TraceError::ClockOverflow { thread, event } => {
+                write!(f, "event {event} overflows thread {thread}'s clock")
+            }
         }
     }
 }

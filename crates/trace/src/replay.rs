@@ -20,6 +20,10 @@
 //! hands each batch straight to the single detector, which sees every
 //! event unclipped — sequential replay is lane count 1 of the same code.
 //!
+//! The producer also counts each thread's clock increments and refuses
+//! the event that would carry one past the engines' epoch layout, so no
+//! engine ever meets a clock it cannot hold.
+//!
 //! # Why address sharding is exact
 //!
 //! Every analysis engine ([`TraceDetector`]) separates its state into
@@ -75,6 +79,11 @@ const QUEUE_CAP: usize = 8;
 /// Most thread slots a replay can have: every engine packs thread ids
 /// into the paper's default epoch layout (8 bits, 256 threads).
 pub const MAX_THREADS: usize = EpochLayout::paper_default().max_threads();
+
+/// Most clock increments one thread can take in a replay: every engine
+/// starts a thread's clock at 1 and packs it into the paper's default
+/// epoch layout (23 bits).
+pub const MAX_CLOCK_TICKS: u32 = EpochLayout::paper_default().max_clock() - 1;
 
 /// Selectable offline analysis engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,6 +171,30 @@ fn fit_slots(slots: usize) -> Result<usize> {
         });
     }
     Ok(slots)
+}
+
+/// Counts the clock increments sync event `ev` (index `event`) makes in
+/// every engine's happens-before state — a release bumps the releasing
+/// thread, a fork the parent and the child, a join the parent — and
+/// refuses the event with [`TraceError::ClockOverflow`] if one would
+/// carry a thread past [`MAX_CLOCK_TICKS`].
+fn tick(ticks: &mut [u32], ev: &TraceEvent, event: u64) -> Result<()> {
+    let (first, second) = match *ev {
+        TraceEvent::Release { tid, .. } | TraceEvent::Join { parent: tid, .. } => (tid, None),
+        TraceEvent::Fork { parent, child } => (parent, Some(child)),
+        _ => return Ok(()),
+    };
+    for tid in std::iter::once(first).chain(second) {
+        let count = &mut ticks[tid.index()];
+        if *count == MAX_CLOCK_TICKS {
+            return Err(TraceError::ClockOverflow {
+                thread: tid.raw(),
+                event,
+            });
+        }
+        *count += 1;
+    }
+    Ok(())
 }
 
 /// Result of one streaming pass over a trace file: its sizing facts.
@@ -317,10 +350,12 @@ impl Lane {
 /// The producer: walks `source` in stream order, routes every event and
 /// hands each lane its batch through `deliver` once per [`BATCH_EVENTS`]
 /// source events; a batch `deliver` leaves full is emptied for reuse.
-/// Stops early when `deliver` reports a dead lane. Returns `(events,
-/// batches)` produced.
+/// Refuses an event that would overflow a thread's clock in the engines
+/// (see [`tick`]) of a trace of `slots` threads. Stops early when
+/// `deliver` reports a dead lane. Returns `(events, batches)` produced.
 fn produce(
     source: impl Iterator<Item = Result<TraceEvent>>,
+    slots: usize,
     lanes: usize,
     mut deliver: impl FnMut(usize, &mut Batch) -> bool,
 ) -> Result<(u64, u64)> {
@@ -332,9 +367,12 @@ fn produce(
             alive
         })
     };
+    let mut ticks = vec![0; slots];
     let (mut events, mut batches) = (0u64, 0u64);
     for ev in source {
-        shard_event(&ev?, events as usize, &mut group);
+        let ev = ev?;
+        tick(&mut ticks, &ev, events)?;
+        shard_event(&ev, events as usize, &mut group);
         events += 1;
         if events % BATCH_EVENTS == 0 {
             batches += 1;
@@ -409,7 +447,8 @@ impl Replay {
     /// # Errors
     ///
     /// [`TraceError::TooManyThreads`] if the events name more than
-    /// [`MAX_THREADS`] threads.
+    /// [`MAX_THREADS`] threads, [`TraceError::ClockOverflow`] if they
+    /// synchronize one thread more than [`MAX_CLOCK_TICKS`] times.
     ///
     /// # Panics
     ///
@@ -426,9 +465,10 @@ impl Replay {
     /// # Errors
     ///
     /// Any I/O or decode error — a chunk failing its CRC, a damaged v2
-    /// footer, a malformed event — wherever in the file it sits, and
-    /// [`TraceError::TooManyThreads`] past [`MAX_THREADS`]. A file that
-    /// fails to decode never yields a verdict.
+    /// footer, a malformed event — wherever in the file it sits,
+    /// [`TraceError::TooManyThreads`] past [`MAX_THREADS`] and
+    /// [`TraceError::ClockOverflow`] past [`MAX_CLOCK_TICKS`]. A file
+    /// that fails to decode never yields a verdict.
     ///
     /// # Panics
     ///
@@ -469,7 +509,7 @@ impl Replay {
             // Decoding a batch and then checking it keeps each loop hot:
             // it beats feeding the detector event by event.
             let mut lane = new_lane(0);
-            let produced = produce(source, 1, |_, batch| {
+            let produced = produce(source, slots, 1, |_, batch| {
                 lane.replay(batch);
                 true
             });
@@ -489,7 +529,7 @@ impl Replay {
                         (tx, handle)
                     })
                     .unzip();
-                let produced = produce(source, self.lanes, |lane, batch| {
+                let produced = produce(source, slots, self.lanes, |lane, batch| {
                     queues[lane].send(std::mem::take(batch)).is_ok()
                 });
                 // Hanging up the queues — after a decode error too — is

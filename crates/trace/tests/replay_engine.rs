@@ -401,3 +401,45 @@ fn a_slice_naming_257_threads_is_an_error_not_a_panic() {
         );
     }
 }
+
+#[test]
+fn a_thread_clock_past_the_epoch_layout_is_an_error_not_a_panic() {
+    use clean_trace::replay::MAX_CLOCK_TICKS;
+    // One write, then thread 0 releases once more than its clock can
+    // count: every engine would panic in its vector-clock increment.
+    let release = TraceEvent::Release { tid: t(0), lock: 0 };
+    let events: Vec<TraceEvent> = std::iter::once(w(0, 0, 4))
+        .chain(std::iter::repeat_n(release, MAX_CLOCK_TICKS as usize + 1))
+        .collect();
+    let overflow = events.len() as u64 - 1;
+    let path = scratch("clock-overflow.cltr");
+    write_trace(&path, &events).unwrap();
+    // Each engine once, each source at one and at two lanes: the trace
+    // is 2^23 events long, so the full product would take minutes in a
+    // debug build.
+    let runs = [
+        (EngineKind::Clean, 1, false),
+        (EngineKind::FastTrack, 2, false),
+        (EngineKind::VcFull, 1, true),
+        (EngineKind::Tsan, 2, true),
+    ];
+    for (kind, lanes, from_file) in runs {
+        let replay = Replay::new(kind).lanes(lanes);
+        let done = if from_file {
+            replay.file(&path)
+        } else {
+            replay.events(&events)
+        };
+        assert!(
+            matches!(
+                done,
+                Err(TraceError::ClockOverflow { thread: 0, event }) if event == overflow
+            ),
+            "{kind} at {lanes} lanes gave {done:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    // The last increment that fits is still replayed.
+    let fits = Replay::new(EngineKind::Clean).events(&events[..overflow as usize]);
+    assert_eq!(fits.unwrap().events, overflow);
+}
