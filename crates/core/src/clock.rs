@@ -95,11 +95,6 @@ impl VectorClock {
         self.layout.clock(self.element(tid))
     }
 
-    /// Raw view of the elements, indexed by thread id.
-    pub fn as_raw(&self) -> &[u32] {
-        &self.elems
-    }
-
     /// Increments the element for `tid` ("main element" when `tid` is the
     /// owning thread).
     ///

@@ -260,13 +260,18 @@ fn parse_hex(s: &str, line: usize, what: &str) -> Result<usize, PlanError> {
     usize::from_str_radix(s, 16).map_err(|_| perr(line, format!("bad {what} address {s:?}")))
 }
 
-fn parse_kv(token: &str, key: &str, line: usize) -> Result<u64, PlanError> {
+/// Parses `key=<n>` into the field's own type, so a number too large
+/// for it is an error rather than a truncation.
+fn parse_kv<T: std::str::FromStr>(token: &str, key: &str, line: usize) -> Result<T, PlanError>
+where
+    T::Err: fmt::Display,
+{
     let v = token
         .strip_prefix(key)
         .and_then(|rest| rest.strip_prefix('='))
         .ok_or_else(|| perr(line, format!("expected {key}=<n>, got {token:?}")))?;
     v.parse()
-        .map_err(|_| perr(line, format!("bad {key} value {v:?}")))
+        .map_err(|e| perr(line, format!("bad {key} value {v:?}: {e}")))
 }
 
 fn parse_entry(tokens: &[&str], line: usize) -> Result<PlanEntry, PlanError> {
@@ -282,7 +287,7 @@ fn parse_entry(tokens: &[&str], line: usize) -> Result<PlanEntry, PlanError> {
     let hi = parse_hex(hi, line, "high")?;
     let witness = match (action, rest) {
         (PlanAction::Elide, [owner, observed, foreign]) => Some(Witness {
-            owner: parse_kv(owner, "owner", line)? as u32,
+            owner: parse_kv(owner, "owner", line)?,
             observed: parse_kv(observed, "observed", line)?,
             foreign: parse_kv(foreign, "foreign", line)?,
         }),
@@ -362,10 +367,10 @@ impl CheckPlan {
                     ));
                 };
                 profile = Some(PlanProfile {
-                    granule: parse_kv(granule, "granule", line_no)? as usize,
+                    granule: parse_kv(granule, "granule", line_no)?,
                     granules: parse_kv(granules, "granules", line_no)?,
                     events: parse_kv(events, "events", line_no)?,
-                    threads: parse_kv(threads, "threads", line_no)? as u32,
+                    threads: parse_kv(threads, "threads", line_no)?,
                 });
                 continue;
             }
@@ -653,6 +658,23 @@ mod tests {
                 PlanError::Parse { line: l, .. } => assert_eq!(l, line, "{text:?}"),
                 other => panic!("{text:?} → {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn numbers_too_large_for_their_field_name_their_line() {
+        for text in [
+            "CPLN v1\nelide 1000..2000 owner=4294967296 observed=5 foreign=0\n",
+            "CPLN v1\nelide 1000..2000 owner=1 observed=18446744073709551616 foreign=0\n",
+            "CPLN v1\n\nprofile granule=64 granules=1 events=1 threads=4294967296\n",
+            "CPLN v1\ncoalesce 10000000000000000..0\n",
+        ] {
+            let e = CheckPlan::parse(text).unwrap_err();
+            let last = text.lines().count();
+            assert!(
+                matches!(e, PlanError::Parse { line, .. } if line == last),
+                "{text:?} → {e:?}"
+            );
         }
     }
 

@@ -480,11 +480,6 @@ impl ThreadCtx {
         self.det.as_ref().map(|d| d.counter()).unwrap_or(0)
     }
 
-    /// This thread's vector clock (diagnostic).
-    pub fn vector_clock(&self) -> &VectorClock {
-        &self.vc
-    }
-
     /// Allocates a typed array in the shared heap.
     ///
     /// # Errors
@@ -649,88 +644,6 @@ impl ThreadCtx {
         let mut buf = [0u8; 8];
         value.encode(&mut buf);
         self.rt.heap.store_bytes(addr, &buf[..T::SIZE]);
-        Ok(())
-    }
-
-    /// Reads `buf.len()` bytes starting at element `start` of a byte
-    /// array, with a single (vectorized) race check covering the whole
-    /// range — the instrumented-`memcpy` pattern of Section 4.4.
-    ///
-    /// # Errors
-    ///
-    /// See [`read`](Self::read).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the array.
-    pub fn read_bytes(
-        &mut self,
-        arr: &SharedArray<u8>,
-        start: usize,
-        buf: &mut [u8],
-    ) -> Result<()> {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        assert!(start + buf.len() <= arr.len(), "range out of bounds");
-        self.check_poison()?;
-        let addr = arr.addr_of(start);
-        self.local_reads += 1;
-        if let Some(d) = self.det.as_mut() {
-            d.tick(1);
-        }
-        self.rt.heap.load_bytes(addr, buf);
-        self.rt.record(TraceEvent::Read {
-            tid: self.tid,
-            addr,
-            size: buf.len(),
-        });
-        if let Some(det) = &self.rt.detector {
-            if let Err(r) =
-                det.check_read_with(&self.vc, self.tid, addr, buf.len(), &mut self.check)
-            {
-                self.rt.poison(r);
-                return Err(CleanError::Race(r));
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes `data` starting at element `start` of a byte array, with a
-    /// single (vectorized) race check covering the whole range.
-    ///
-    /// # Errors
-    ///
-    /// See [`write`](Self::write).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the array.
-    pub fn write_bytes(&mut self, arr: &SharedArray<u8>, start: usize, data: &[u8]) -> Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        assert!(start + data.len() <= arr.len(), "range out of bounds");
-        self.check_poison()?;
-        let addr = arr.addr_of(start);
-        self.local_writes += 1;
-        if let Some(d) = self.det.as_mut() {
-            d.tick(1);
-        }
-        self.rt.record(TraceEvent::Write {
-            tid: self.tid,
-            addr,
-            size: data.len(),
-        });
-        if let Some(det) = &self.rt.detector {
-            if let Err(r) =
-                det.check_write_with(&self.vc, self.tid, addr, data.len(), &mut self.check)
-            {
-                self.rt.poison(r);
-                return Err(CleanError::Race(r));
-            }
-        }
-        self.rt.heap.store_bytes(addr, data);
         Ok(())
     }
 

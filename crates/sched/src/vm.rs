@@ -1127,11 +1127,6 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// The first CLEAN race of the execution, if any.
-    pub fn first_clean_race(&self) -> Option<&(usize, RaceReport)> {
-        self.clean_races.first()
-    }
-
     /// A deterministic digest of the observable execution (trace and
     /// results): two runs of the same program under the same schedule
     /// must produce equal digests.

@@ -28,7 +28,8 @@
 //! are counted separately ([`VerdictCache::persist_hits`]) so the
 //! warm-restart path is observable in METRICS (`cache_persist_hits`).
 
-use clean_baselines::{FoundRace, FullRaceKind};
+use crate::policy::{kind_from_tag, kind_tag};
+use clean_baselines::FoundRace;
 use clean_core::ThreadId;
 use clean_trace::{EngineKind, TraceDigest};
 use parking_lot::Mutex;
@@ -86,23 +87,6 @@ pub struct VerdictCache {
 impl Default for VerdictCache {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-fn kind_tag(kind: FullRaceKind) -> &'static str {
-    match kind {
-        FullRaceKind::Waw => "waw",
-        FullRaceKind::Raw => "raw",
-        FullRaceKind::War => "war",
-    }
-}
-
-fn kind_from_tag(tag: &str) -> Option<FullRaceKind> {
-    match tag {
-        "waw" => Some(FullRaceKind::Waw),
-        "raw" => Some(FullRaceKind::Raw),
-        "war" => Some(FullRaceKind::War),
-        _ => None,
     }
 }
 
@@ -302,6 +286,7 @@ impl VerdictCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clean_baselines::FullRaceKind;
 
     #[test]
     fn insert_get_roundtrip_across_engines() {

@@ -72,7 +72,7 @@ pub enum Rule {
     },
 }
 
-fn kind_tag(kind: FullRaceKind) -> &'static str {
+pub(crate) fn kind_tag(kind: FullRaceKind) -> &'static str {
     match kind {
         FullRaceKind::Waw => "waw",
         FullRaceKind::Raw => "raw",
@@ -80,7 +80,7 @@ fn kind_tag(kind: FullRaceKind) -> &'static str {
     }
 }
 
-fn kind_from_tag(tag: &str) -> Option<FullRaceKind> {
+pub(crate) fn kind_from_tag(tag: &str) -> Option<FullRaceKind> {
     match tag {
         "waw" => Some(FullRaceKind::Waw),
         "raw" => Some(FullRaceKind::Raw),

@@ -290,11 +290,6 @@ impl JobQueue {
         self.work.notify_all();
     }
 
-    /// Whether [`JobQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
-    }
-
     /// `(jobs_completed, jobs_rejected, jobs_coalesced)` counters. A
     /// coalesce is any admission that attached to an in-flight job
     /// instead of enqueueing a duplicate replay.

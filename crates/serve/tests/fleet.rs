@@ -449,11 +449,12 @@ fn router_metrics_merge_equals_per_backend_snapshots() {
         .counter("forwards", &[("node", "router")])
         .expect("router forwards counter");
     assert!(forwards >= 6, "forwards: {forwards}");
+    let pool_hits = merged
+        .counter("router_pool_hits", &[("node", "router")])
+        .expect("router pool-hit counter");
     assert!(
-        merged
-            .counter("router_pool_hits", &[("node", "router")])
-            .is_some(),
-        "pool-hit counter must be exposed even when zero"
+        pool_hits > 0,
+        "repeated forwards must reuse a pooled backend connection"
     );
 
     router.join();

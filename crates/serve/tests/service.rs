@@ -52,9 +52,11 @@ fn submit_analyze_matches_direct_replay() {
 
     for (name, racy) in [("dedup", true), ("dedup", false), ("streamcluster", true)] {
         let trace = record(&dir, name, racy, 7);
-        let (digest, _) = submit(&mut client, &trace);
+        let (digest, dedup) = submit(&mut client, &trace);
+        assert!(!dedup, "first submit of {name} cannot dedup");
         let Response::Verdict {
             digest: vdigest,
+            cached,
             races,
             events,
             ..
@@ -63,6 +65,8 @@ fn submit_analyze_matches_direct_replay() {
             panic!("expected verdict");
         };
         assert_eq!(vdigest, digest);
+        assert!(!cached, "cold analyze of {name} must miss");
+        assert_eq!(!races.is_empty(), racy, "{name} racy={racy}");
 
         // Ground truth: decode the same bytes and replay directly.
         let path = dir.join("roundtrip.cltr");
@@ -124,6 +128,10 @@ fn resubmit_dedups_and_repeat_analyze_hits_cache() {
     );
     assert_eq!(stat(&after, "submit_dedup_hits"), 1);
     assert_eq!(stat(&after, "submits"), 2);
+    let analyze_latency = after
+        .hist("serve_latency_micros", &[("verb", "analyze")])
+        .expect("analyze latency histogram");
+    assert_eq!(analyze_latency.count(), 2, "every ANALYZE is timed");
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }

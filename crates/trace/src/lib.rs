@@ -67,7 +67,7 @@ pub use replay::{
     required_threads, scan_trace, EngineKind, Replay, Replayed, TraceScan, SHARD_GRANULE,
 };
 pub use stats::TraceStats;
-pub use table::{parse_table, read_table, ChunkEntry, ChunkTable, TABLE_MAGIC};
+pub use table::{read_table, ChunkEntry, ChunkTable, TABLE_MAGIC};
 pub use writer::{
     encode_trace, write_trace, write_trace_v1, FileSink, TraceWriter, WriteSummary,
     DEFAULT_CHUNK_BYTES,

@@ -27,8 +27,7 @@
 //! `24 + 24 * chunk_count` bytes before EOF.
 //!
 //! v1 streams have no footer; every consumer of the table degrades to
-//! the sequential scan when [`read_table`]/[`parse_table`] return
-//! `None`.
+//! the sequential scan when [`read_table`] returns `None`.
 
 use crate::codec::{crc32, FORMAT_V1, FORMAT_VERSION, MAGIC};
 use crate::error::{Result, TraceError};
@@ -245,40 +244,17 @@ pub(crate) fn parse_footer(tail: &[u8], stream_len: u64) -> Result<ChunkTable> {
     Ok(table)
 }
 
-/// Parses the chunk table out of a complete in-memory stream (e.g. an
-/// mmap view). Returns `Ok(None)` for v1 streams (no table).
-///
-/// # Errors
-///
-/// [`TraceError::BadMagic`]/[`UnsupportedVersion`] for foreign streams;
-/// [`TraceError::BadTable`] when a v2 footer is missing, truncated,
-/// corrupt, or inconsistent with the stream length.
-///
-/// [`UnsupportedVersion`]: TraceError::UnsupportedVersion
-pub fn parse_table(stream: &[u8]) -> Result<Option<ChunkTable>> {
-    if stream.len() < HEADER_BYTES as usize {
-        return Err(TraceError::BadMagic(
-            stream
-                .get(..4)
-                .and_then(|s| s.try_into().ok())
-                .unwrap_or([0; 4]),
-        ));
-    }
-    let header: [u8; 5] = stream[..5].try_into().expect("5 bytes");
-    if header_version(&header)? == FORMAT_V1 {
-        return Ok(None);
-    }
-    let tail_start = HEADER_BYTES as usize;
-    parse_footer(&stream[tail_start..], stream.len() as u64).map(Some)
-}
-
 /// Reads the chunk table from the trace file at `path` without decoding
 /// any events: the header, trailer, and entries are read directly (three
 /// small reads). Returns `Ok(None)` for v1 traces.
 ///
 /// # Errors
 ///
-/// As [`parse_table`], plus I/O errors.
+/// I/O errors; [`TraceError::BadMagic`]/[`UnsupportedVersion`] for
+/// foreign streams; [`TraceError::BadTable`] when a v2 footer is
+/// missing, truncated, corrupt, or inconsistent with the stream length.
+///
+/// [`UnsupportedVersion`]: TraceError::UnsupportedVersion
 pub fn read_table(path: impl AsRef<Path>) -> Result<Option<ChunkTable>> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
@@ -335,6 +311,11 @@ mod tests {
             .collect()
     }
 
+    /// The footer of a complete in-memory v2 stream.
+    fn footer(stream: &[u8]) -> Result<ChunkTable> {
+        parse_footer(&stream[HEADER_BYTES as usize..], stream.len() as u64)
+    }
+
     fn encode_chunked(events: &[TraceEvent], chunk_bytes: usize) -> Vec<u8> {
         let mut w = TraceWriter::new(Vec::new())
             .unwrap()
@@ -349,7 +330,7 @@ mod tests {
     fn table_roundtrips_and_locates() {
         let evs = events(1000);
         let bytes = encode_chunked(&evs, 256);
-        let table = parse_table(&bytes).unwrap().expect("v2 stream has a table");
+        let table = footer(&bytes).unwrap();
         assert!(table.entries.len() > 2);
         assert_eq!(table.total_events, 1000);
         assert_eq!(table.threads, 3);
@@ -370,14 +351,17 @@ mod tests {
             w.write_event(e).unwrap();
         }
         let (_, bytes) = w.finish_into().unwrap();
-        assert!(parse_table(&bytes).unwrap().is_none());
+        let path = std::env::temp_dir().join(format!("clean-trace-v1-{}.cltr", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_table(&path).unwrap().is_none());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_trace_table_is_valid() {
         let w = TraceWriter::new(Vec::new()).unwrap();
         let (_, bytes) = w.finish_into().unwrap();
-        let table = parse_table(&bytes).unwrap().expect("table");
+        let table = footer(&bytes).unwrap();
         assert!(table.entries.is_empty());
         assert_eq!(table.total_events, 0);
         assert_eq!(table.threads, 1);
@@ -387,7 +371,7 @@ mod tests {
     fn every_footer_corruption_is_detected() {
         let evs = events(500);
         let bytes = encode_chunked(&evs, 512);
-        let table = parse_table(&bytes).unwrap().expect("table");
+        let table = footer(&bytes).unwrap();
         let footer_len = table.entries.len() * ENTRY_BYTES + TRAILER_BYTES;
         let footer_start = bytes.len() - footer_len;
         for pos in footer_start..bytes.len() {
@@ -395,13 +379,13 @@ mod tests {
                 let mut bad = bytes.clone();
                 bad[pos] ^= 1 << bit;
                 assert!(
-                    parse_table(&bad).is_err(),
+                    footer(&bad).is_err(),
                     "flip at byte {pos} bit {bit} accepted"
                 );
             }
         }
         for cut in footer_start..bytes.len() {
-            assert!(parse_table(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+            assert!(footer(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
@@ -416,7 +400,7 @@ mod tests {
         }
         w.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let mem = parse_table(&bytes).unwrap().expect("table");
+        let mem = footer(&bytes).unwrap();
         let file = read_table(&path).unwrap().expect("table");
         assert_eq!(mem, file);
         std::fs::remove_file(&path).ok();
