@@ -466,7 +466,6 @@ struct OfflineResult {
     one_lane_secs: f64,
     lanes_secs: f64,
     batches: u64,
-    used_mmap: bool,
     races_found: usize,
     races_agree: bool,
 }
@@ -535,7 +534,6 @@ fn run_offline(target_bytes: u64, threads: usize) -> OfflineResult {
         one_lane_secs,
         lanes_secs,
         batches: many.batches,
-        used_mmap: many.used_mmap,
         races_found: many.races.len(),
         races_agree,
     }
@@ -750,7 +748,7 @@ fn main() {
     let offline_replay_over_decode = off.one_lane_secs / off.decode_secs;
     let lane_speedup = off.one_lane_secs / off.lanes_secs;
     println!(
-        "  decode {:.2}s, 1 lane {:.2}s -> {} of decode; {} lanes {:.2}s -> {} over 1 lane ({} events, {:.0} MiB, {} batches, {}, host parallelism {})\n",
+        "  decode {:.2}s, 1 lane {:.2}s -> {} of decode; {} lanes {:.2}s -> {} over 1 lane ({} events, {:.0} MiB, {} batches, host parallelism {})\n",
         off.decode_secs,
         off.one_lane_secs,
         fmt_x(offline_replay_over_decode),
@@ -760,13 +758,12 @@ fn main() {
         off.events,
         off.bytes as f64 / (1 << 20) as f64,
         off.batches,
-        if off.used_mmap { "mmap" } else { "buffered" },
         off.parallelism,
     );
 
     // ---- JSON report ----
     let json = format!(
-        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_replay_over_decode\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"threads\": {},\n    \"pairs\": {},\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"decode_secs\": {:.3},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"lane_speedup\": {:.3},\n    \"batches\": {},\n    \"used_mmap\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_replay_over_decode\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"threads\": {},\n    \"pairs\": {},\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"decode_secs\": {:.3},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"lane_speedup\": {:.3},\n    \"batches\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
         if small { "small" } else { "full" },
         threads,
         reps,
@@ -795,7 +792,6 @@ fn main() {
         off.lanes_secs,
         lane_speedup,
         off.batches,
-        off.used_mmap,
         off.races_found,
         off.races_agree,
     );

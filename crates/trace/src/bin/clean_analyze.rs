@@ -76,8 +76,8 @@ USAGE:
   clean-analyze replay [--engine all|clean|fasttrack|vcfull|tsan] [--shards N]
                        [--stream] [--workers N] [--range A..B] <file>
       Replay the trace through one engine (or all). The trace is never
-      loaded into memory: one producer decodes it in stream order (mmap-
-      backed when the kernel allows) into bounded queues feeding --shards
+      loaded into memory: one producer decodes it in stream order
+      through a buffered reader into bounded queues feeding --shards
       lanes (default: the available parallelism), each a thread owning
       one detector and a share of the 64-byte address granules. One lane
       replays sequentially, and the verdict is the same for any lane
@@ -363,12 +363,7 @@ fn cmd_replay(rest: &[String]) -> Result<ExitCode, CliError> {
             ),
             None => {
                 let done = replay.file(path).map_err(trace_err)?;
-                let detail = format!(
-                    " [{} batches, {}]",
-                    done.batches,
-                    if done.used_mmap { "mmap" } else { "buffered" },
-                );
-                (done.races, detail)
+                (done.races, format!(" [{} batches]", done.batches))
             }
         };
         let (waw, raw, war) = kind_counts(&races);

@@ -8,8 +8,9 @@ use std::io;
 pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The stream does not start with the `CLTR` magic.
-    BadMagic([u8; 4]),
+    /// The stream does not start with the `CLTR` magic and a version
+    /// byte: the first bytes that are there, at most four.
+    BadMagic(Vec<u8>),
     /// The stream's format version is not supported by this reader.
     UnsupportedVersion(u8),
     /// A chunk header or payload ends before its declared length.

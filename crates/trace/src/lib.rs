@@ -15,7 +15,10 @@
 //! * **Store** ([`TraceWriter`] / [`TraceReader`]): streaming,
 //!   chunk-framed file I/O with CRC-32 corruption detection;
 //!   [`FileSink`] plugs into the runtime's [`EventSink`] capture hook so
-//!   executions record straight to disk.
+//!   executions record straight to disk. [`TraceReader`] is the one way
+//!   a trace is read: replay, digest, scan and [`read_range`] all go
+//!   through its header, frame, CRC and footer checks, over a buffered
+//!   file handle.
 //! * **Analysis** ([`replay`]): one engine, [`Replay`], runs any
 //!   [`TraceDetector`](clean_baselines::TraceDetector) over a slice or a
 //!   trace file. One producer pre-shards events by address granule into
@@ -49,7 +52,6 @@
 pub mod codec;
 pub mod digest;
 mod error;
-pub mod mmap;
 mod reader;
 mod record;
 pub mod replay;
@@ -60,7 +62,6 @@ mod writer;
 pub use clean_core::{EventSink, TraceEvent};
 pub use digest::{digest_events, digest_file, Digester, TraceDigest};
 pub use error::{Result, TraceError};
-pub use mmap::{map_file, MappedTrace};
 pub use reader::{read_range, read_trace, TraceReader};
 pub use record::{record_kernel_trace, record_sim_trace, RecordOptions};
 pub use replay::{

@@ -8,15 +8,55 @@
 //! actually decoded. A v2 stream whose table is truncated or corrupted
 //! in any byte therefore fails to read, preserving the invariant that
 //! every single-bit flip and every truncation of a trace is detected.
+//! The footer read is bounded by the chunks decoded, so a stream cut
+//! short by a zeroed frame fails without buffering the rest.
+//!
+//! Every trace file is read here: replay, digest and scan stream it
+//! from the header, and [`read_range`] seeks the same reader to the
+//! first chunk its window needs.
 
 use crate::codec::{crc32, Decoder, FORMAT_V1, FORMAT_VERSION, MAGIC};
 use crate::error::{Result, TraceError};
-use crate::table::{parse_footer, read_table, ChunkEntry};
+use crate::table::{
+    parse_footer, read_table, ChunkEntry, ChunkTable, ENTRY_BYTES, FRAME_BYTES, HEADER_BYTES,
+    TRAILER_BYTES,
+};
 use clean_core::TraceEvent;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, ErrorKind, Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
+
+/// Fills `buf` from `input` until it is full or the input ends,
+/// returning how many bytes were read. Only I/O errors are errors.
+fn read_full(input: &mut impl Read, buf: &mut [u8]) -> Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match input.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(filled)
+}
+
+/// Reads and checks the stream header, returning the format version.
+///
+/// A header cut short is [`TraceError::BadMagic`] carrying the bytes
+/// that are there; an I/O failure stays [`TraceError::Io`].
+pub(crate) fn read_header(input: &mut impl Read) -> Result<u8> {
+    let mut header = [0u8; HEADER_BYTES];
+    let filled = read_full(input, &mut header)?;
+    if filled < HEADER_BYTES || header[..4] != MAGIC {
+        return Err(TraceError::BadMagic(header[..filled.min(4)].to_vec()));
+    }
+    match header[4] {
+        v @ (FORMAT_V1 | FORMAT_VERSION) => Ok(v),
+        v => Err(TraceError::UnsupportedVersion(v)),
+    }
+}
 
 /// Streaming reader of the `CLTR` binary trace format.
 ///
@@ -36,8 +76,9 @@ pub struct TraceReader<R: Read> {
     pos: usize,
     /// Events remaining to decode in the current chunk.
     chunk_events_left: u32,
-    /// Index of the current chunk (for error reporting).
-    chunk_index: u64,
+    /// Index of the next chunk to load; the current chunk is the one
+    /// before it.
+    next_chunk: u64,
     /// Set after an error or clean EOF: iteration is over.
     done: bool,
     /// Stream format version (1 or 2).
@@ -49,6 +90,10 @@ pub struct TraceReader<R: Read> {
     observed: Vec<ChunkEntry>,
     /// Events in fully loaded chunks so far.
     events_seen: u64,
+    /// Chunk-table entries every frame must match before its payload is
+    /// read, indexed by chunk; empty unless the reader was started
+    /// mid-stream by [`read_range`].
+    expected: Vec<ChunkEntry>,
 }
 
 impl TraceReader<BufReader<File>> {
@@ -61,29 +106,20 @@ impl TraceReader<BufReader<File>> {
 impl<R: Read> TraceReader<R> {
     /// Wraps `input`, reading and validating the stream header.
     pub fn new(mut input: R) -> Result<Self> {
-        let mut header = [0u8; 5];
-        input
-            .read_exact(&mut header)
-            .map_err(|_| TraceError::BadMagic([0; 4]))?;
-        let magic: [u8; 4] = header[..4].try_into().expect("slice of length 4");
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic(magic));
-        }
-        if header[4] != FORMAT_V1 && header[4] != FORMAT_VERSION {
-            return Err(TraceError::UnsupportedVersion(header[4]));
-        }
+        let version = read_header(&mut input)?;
         Ok(TraceReader {
             input,
             dec: Decoder::new(),
             payload: Vec::new(),
             pos: 0,
             chunk_events_left: 0,
-            chunk_index: 0,
+            next_chunk: 0,
             done: false,
-            version: header[4],
-            offset: header.len() as u64,
+            version,
+            offset: HEADER_BYTES as u64,
             observed: Vec::new(),
             events_seen: 0,
+            expected: Vec::new(),
         })
     }
 
@@ -98,53 +134,50 @@ impl<R: Read> TraceReader<R> {
     /// even at a chunk boundary — is a truncated stream: every intact
     /// trace ends with the marker.
     fn load_chunk(&mut self) -> Result<bool> {
-        let mut frame = [0u8; 12];
-        let mut filled = 0;
-        while filled < frame.len() {
-            match self.input.read(&mut frame[filled..]) {
-                Ok(0) => {
-                    return Err(TraceError::Truncated {
-                        chunk: self.chunk_index,
-                    })
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
+        let chunk = self.next_chunk;
+        let mut frame = [0u8; FRAME_BYTES];
+        if read_full(&mut self.input, &mut frame)? < FRAME_BYTES {
+            return Err(TraceError::Truncated { chunk });
+        }
+        let payload_len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
+        let events = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+        let stored_crc = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
+        if let Some(want) = self.expected.get(chunk as usize) {
+            if (payload_len, events) != (want.payload_len, want.events) {
+                return Err(TraceError::Corrupt {
+                    chunk,
+                    reason: "chunk frame disagrees with the chunk table",
+                });
             }
         }
-        if frame == [0u8; 12] {
-            self.offset += frame.len() as u64;
+        if frame == [0u8; FRAME_BYTES] {
+            self.offset += FRAME_BYTES as u64;
             if self.version == FORMAT_VERSION {
                 self.verify_footer()?;
             }
             return Ok(false);
         }
-        let payload_len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
-        let events = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
         if events == 0 || payload_len == 0 {
             return Err(TraceError::Corrupt {
-                chunk: self.chunk_index,
+                chunk,
                 reason: "zero-length chunk frame",
             });
         }
         // A corrupt length field must not drive a giant allocation.
         if payload_len > 256 << 20 {
             return Err(TraceError::Corrupt {
-                chunk: self.chunk_index,
+                chunk,
                 reason: "chunk payload implausibly large",
             });
         }
-        self.payload.resize(payload_len, 0);
-        self.input
-            .read_exact(&mut self.payload)
-            .map_err(|_| TraceError::Truncated {
-                chunk: self.chunk_index,
-            })?;
+        self.payload.resize(payload_len as usize, 0);
+        if read_full(&mut self.input, &mut self.payload)? < self.payload.len() {
+            return Err(TraceError::Truncated { chunk });
+        }
         let computed = crc32(&self.payload);
         if computed != stored_crc {
             return Err(TraceError::ChecksumMismatch {
-                chunk: self.chunk_index,
+                chunk,
                 stored: stored_crc,
                 computed,
             });
@@ -152,13 +185,14 @@ impl<R: Read> TraceReader<R> {
         if self.version == FORMAT_VERSION {
             self.observed.push(ChunkEntry {
                 offset: self.offset,
-                payload_len: payload_len as u32,
+                payload_len,
                 events,
                 first_event: self.events_seen,
             });
         }
-        self.offset += (frame.len() + payload_len) as u64;
+        self.offset += (FRAME_BYTES + self.payload.len()) as u64;
         self.events_seen += u64::from(events);
+        self.next_chunk += 1;
         self.pos = 0;
         self.chunk_events_left = events;
         self.dec.reset();
@@ -166,15 +200,26 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Reads and strictly validates the v2 footer after the end-of-stream
-    /// marker: trailer magic, CRC, and exact agreement between the table
-    /// entries and the chunks this reader actually decoded.
+    /// marker: exactly one table entry per decoded chunk plus the
+    /// trailer, then end of input. Checks the trailer magic, the CRC and
+    /// exact agreement between the table and the chunks this reader
+    /// actually decoded.
     fn verify_footer(&mut self) -> Result<()> {
+        let footer_len = self.observed.len() * ENTRY_BYTES + TRAILER_BYTES;
         // parse_footer expects the EOS marker to precede the entries;
         // the marker was already consumed, so re-prefix zeros.
-        let mut tail = vec![0u8; 12];
-        self.input.read_to_end(&mut tail)?;
-        let stream_len = self.offset + (tail.len() - 12) as u64;
-        let table = parse_footer(&tail, stream_len)?;
+        let mut tail = vec![0u8; FRAME_BYTES + footer_len];
+        if read_full(&mut self.input, &mut tail[FRAME_BYTES..])? < footer_len {
+            return Err(TraceError::BadTable {
+                reason: "chunk table cut short",
+            });
+        }
+        if read_full(&mut self.input, &mut [0u8])? != 0 {
+            return Err(TraceError::BadTable {
+                reason: "bytes after the chunk table",
+            });
+        }
+        let table = parse_footer(&tail, self.offset + footer_len as u64)?;
         if table.entries != self.observed {
             return Err(TraceError::BadTable {
                 reason: "table entries disagree with the decoded chunks",
@@ -189,32 +234,43 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn next_event(&mut self) -> Result<Option<TraceEvent>> {
-        loop {
-            if self.chunk_events_left > 0 {
-                let mut input = &self.payload[self.pos..];
-                let before = input.len();
-                let event = self
-                    .dec
-                    .decode(&mut input)
-                    .map_err(|reason| TraceError::Corrupt {
-                        chunk: self.chunk_index,
-                        reason,
-                    })?;
-                self.pos += before - input.len();
-                self.chunk_events_left -= 1;
-                if self.chunk_events_left == 0 && self.pos != self.payload.len() {
-                    return Err(TraceError::Corrupt {
-                        chunk: self.chunk_index,
-                        reason: "payload longer than its event count",
-                    });
-                }
-                return Ok(Some(event));
-            }
+        while self.chunk_events_left == 0 {
             if !self.load_chunk()? {
                 return Ok(None);
             }
-            self.chunk_index += 1;
         }
+        let chunk = self.next_chunk - 1;
+        let mut input = &self.payload[self.pos..];
+        let before = input.len();
+        let event = self
+            .dec
+            .decode(&mut input)
+            .map_err(|reason| TraceError::Corrupt { chunk, reason })?;
+        self.pos += before - input.len();
+        self.chunk_events_left -= 1;
+        if self.chunk_events_left == 0 && self.pos != self.payload.len() {
+            return Err(TraceError::Corrupt {
+                chunk,
+                reason: "payload longer than its event count",
+            });
+        }
+        Ok(Some(event))
+    }
+}
+
+impl<R: Read + Seek> TraceReader<R> {
+    /// Repositions the reader at the frame of chunk `chunk` of `table`,
+    /// this stream's v2 chunk table. From there on each frame must
+    /// match its table entry before its payload is read.
+    fn seek_to_chunk(&mut self, table: ChunkTable, chunk: usize) -> Result<()> {
+        let entry = table.entries[chunk];
+        self.input.seek(SeekFrom::Start(entry.offset))?;
+        self.next_chunk = chunk as u64;
+        self.chunk_events_left = 0;
+        self.offset = entry.offset;
+        self.events_seen = entry.first_event;
+        self.expected = table.entries;
+        Ok(())
     }
 }
 
@@ -248,82 +304,34 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<TraceEvent>> {
 /// length) — random access built on the v2 chunk table.
 ///
 /// On v2 traces only the chunks covering the range are read and decoded:
-/// the table locates the first covering chunk by binary search, the file
-/// is seeked straight to its offset, and decode stops at the end of the
-/// range. v1 traces (no table) fall back to a sequential skip/take scan.
+/// the table locates the first covering chunk by binary search, the
+/// reader seeks straight to its frame, checks each frame against its
+/// table entry, and stops at the end of the range. v1 traces (no table)
+/// decode from the start.
 ///
 /// # Errors
 ///
 /// Propagates I/O and decode errors, including a corrupt chunk table.
 pub fn read_range(path: impl AsRef<Path>, range: Range<u64>) -> Result<Vec<TraceEvent>> {
     let path = path.as_ref();
-    let Some(table) = read_table(path)? else {
-        // v1 fallback: decode from the start, keep the window.
-        let mut out = Vec::new();
-        for (i, ev) in TraceReader::open(path)?.enumerate() {
-            let ev = ev?;
-            let i = i as u64;
-            if i >= range.end {
-                break;
+    let mut reader = TraceReader::open(path)?;
+    // Trace index of the reader's next event, and the window's end.
+    let (mut next, mut end) = (0, range.end);
+    if let Some(table) = read_table(path)? {
+        end = end.min(table.total_events);
+        match table.locate(range.start) {
+            Some(chunk) if range.start < end => {
+                next = table.entries[chunk].first_event;
+                reader.seek_to_chunk(table, chunk)?;
             }
-            if i >= range.start {
-                out.push(ev);
-            }
+            _ => return Ok(Vec::new()),
         }
-        return Ok(out);
-    };
-    let start = range.start.min(table.total_events);
-    let end = range.end.min(table.total_events);
-    if start >= end {
-        return Ok(Vec::new());
     }
-    let first_chunk = table.locate(start).expect("start is within the trace");
-    let mut out = Vec::with_capacity((end - start) as usize);
-    let mut file = BufReader::new(File::open(path)?);
-    file.seek(SeekFrom::Start(table.entries[first_chunk].offset))?;
-    let mut dec = Decoder::new();
-    let mut payload = Vec::new();
-    for (ci, e) in table.entries.iter().enumerate().skip(first_chunk) {
-        if e.first_event >= end {
-            break;
-        }
-        let chunk = ci as u64;
-        let mut frame = [0u8; 12];
-        file.read_exact(&mut frame)
-            .map_err(|_| TraceError::Truncated { chunk })?;
-        let payload_len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-        let frame_events = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
-        if payload_len != e.payload_len || frame_events != e.events {
-            return Err(TraceError::Corrupt {
-                chunk,
-                reason: "chunk frame disagrees with the chunk table",
-            });
-        }
-        payload.resize(payload_len as usize, 0);
-        file.read_exact(&mut payload)
-            .map_err(|_| TraceError::Truncated { chunk })?;
-        let computed = crc32(&payload);
-        if computed != stored_crc {
-            return Err(TraceError::ChecksumMismatch {
-                chunk,
-                stored: stored_crc,
-                computed,
-            });
-        }
-        dec.reset();
-        let mut input = &payload[..];
-        for j in 0..u64::from(e.events) {
-            let ev = dec
-                .decode(&mut input)
-                .map_err(|reason| TraceError::Corrupt { chunk, reason })?;
-            let idx = e.first_event + j;
-            if idx >= end {
-                break;
-            }
-            if idx >= start {
-                out.push(ev);
-            }
+    let mut out = Vec::new();
+    for (i, ev) in (next..end).zip(reader) {
+        let ev = ev?;
+        if i >= range.start {
+            out.push(ev);
         }
     }
     Ok(out)

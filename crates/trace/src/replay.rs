@@ -4,10 +4,10 @@
 //! # The pipeline
 //!
 //! One producer — the caller's thread — walks the source in stream
-//! order: an in-memory slice, or a [`TraceReader`] over the mmap'd bytes
-//! of a file (a buffered file handle when the kernel refuses the
-//! mapping). v1 and v2 files take the same path, so every chunk CRC and
-//! the v2 footer are checked exactly as a plain read would check them.
+//! order: an in-memory slice, or a [`TraceReader`] over a buffered file
+//! handle — the one way this crate reads a trace file. v1 and v2 files
+//! take the same path, so every chunk CRC and the v2 footer are checked
+//! exactly as a plain read would check them.
 //! The producer pre-shards events into one batch per lane: a sync event
 //! goes to every lane, a memory event to each lane that owns one of the
 //! [`SHARD_GRANULE`]-byte address granules it touches (granules go
@@ -55,7 +55,6 @@
 //! coincide.
 
 use crate::error::{Result, TraceError};
-use crate::mmap::map_file;
 use crate::reader::TraceReader;
 use crate::table::read_table;
 use clean_baselines::{CleanEngine, FastTrack, FoundRace, TraceDetector, TsanLike, VcFullDetector};
@@ -398,8 +397,6 @@ pub struct Replayed {
     pub events: u64,
     /// Producer batches issued.
     pub batches: u64,
-    /// Whether a file source was read through an `mmap` view.
-    pub used_mmap: bool,
 }
 
 /// The offline replay engine: one analysis engine over `lanes` address
@@ -455,12 +452,14 @@ impl Replay {
     /// Panics if a lane thread panics.
     pub fn events(&self, events: &[TraceEvent]) -> Result<Replayed> {
         let slots = fit_slots(required_threads(events))?;
-        self.run(slots, events.iter().map(|ev| Ok(*ev)), false)
+        self.run(slots, events.iter().map(|ev| Ok(*ev)))
     }
 
     /// Replays a trace file of either format version without loading it
-    /// into memory. The thread-slot count comes from the v2 chunk table,
-    /// or from one extra scan pass on v1 files.
+    /// into memory: one [`TraceReader`] streams it through a buffered
+    /// file handle, one chunk in memory at a time. The thread-slot count
+    /// comes from the v2 chunk table, or from one extra scan pass on v1
+    /// files.
     ///
     /// # Errors
     ///
@@ -484,20 +483,13 @@ impl Replay {
             }),
             other => other,
         };
-        match map_file(path)? {
-            Some(mapped) => {
-                let reader = TraceReader::new(mapped.bytes())?;
-                self.run(slots, reader.map(in_table), true)
-            }
-            None => self.run(slots, TraceReader::open(path)?.map(in_table), false),
-        }
+        self.run(slots, TraceReader::open(path)?.map(in_table))
     }
 
     fn run(
         &self,
         slots: usize,
         source: impl Iterator<Item = Result<TraceEvent>>,
-        used_mmap: bool,
     ) -> Result<Replayed> {
         let new_lane = |index| Lane {
             det: self.kind.build(slots),
@@ -547,7 +539,6 @@ impl Replay {
             races: merge_shard_races(per_lane),
             events,
             batches,
-            used_mmap,
         })
     }
 }

@@ -29,8 +29,9 @@
 //! v1 streams have no footer; every consumer of the table degrades to
 //! the sequential scan when [`read_table`] returns `None`.
 
-use crate::codec::{crc32, FORMAT_V1, FORMAT_VERSION, MAGIC};
+use crate::codec::{crc32, FORMAT_V1};
 use crate::error::{Result, TraceError};
+use crate::reader::read_header;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -45,13 +46,13 @@ pub const ENTRY_BYTES: usize = 24;
 pub const TRAILER_BYTES: usize = 24;
 
 /// Stream header size (magic + version byte).
-const HEADER_BYTES: u64 = 5;
-
-/// End-of-stream marker size (one all-zero chunk frame).
-const EOS_BYTES: u64 = 12;
+pub(crate) const HEADER_BYTES: usize = 5;
 
 /// Chunk frame header size (payload length, event count, CRC).
-const FRAME_BYTES: u64 = 12;
+pub(crate) const FRAME_BYTES: usize = 12;
+
+/// End-of-stream marker size (one all-zero chunk frame).
+const EOS_BYTES: usize = FRAME_BYTES;
 
 /// One chunk's description in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +75,7 @@ impl ChunkEntry {
 
     /// Stream offset one past the chunk's payload.
     pub fn end_offset(&self) -> u64 {
-        self.offset + FRAME_BYTES + u64::from(self.payload_len)
+        self.offset + FRAME_BYTES as u64 + u64::from(self.payload_len)
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -148,7 +149,7 @@ impl ChunkTable {
     /// sums, and a footer that accounts for every remaining byte.
     fn validate(&self, stream_len: u64) -> Result<()> {
         let bad = |reason| Err(TraceError::BadTable { reason });
-        let mut next_offset = HEADER_BYTES;
+        let mut next_offset = HEADER_BYTES as u64;
         let mut next_event = 0u64;
         for e in &self.entries {
             if e.payload_len == 0 || e.events == 0 {
@@ -177,24 +178,11 @@ impl ChunkTable {
             return bad("more thread slots than thread ids");
         }
         let table_len = (self.entries.len() * ENTRY_BYTES + TRAILER_BYTES) as u64;
-        if next_offset + EOS_BYTES + table_len != stream_len {
+        if next_offset + EOS_BYTES as u64 + table_len != stream_len {
             return bad("table does not account for the stream length");
         }
         Ok(())
     }
-}
-
-/// Reads the version byte of a 5-byte stream header, rejecting foreign
-/// magics and unknown versions.
-fn header_version(header: &[u8; 5]) -> Result<u8> {
-    let magic: [u8; 4] = header[..4].try_into().expect("slice of length 4");
-    if magic != MAGIC {
-        return Err(TraceError::BadMagic(magic));
-    }
-    if header[4] != FORMAT_V1 && header[4] != FORMAT_VERSION {
-        return Err(TraceError::UnsupportedVersion(header[4]));
-    }
-    Ok(header[4])
 }
 
 /// Parses and validates the footer region of a v2 stream given the
@@ -216,11 +204,11 @@ pub(crate) fn parse_footer(tail: &[u8], stream_len: u64) -> Result<ChunkTable> {
         .checked_mul(ENTRY_BYTES)
         .and_then(|n| n.checked_add(TRAILER_BYTES))
     {
-        Some(n) if n + EOS_BYTES as usize <= tail.len() => n,
+        Some(n) if n + EOS_BYTES <= tail.len() => n,
         _ => return bad("chunk count overruns the stream"),
     };
     let entries_start = tail.len() - table_len;
-    if tail[entries_start - EOS_BYTES as usize..entries_start]
+    if tail[entries_start - EOS_BYTES..entries_start]
         .iter()
         .any(|&b| b != 0)
     {
@@ -258,13 +246,10 @@ pub(crate) fn parse_footer(tail: &[u8], stream_len: u64) -> Result<ChunkTable> {
 pub fn read_table(path: impl AsRef<Path>) -> Result<Option<ChunkTable>> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
-    let mut header = [0u8; 5];
-    file.read_exact(&mut header)
-        .map_err(|_| TraceError::BadMagic([0; 4]))?;
-    if header_version(&header)? == FORMAT_V1 {
+    if read_header(&mut file)? == FORMAT_V1 {
         return Ok(None);
     }
-    if len < HEADER_BYTES + EOS_BYTES + TRAILER_BYTES as u64 {
+    if len < (HEADER_BYTES + EOS_BYTES + TRAILER_BYTES) as u64 {
         return Err(TraceError::BadTable {
             reason: "stream too short for a chunk-table trailer",
         });
@@ -280,9 +265,9 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Option<ChunkTable>> {
     let chunk_count = u32::from_le_bytes(trailer[0..4].try_into().expect("4 bytes")) as u64;
     let tail_len = match chunk_count
         .checked_mul(ENTRY_BYTES as u64)
-        .and_then(|n| n.checked_add(TRAILER_BYTES as u64 + EOS_BYTES))
+        .and_then(|n| n.checked_add((TRAILER_BYTES + EOS_BYTES) as u64))
     {
-        Some(n) if n + HEADER_BYTES <= len => n,
+        Some(n) if n + HEADER_BYTES as u64 <= len => n,
         _ => {
             return Err(TraceError::BadTable {
                 reason: "chunk count overruns the stream",
@@ -313,7 +298,7 @@ mod tests {
 
     /// The footer of a complete in-memory v2 stream.
     fn footer(stream: &[u8]) -> Result<ChunkTable> {
-        parse_footer(&stream[HEADER_BYTES as usize..], stream.len() as u64)
+        parse_footer(&stream[HEADER_BYTES..], stream.len() as u64)
     }
 
     fn encode_chunked(events: &[TraceEvent], chunk_bytes: usize) -> Vec<u8> {

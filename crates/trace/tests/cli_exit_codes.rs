@@ -79,9 +79,26 @@ fn replay_exit_codes_distinguish_race_clean_and_decode_error() {
         .unwrap();
     assert_eq!(missing.status.code(), Some(1));
 
-    for p in [&racy, &clean, &junk] {
+    // So is a path that cannot be read as a file at all, on every
+    // subcommand that reads the trace header.
+    let dir = tmp("a-directory");
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_eq!(run(&dir).status.code(), Some(1), "directory");
+    let digest = Command::new(BIN).arg("digest").arg(&dir).output().unwrap();
+    assert_eq!(digest.status.code(), Some(1), "digest of a directory");
+
+    // A header cut short names the bytes that are there.
+    let short = tmp("short.cltr");
+    std::fs::write(&short, b"CLT").unwrap();
+    let out = run(&short);
+    assert_eq!(out.status.code(), Some(12), "three-byte file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("[43, 4c, 54]"), "{stderr}");
+
+    for p in [&racy, &clean, &junk, &short] {
         std::fs::remove_file(p).ok();
     }
+    std::fs::remove_dir(&dir).ok();
 }
 
 #[test]

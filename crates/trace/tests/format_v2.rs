@@ -9,14 +9,19 @@
 //!   matrix in `replay_engine.rs`.)
 //! * **Footer robustness** — truncating or corrupting any byte of the
 //!   chunk-table footer yields a clean [`TraceError`], never a wrong
-//!   verdict and never a panic.
+//!   verdict and never a panic; a stream cut short by a zeroed chunk
+//!   frame fails after a bounded read, not after buffering the rest.
+//! * **Random access** — `read_range` over a many-chunk trace returns
+//!   exactly the clamped slice for every window, and reports damage to
+//!   a covered chunk while ignoring damage outside the window.
 
 use clean_core::{LockId, ThreadId, TraceEvent};
 use clean_trace::{
     digest_events, digest_file, read_range, read_table, read_trace, scan_trace, write_trace,
-    write_trace_v1, EngineKind, Replay, TraceReader, TABLE_MAGIC,
+    write_trace_v1, EngineKind, Replay, TraceError, TraceReader, TraceWriter, TABLE_MAGIC,
 };
 use proptest::prelude::*;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Per-test scratch directory under the system temp dir (the repo has no
@@ -69,6 +74,15 @@ fn racy_events() -> Vec<TraceEvent> {
         child: ThreadId::new(2),
     });
     events
+}
+
+/// `events` as a v2 stream of 64-byte chunks: a few events per chunk.
+fn small_chunk_stream(events: &[TraceEvent]) -> Vec<u8> {
+    let mut w = TraceWriter::new(Vec::new()).unwrap().chunk_bytes(64);
+    for e in events {
+        w.write_event(e).unwrap();
+    }
+    w.finish_into().unwrap().1
 }
 
 fn trailer_magic(path: &Path) -> [u8; 4] {
@@ -197,4 +211,133 @@ proptest! {
             prop_assert_eq!(slice, &events[10..20]);
         }
     }
+}
+
+/// `read_range` over a many-chunk file: every window — empty, past the
+/// end, inside one chunk, across chunk boundaries — equals the clamped
+/// slice of the source events, through the table seek on v2 and the
+/// sequential fallback on v1.
+#[test]
+fn read_range_matches_the_slice_for_every_window() {
+    let dir = scratch("windows");
+    let (v1, v2) = (dir.join("trace.v1.cltr"), dir.join("trace.v2.cltr"));
+    let events = racy_events();
+    std::fs::write(&v2, small_chunk_stream(&events)).unwrap();
+    write_trace_v1(&v1, &events).unwrap();
+    let table = read_table(&v2).unwrap().expect("v2 trace has a table");
+    assert!(table.entries.len() > 20, "{} chunks", table.entries.len());
+
+    let n = events.len() as u64;
+    // The first chunks' boundaries and their neighbours, a middle
+    // chunk's, the ends of the trace and beyond.
+    let mut points: Vec<u64> = vec![0, 1, n - 1, n, n + 1, n + 100, u64::MAX];
+    for e in &table.entries[..6] {
+        points.extend([e.first_event, e.first_event + 1, e.end_event() - 1]);
+    }
+    let mid = &table.entries[table.entries.len() / 2];
+    points.extend([mid.first_event, mid.end_event(), mid.end_event() + 1]);
+    for &a in &points {
+        for &b in &points {
+            let (lo, hi) = (a.min(n) as usize, b.min(n) as usize);
+            let want = if lo < hi { &events[lo..hi] } else { &[][..] };
+            for path in [&v1, &v2] {
+                let got = read_range(path, a..b).unwrap();
+                assert_eq!(got, want, "window {a}..{b} of {}", path.display());
+            }
+        }
+    }
+}
+
+/// Damage to a chunk the window covers is an error of the right kind;
+/// damage to a chunk outside it leaves the window exact.
+#[test]
+fn read_range_checks_covered_chunks_and_ignores_the_rest() {
+    let path = scratch("damage").join("trace.cltr");
+    let events = racy_events();
+    let bytes = small_chunk_stream(&events);
+    std::fs::write(&path, &bytes).unwrap();
+    let table = read_table(&path).unwrap().expect("v2 trace has a table");
+    let k = table.entries.len() / 2;
+    let hit = table.entries[k];
+    // A window that starts in the chunk before `k` and ends inside it.
+    let window = table.entries[k - 1].first_event + 1..hit.first_event + 1;
+    let want = &events[window.start as usize..window.end as usize];
+    let damaged = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut bad = bytes.clone();
+        edit(&mut bad);
+        std::fs::write(&path, &bad).unwrap();
+        read_range(&path, window.clone())
+    };
+
+    let frame = hit.offset as usize;
+    let flipped = damaged(&|b| b[frame + 12 + hit.payload_len as usize / 2] ^= 0x04);
+    assert!(
+        matches!(flipped, Err(TraceError::ChecksumMismatch { chunk, .. }) if chunk == k as u64),
+        "payload flip gave {flipped:?}"
+    );
+
+    let longer = (hit.payload_len + 1).to_le_bytes();
+    let relabeled = damaged(&|b| b[frame..frame + 4].copy_from_slice(&longer));
+    assert!(
+        matches!(relabeled, Err(TraceError::Corrupt { chunk, .. }) if chunk == k as u64),
+        "frame/table disagreement gave {relabeled:?}"
+    );
+
+    let zeroed = damaged(&|b| b[frame..frame + 12].fill(0));
+    assert!(
+        matches!(zeroed, Err(TraceError::Corrupt { chunk, .. }) if chunk == k as u64),
+        "zeroed covered frame gave {zeroed:?}"
+    );
+
+    // Chunks before and after the window: payload flips and frame
+    // damage alike go unread.
+    for outside in [table.entries[k - 3], table.entries[k + 2]] {
+        let at = outside.offset as usize;
+        let mid = at + 12 + outside.payload_len as usize / 2;
+        assert_eq!(damaged(&|b| b[mid] ^= 0x04).unwrap(), want);
+        assert_eq!(damaged(&|b| b[at..at + 12].fill(0)).unwrap(), want);
+    }
+}
+
+/// A `Read` that counts the bytes it hands out.
+struct Counting<'a> {
+    inner: &'a [u8],
+    pulled: usize,
+}
+
+impl Read for Counting<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.pulled += n;
+        Ok(n)
+    }
+}
+
+/// A zeroed first chunk frame reads as the end-of-stream marker: the
+/// footer check that follows must fail after reading no more than a
+/// footer's worth, not buffer the rest of the stream.
+#[test]
+fn a_zeroed_first_frame_fails_after_a_bounded_read() {
+    let events: Vec<TraceEvent> = racy_events().into_iter().cycle().take(20_000).collect();
+    let mut bytes = small_chunk_stream(&events);
+    let header = 5;
+    let bound = header + 12 + (bytes.len() - footer_start(&bytes));
+    assert!(bytes.len() > 3 * bound, "{} / {bound}", bytes.len());
+    bytes[header..header + 12].fill(0);
+
+    let mut input = Counting {
+        inner: &bytes,
+        pulled: 0,
+    };
+    let read: Result<Vec<_>, _> = TraceReader::new(&mut input).unwrap().collect();
+    assert!(
+        matches!(read, Err(TraceError::BadTable { .. })),
+        "got {read:?}"
+    );
+    assert!(
+        input.pulled <= bound,
+        "pulled {} bytes of {}",
+        input.pulled,
+        bytes.len()
+    );
 }

@@ -156,7 +156,7 @@ fn every_engine_source_and_lane_count_matches_the_sequential_detector() {
 fn empty_and_missing_sources() {
     let none = Replay::new(EngineKind::Clean).lanes(2).events(&[]).unwrap();
     assert!(none.races.is_empty());
-    assert_eq!((none.events, none.batches, none.used_mmap), (0, 0, false));
+    assert_eq!((none.events, none.batches), (0, 0));
     assert!(scan_trace("/nonexistent/clean-trace.cltr").is_err());
     assert!(matches!(
         Replay::new(EngineKind::Clean).file("/nonexistent/clean-trace.cltr"),
@@ -276,7 +276,7 @@ fn crafted_empty_oversized_and_wrapping_accesses_are_refused_on_every_path() {
 
             let read: clean_trace::Result<Vec<_>> = TraceReader::new(&bytes[..]).unwrap().collect();
             assert!(
-                matches!(read, Err(TraceError::Corrupt { .. })),
+                matches!(read, Err(TraceError::Corrupt { chunk: 0, .. })),
                 "{tag}: TraceReader gave {read:?}"
             );
             assert!(read_trace(&path).is_err(), "{tag}: read_trace");
