@@ -598,8 +598,7 @@ impl ThreadCtx {
         if let Some(d) = self.det.as_mut() {
             d.tick(1);
         }
-        let mut buf = [0u8; 8];
-        self.rt.heap.load_bytes(addr, &mut buf[..T::SIZE]);
+        let bits = self.rt.heap.load(addr, T::SIZE);
         self.rt.record(TraceEvent::Read {
             tid: self.tid,
             addr,
@@ -612,7 +611,7 @@ impl ThreadCtx {
                 return Err(CleanError::Race(r));
             }
         }
-        Ok(T::decode(&buf))
+        Ok(T::from_bits(bits))
     }
 
     /// Writes a scalar at byte address `addr` in the shared heap.
@@ -641,9 +640,7 @@ impl ThreadCtx {
                 return Err(CleanError::Race(r));
             }
         }
-        let mut buf = [0u8; 8];
-        value.encode(&mut buf);
-        self.rt.heap.store_bytes(addr, &buf[..T::SIZE]);
+        self.rt.heap.store(addr, T::SIZE, value.to_bits());
         Ok(())
     }
 

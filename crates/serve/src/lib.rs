@@ -80,4 +80,4 @@ pub use protocol::{Request, Response, WireRace};
 pub use queue::{Admission, JobQueue, JobState};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use store::{StoreStats, StoredTrace, TraceStore};
+pub use store::{StoreStats, StoredFile, StoredTrace, TraceStore};

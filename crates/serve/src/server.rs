@@ -32,7 +32,7 @@ use crate::protocol::{error_code, is_timeout, Request, Response, WireRace, OP_SU
 use crate::queue::{Admission, JobQueue, JobState};
 use crate::store::{StoreError, TraceStore};
 use clean_obs::{Counter, Registry, Stage};
-use clean_trace::{EngineKind, Replay, TraceDigest};
+use clean_trace::{EngineKind, Replay, TraceDigest, TraceError};
 use parking_lot::Mutex;
 use std::io::{self, Read};
 use std::net::SocketAddr;
@@ -279,7 +279,7 @@ impl Shared {
         if let Some(v) = self.cache.get(&key) {
             return Ok(v);
         }
-        let Some(path) = self.store.path_of(digest) else {
+        let Some(file) = self.store.path_of(digest) else {
             return Err(format!("trace {digest} no longer in store"));
         };
         let _check_span = self.obs.spans.start(Stage::Check);
@@ -287,8 +287,13 @@ impl Shared {
         // and a file that fails to decode never yields a verdict.
         let done = Replay::new(engine)
             .lanes(self.shards)
-            .file(&path)
-            .map_err(|e| e.to_string())?;
+            .file(&file.path)
+            .map_err(|e| {
+                if is_damage(&e) {
+                    self.drop_damaged(digest, file.generation, &e);
+                }
+                e.to_string()
+            })?;
         let verdict = Verdict {
             races: done.races,
             events: done.events,
@@ -296,6 +301,34 @@ impl Shared {
         self.cache.insert(key, verdict.clone());
         Ok(verdict)
     }
+
+    /// Forgets a stored trace that no longer decodes. Kept, it would
+    /// fail every later ANALYZE and turn every re-SUBMIT of the intact
+    /// bytes into a dedup hit on the damaged file.
+    fn drop_damaged(&self, digest: TraceDigest, generation: u64, e: &TraceError) {
+        let outcome = match self.store.remove(digest, generation) {
+            Ok(true) => "dropped".to_string(),
+            // An earlier failure dropped it and a re-SUBMIT stored it anew.
+            Ok(false) => "already replaced".to_string(),
+            Err(io) => format!("drop failed: {io}"),
+        };
+        self.obs
+            .journal
+            .record("damaged_trace", format!("digest={digest} {outcome}: {e}"));
+    }
+}
+
+/// Whether a replay error says the file's bytes are damaged (as opposed
+/// to an I/O failure, or a well-formed trace the engines cannot run).
+fn is_damage(e: &TraceError) -> bool {
+    matches!(
+        e,
+        TraceError::Truncated { .. }
+            | TraceError::ChecksumMismatch { .. }
+            | TraceError::Corrupt { .. }
+            | TraceError::BadMagic(_)
+            | TraceError::BadTable { .. }
+    )
 }
 
 impl Service for Shared {
@@ -523,7 +556,7 @@ fn handle_request(shared: &Shared, peer: SocketAddr, request: Request) -> Respon
             // delete the file from under the transfer.
             shared.store.pin(digest);
             let response = match shared.store.path_of(digest) {
-                Some(path) => match std::fs::read(&path) {
+                Some(file) => match std::fs::read(&file.path) {
                     Ok(trace) => Response::TraceData { digest, trace },
                     Err(e) => Response::error(error_code::INTERNAL, e.to_string()),
                 },

@@ -83,6 +83,16 @@ pub struct StoredTrace {
     pub events: u64,
 }
 
+/// A resident trace as [`TraceStore::path_of`] resolved it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoredFile {
+    /// Where the trace's bytes live.
+    pub path: PathBuf,
+    /// Which insert of the digest the path belongs to: a digest that is
+    /// removed and stored again gets a later generation.
+    pub generation: u64,
+}
+
 /// A point-in-time view of the store counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -98,6 +108,8 @@ pub struct StoreStats {
 struct Entry {
     bytes: u64,
     seq: u64,
+    /// The `seq` the entry was inserted with; recency refreshes leave it.
+    generation: u64,
 }
 
 #[derive(Debug, Default)]
@@ -137,7 +149,14 @@ fn parse_index_line(line: &str) -> Option<(TraceDigest, Entry)> {
     if parts.next().is_some() {
         return None;
     }
-    Some((digest, Entry { bytes, seq }))
+    Some((
+        digest,
+        Entry {
+            bytes,
+            seq,
+            generation: seq,
+        },
+    ))
 }
 
 impl TraceStore {
@@ -199,6 +218,7 @@ impl TraceStore {
                         Entry {
                             bytes,
                             seq: max_seq,
+                            generation: max_seq,
                         },
                     );
                 }
@@ -321,7 +341,14 @@ impl TraceStore {
         fs::rename(&tmp, self.trace_path(digest))?;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.entries.insert(digest, Entry { bytes: len, seq });
+        inner.entries.insert(
+            digest,
+            Entry {
+                bytes: len,
+                seq,
+                generation: seq,
+            },
+        );
         self.evict_locked(&mut inner)?;
         self.write_index(&inner)?;
         Ok(StoredTrace {
@@ -348,15 +375,19 @@ impl TraceStore {
 
     /// Returns the on-disk path of `digest` and refreshes its recency,
     /// or `None` if the store does not hold it.
-    pub fn path_of(&self, digest: TraceDigest) -> Option<PathBuf> {
+    pub fn path_of(&self, digest: TraceDigest) -> Option<StoredFile> {
         let mut inner = self.inner.lock();
         let next = inner.next_seq;
         let entry = inner.entries.get_mut(&digest)?;
         entry.seq = next;
+        let generation = entry.generation;
         inner.next_seq += 1;
         // Recency refreshes are not durable until the next insert —
         // losing them in a crash only perturbs eviction order.
-        Some(self.trace_path(digest))
+        Some(StoredFile {
+            path: self.trace_path(digest),
+            generation,
+        })
     }
 
     /// Whether the store currently holds `digest`.
@@ -380,6 +411,31 @@ impl TraceStore {
         }
     }
 
+    /// Forgets `digest` and deletes its file if the store still holds
+    /// the insert `generation` names: for a stored trace found damaged,
+    /// so the next insert of the same content stores it afresh instead
+    /// of deduplicating against the damage.
+    ///
+    /// The generation check is for two replays of one damaged trace:
+    /// the first drops it, the client stores the intact bytes again, and
+    /// the second, still reading the old unlinked file, fails after that.
+    /// Its `remove` must not delete the fresh copy. Returns whether the
+    /// entry was removed.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors deleting the file or rewriting the index.
+    pub fn remove(&self, digest: TraceDigest, generation: u64) -> io::Result<bool> {
+        let mut inner = self.inner.lock();
+        if inner.entries.get(&digest).map(|e| e.generation) != Some(generation) {
+            return Ok(false);
+        }
+        inner.entries.remove(&digest);
+        self.remove_trace_file(digest)?;
+        self.write_index(&inner)?;
+        Ok(true)
+    }
+
     /// Current counters.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();
@@ -399,6 +455,14 @@ impl TraceStore {
         self.root.join(trace_file_name(digest))
     }
 
+    /// Deletes `digest`'s file; one already gone is fine.
+    fn remove_trace_file(&self, digest: TraceDigest) -> io::Result<()> {
+        match fs::remove_file(self.trace_path(digest)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        }
+    }
+
     /// Evicts least-recently-used unpinned entries until the byte bound
     /// holds (or only pinned entries remain).
     fn evict_locked(&self, inner: &mut Inner) -> io::Result<()> {
@@ -414,11 +478,7 @@ impl TraceStore {
             };
             inner.entries.remove(&victim);
             inner.evictions += 1;
-            match fs::remove_file(self.trace_path(victim)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
+            self.remove_trace_file(victim)?;
         }
         Ok(())
     }
@@ -483,7 +543,30 @@ mod tests {
         assert!(second.dedup);
         assert_eq!(second.digest, first.digest);
         assert_eq!(store.stats().traces, 1);
-        assert!(store.path_of(first.digest).unwrap().is_file());
+        assert!(store.path_of(first.digest).unwrap().path.is_file());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn remove_deletes_only_the_generation_it_names() {
+        let root = temp_root("remove");
+        let store = TraceStore::open(&root, u64::MAX).unwrap();
+        let trace = sample_trace(1);
+        let digest = store.insert(&trace).unwrap().digest;
+        let old = store.path_of(digest).unwrap();
+        assert!(store.remove(digest, old.generation).unwrap());
+        assert!(!store.contains(digest));
+        assert!(!old.path.exists());
+        // Stored again, the digest is a new generation: a late remove of
+        // the old one leaves it.
+        assert!(!store.insert(&trace).unwrap().dedup);
+        let new = store.path_of(digest).unwrap();
+        assert!(new.generation > old.generation);
+        assert!(!store.remove(digest, old.generation).unwrap());
+        assert!(store.contains(digest));
+        assert!(new.path.is_file());
+        assert!(store.remove(digest, new.generation).unwrap());
+        assert!(!store.contains(digest));
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -464,6 +464,55 @@ fn a_clock_overflowing_trace_gets_an_error_and_the_worker_lives_on() {
 }
 
 #[test]
+fn a_damaged_stored_trace_is_dropped_and_a_resubmit_stores_it_again() {
+    let dir = scratch("damaged");
+    let store = dir.join("store");
+    let server = Server::start(ServerConfig::new(&store)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let trace = record(&dir, "dedup", true, 5);
+    let (digest, _) = submit(&mut client, &trace);
+    // The stored file loses its tail (a crash before the bytes reached
+    // the disk, or a damaged disk): it no longer decodes.
+    let stored = store.join(format!("{digest}.cltr"));
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&stored)
+        .unwrap();
+    f.set_len(trace.len() as u64 / 2).unwrap();
+    drop(f);
+
+    match client.analyze(digest, EngineKind::Clean, true).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, error_code::INTERNAL),
+        other => panic!("ANALYZE of a damaged file: {other:?}"),
+    }
+    assert!(!stored.exists(), "the damaged file is deleted");
+    let journal = client.metrics().unwrap();
+    assert!(
+        journal.contains(&format!("damaged_trace digest={digest}")),
+        "{journal}"
+    );
+
+    // The intact bytes are stored afresh, not deduplicated against the
+    // damaged file, and then analyze to a verdict.
+    let (again, dedup) = submit(&mut client, &trace);
+    assert_eq!(again, digest);
+    assert!(
+        !dedup,
+        "a re-SUBMIT after damage must store the trace again"
+    );
+    match client.analyze(digest, EngineKind::Clean, true).unwrap() {
+        Response::Verdict { races, cached, .. } => {
+            assert!(!races.is_empty());
+            assert!(!cached);
+        }
+        other => panic!("ANALYZE after the re-SUBMIT: {other:?}"),
+    }
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn graceful_shutdown_drains_queued_job() {
     let dir = scratch("drain");
     let server = Server::start(ServerConfig::new(dir.join("store")).workers(1)).unwrap();
