@@ -4,10 +4,7 @@
 //! the CSRV router, then drives it with a weighted mix of traffic for a
 //! wall-clock duration: cache-hot re-analyzes, cold uploads of
 //! never-seen synthetic traces, duplicate submissions, deliberately
-//! malformed frames, and slow-loris half-frames. Halfway through the
-//! run a `CSUP v1` suppression policy is pushed live through the router
-//! and every later verdict on the targeted digest must come back with
-//! its races demoted to warnings.
+//! malformed frames, and slow-loris half-frames.
 //!
 //! Every verdict observed by any worker is checked against a direct
 //! `Replay` ground truth — the soak fails on a single
@@ -23,7 +20,6 @@
 //!
 //! * unexpected-error rate above `--max-error-rate` (default 1%),
 //! * any verdict divergence,
-//! * no suppressed verdict observed after the policy flip,
 //! * an empty or request-free fleet METRICS exposition,
 //! * hot-analyze (server-side ANALYZE) p99 above `--p99-limit-ms`, or
 //! * a per-class p99 regression against `--check-baseline FILE`: each of
@@ -136,8 +132,6 @@ struct WorkerCells {
     hist: [Hist; 5],
     /// Verdicts that disagreed with the replay ground truth.
     divergences: Counter,
-    /// Races demoted to warnings across all observed verdicts.
-    suppressed: Counter,
 }
 
 impl WorkerCells {
@@ -156,7 +150,6 @@ impl WorkerCells {
             hist: OpClass::ALL
                 .map(|c| registry.hist_with("soak_client_micros", &[("class", c.name())])),
             divergences: registry.counter("divergence_total"),
-            suppressed: registry.counter("soak_suppressed_verdict_races"),
         }
     }
 }
@@ -171,10 +164,8 @@ struct Shared<'a> {
     target: SocketAddr,
     corpus: &'a [CorpusTrace],
     stop: &'a AtomicBool,
-    policy_active: &'a AtomicBool,
     cold_counter: &'a AtomicU64,
     registry: &'a Registry,
-    suppress_digest: TraceDigest,
     seed: u64,
 }
 
@@ -253,11 +244,6 @@ fn op_hot_analyze(
         let i = rng.below(ENGINES.len() as u64) as usize;
         (i, ENGINES[i])
     };
-    // Read the flag BEFORE sending: the POLICY set is synchronous and
-    // fleet-wide, so a request issued after the flip must see it.
-    let expect_suppressed = shared.policy_active.load(Ordering::Acquire)
-        && trace.digest == shared.suppress_digest
-        && engine == EngineKind::Clean;
     let c = ensure_client(client, shared.target)?;
     match c
         .analyze_with_retry(trace.digest, engine, 100)
@@ -277,17 +263,6 @@ fn op_hot_analyze(
                         engine.name(),
                         served.len(),
                         trace.truth[engine_idx].len()
-                    ));
-                }
-            }
-            let suppressed = races.iter().filter(|r| r.suppressed).count() as u64;
-            report.cells.suppressed.add(suppressed);
-            if expect_suppressed && suppressed == 0 {
-                report.cells.divergences.inc();
-                if report.samples.len() < 5 {
-                    report.samples.push(format!(
-                        "SUPPRESSION MISS {}: policy active but no race demoted",
-                        trace.name
                     ));
                 }
             }
@@ -557,21 +532,6 @@ fn main() {
     let dir = trace_dir();
     std::fs::create_dir_all(&dir).expect("create trace directory");
     let corpus = record_corpus(&dir);
-    // The suppression target: a racy corpus digest plus the address
-    // span of its Clean races, so the CSUP rule demotes all of them.
-    let target_trace = corpus
-        .iter()
-        .find(|t| !t.truth[0].is_empty())
-        .expect("corpus needs a racy trace");
-    let (lo, hi) = target_trace.truth[0]
-        .iter()
-        .fold((usize::MAX, 0usize), |(lo, hi), r| {
-            (lo.min(r.addr), hi.max(r.addr))
-        });
-    let policy_text = format!(
-        "CSUP v1\n# soak: demote the known {} races\naddr {lo:#x}..{hi:#x}\n",
-        target_trace.name
-    );
 
     // ---- the fleet: N nodes, every sibling a FETCH peer, one router ----
     let store_root = dir.join(format!("soak-store-{}", std::process::id()));
@@ -615,7 +575,6 @@ fn main() {
     }
 
     let stop = AtomicBool::new(false);
-    let policy_active = AtomicBool::new(false);
     let cold_counter = AtomicU64::new(1);
     // The harness registry: every worker records through it, and the
     // key gates below read it back as a snapshot. Registering the gate
@@ -623,15 +582,12 @@ fn main() {
     // exposition even if no worker ever bumps them.
     let registry = Registry::new();
     let _ = registry.counter("divergence_total");
-    let _ = registry.counter("soak_suppressed_verdict_races");
     let shared = Shared {
         target,
         corpus: &corpus,
         stop: &stop,
-        policy_active: &policy_active,
         cold_counter: &cold_counter,
         registry: &registry,
-        suppress_digest: target_trace.digest,
         seed: args.seed,
     };
 
@@ -644,25 +600,7 @@ fn main() {
             })
             .collect();
 
-        // Harness timeline: run clean for half the soak, push the
-        // suppression policy fleet-wide, run the second half, stop.
-        std::thread::sleep(Duration::from_millis(args.secs * 500));
-        match seed_client
-            .set_policy(policy_text.clone())
-            .expect("policy flip")
-        {
-            Response::Policy { rules, .. } => assert_eq!(rules, 1, "one soak rule"),
-            other => panic!("policy flip rejected: {other:?}"),
-        }
-        policy_active.store(true, Ordering::Release);
-        println!(
-            "[{:>5.1}s] policy live: suppressing {} races in {:#x}..{:#x}",
-            t0.elapsed().as_secs_f64(),
-            target_trace.name,
-            lo,
-            hi
-        );
-        std::thread::sleep(Duration::from_millis(args.secs * 500));
+        std::thread::sleep(Duration::from_secs(args.secs));
         stop.store(true, Ordering::Relaxed);
         handles
             .into_iter()
@@ -692,9 +630,6 @@ fn main() {
         })
         .collect();
     let divergences = soak_snap.counter("divergence_total", &[]).unwrap_or(0);
-    let suppressed_seen = soak_snap
-        .counter("soak_suppressed_verdict_races", &[])
-        .unwrap_or(0);
     let mut samples: Vec<String> = Vec::new();
     for worker in &worker_samples {
         for s in worker {
@@ -734,10 +669,6 @@ fn main() {
     let requests_total = fleet_snap.counter_family_total("serve_requests_total");
     let pool_hits = fleet_snap.counter_family_total("router_pool_hits");
 
-    match seed_client.policy().expect("final policy read") {
-        Response::Policy { rules, .. } => assert_eq!(rules, 1, "policy must still be live"),
-        other => panic!("policy read failed: {other:?}"),
-    }
     match seed_client.shutdown().expect("fleet shutdown") {
         Response::ShuttingDown => {}
         other => panic!("fleet shutdown failed: {other:?}"),
@@ -766,19 +697,18 @@ fn main() {
     table.print();
     println!(
         "\n{total_ops} ops in {elapsed:.1}s ({:.0} ops/s), error rate {:.4}, \
-         {divergences} divergences, {suppressed_seen} suppressed verdict races",
+         {divergences} divergences",
         total_ops as f64 / elapsed,
         error_rate
     );
     println!(
         "fleet counters: coalesced {}, shed {}, forwards {}, fetches {}, \
-         evictions {}, suppressed_hits {}, requests {requests_total}, pool hits {pool_hits}",
+         evictions {}, requests {requests_total}, pool hits {pool_hits}",
         stat(&fleet_snap, "jobs_coalesced"),
         stat(&fleet_snap, "jobs_rejected"),
         stat(&fleet_snap, "forwards"),
         stat(&fleet_snap, "fetches"),
         stat(&fleet_snap, "store_evictions"),
-        stat(&fleet_snap, "suppressed_hits")
     );
     println!(
         "server-side p99 (from METRICS): analyze {hot_p99}us over {} samples, \
@@ -806,10 +736,10 @@ fn main() {
         "{{\n  \"benchmark\": \"soak\",\n  \"seed\": {},\n  \"secs\": {},\n  \
          \"nodes\": {},\n  \"clients\": {},\n  \"total_ops\": {},\n  \
          \"ops_per_sec\": {:.1},\n  \"error_rate\": {:.6},\n  \"divergences\": {},\n  \
-         \"suppressed_verdict_races\": {},\n  \"hot_p99_micros\": {},\n  \
+         \"hot_p99_micros\": {},\n  \
          \"cold_p99_micros\": {},\n  \"dup_p99_micros\": {},\n  \
          \"jobs_coalesced\": {},\n  \"jobs_rejected\": {},\n  \"forwards\": {},\n  \
-         \"fetches\": {},\n  \"store_evictions\": {},\n  \"suppressed_hits\": {},\n  \
+         \"fetches\": {},\n  \"store_evictions\": {},\n  \
          \"serve_requests_total\": {requests_total},\n  \"router_pool_hits\": {pool_hits},\n  \
          \"classes\": {{\n{class_json}  }}\n}}\n",
         args.seed,
@@ -820,7 +750,6 @@ fn main() {
         total_ops as f64 / elapsed,
         error_rate,
         divergences,
-        suppressed_seen,
         hot_p99,
         cold_p99,
         dup_p99,
@@ -829,7 +758,6 @@ fn main() {
         stat(&fleet_snap, "forwards"),
         stat(&fleet_snap, "fetches"),
         stat(&fleet_snap, "store_evictions"),
-        stat(&fleet_snap, "suppressed_hits"),
     );
     std::fs::write(&args.out, &json).expect("write result JSON");
     println!("wrote {}", args.out.display());
@@ -859,12 +787,6 @@ fn main() {
     }
     if divergences > 0 {
         failures.push(format!("{divergences} verdict divergences (must be 0)"));
-    }
-    if suppressed_seen == 0 {
-        failures.push("no suppressed verdict observed after the policy flip".into());
-    }
-    if stat(&fleet_snap, "suppressed_hits") == 0 {
-        failures.push("fleet suppressed_hits counter stayed 0".into());
     }
     if let Some(limit_ms) = args.p99_limit_ms {
         let limit = (limit_ms * 1000.0) as u64;

@@ -1,7 +1,7 @@
 //! A bounded ring-buffer journal of notable events.
 //!
 //! The journal keeps the last N events (evictions, failovers, bad
-//! frames, suppression hits, load sheds) with a monotonic sequence
+//! frames, damaged traces, load sheds) with a monotonic sequence
 //! number, for post-mortem inspection through the METRICS exposition —
 //! events render as `# event <seq> <kind> <detail>` comment lines, so
 //! a parser merging expositions skips them for free.

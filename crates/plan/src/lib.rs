@@ -420,8 +420,8 @@ impl CheckPlan {
         ))
     }
 
-    /// Loads a plan file. Unlike suppression policies a *missing* plan
-    /// file is an error: a plan is asked for by name, not ambient.
+    /// Loads a plan file. A *missing* plan file is an error: a plan is
+    /// asked for by name, not ambient.
     ///
     /// # Errors
     ///

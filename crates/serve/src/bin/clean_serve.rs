@@ -4,36 +4,29 @@
 //! clean-serve serve   --store <dir> [--addr HOST:PORT] [--max-bytes N]
 //!                     [--queue-cap N] [--per-client-cap N] [--workers N] [--shards N]
 //!                     [--peer HOST:PORT]... [--acceptors N] [--io-timeout-millis N]
-//!                     [--policy <file>]
+//!                     [--no-persist-verdicts]
 //! clean-serve submit  <addr> <trace.cltr>
 //! clean-serve analyze <addr> <digest> [--engine clean|fasttrack|vcfull|tsan]
 //!                     [--no-wait] [--retries N]
 //! clean-serve status  <addr> <job>
 //! clean-serve stats   <addr>
 //! clean-serve metrics <addr>
-//! clean-serve suppress list <addr>
-//! clean-serve suppress add <addr> <rule...>
-//! clean-serve suppress check <addr> <digest> [--engine E] [--retries N]
-//! clean-serve suppress prune <addr>
 //! clean-serve shutdown <addr>
 //! ```
 //!
-//! Exit codes match `clean-analyze`: 0 = success / trace clean (or every
-//! race suppressed to a warning), 10 = analysis found unsuppressed
-//! race(s), 1 = any other failure.
+//! Exit codes match `clean-analyze`: 0 = success / trace clean, 10 =
+//! analysis found race(s), 1 = any other failure.
 
 mod args;
 
 use args::{parse_num, take_value, take_values};
 use clean_serve::client::{stats_text, Client};
-use clean_serve::policy::SuppressionPolicy;
 use clean_serve::protocol::Response;
 use clean_serve::server::{Server, ServerConfig};
 use clean_trace::{EngineKind, TraceDigest};
 use std::process::ExitCode;
 
-/// `analyze`/`status` returned a verdict with at least one unsuppressed
-/// race (races demoted to warnings by a `CSUP` rule do not count).
+/// `analyze`/`status` returned a verdict with at least one race.
 const EXIT_RACE: u8 = 10;
 
 const USAGE: &str = "\
@@ -43,13 +36,11 @@ USAGE:
   clean-serve serve --store <dir> [--addr HOST:PORT] [--max-bytes N]
                     [--queue-cap N] [--per-client-cap N] [--workers N] [--shards N]
                     [--peer HOST:PORT]... [--acceptors N] [--io-timeout-millis N]
-                    [--no-persist-verdicts] [--policy <file>]
+                    [--no-persist-verdicts]
       Run the daemon in the foreground. Prints the bound address
       (`listening on HOST:PORT`) once ready; exits after a graceful
       drain when a SHUTDOWN frame arrives. Each --peer names another
       clean-serve node to FETCH missing digests from (fleet mode).
-      --policy names a CSUP v1 suppression-rules file (default:
-      policy.csup under the store directory; missing = no suppression).
   clean-serve submit <addr> <trace.cltr>
       Upload a recorded trace; prints its content digest.
   clean-serve analyze <addr> <digest> [--engine clean|fasttrack|vcfull|tsan]
@@ -65,28 +56,12 @@ USAGE:
       Print the `CMET v1` metrics exposition: counters, gauges,
       latency histograms, and the recent-event journal. Against a
       fleet router this is the node-labeled fleet-wide merge.
-  clean-serve suppress list <addr>
-      Print the active CSUP suppression policy, with the number of
-      races each rule has suppressed since it was installed.
-  clean-serve suppress add <addr> <rule...>
-      Append one rule (e.g. `digest <hex>`, `prefix <hex>`,
-      `addr lo..hi [waw|raw|war]`, each optionally with a trailing
-      `expires=<unix-secs>` deadline) to the policy and push it live.
-      Against a fleet router the new policy lands on every backend.
-  clean-serve suppress check <addr> <digest> [--engine E] [--retries N]
-      Analyze a digest and report how the active policy classifies it:
-      races matched by a rule print as warnings and do not fail.
-  clean-serve suppress prune <addr>
-      Drop every rule with zero hits, plus every rule whose expires=
-      deadline has passed (hits do not keep an aged-out rule alive), and
-      push the pruned policy live (resetting the hit counters). Against
-      a fleet router the pruned policy lands on every backend.
   clean-serve shutdown <addr>
       Ask the daemon to drain queued jobs and exit.
 
 EXIT CODES:
-  0   success; for analyze/status/check: clean, or warnings only
-  10  analyze/status/check returned unsuppressed race(s)
+  0   success; for analyze/status: the trace is clean
+  10  analyze/status found race(s)
   1   any other error
 ";
 
@@ -99,7 +74,6 @@ fn main() -> ExitCode {
         Some("status") => cmd_status(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
-        Some("suppress") => cmd_suppress(&args[1..]),
         Some("shutdown") => cmd_shutdown(&args[1..]),
         Some("--help" | "-h") | None => {
             print!("{USAGE}");
@@ -161,9 +135,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     if take_flag(&mut args, "--no-persist-verdicts") {
         config = config.persist_verdicts(false);
     }
-    if let Some(v) = take_value(&mut args, "--policy")? {
-        config = config.policy_path(v);
-    }
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}"));
     }
@@ -195,24 +166,22 @@ fn report_verdict(response: Response) -> Result<ExitCode, String> {
             events,
         } => {
             let source = if cached { "cache" } else { "replay" };
-            let suppressed = races.iter().filter(|r| r.suppressed).count();
             println!(
-                "{digest} engine={} events={events} races={} suppressed={suppressed} ({source})",
+                "{digest} engine={} events={events} races={} ({source})",
                 engine.name(),
                 races.len()
             );
             for race in &races {
                 let r = race.to_found();
-                let tag = if race.suppressed { "warning: " } else { "" };
                 println!(
-                    "  {tag}{} at {:#x}: t{} after t{}",
+                    "  {} at {:#x}: t{} after t{}",
                     r.kind,
                     r.addr,
                     r.current.raw(),
                     r.previous.raw()
                 );
             }
-            Ok(if races.len() == suppressed {
+            Ok(if races.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(EXIT_RACE)
@@ -310,110 +279,6 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
         println!();
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_suppress(args: &[String]) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            let [_, addr] = args else {
-                return Err("usage: clean-serve suppress list <addr>".into());
-            };
-            let mut client = connect(addr)?;
-            match client.policy().map_err(rpc_err)? {
-                Response::Policy { rules, hits, text } => {
-                    println!("rules={rules}");
-                    if !text.is_empty() {
-                        print!("{text}");
-                        if !text.ends_with('\n') {
-                            println!();
-                        }
-                    }
-                    // The audit trail: races credited to each rule since
-                    // it was installed (first matching rule wins).
-                    if let Ok(policy) = SuppressionPolicy::parse(&text) {
-                        for (rule, hit) in policy.rules().iter().zip(&hits) {
-                            println!("hits={hit}  {}", rule.render());
-                        }
-                    }
-                    Ok(ExitCode::SUCCESS)
-                }
-                Response::Error { code, message } => Err(format!("server error {code}: {message}")),
-                other => Err(format!("unexpected reply: {other:?}")),
-            }
-        }
-        Some("add") => {
-            let [_, addr, rule @ ..] = args else {
-                unreachable!("first() was Some");
-            };
-            if rule.is_empty() {
-                return Err("usage: clean-serve suppress add <addr> <rule...>".into());
-            }
-            let mut client = connect(addr)?;
-            // Read-modify-write: fetch the live text, append one rule
-            // line, push the whole policy back (the server validates and
-            // persists it atomically before answering).
-            let Response::Policy { text, .. } = client.policy().map_err(rpc_err)? else {
-                return Err("unexpected reply to policy read".into());
-            };
-            let line = rule.join(" ");
-            let mut next = if text.trim().is_empty() {
-                "CSUP v1\n".to_string()
-            } else {
-                let mut t = text;
-                if !t.ends_with('\n') {
-                    t.push('\n');
-                }
-                t
-            };
-            next.push_str(&line);
-            next.push('\n');
-            match client.set_policy(next).map_err(rpc_err)? {
-                Response::Policy { rules, .. } => {
-                    println!("rules={rules}");
-                    Ok(ExitCode::SUCCESS)
-                }
-                Response::Error { code, message } => Err(format!("server error {code}: {message}")),
-                other => Err(format!("unexpected reply: {other:?}")),
-            }
-        }
-        Some("prune") => {
-            let [_, addr] = args else {
-                return Err("usage: clean-serve suppress prune <addr>".into());
-            };
-            let mut client = connect(addr)?;
-            // Read-modify-write like `add`: fetch the live policy and its
-            // hit counters, drop every rule that never fired, push the
-            // survivors back. The set resets the counters, so a pruned
-            // policy starts a fresh audit window.
-            let Response::Policy { hits, text, .. } = client.policy().map_err(rpc_err)? else {
-                return Err("unexpected reply to policy read".into());
-            };
-            let policy = SuppressionPolicy::parse(&text)
-                .map_err(|e| format!("server sent an unparseable policy: {e}"))?;
-            let pruned = policy.prune(&hits);
-            let dropped = policy.rules().len() - pruned.rules().len();
-            if dropped == 0 {
-                println!(
-                    "rules={} dropped=0 (every rule has hits)",
-                    policy.rules().len()
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-            match client
-                .set_policy(pruned.text().to_string())
-                .map_err(rpc_err)?
-            {
-                Response::Policy { rules, .. } => {
-                    println!("rules={rules} dropped={dropped}");
-                    Ok(ExitCode::SUCCESS)
-                }
-                Response::Error { code, message } => Err(format!("server error {code}: {message}")),
-                other => Err(format!("unexpected reply: {other:?}")),
-            }
-        }
-        Some("check") => cmd_analyze(&args[1..]),
-        _ => Err("usage: clean-serve suppress <list|add|check|prune> ...".into()),
-    }
 }
 
 fn cmd_shutdown(args: &[String]) -> Result<ExitCode, String> {

@@ -28,8 +28,7 @@
 //! are counted separately ([`VerdictCache::persist_hits`]) so the
 //! warm-restart path is observable in METRICS (`cache_persist_hits`).
 
-use crate::policy::{kind_from_tag, kind_tag};
-use clean_baselines::FoundRace;
+use clean_baselines::{FoundRace, FullRaceKind};
 use clean_core::ThreadId;
 use clean_trace::{EngineKind, TraceDigest};
 use parking_lot::Mutex;
@@ -90,6 +89,25 @@ impl Default for VerdictCache {
     }
 }
 
+/// A race kind as the log spells it.
+fn kind_tag(kind: FullRaceKind) -> &'static str {
+    match kind {
+        FullRaceKind::Waw => "waw",
+        FullRaceKind::Raw => "raw",
+        FullRaceKind::War => "war",
+    }
+}
+
+/// Inverse of [`kind_tag`]; `None` for an unknown tag.
+fn kind_from_tag(tag: &str) -> Option<FullRaceKind> {
+    match tag {
+        "waw" => Some(FullRaceKind::Waw),
+        "raw" => Some(FullRaceKind::Raw),
+        "war" => Some(FullRaceKind::War),
+        _ => None,
+    }
+}
+
 /// Renders one log line (without the trailing newline).
 fn log_line(key: &VerdictKey, verdict: &Verdict) -> String {
     let mut line = format!(
@@ -118,7 +136,9 @@ fn parse_log_line(line: &str) -> Option<(VerdictKey, Verdict)> {
     let engine = EngineKind::parse(parts.next()?)?;
     let events: u64 = parts.next()?.parse().ok()?;
     let count: usize = parts.next()?.parse().ok()?;
-    let mut races = Vec::with_capacity(count);
+    // No reservation from `count`: it is unchecked input, and a line
+    // that cannot hold that many races ends the loop below at `None`.
+    let mut races = Vec::new();
     for _ in 0..count {
         let mut fields = parts.next()?.split(',');
         let kind = kind_from_tag(fields.next()?)?;
@@ -286,7 +306,6 @@ impl VerdictCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clean_baselines::FullRaceKind;
 
     #[test]
     fn insert_get_roundtrip_across_engines() {
@@ -380,6 +399,12 @@ mod tests {
         }
         assert!(parse_log_line("garbage").is_none());
         assert!(parse_log_line("").is_none());
+        // A race count the line cannot hold, however large, is a
+        // malformed line, not an allocation.
+        for count in ["100000000000000", "18446744073709551615"] {
+            let line = format!("{} clean 5 {count} waw,40,1,0", TraceDigest(1));
+            assert!(parse_log_line(&line).is_none(), "{line}");
+        }
     }
 
     #[test]

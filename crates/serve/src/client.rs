@@ -129,29 +129,6 @@ impl Client {
         self.call(&Request::Status { job })
     }
 
-    /// Reads the server's active `CSUP` suppression policy.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures.
-    pub fn policy(&mut self) -> io::Result<Response> {
-        self.call(&Request::Policy { set: None })
-    }
-
-    /// Replaces the server's suppression policy with `text` (full `CSUP
-    /// v1` rules text). The server persists the new rules before
-    /// answering, so a success reply survives restarts.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures (a rejected policy comes back as
-    /// [`Response::Error`] with `BAD_POLICY`).
-    pub fn set_policy(&mut self, text: impl Into<String>) -> io::Result<Response> {
-        self.call(&Request::Policy {
-            set: Some(text.into()),
-        })
-    }
-
     /// Fetches the `CMET v1` metrics exposition. Against a router this
     /// is the fleet-wide merge with `node` labels.
     ///
@@ -190,7 +167,7 @@ impl Client {
 
 /// The service counters `clean-serve stats` and `clean-fleet status`
 /// print, in order. Each names a METRICS family.
-const STATS: [&str; 15] = [
+const STATS: [&str; 14] = [
     "submits",            // valid SUBMITs, new or deduplicated
     "submit_dedup_hits",  // SUBMITs of an already-stored trace
     "analyzes",           // ANALYZE requests received
@@ -205,7 +182,6 @@ const STATS: [&str; 15] = [
     "forwards",           // frames a router forwarded to backends
     "fetches",            // traces pulled from a peer by FETCH
     "cache_persist_hits", // cache hits served from the reloaded verdict log
-    "suppressed_hits",    // races a CSUP rule demoted, per served verdict
 ];
 
 /// One service counter from a METRICS snapshot: the family total across
@@ -242,6 +218,6 @@ mod tests {
         assert_eq!(text.lines().count(), STATS.len());
         assert!(text.starts_with("submits            6\n"), "{text}");
         assert!(text.contains("\nstore_traces       3\n"), "{text}");
-        assert!(text.ends_with("\nsuppressed_hits    0\n"), "{text}");
+        assert!(text.ends_with("\ncache_persist_hits 0\n"), "{text}");
     }
 }

@@ -75,7 +75,6 @@ fn verb_of(request: &Request) -> &'static str {
         Request::Status { .. } => "status",
         Request::Shutdown => "shutdown",
         Request::Fetch { .. } => "fetch",
-        Request::Policy { .. } => "policy",
         Request::Metrics => "metrics",
     }
 }

@@ -8,17 +8,14 @@
 //! The moving parts:
 //!
 //! * [`protocol`] — the `CSRV` length-prefixed binary frame protocol
-//!   (SUBMIT / ANALYZE / STATUS / METRICS / POLICY / SHUTDOWN, plus the
-//!   FETCH peer-replication frame),
+//!   (SUBMIT / ANALYZE / STATUS / METRICS / SHUTDOWN, plus the FETCH
+//!   peer-replication frame),
 //! * [`store`] — a digest-addressed on-disk trace store with a
 //!   size-bounded LRU, crash-tolerant index, and streaming ingestion,
 //! * [`cache`] — the sharded `(digest, engine)` → verdict memo table,
 //!   optionally durable beside the store,
 //! * [`queue`] — the bounded, admission-controlled job queue that
 //!   coalesces identical requests and sheds load with retry-after,
-//! * [`policy`] — the `CSUP v1` race-suppression rules applied at
-//!   verdict-classification time, demoting known-benign races to
-//!   warnings,
 //! * [`server`] — the `clean-serve` daemon wiring the three together
 //!   over a replay worker pool, with peer FETCH for fleets,
 //! * [`router`] — the `clean-fleet` front that shards requests by
@@ -66,7 +63,6 @@
 pub mod cache;
 pub mod client;
 mod daemon;
-pub mod policy;
 pub mod protocol;
 pub mod queue;
 pub mod router;
@@ -75,7 +71,6 @@ pub mod store;
 
 pub use cache::{Verdict, VerdictCache, VerdictKey};
 pub use client::Client;
-pub use policy::{PolicyError, Rule, SuppressionPolicy};
 pub use protocol::{Request, Response, WireRace};
 pub use queue::{Admission, JobQueue, JobState};
 pub use router::{Router, RouterConfig, RouterHandle};

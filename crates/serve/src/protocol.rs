@@ -24,14 +24,12 @@ use std::io::{self, Read, Write};
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"CSRV";
 /// Protocol version carried in every frame. Version 2 added the FETCH /
-/// TRACE_DATA peer-replication frames; version 3 added the POLICY
-/// suppression frames and the per-race `suppressed` flag in VERDICT
-/// bodies; version 4 added per-rule hit counters to the POLICY reply
-/// (the audit trail behind `suppress prune`); version 5 added the
-/// METRICS frames carrying the `CMET v1` text exposition. The STATS
-/// verb (request 0x04, reply 0x85) was later retired without a version
-/// bump — METRICS carries every counter it did — and both opcodes stay
-/// reserved: a peer that still sends 0x04 gets `BAD_FRAME`.
+/// TRACE_DATA peer-replication frames; versions 3 and 4 added a verb
+/// since retired and the per-race flag byte of VERDICT bodies; version 5
+/// added the METRICS frames carrying the `CMET v1` text exposition.
+/// Retiring a verb does not bump the version: its opcodes stay reserved
+/// (see the opcode table), and a peer that still sends one gets
+/// `BAD_FRAME`.
 pub const VERSION: u8 = 5;
 /// Hard cap on a frame body (64 MiB) — submissions beyond this are
 /// rejected before allocation, bounding per-connection memory.
@@ -49,8 +47,7 @@ pub mod error_code {
     pub const UNKNOWN_JOB: u8 = 4;
     /// Internal server failure (I/O, replay error).
     pub const INTERNAL: u8 = 5;
-    /// A POLICY frame carried unparseable `CSUP` rules text.
-    pub const BAD_POLICY: u8 = 6;
+    // 6 was BAD_POLICY, for unparseable suppression rules; never reuse it.
 }
 
 /// A client-to-server frame.
@@ -85,12 +82,6 @@ pub enum Request {
         /// Content address of the wanted trace.
         digest: TraceDigest,
     },
-    /// Read or replace the server's `CSUP` suppression policy.
-    Policy {
-        /// `None` reads the active policy; `Some(text)` parses the text,
-        /// swaps it in, and persists it beside the store.
-        set: Option<String>,
-    },
     /// Fetch the full metrics exposition (`CMET v1` text). A router
     /// answers with its backends' expositions merged under `node`
     /// labels plus its own router-local metrics.
@@ -109,14 +100,16 @@ pub struct WireRace {
     pub current: u16,
     /// Thread that performed the earlier conflicting access.
     pub previous: u16,
-    /// True if a `CSUP` suppression rule matched this race — it is
-    /// served as a *warning* rather than a failure.
+    /// Always false: a served verdict reports every race it found. The
+    /// field and its byte in the race record outlive the suppression
+    /// rules that once set it only because the benchmark
+    /// (`benchmark/src/oracle.rs`) still reads it; both go, with a bump
+    /// to `VERSION` 6, once it stops.
     pub suppressed: bool,
 }
 
 impl WireRace {
-    /// Converts an engine-reported race to wire form (unsuppressed; the
-    /// server flips [`WireRace::suppressed`] when a policy rule matches).
+    /// Converts an engine-reported race to wire form.
     pub fn from_found(r: &FoundRace) -> Self {
         WireRace {
             kind: r.kind,
@@ -198,27 +191,16 @@ pub enum Response {
         /// The exposition text, starting with the `# CMET v1` header.
         text: String,
     },
-    /// The active suppression policy, answering [`Request::Policy`]
-    /// (both the read and the set form — a set echoes what is now live).
-    Policy {
-        /// Number of parsed rules in the active policy.
-        rules: u64,
-        /// Races credited to each rule (first matching rule wins) since
-        /// the policy was installed, parallel to its rules in file
-        /// order. A POLICY set resets these to zero.
-        hits: Vec<u64>,
-        /// The policy source text (`CSUP v1` grammar).
-        text: String,
-    },
 }
 
 pub(crate) const OP_SUBMIT: u8 = 0x01;
 const OP_ANALYZE: u8 = 0x02;
 const OP_STATUS: u8 = 0x03;
-// 0x04 and 0x85 carried the retired STATS verb; never reuse them.
+// Retired verbs; never reuse their opcodes. 0x04/0x85 carried STATS
+// (METRICS carries its counters); 0x07/0x89 carried POLICY, which set
+// race suppression rules (a served verdict now reports every race).
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_FETCH: u8 = 0x06;
-const OP_POLICY: u8 = 0x07;
 const OP_METRICS: u8 = 0x08;
 
 const OP_SUBMITTED: u8 = 0x81;
@@ -228,7 +210,6 @@ const OP_RETRY_AFTER: u8 = 0x84;
 const OP_ERROR: u8 = 0x86;
 const OP_SHUTTING_DOWN: u8 = 0x87;
 const OP_TRACE_DATA: u8 = 0x88;
-const OP_POLICY_REPLY: u8 = 0x89;
 const OP_METRICS_REPLY: u8 = 0x8A;
 
 /// Engine wire codes (`EngineKind` ↔ u8).
@@ -455,18 +436,6 @@ impl Request {
             Request::Status { job } => write_frame(w, OP_STATUS, &job.to_le_bytes()),
             Request::Shutdown => write_frame(w, OP_SHUTDOWN, &[]),
             Request::Fetch { digest } => write_frame(w, OP_FETCH, &digest.to_bytes()),
-            Request::Policy { set } => {
-                // Body: one mode byte (0 = read, 1 = set) + rules text.
-                let mut body = Vec::with_capacity(1 + set.as_ref().map_or(0, String::len));
-                match set {
-                    None => body.push(0),
-                    Some(text) => {
-                        body.push(1);
-                        body.extend_from_slice(text.as_bytes());
-                    }
-                }
-                write_frame(w, OP_POLICY, &body)
-            }
             Request::Metrics => write_frame(w, OP_METRICS, &[]),
         }
     }
@@ -496,18 +465,6 @@ impl Request {
             OP_SHUTDOWN => Request::Shutdown,
             OP_FETCH => Request::Fetch {
                 digest: b.digest()?,
-            },
-            OP_POLICY => match b.u8()? {
-                0 => {
-                    if !b.rest().is_empty() {
-                        return Err(bad("policy read carries no body"));
-                    }
-                    Request::Policy { set: None }
-                }
-                1 => Request::Policy {
-                    set: Some(String::from_utf8_lossy(b.rest()).into_owned()),
-                },
-                other => return Err(bad(format!("unknown policy mode {other}"))),
             },
             OP_METRICS => Request::Metrics,
             other => return Err(bad(format!("unknown request opcode {other:#04x}"))),
@@ -596,18 +553,6 @@ impl Response {
                 write_frame(w, OP_TRACE_DATA, &body)
             }
             Response::Metrics { text } => write_frame(w, OP_METRICS_REPLY, text.as_bytes()),
-            Response::Policy { rules, hits, text } => {
-                if hits.len() as u64 != *rules {
-                    return Err(bad("policy reply needs one hit counter per rule"));
-                }
-                let mut body = Vec::with_capacity(8 + 8 * hits.len() + text.len());
-                body.extend_from_slice(&rules.to_le_bytes());
-                for h in hits {
-                    body.extend_from_slice(&h.to_le_bytes());
-                }
-                body.extend_from_slice(text.as_bytes());
-                write_frame(w, OP_POLICY_REPLY, &body)
-            }
         }
     }
 
@@ -673,22 +618,6 @@ impl Response {
             OP_METRICS_REPLY => Response::Metrics {
                 text: String::from_utf8_lossy(b.rest()).into_owned(),
             },
-            OP_POLICY_REPLY => {
-                let rules = b.u64()?;
-                // 8 bytes per counter: reject counts the body cannot hold.
-                if rules > (body.len() / 8) as u64 {
-                    return Err(bad("policy rule count exceeds frame body"));
-                }
-                let mut hits = Vec::with_capacity(rules as usize);
-                for _ in 0..rules {
-                    hits.push(b.u64()?);
-                }
-                Response::Policy {
-                    rules,
-                    hits,
-                    text: String::from_utf8_lossy(b.rest()).into_owned(),
-                }
-            }
             other => return Err(bad(format!("unknown response opcode {other:#04x}"))),
         };
         b.finish()?;
@@ -734,13 +663,6 @@ mod tests {
         roundtrip_request(Request::Fetch {
             digest: TraceDigest(0xffee_ddcc_bbaa_0099_8877_6655_4433_2211),
         });
-        roundtrip_request(Request::Policy { set: None });
-        roundtrip_request(Request::Policy {
-            set: Some("CSUP v1\ndigest 000000000000000000000000000000ff\n".into()),
-        });
-        roundtrip_request(Request::Policy {
-            set: Some(String::new()),
-        });
         roundtrip_request(Request::Metrics);
     }
 
@@ -755,22 +677,19 @@ mod tests {
             digest: TraceDigest(7),
             engine: EngineKind::Clean,
             cached: true,
-            races: vec![
-                WireRace {
-                    kind: FullRaceKind::Waw,
-                    addr: 0xdead_beef,
-                    current: 3,
-                    previous: 1,
-                    suppressed: false,
-                },
-                WireRace {
-                    kind: FullRaceKind::War,
-                    addr: 64,
-                    current: 0,
-                    previous: 2,
-                    suppressed: true,
-                },
-            ],
+            races: [
+                (FullRaceKind::Waw, 0xdead_beef, 3, 1),
+                (FullRaceKind::War, 64, 0, 2),
+            ]
+            .map(|(kind, addr, current, previous)| {
+                WireRace::from_found(&FoundRace {
+                    kind,
+                    addr,
+                    current: ThreadId::new(current),
+                    previous: ThreadId::new(previous),
+                })
+            })
+            .to_vec(),
             events: 1 << 40,
         });
         roundtrip_response(Response::Verdict {
@@ -795,16 +714,6 @@ mod tests {
             digest: TraceDigest(0),
             trace: vec![],
         });
-        roundtrip_response(Response::Policy {
-            rules: 3,
-            hits: vec![5, 0, 1 << 33],
-            text: "CSUP v1\naddr 0..ff waw\n".into(),
-        });
-        roundtrip_response(Response::Policy {
-            rules: 0,
-            hits: vec![],
-            text: String::new(),
-        });
         roundtrip_response(Response::Metrics {
             text: "# CMET v1\ncounter serve_requests_total 9\n".into(),
         });
@@ -815,15 +724,24 @@ mod tests {
 
     #[test]
     fn retired_stats_opcodes_are_rejected() {
-        // What an old client sends, and what an old server answers.
-        let mut request = Vec::new();
-        write_frame(&mut request, 0x04, &[]).unwrap();
-        let err = Request::read(&mut request.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut reply = Vec::new();
-        write_frame(&mut reply, 0x85, &[0u8; 8 * 15]).unwrap();
-        let err = Response::read(&mut reply.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // What an old client sends, and what an old server answered:
+        // STATS and its 15-counter reply, then a well-formed read of the
+        // other retired verb and a one-counter reply to it.
+        for (opcode, body) in [(0x04, vec![]), (0x07, vec![0])] {
+            let mut request = Vec::new();
+            write_frame(&mut request, opcode, &body).unwrap();
+            let err = Request::read(&mut request.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{opcode:#04x}");
+        }
+        for (opcode, body) in [
+            (0x85, vec![0u8; 8 * 15]),
+            (0x89, vec![1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0]),
+        ] {
+            let mut reply = Vec::new();
+            write_frame(&mut reply, opcode, &body).unwrap();
+            let err = Response::read(&mut reply.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{opcode:#04x}");
+        }
     }
 
     #[test]
@@ -876,14 +794,6 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, OP_VERDICT, &body).unwrap();
         assert!(Response::read(&mut buf.as_slice()).is_err());
-        // Policy frame with an unknown mode byte.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, OP_POLICY, &[9]).unwrap();
-        assert!(Request::read(&mut buf.as_slice()).is_err());
-        // Policy read must not carry trailing text.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, OP_POLICY, b"\x00junk").unwrap();
-        assert!(Request::read(&mut buf.as_slice()).is_err());
     }
 
     #[test]

@@ -269,7 +269,6 @@ impl RouterShared {
             }
             Request::Status { job } => self.route_status(job),
             Request::Metrics => self.aggregate_metrics(),
-            Request::Policy { set } => self.route_policy(set),
             Request::Shutdown => {
                 // Fan the drain out to every backend. The router's own
                 // drain starts once this reply is written: the join
@@ -346,44 +345,6 @@ impl RouterShared {
             error_code::INTERNAL,
             "no backend reachable for digest",
         ))
-    }
-
-    /// Routes a POLICY frame. A *set* must land on every backend —
-    /// suppression is a fleet-wide classification fact, and a node that
-    /// missed the update would serve races its siblings demote — so any
-    /// backend that refuses or is unreachable fails the whole set. A
-    /// *read* takes the first reachable backend's answer (sets keep the
-    /// fleet uniform, so any node's copy is authoritative).
-    fn route_policy(&self, set: Option<String>) -> Response {
-        let request = Request::Policy { set: set.clone() };
-        if set.is_some() {
-            let mut last_ok = None;
-            for idx in 0..self.backends.len() {
-                match self.forward(idx, &request) {
-                    Some(resp @ Response::Policy { .. }) => last_ok = Some(resp),
-                    Some(err @ Response::Error { .. }) => return err,
-                    Some(other) => {
-                        return Response::error(
-                            error_code::INTERNAL,
-                            format!("backend {idx} refused the policy: {other:?}"),
-                        )
-                    }
-                    None => {
-                        return Response::error(
-                            error_code::INTERNAL,
-                            format!("backend {idx} unreachable; policy not fleet-wide"),
-                        )
-                    }
-                }
-            }
-            return last_ok.unwrap_or(Response::error(error_code::INTERNAL, "no backends"));
-        }
-        for idx in 0..self.backends.len() {
-            if let Some(resp) = self.forward(idx, &request) {
-                return resp;
-            }
-        }
-        Response::error(error_code::INTERNAL, "no backend reachable for policy read")
     }
 
     fn route_status(&self, job: u64) -> Response {

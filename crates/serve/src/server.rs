@@ -27,13 +27,11 @@
 use crate::cache::{Verdict, VerdictCache, VerdictKey};
 use crate::client::Client;
 use crate::daemon::{self, DaemonHandle, Frame, Next, Obs, Reply, Service};
-use crate::policy::{SuppressionPolicy, POLICY_FILE};
 use crate::protocol::{error_code, is_timeout, Request, Response, WireRace, OP_SUBMIT};
 use crate::queue::{Admission, JobQueue, JobState};
 use crate::store::{StoreError, TraceStore};
 use clean_obs::{Counter, Registry, Stage};
 use clean_trace::{EngineKind, Replay, TraceDigest, TraceError};
-use parking_lot::Mutex;
 use std::io::{self, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -73,12 +71,6 @@ pub struct ServerConfig {
     /// Persist the verdict cache to `verdicts.log` beside the store and
     /// reload it on startup, so warm restarts serve without replaying.
     pub persist_verdicts: bool,
-    /// Path of the `CSUP` suppression policy file. `None` uses
-    /// `policy.csup` under the store directory. The file is loaded at
-    /// startup (missing = empty policy) and rewritten atomically when a
-    /// `POLICY` frame installs new rules, so suppression survives
-    /// restarts.
-    pub policy_path: Option<PathBuf>,
 }
 
 impl ServerConfig {
@@ -103,7 +95,6 @@ impl ServerConfig {
             acceptors: 32,
             io_timeout_millis: 30_000,
             persist_verdicts: true,
-            policy_path: None,
         }
     }
 
@@ -178,30 +169,6 @@ impl ServerConfig {
         self.persist_verdicts = persist;
         self
     }
-
-    /// Sets the suppression-policy file path (default: `policy.csup`
-    /// under the store directory).
-    pub fn policy_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.policy_path = Some(path.into());
-        self
-    }
-}
-
-/// The live suppression policy plus its audit trail: one counter per
-/// rule, credited at classification time and reset whenever a `POLICY`
-/// set installs new rules. The counters feed the v4 POLICY reply and
-/// let `suppress prune` drop rules that never fired.
-#[derive(Debug)]
-struct ActivePolicy {
-    policy: SuppressionPolicy,
-    hits: Vec<u64>,
-}
-
-impl ActivePolicy {
-    fn new(policy: SuppressionPolicy) -> Self {
-        let hits = vec![0; policy.len()];
-        ActivePolicy { policy, hits }
-    }
 }
 
 /// Counters that live outside store and queue, backed by the metrics
@@ -214,7 +181,6 @@ struct ServiceCounters {
     cache_hits: Counter,
     cache_misses: Counter,
     fetches: Counter,
-    suppressed_hits: Counter,
 }
 
 impl ServiceCounters {
@@ -226,7 +192,6 @@ impl ServiceCounters {
             cache_hits: registry.counter("cache_hits"),
             cache_misses: registry.counter("cache_misses"),
             fetches: registry.counter("fetches"),
-            suppressed_hits: registry.counter("suppressed_hits"),
         }
     }
 }
@@ -239,12 +204,6 @@ struct Shared {
     queue: JobQueue,
     counters: ServiceCounters,
     obs: Obs,
-    /// The active suppression policy. Swapped whole on a `POLICY` set;
-    /// verdict classification takes the lock only long enough to flag
-    /// the races of one response.
-    policy: Mutex<ActivePolicy>,
-    /// Where the policy persists across restarts.
-    policy_path: PathBuf,
     shards: usize,
     peers: Vec<String>,
 }
@@ -398,20 +357,11 @@ impl Server {
         } else {
             VerdictCache::new()
         };
-        let policy_path = config
-            .policy_path
-            .clone()
-            .unwrap_or_else(|| config.store_dir.join(POLICY_FILE));
-        // A missing file is the empty policy; an unparseable one fails
-        // startup loudly rather than silently un-suppressing races.
-        let policy = SuppressionPolicy::load(&policy_path)?;
         let obs = Obs::new();
         let counters = ServiceCounters::new(&obs.registry);
         let shared = Shared {
             store,
             cache,
-            policy: Mutex::new(ActivePolicy::new(policy)),
-            policy_path,
             queue: JobQueue::new(config.queue_cap, config.per_client_cap, config.retry_millis),
             counters,
             obs,
@@ -429,11 +379,7 @@ impl Server {
     }
 }
 
-/// Builds a VERDICT frame, classifying each race against the active
-/// suppression policy. Classification happens here — at serve time, not
-/// at cache-insert time — so the durable verdict cache stores raw replay
-/// facts and a policy reload retroactively reclassifies every cached
-/// verdict.
+/// Builds a VERDICT frame: every race the engine found, as found.
 fn verdict_response(
     shared: &Shared,
     digest: TraceDigest,
@@ -441,34 +387,12 @@ fn verdict_response(
     cached: bool,
     v: &Verdict,
 ) -> Response {
-    let flags = {
-        let mut active = shared.policy.lock();
-        let ActivePolicy { policy, hits } = &mut *active;
-        policy.classify_with_hits(digest, &v.races, hits)
-    };
     let _verdict_span = shared.obs.spans.start(Stage::Verdict);
-    let suppressed = flags.iter().filter(|&&s| s).count() as u64;
-    if suppressed > 0 {
-        shared.counters.suppressed_hits.add(suppressed);
-        shared
-            .obs
-            .journal
-            .record("suppression", format!("digest={digest} races={suppressed}"));
-    }
-    let races = v
-        .races
-        .iter()
-        .zip(&flags)
-        .map(|(r, &s)| WireRace {
-            suppressed: s,
-            ..WireRace::from_found(r)
-        })
-        .collect();
     Response::Verdict {
         digest,
         engine,
         cached,
-        races,
+        races: v.races.iter().map(WireRace::from_found).collect(),
         events: v.events,
     }
 }
@@ -568,45 +492,9 @@ fn handle_request(shared: &Shared, peer: SocketAddr, request: Request) -> Respon
             shared.store.unpin(digest);
             response
         }
-        Request::Policy { set } => handle_policy(shared, set),
         Request::Metrics => Response::Metrics {
             text: shared.metrics_text(),
         },
-    }
-}
-
-/// Reads or replaces the suppression policy. A set persists the new
-/// rules (atomic tmp + rename) *before* swapping them live, so a reply
-/// of success means a restart will come back with the same policy.
-fn handle_policy(shared: &Shared, set: Option<String>) -> Response {
-    match set {
-        None => {
-            let active = shared.policy.lock();
-            Response::Policy {
-                rules: active.policy.len() as u64,
-                hits: active.hits.clone(),
-                text: active.policy.text().to_string(),
-            }
-        }
-        Some(text) => {
-            let parsed = match SuppressionPolicy::parse(&text) {
-                Ok(p) => p,
-                Err(e) => return Response::error(error_code::BAD_POLICY, e.to_string()),
-            };
-            if let Err(e) = parsed.save(&shared.policy_path) {
-                return Response::error(
-                    error_code::INTERNAL,
-                    format!("persisting policy failed: {e}"),
-                );
-            }
-            let rules = parsed.len() as u64;
-            let text = parsed.text().to_string();
-            // New rules start with a fresh audit trail.
-            let active = ActivePolicy::new(parsed);
-            let hits = active.hits.clone();
-            *shared.policy.lock() = active;
-            Response::Policy { rules, hits, text }
-        }
     }
 }
 

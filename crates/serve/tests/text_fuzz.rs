@@ -1,29 +1,32 @@
-//! Corruption fuzzing of the two text formats the service reads off the
-//! wire: `CSUP v1` suppression policies (POLICY frames) and the `CMET v1`
-//! metrics exposition (parsed by clients and by the fleet router when it
-//! aggregates its backends).
+//! Corruption fuzzing of the two text formats the service reads: the
+//! `CVERD v1` verdict log (`verdicts.log`, reloaded from disk at
+//! startup) and the `CMET v1` metrics exposition (parsed by clients and
+//! by the fleet router when it aggregates its backends).
 //!
 //! Each case takes a valid file and damages it one way — flipped bytes,
 //! a cut at any offset, a duplicated or dropped line, or a number
 //! replaced by 0, `u64::MAX` or one past it. The invariants under test:
 //!
-//! * both parsers return `Ok` or an error naming a line of the input,
-//!   and never panic;
+//! * a damaged verdict log opens without error or panic (an unparseable
+//!   line is dropped, never fatal), and the log it compacts to reopens
+//!   to the same entries;
+//! * the exposition parser returns `Ok` or an error naming a line of
+//!   the input, and never panics;
 //! * a `Snapshot` that parses renders and parses back to the same
 //!   counters, gauges and histograms, and survives the router's merge.
 
 use clean_obs::Snapshot;
-use clean_serve::policy::SuppressionPolicy;
+use clean_serve::cache::VerdictCache;
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
-const POLICY: &str = "\
-CSUP v1
-# suppressions for the nightly corpus
-digest 00112233445566778899aabbccddeeff   # exact trace digest
-prefix 0011aa
-addr 1000..1fff waw
-addr 0x2000..0x2fff expires=4102444800    # re-triage after the fix
-addr 3000..3fff raw expires=1790000000
+const VERDICTS: &str = "\
+CVERD v1
+00112233445566778899aabbccddeeff clean 4096 2 waw,1000,12,3 raw,1008,3,12
+00112233445566778899aabbccddeeff fasttrack 4096 3 waw,1000,12,3 raw,1008,3,12 war,1010,255,17
+00112233445566778899aabbccddeeff vcfull 4096 0
+0000000000000000000000000000beef tsan 123456789 1 war,deadbeef,65535,1
+ffeeddccbbaa99887766554433221100 clean 7 0
 ";
 
 const EXPOSITION: &str = "\
@@ -93,9 +96,32 @@ fn names_a_line(text: &str, line: usize) -> bool {
     (1..=text.lines().count().max(1)).contains(&line)
 }
 
+/// A fresh `verdicts.log` path for this test process.
+fn log_path(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "clean-serve-text-fuzz-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.join("verdicts.log")
+}
+
+/// Writes `text` as a verdict log, opens it (which compacts it in
+/// place), and returns the entry count and the compacted text.
+fn open_log(path: &Path, text: &str) -> (usize, String) {
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, text).unwrap();
+    let cache = VerdictCache::open(path).expect("a damaged log opens");
+    (cache.len(), std::fs::read_to_string(path).unwrap())
+}
+
 #[test]
 fn the_seed_files_are_valid() {
-    assert_eq!(SuppressionPolicy::parse(POLICY).unwrap().len(), 5);
+    let path = log_path("seed");
+    let (entries, compacted) = open_log(&path, VERDICTS);
+    assert_eq!(entries, 5);
+    assert_eq!(compacted, VERDICTS, "a valid log compacts to itself");
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
     let snap = Snapshot::parse(EXPOSITION).unwrap();
     assert_eq!((snap.counters.len(), snap.gauges.len()), (2, 1));
     assert_eq!(snap.hists.len(), 2);
@@ -105,11 +131,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
     #[test]
-    fn damaged_policies_parse_or_name_a_line(d in damage()) {
-        let text = apply(&d, POLICY);
-        if let Err(e) = SuppressionPolicy::parse(&text) {
-            prop_assert!(names_a_line(&text, e.line), "{e} in {text:?}");
-        }
+    fn damaged_verdict_logs_open_and_reopen_to_the_same_entries(d in damage()) {
+        let path = log_path("cverd");
+        let (entries, compacted) = open_log(&path, &apply(&d, VERDICTS));
+        let (reopened, recompacted) = open_log(&path, &compacted);
+        prop_assert_eq!(reopened, entries);
+        prop_assert_eq!(recompacted, compacted);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]

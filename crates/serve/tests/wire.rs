@@ -85,23 +85,35 @@ fn header(version: u8, opcode: u8, len: u32) -> Vec<u8> {
 }
 
 #[test]
-fn retired_stats_opcode_gets_bad_frame_from_server_and_router() {
+fn retired_opcodes_get_bad_frame_from_server_and_router() {
+    // Verbs retire without a version bump; their opcodes stay reserved.
+    assert_eq!(VERSION, 5);
     let dir = scratch("retired");
     let server = Server::start(ServerConfig::new(&dir)).unwrap();
     let router = Router::start(RouterConfig::new(vec![server.addr().to_string()])).unwrap();
-    // What a client of the retired STATS verb sends: opcode 0x04, empty
-    // body, current version.
-    let frame = header(VERSION, 0x04, 0);
+    // What clients of the retired verbs send at the current version:
+    // STATS (0x04, empty body) and a well-formed POLICY read (0x07, one
+    // mode byte 0).
+    let frames = [(0x04u8, vec![]), (0x07, vec![0u8])].map(|(opcode, body)| {
+        let mut frame = header(VERSION, opcode, body.len() as u32);
+        frame.extend_from_slice(&body);
+        frame
+    });
     for addr in [server.addr(), router.addr()] {
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(&frame).unwrap();
-        match Response::read(&mut sock).unwrap().unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, error_code::BAD_FRAME),
-            other => panic!("{addr}: expected BAD_FRAME error, got {other:?}"),
+        for frame in &frames {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.write_all(frame).unwrap();
+            let opcode = frame[5];
+            match Response::read(&mut sock).unwrap().unwrap() {
+                Response::Error { code, .. } => {
+                    assert_eq!(code, error_code::BAD_FRAME, "{addr}: {opcode:#04x}")
+                }
+                other => panic!("{addr}: {opcode:#04x} expected BAD_FRAME, got {other:?}"),
+            }
+            // The refusal costs that connection only.
+            let mut client = Client::connect(addr).unwrap();
+            client.metrics_snapshot().expect("a fresh client is served");
         }
-        // The refusal costs that connection only.
-        let mut client = Client::connect(addr).unwrap();
-        client.metrics_snapshot().expect("a fresh client is served");
     }
     router.join();
     server.join();
