@@ -9,8 +9,6 @@
 //! clean-fleet spawn  --nodes N --store-root <dir> [--addr HOST:PORT]
 //!                    [--base-port P] [--serve-bin PATH] [--max-bytes N]
 //!                    [--replication N]
-//! clean-fleet status <addr>
-//! clean-fleet metrics <addr>
 //! ```
 //!
 //! `route` fronts already-running backends; `spawn` launches N
@@ -21,7 +19,6 @@
 mod args;
 
 use args::{parse_num, take_value, take_values};
-use clean_serve::client::{stats_text, Client};
 use clean_serve::router::{Router, RouterConfig};
 use std::net::TcpStream;
 use std::process::{Child, Command, ExitCode};
@@ -43,14 +40,9 @@ USAGE:
       Launch N clean-serve children on ports P..P+N (default base 7601),
       each with store <dir>/node-<i> and every sibling as a FETCH peer,
       then route to them. A SHUTDOWN frame drains the whole fleet.
-  clean-fleet status <addr>
-      Print the fleet-wide service counters from a router address: each
-      is the sum over every node of the merged METRICS exposition.
-  clean-fleet metrics <addr>
-      Print the fleet-wide `CMET v1` metrics merge from a router
-      address: every backend's counters, gauges, and histograms under
-      `node=\"<i>\"` labels, plus the router's own under
-      `node=\"router\"`, plus each node's recent-event journal.
+
+Talk to the router with the clean-serve client commands (submit,
+analyze, status, stats, metrics, shutdown), as to one daemon.
 
 EXIT CODES:
   0  success
@@ -62,8 +54,6 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("route") => cmd_route(&args[1..]),
         Some("spawn") => cmd_spawn(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
         Some("--help" | "-h") | None => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -213,33 +203,4 @@ fn cmd_spawn(args: &[String]) -> Result<ExitCode, String> {
         let _ = child.wait();
     }
     result
-}
-
-fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
-    let [addr] = args else {
-        return Err("usage: clean-fleet status <addr>".into());
-    };
-    let mut client =
-        Client::connect(addr.as_str()).map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let snap = client
-        .metrics_snapshot()
-        .map_err(|e| format!("request failed: {e}"))?;
-    print!("{}", stats_text(&snap));
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
-    let [addr] = args else {
-        return Err("usage: clean-fleet metrics <addr>".into());
-    };
-    let mut client =
-        Client::connect(addr.as_str()).map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let text = client
-        .metrics()
-        .map_err(|e| format!("request failed: {e}"))?;
-    print!("{text}");
-    if !text.ends_with('\n') {
-        println!();
-    }
-    Ok(ExitCode::SUCCESS)
 }

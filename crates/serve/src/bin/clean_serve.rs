@@ -4,7 +4,6 @@
 //! clean-serve serve   --store <dir> [--addr HOST:PORT] [--max-bytes N]
 //!                     [--queue-cap N] [--per-client-cap N] [--workers N] [--shards N]
 //!                     [--peer HOST:PORT]... [--acceptors N] [--io-timeout-millis N]
-//!                     [--no-persist-verdicts]
 //! clean-serve submit  <addr> <trace.cltr>
 //! clean-serve analyze <addr> <digest> [--engine clean|fasttrack|vcfull|tsan]
 //!                     [--no-wait] [--retries N]
@@ -36,7 +35,6 @@ USAGE:
   clean-serve serve --store <dir> [--addr HOST:PORT] [--max-bytes N]
                     [--queue-cap N] [--per-client-cap N] [--workers N] [--shards N]
                     [--peer HOST:PORT]... [--acceptors N] [--io-timeout-millis N]
-                    [--no-persist-verdicts]
       Run the daemon in the foreground. Prints the bound address
       (`listening on HOST:PORT`) once ready; exits after a graceful
       drain when a SHUTDOWN frame arrives. Each --peer names another
@@ -131,9 +129,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(v) = take_value(&mut args, "--io-timeout-millis")? {
         config = config.io_timeout_millis(parse_num(&v, "--io-timeout-millis")?);
-    }
-    if take_flag(&mut args, "--no-persist-verdicts") {
-        config = config.persist_verdicts(false);
     }
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}"));

@@ -165,8 +165,8 @@ impl Client {
     }
 }
 
-/// The service counters `clean-serve stats` and `clean-fleet status`
-/// print, in order. Each names a METRICS family.
+/// The service counters `clean-serve stats` prints, in order. Each
+/// names a METRICS family.
 const STATS: [&str; 14] = [
     "submits",            // valid SUBMITs, new or deduplicated
     "submit_dedup_hits",  // SUBMITs of an already-stored trace
@@ -195,8 +195,8 @@ pub fn stat(snap: &Snapshot, name: &str) -> u64 {
     }
 }
 
-/// The `clean-serve stats` / `clean-fleet status` table: one
-/// `name  value` line per service counter.
+/// The `clean-serve stats` table: one `name  value` line per service
+/// counter.
 pub fn stats_text(snap: &Snapshot) -> String {
     STATS
         .iter()

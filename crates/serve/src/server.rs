@@ -68,16 +68,12 @@ pub struct ServerConfig {
     /// Only mid-frame stalls trip it; a connection idling *between*
     /// frames is left alone.
     pub io_timeout_millis: u64,
-    /// Persist the verdict cache to `verdicts.log` beside the store and
-    /// reload it on startup, so warm restarts serve without replaying.
-    pub persist_verdicts: bool,
 }
 
 impl ServerConfig {
     /// Defaults: loopback ephemeral port, 1 GiB store, 64-job queue,
     /// 8 jobs per client, 100 ms retry hint, workers/shards from
-    /// available parallelism, no peers, 32 acceptors, 30 s I/O timeout,
-    /// durable verdicts.
+    /// available parallelism, no peers, 32 acceptors, 30 s I/O timeout.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -94,7 +90,6 @@ impl ServerConfig {
             peers: Vec::new(),
             acceptors: 32,
             io_timeout_millis: 30_000,
-            persist_verdicts: true,
         }
     }
 
@@ -161,12 +156,6 @@ impl ServerConfig {
     /// Sets the per-connection I/O timeout (0 disables it).
     pub fn io_timeout_millis(mut self, millis: u64) -> Self {
         self.io_timeout_millis = millis;
-        self
-    }
-
-    /// Enables or disables the durable verdict log.
-    pub fn persist_verdicts(mut self, persist: bool) -> Self {
-        self.persist_verdicts = persist;
         self
     }
 }
@@ -279,6 +268,8 @@ impl Shared {
 
 /// Whether a replay error says the file's bytes are damaged (as opposed
 /// to an I/O failure, or a well-formed trace the engines cannot run).
+/// The store admits only bytes that decode, so a stored header naming a
+/// version this reader refuses is damage too.
 fn is_damage(e: &TraceError) -> bool {
     matches!(
         e,
@@ -286,6 +277,7 @@ fn is_damage(e: &TraceError) -> bool {
             | TraceError::ChecksumMismatch { .. }
             | TraceError::Corrupt { .. }
             | TraceError::BadMagic(_)
+            | TraceError::UnsupportedVersion(_)
             | TraceError::BadTable { .. }
     )
 }
@@ -352,11 +344,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = daemon::bind(&config.addr)?;
         let store = TraceStore::open(&config.store_dir, config.store_max_bytes)?;
-        let cache = if config.persist_verdicts {
-            VerdictCache::open(config.store_dir.join(VERDICT_LOG))?
-        } else {
-            VerdictCache::new()
-        };
+        let cache = VerdictCache::open(config.store_dir.join(VERDICT_LOG))?;
         let obs = Obs::new();
         let counters = ServiceCounters::new(&obs.registry);
         let shared = Shared {

@@ -579,11 +579,14 @@ mod tests {
             Err(StoreError::BadTrace(_))
         ));
         // A truncated valid prefix must also be rejected.
-        let trace = sample_trace(2);
+        let mut trace = sample_trace(2);
         assert!(matches!(
             store.insert(&trace[..trace.len() - 4]),
             Err(StoreError::BadTrace(_))
         ));
+        // So must a header naming the retired tableless version 1.
+        trace[4] = 1;
+        assert!(matches!(store.insert(&trace), Err(StoreError::BadTrace(_))));
         assert_eq!(store.stats().traces, 0);
         fs::remove_dir_all(&root).unwrap();
     }

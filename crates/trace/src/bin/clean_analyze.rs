@@ -68,8 +68,8 @@ USAGE:
       and stream the event trace to <file>.
   clean-analyze stats [--quick] <file>
       Event, thread, lock, access-width and SFR-segment statistics.
-      With --quick on a v2 trace only the chunk table is read: event,
-      chunk and thread counts without decoding a single event.
+      With --quick only the chunk table is read: event, chunk and
+      thread counts without decoding a single event.
   clean-analyze digest <file>
       Print the canonical 128-bit trace digest (the content address the
       serving layer's trace store uses; independent of chunking).
@@ -85,8 +85,8 @@ USAGE:
       both, the smaller wins), and --stream is accepted and ignored.
       With --range A..B only events with trace indices in [A, B) are
       replayed, from memory (as a standalone prefix: sync state before
-      A is not reconstructed); on v2 traces the table seeks straight to
-      the covering chunks.
+      A is not reconstructed); the chunk table seeks straight to the
+      covering chunks.
   clean-analyze diff [--shards N] <file>
       Cross-engine verdict comparison (e.g. the WAR races CLEAN skips).
   clean-analyze plan [--granule N] [--out <file>] [--against <plan>] <file>
@@ -229,28 +229,22 @@ fn cmd_stats(rest: &[String]) -> Result<ExitCode, CliError> {
     };
     let table = read_table(path).map_err(trace_err)?;
     let bytes = std::fs::metadata(path).map(|m| m.len()).ok();
-    match &table {
-        Some(t) => println!(
-            "format v2: {} chunks, {} events, {} thread slots (from the chunk table)",
-            t.entries.len(),
-            t.total_events,
-            t.threads
-        ),
-        None => println!("format v1: no chunk table"),
-    }
+    println!(
+        "format v2: {} chunks, {} events, {} thread slots (from the chunk table)",
+        table.entries.len(),
+        table.total_events,
+        table.threads
+    );
     if quick {
-        if let Some(t) = &table {
-            if let Some(b) = bytes {
-                let bpe = if t.total_events == 0 {
-                    0.0
-                } else {
-                    b as f64 / t.total_events as f64
-                };
-                println!("{b} bytes, {bpe:.2} B/event");
-            }
-            return Ok(ExitCode::SUCCESS);
+        if let Some(b) = bytes {
+            let bpe = if table.total_events == 0 {
+                0.0
+            } else {
+                b as f64 / table.total_events as f64
+            };
+            println!("{b} bytes, {bpe:.2} B/event");
         }
-        println!("note: --quick needs a v2 chunk table; falling back to a full decode");
+        return Ok(ExitCode::SUCCESS);
     }
     let events = read_trace(path).map_err(trace_err)?;
     print!("{}", TraceStats::from_events(&events).render(bytes));

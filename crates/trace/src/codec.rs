@@ -1,5 +1,5 @@
-//! The compact binary event codec (format `CLTR`, versions 1 and 2 —
-//! the event encoding is identical; version 2 adds a chunk table).
+//! The compact binary event codec of the `CLTR` format (version 2:
+//! chunk-framed events followed by a chunk table).
 //!
 //! Events serialize as a one-byte tag followed by LEB128 varints; memory
 //! addresses are delta-encoded against the *same thread's* previous
@@ -14,15 +14,10 @@ use clean_core::{ThreadId, TraceEvent};
 /// File magic: the first four bytes of every trace stream.
 pub const MAGIC: [u8; 4] = *b"CLTR";
 
-/// Current format version, stored in the fifth byte of the stream.
-/// Version 2 keeps the event encoding of version 1 byte-for-byte and
-/// appends a chunk-offset table after the end-of-stream marker (see
-/// [`table`](crate::table)).
+/// The format version, stored in the fifth byte of the stream: the
+/// only one read or written. Every stream carries a chunk-offset table
+/// after its end-of-stream marker (see [`table`](crate::table)).
 pub const FORMAT_VERSION: u8 = 2;
-
-/// The legacy tableless format version, still fully readable; writable
-/// via [`TraceWriter::new_v1`](crate::TraceWriter::new_v1).
-pub const FORMAT_V1: u8 = 1;
 
 /// Tag-byte kind values (bits 0..=2).
 const KIND_READ: u8 = 0;

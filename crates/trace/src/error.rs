@@ -35,7 +35,7 @@ pub enum TraceError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// A v2 chunk table is missing, truncated, corrupt, or inconsistent
+    /// The chunk table is missing, truncated, corrupt, or inconsistent
     /// with the stream it describes.
     BadTable {
         /// What was wrong.

@@ -25,7 +25,8 @@
 //!   bounded per-lane queues; each lane is a thread owning one detector,
 //!   and lane count 1 is the sequential replay every other lane count
 //!   provably agrees with (see [`replay`]'s module docs).
-//! * **CLI** (`clean-analyze`): `record`, `stats`, `replay`, `diff`.
+//! * **CLI** (`clean-analyze`): `record`, `stats`, `digest`, `replay`,
+//!   `diff`, `plan`.
 //!
 //! # Example
 //!
@@ -70,6 +71,5 @@ pub use replay::{
 pub use stats::TraceStats;
 pub use table::{read_table, ChunkEntry, ChunkTable, TABLE_MAGIC};
 pub use writer::{
-    encode_trace, write_trace, write_trace_v1, FileSink, TraceWriter, WriteSummary,
-    DEFAULT_CHUNK_BYTES,
+    encode_trace, write_trace, FileSink, TraceWriter, WriteSummary, DEFAULT_CHUNK_BYTES,
 };

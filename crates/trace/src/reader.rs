@@ -1,13 +1,14 @@
 //! Streaming trace deserialization: [`TraceReader`] iterates events out
 //! of a `CLTR` stream chunk by chunk, validating framing and checksums.
 //!
-//! Both format versions decode here: v1 ends at the all-zero
-//! end-of-stream marker, while v2 additionally carries a chunk-table
-//! footer after the marker which the reader validates *strictly* —
-//! CRC, trailer magic, and entry-for-entry agreement with the chunks
-//! actually decoded. A v2 stream whose table is truncated or corrupted
-//! in any byte therefore fails to read, preserving the invariant that
-//! every single-bit flip and every truncation of a trace is detected.
+//! A header naming any version but [`FORMAT_VERSION`] is refused before
+//! a chunk is read. After the all-zero end-of-stream marker every stream
+//! carries a chunk-table footer, which the reader validates *strictly* —
+//! CRC, trailer magic, entry-for-entry agreement with the chunks
+//! actually decoded, and nothing after it. A stream whose table is
+//! missing, truncated or corrupted in any byte therefore fails to read,
+//! preserving the invariant that every single-bit flip and every
+//! truncation of a trace is detected.
 //! The footer read is bounded by the chunks decoded, so a stream cut
 //! short by a zeroed frame fails without buffering the rest.
 //!
@@ -15,7 +16,7 @@
 //! from the header, and [`read_range`] seeks the same reader to the
 //! first chunk its window needs.
 
-use crate::codec::{crc32, Decoder, FORMAT_V1, FORMAT_VERSION, MAGIC};
+use crate::codec::{crc32, Decoder, FORMAT_VERSION, MAGIC};
 use crate::error::{Result, TraceError};
 use crate::table::{
     parse_footer, read_table, ChunkEntry, ChunkTable, ENTRY_BYTES, FRAME_BYTES, HEADER_BYTES,
@@ -42,18 +43,21 @@ fn read_full(input: &mut impl Read, buf: &mut [u8]) -> Result<usize> {
     Ok(filled)
 }
 
-/// Reads and checks the stream header, returning the format version.
+/// Reads and checks the stream header: the magic, then
+/// [`FORMAT_VERSION`].
 ///
 /// A header cut short is [`TraceError::BadMagic`] carrying the bytes
-/// that are there; an I/O failure stays [`TraceError::Io`].
-pub(crate) fn read_header(input: &mut impl Read) -> Result<u8> {
+/// that are there; any other version byte is
+/// [`TraceError::UnsupportedVersion`]; an I/O failure stays
+/// [`TraceError::Io`].
+pub(crate) fn read_header(input: &mut impl Read) -> Result<()> {
     let mut header = [0u8; HEADER_BYTES];
     let filled = read_full(input, &mut header)?;
     if filled < HEADER_BYTES || header[..4] != MAGIC {
         return Err(TraceError::BadMagic(header[..filled.min(4)].to_vec()));
     }
     match header[4] {
-        v @ (FORMAT_V1 | FORMAT_VERSION) => Ok(v),
+        FORMAT_VERSION => Ok(()),
         v => Err(TraceError::UnsupportedVersion(v)),
     }
 }
@@ -65,7 +69,7 @@ pub(crate) fn read_header(input: &mut impl Read) -> Result<u8> {
 /// before any of its events are surfaced, so a corrupt chunk yields an
 /// error instead of garbage events. Reading continues past a fully
 /// consumed chunk into the next one; a clean end of stream at a chunk
-/// boundary ends iteration (after footer validation, for v2 streams).
+/// boundary ends iteration once the chunk-table footer validates.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     input: R,
@@ -81,11 +85,9 @@ pub struct TraceReader<R: Read> {
     next_chunk: u64,
     /// Set after an error or clean EOF: iteration is over.
     done: bool,
-    /// Stream format version (1 or 2).
-    version: u8,
     /// Stream offset consumed so far (header + frames + payloads).
     offset: u64,
-    /// Chunk entries observed while decoding, checked against the v2
+    /// Chunk entries observed while decoding, checked against the
     /// footer at end of stream.
     observed: Vec<ChunkEntry>,
     /// Events in fully loaded chunks so far.
@@ -106,7 +108,7 @@ impl TraceReader<BufReader<File>> {
 impl<R: Read> TraceReader<R> {
     /// Wraps `input`, reading and validating the stream header.
     pub fn new(mut input: R) -> Result<Self> {
-        let version = read_header(&mut input)?;
+        read_header(&mut input)?;
         Ok(TraceReader {
             input,
             dec: Decoder::new(),
@@ -115,7 +117,6 @@ impl<R: Read> TraceReader<R> {
             chunk_events_left: 0,
             next_chunk: 0,
             done: false,
-            version,
             offset: HEADER_BYTES as u64,
             observed: Vec::new(),
             events_seen: 0,
@@ -123,14 +124,9 @@ impl<R: Read> TraceReader<R> {
         })
     }
 
-    /// The stream's format version byte (1 or 2).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
     /// Loads and validates the next chunk. `Ok(false)` means the
-    /// end-of-stream marker (an all-zero frame) was reached — and, for
-    /// v2 streams, that the chunk-table footer validated. A plain EOF —
+    /// end-of-stream marker (an all-zero frame) was reached and the
+    /// chunk-table footer after it validated. A plain EOF —
     /// even at a chunk boundary — is a truncated stream: every intact
     /// trace ends with the marker.
     fn load_chunk(&mut self) -> Result<bool> {
@@ -152,9 +148,7 @@ impl<R: Read> TraceReader<R> {
         }
         if frame == [0u8; FRAME_BYTES] {
             self.offset += FRAME_BYTES as u64;
-            if self.version == FORMAT_VERSION {
-                self.verify_footer()?;
-            }
+            self.verify_footer()?;
             return Ok(false);
         }
         if events == 0 || payload_len == 0 {
@@ -182,14 +176,12 @@ impl<R: Read> TraceReader<R> {
                 computed,
             });
         }
-        if self.version == FORMAT_VERSION {
-            self.observed.push(ChunkEntry {
-                offset: self.offset,
-                payload_len,
-                events,
-                first_event: self.events_seen,
-            });
-        }
+        self.observed.push(ChunkEntry {
+            offset: self.offset,
+            payload_len,
+            events,
+            first_event: self.events_seen,
+        });
         self.offset += (FRAME_BYTES + self.payload.len()) as u64;
         self.events_seen += u64::from(events);
         self.next_chunk += 1;
@@ -199,7 +191,7 @@ impl<R: Read> TraceReader<R> {
         Ok(true)
     }
 
-    /// Reads and strictly validates the v2 footer after the end-of-stream
+    /// Reads and strictly validates the footer after the end-of-stream
     /// marker: exactly one table entry per decoded chunk plus the
     /// trailer, then end of input. Checks the trailer magic, the CRC and
     /// exact agreement between the table and the chunks this reader
@@ -260,7 +252,7 @@ impl<R: Read> TraceReader<R> {
 
 impl<R: Read + Seek> TraceReader<R> {
     /// Repositions the reader at the frame of chunk `chunk` of `table`,
-    /// this stream's v2 chunk table. From there on each frame must
+    /// this stream's chunk table. From there on each frame must
     /// match its table entry before its payload is read.
     fn seek_to_chunk(&mut self, table: ChunkTable, chunk: usize) -> Result<()> {
         let entry = table.entries[chunk];
@@ -301,13 +293,12 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<TraceEvent>> {
 }
 
 /// Reads the events with trace indices in `range` (clamped to the trace
-/// length) — random access built on the v2 chunk table.
+/// length) — random access built on the chunk table.
 ///
-/// On v2 traces only the chunks covering the range are read and decoded:
-/// the table locates the first covering chunk by binary search, the
-/// reader seeks straight to its frame, checks each frame against its
-/// table entry, and stops at the end of the range. v1 traces (no table)
-/// decode from the start.
+/// Only the chunks covering the range are read and decoded: the table
+/// locates the first covering chunk by binary search, the reader seeks
+/// straight to its frame, checks each frame against its table entry,
+/// and stops at the end of the range.
 ///
 /// # Errors
 ///
@@ -315,18 +306,15 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<TraceEvent>> {
 pub fn read_range(path: impl AsRef<Path>, range: Range<u64>) -> Result<Vec<TraceEvent>> {
     let path = path.as_ref();
     let mut reader = TraceReader::open(path)?;
-    // Trace index of the reader's next event, and the window's end.
-    let (mut next, mut end) = (0, range.end);
-    if let Some(table) = read_table(path)? {
-        end = end.min(table.total_events);
-        match table.locate(range.start) {
-            Some(chunk) if range.start < end => {
-                next = table.entries[chunk].first_event;
-                reader.seek_to_chunk(table, chunk)?;
-            }
-            _ => return Ok(Vec::new()),
-        }
-    }
+    let table = read_table(path)?;
+    let end = range.end.min(table.total_events);
+    let chunk = match table.locate(range.start) {
+        Some(chunk) if range.start < end => chunk,
+        _ => return Ok(Vec::new()),
+    };
+    // Trace index of the reader's next event.
+    let next = table.entries[chunk].first_event;
+    reader.seek_to_chunk(table, chunk)?;
     let mut out = Vec::new();
     for (i, ev) in (next..end).zip(reader) {
         let ev = ev?;

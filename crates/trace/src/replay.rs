@@ -5,9 +5,9 @@
 //!
 //! One producer — the caller's thread — walks the source in stream
 //! order: an in-memory slice, or a [`TraceReader`] over a buffered file
-//! handle — the one way this crate reads a trace file. v1 and v2 files
-//! take the same path, so every chunk CRC and the v2 footer are checked
-//! exactly as a plain read would check them.
+//! handle — the one way this crate reads a trace file — so every chunk
+//! CRC and the footer are checked exactly as a plain read would check
+//! them.
 //! The producer pre-shards events into one batch per lane: a sync event
 //! goes to every lane, a memory event to each lane that owns one of the
 //! [`SHARD_GRANULE`]-byte address granules it touches (granules go
@@ -209,32 +209,19 @@ pub struct TraceScan {
 
 /// Scans a trace file, counting events and required thread slots.
 ///
-/// On v2 traces this is O(footer): the chunk table records both totals,
-/// so no events are decoded. v1 traces fall back to a full sequential
-/// decode.
+/// This is O(footer): the chunk table records both totals, so no
+/// events are decoded.
 ///
 /// # Errors
 ///
-/// Propagates I/O and decode errors (including a corrupt v2 table).
+/// Propagates I/O errors, a foreign header and a corrupt chunk table.
 pub fn scan_trace(path: impl AsRef<Path>) -> Result<TraceScan> {
     let path = path.as_ref();
     let bytes = std::fs::metadata(path)?.len();
-    if let Some(table) = read_table(path)? {
-        return Ok(TraceScan {
-            events: table.total_events,
-            threads: table.threads as usize,
-            bytes,
-        });
-    }
-    let mut events = 0u64;
-    let mut threads = 1usize;
-    for ev in TraceReader::open(path)? {
-        events += 1;
-        threads = threads.max(event_slots(&ev?));
-    }
+    let table = read_table(path)?;
     Ok(TraceScan {
-        events,
-        threads,
+        events: table.total_events,
+        threads: table.threads as usize,
         bytes,
     })
 }
@@ -455,15 +442,14 @@ impl Replay {
         self.run(slots, events.iter().map(|ev| Ok(*ev)))
     }
 
-    /// Replays a trace file of either format version without loading it
-    /// into memory: one [`TraceReader`] streams it through a buffered
-    /// file handle, one chunk in memory at a time. The thread-slot count
-    /// comes from the v2 chunk table, or from one extra scan pass on v1
-    /// files.
+    /// Replays a trace file without loading it into memory: one
+    /// [`TraceReader`] streams it through a buffered file handle, one
+    /// chunk in memory at a time. The thread-slot count comes from the
+    /// chunk table.
     ///
     /// # Errors
     ///
-    /// Any I/O or decode error — a chunk failing its CRC, a damaged v2
+    /// Any I/O or decode error — a chunk failing its CRC, a damaged
     /// footer, a malformed event — wherever in the file it sits,
     /// [`TraceError::TooManyThreads`] past [`MAX_THREADS`] and
     /// [`TraceError::ClockOverflow`] past [`MAX_CLOCK_TICKS`]. A file

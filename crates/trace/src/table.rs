@@ -1,14 +1,14 @@
-//! The CLTR v2 chunk-offset table: random access and parallel decode.
+//! The `CLTR` chunk-offset table: sizing and random access.
 //!
-//! Version 2 appends a footer after the end-of-stream marker describing
-//! every chunk in the stream: its file offset, payload length, event
-//! count, and the index of its first event. Because encoder and decoder
-//! state reset at chunk boundaries (see [`codec`](crate::codec)), any
-//! chunk decodes independently given its offset — the table turns the
-//! sequential stream into an indexed one, unlocking N-way parallel
-//! decode and event-index range queries without touching the event
-//! encoding (digests are over events, so they are unchanged by the
-//! table).
+//! Every stream ends with a footer, after the end-of-stream marker,
+//! describing every chunk in the stream: its file offset, payload
+//! length, event count, and the index of its first event. Because
+//! encoder and decoder state reset at chunk boundaries (see
+//! [`codec`](crate::codec)), any chunk decodes independently given its
+//! offset — the table turns the sequential stream into an indexed one,
+//! giving exact totals without a scan and event-index range queries
+//! without touching the event encoding (digests are over events, so
+//! they are unchanged by the table).
 //!
 //! Layout, after the all-zero end-of-stream frame:
 //!
@@ -25,18 +25,15 @@
 //! The trailer is fixed-size and last, so the whole table is located
 //! from the end of the stream with no stored offset: the entries begin
 //! `24 + 24 * chunk_count` bytes before EOF.
-//!
-//! v1 streams have no footer; every consumer of the table degrades to
-//! the sequential scan when [`read_table`] returns `None`.
 
-use crate::codec::{crc32, FORMAT_V1};
+use crate::codec::crc32;
 use crate::error::{Result, TraceError};
 use crate::reader::read_header;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-/// Trailer magic: the last four bytes of every v2 stream.
+/// Trailer magic: the last four bytes of every stream.
 pub const TABLE_MAGIC: [u8; 4] = *b"CTB2";
 
 /// Encoded size of one chunk-table entry.
@@ -95,7 +92,7 @@ impl ChunkEntry {
     }
 }
 
-/// The decoded v2 chunk table: one entry per chunk plus stream totals.
+/// The decoded chunk table: one entry per chunk plus stream totals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkTable {
     /// Per-chunk entries in stream order.
@@ -185,7 +182,7 @@ impl ChunkTable {
     }
 }
 
-/// Parses and validates the footer region of a v2 stream given the
+/// Parses and validates the footer region of a stream given the
 /// trailing `EOS + entries + trailer` bytes and the total stream length.
 pub(crate) fn parse_footer(tail: &[u8], stream_len: u64) -> Result<ChunkTable> {
     let bad = |reason| Err(TraceError::BadTable { reason });
@@ -234,21 +231,19 @@ pub(crate) fn parse_footer(tail: &[u8], stream_len: u64) -> Result<ChunkTable> {
 
 /// Reads the chunk table from the trace file at `path` without decoding
 /// any events: the header, trailer, and entries are read directly (three
-/// small reads). Returns `Ok(None)` for v1 traces.
+/// small reads).
 ///
 /// # Errors
 ///
 /// I/O errors; [`TraceError::BadMagic`]/[`UnsupportedVersion`] for
-/// foreign streams; [`TraceError::BadTable`] when a v2 footer is
+/// foreign streams; [`TraceError::BadTable`] when the footer is
 /// missing, truncated, corrupt, or inconsistent with the stream length.
 ///
 /// [`UnsupportedVersion`]: TraceError::UnsupportedVersion
-pub fn read_table(path: impl AsRef<Path>) -> Result<Option<ChunkTable>> {
+pub fn read_table(path: impl AsRef<Path>) -> Result<ChunkTable> {
     let mut file = File::open(path)?;
     let len = file.metadata()?.len();
-    if read_header(&mut file)? == FORMAT_V1 {
-        return Ok(None);
-    }
+    read_header(&mut file)?;
     if len < (HEADER_BYTES + EOS_BYTES + TRAILER_BYTES) as u64 {
         return Err(TraceError::BadTable {
             reason: "stream too short for a chunk-table trailer",
@@ -277,7 +272,7 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Option<ChunkTable>> {
     let mut tail = vec![0u8; tail_len as usize];
     file.seek(SeekFrom::End(-(tail_len as i64)))?;
     file.read_exact(&mut tail)?;
-    parse_footer(&tail, len).map(Some)
+    parse_footer(&tail, len)
 }
 
 #[cfg(test)]
@@ -296,7 +291,7 @@ mod tests {
             .collect()
     }
 
-    /// The footer of a complete in-memory v2 stream.
+    /// The footer of a complete in-memory stream.
     fn footer(stream: &[u8]) -> Result<ChunkTable> {
         parse_footer(&stream[HEADER_BYTES..], stream.len() as u64)
     }
@@ -326,20 +321,6 @@ mod tests {
         }
         assert_eq!(table.locate(1000), None);
         assert_eq!(table.locate(u64::MAX), None);
-    }
-
-    #[test]
-    fn v1_stream_has_no_table() {
-        let evs = events(100);
-        let mut w = TraceWriter::new_v1(Vec::new()).unwrap();
-        for e in &evs {
-            w.write_event(e).unwrap();
-        }
-        let (_, bytes) = w.finish_into().unwrap();
-        let path = std::env::temp_dir().join(format!("clean-trace-v1-{}.cltr", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_table(&path).unwrap().is_none());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -386,7 +367,7 @@ mod tests {
         w.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let mem = footer(&bytes).unwrap();
-        let file = read_table(&path).unwrap().expect("table");
+        let file = read_table(&path).unwrap();
         assert_eq!(mem, file);
         std::fs::remove_file(&path).ok();
     }

@@ -2,7 +2,7 @@
 //! into checksummed chunks, and [`FileSink`] adapts a writer into the
 //! runtime's [`EventSink`] capture interface.
 
-use crate::codec::{crc32, Encoder, FORMAT_V1, FORMAT_VERSION, MAGIC};
+use crate::codec::{crc32, Encoder, FORMAT_VERSION, MAGIC};
 use crate::error::Result;
 use crate::table::{ChunkEntry, ChunkTable};
 use clean_core::{EventSink, TraceEvent};
@@ -43,7 +43,8 @@ impl WriteSummary {
 /// when the payload reaches the chunk size it is framed (length, event
 /// count, CRC-32) and flushed to the underlying writer, and the
 /// encoder's delta state resets so each chunk decodes independently.
-/// Call [`finish`](Self::finish) to flush the final partial chunk.
+/// Call [`finish`](Self::finish) to flush the final partial chunk and
+/// append the chunk table.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     out: W,
@@ -52,9 +53,7 @@ pub struct TraceWriter<W: Write> {
     chunk_events: u32,
     chunk_bytes: usize,
     summary: WriteSummary,
-    /// Stream format version: v2 appends the chunk table, v1 does not.
-    version: u8,
-    /// Per-chunk table entries accumulated for the v2 footer.
+    /// Per-chunk table entries accumulated for the footer.
     entries: Vec<ChunkEntry>,
     /// Highest thread id observed (including fork/join children).
     max_tid: u16,
@@ -68,22 +67,10 @@ impl TraceWriter<BufWriter<File>> {
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Wraps `out`, writing the stream header immediately. Writes the
-    /// current format (v2, with a chunk table footer).
-    pub fn new(out: W) -> io::Result<Self> {
-        Self::with_version(out, FORMAT_VERSION)
-    }
-
-    /// Wraps `out` as a legacy v1 writer: identical event encoding, no
-    /// chunk table. Exists for compatibility testing — readers must
-    /// keep decoding tableless streams forever.
-    pub fn new_v1(out: W) -> io::Result<Self> {
-        Self::with_version(out, FORMAT_V1)
-    }
-
-    fn with_version(mut out: W, version: u8) -> io::Result<Self> {
+    /// Wraps `out`, writing the stream header immediately.
+    pub fn new(mut out: W) -> io::Result<Self> {
         out.write_all(&MAGIC)?;
-        out.write_all(&[version])?;
+        out.write_all(&[FORMAT_VERSION])?;
         Ok(TraceWriter {
             out,
             enc: Encoder::new(),
@@ -95,7 +82,6 @@ impl<W: Write> TraceWriter<W> {
                 bytes: (MAGIC.len() + 1) as u64,
                 chunks: 0,
             },
-            version,
             entries: Vec::new(),
             max_tid: 0,
         })
@@ -135,14 +121,12 @@ impl<W: Write> TraceWriter<W> {
         if self.chunk_events == 0 {
             return Ok(());
         }
-        if self.version == FORMAT_VERSION {
-            self.entries.push(ChunkEntry {
-                offset: self.summary.bytes,
-                payload_len: self.payload.len() as u32,
-                events: self.chunk_events,
-                first_event: self.summary.events - u64::from(self.chunk_events),
-            });
-        }
+        self.entries.push(ChunkEntry {
+            offset: self.summary.bytes,
+            payload_len: self.payload.len() as u32,
+            events: self.chunk_events,
+            first_event: self.summary.events - u64::from(self.chunk_events),
+        });
         let crc = crc32(&self.payload);
         self.out
             .write_all(&(self.payload.len() as u32).to_le_bytes())?;
@@ -159,8 +143,8 @@ impl<W: Write> TraceWriter<W> {
 
     /// Flushes the final chunk, writes the end-of-stream marker (an
     /// all-zero frame, so truncation at a chunk boundary is detectable)
-    /// and, for v2 streams, the chunk-table footer, then flushes the
-    /// underlying writer, returning the stream summary.
+    /// and the chunk-table footer, then flushes the underlying writer,
+    /// returning the stream summary.
     pub fn finish(self) -> io::Result<WriteSummary> {
         self.finish_into().map(|(summary, _)| summary)
     }
@@ -172,16 +156,14 @@ impl<W: Write> TraceWriter<W> {
         self.flush_chunk()?;
         self.out.write_all(&[0u8; 12])?;
         self.summary.bytes += 12;
-        if self.version == FORMAT_VERSION {
-            let table = ChunkTable {
-                entries: std::mem::take(&mut self.entries),
-                total_events: self.summary.events,
-                threads: u32::from(self.max_tid) + 1,
-            };
-            let footer = table.encode();
-            self.out.write_all(&footer)?;
-            self.summary.bytes += footer.len() as u64;
-        }
+        let table = ChunkTable {
+            entries: std::mem::take(&mut self.entries),
+            total_events: self.summary.events,
+            threads: u32::from(self.max_tid) + 1,
+        };
+        let footer = table.encode();
+        self.out.write_all(&footer)?;
+        self.summary.bytes += footer.len() as u64;
         self.out.flush()?;
         Ok((self.summary, self.out))
     }
@@ -258,16 +240,6 @@ impl EventSink for FileSink {
 /// Writes a whole in-memory trace to `path` in one call.
 pub fn write_trace(path: impl AsRef<Path>, events: &[TraceEvent]) -> Result<WriteSummary> {
     let mut w = TraceWriter::create(path)?;
-    for e in events {
-        w.write_event(e)?;
-    }
-    Ok(w.finish()?)
-}
-
-/// Writes a whole in-memory trace to `path` as a legacy v1 stream (no
-/// chunk table) — the compatibility-test twin of [`write_trace`].
-pub fn write_trace_v1(path: impl AsRef<Path>, events: &[TraceEvent]) -> Result<WriteSummary> {
-    let mut w = TraceWriter::new_v1(BufWriter::new(File::create(path)?))?;
     for e in events {
         w.write_event(e)?;
     }

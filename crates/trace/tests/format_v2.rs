@@ -1,12 +1,12 @@
-//! CLTR v2 compatibility and robustness tests.
+//! CLTR v2 format and robustness tests.
 //!
-//! Satellite checks for the v2 chunk table:
+//! Checks for the chunk table and the header that announces it:
 //!
-//! * **Backward compatibility** — a v1 trace read through
-//!   [`TraceReader`], the digest and `read_range` yields the same events
-//!   and digest as its v2 rewrite. The table is framing, not content.
-//!   (That both replay to the same verdicts is a row of the agreement
-//!   matrix in `replay_engine.rs`.)
+//! * **One format** — a file read through [`TraceReader`], the table,
+//!   the scan, the digest and `read_range` agrees with its source
+//!   events; the table is framing, not content. A header naming
+//!   version 1, the retired tableless format, is refused by every entry
+//!   point.
 //! * **Footer robustness** — truncating or corrupting any byte of the
 //!   chunk-table footer yields a clean [`TraceError`], never a wrong
 //!   verdict and never a panic; a stream cut short by a zeroed chunk
@@ -17,12 +17,12 @@
 
 use clean_core::{LockId, ThreadId, TraceEvent};
 use clean_trace::{
-    digest_events, digest_file, read_range, read_table, read_trace, scan_trace, write_trace,
-    write_trace_v1, EngineKind, Replay, TraceError, TraceReader, TraceWriter, TABLE_MAGIC,
+    digest_events, digest_file, encode_trace, read_range, read_table, read_trace, scan_trace,
+    write_trace, EngineKind, Replay, TraceError, TraceReader, TraceWriter, TABLE_MAGIC,
 };
 use proptest::prelude::*;
 use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Per-test scratch directory under the system temp dir (the repo has no
 /// tempfile dependency; this mirrors the other integration tests).
@@ -85,60 +85,49 @@ fn small_chunk_stream(events: &[TraceEvent]) -> Vec<u8> {
     w.finish_into().unwrap().1
 }
 
-fn trailer_magic(path: &Path) -> [u8; 4] {
-    let bytes = std::fs::read(path).unwrap();
-    bytes[bytes.len() - 4..].try_into().unwrap()
+/// A file agrees with its source events on every decode path — same
+/// events, same digest, the table's totals, the same window.
+#[test]
+fn every_decode_path_agrees_with_the_source_events() {
+    let path = scratch("agree").join("trace.cltr");
+    let events = racy_events();
+    write_trace(&path, &events).unwrap();
+
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[bytes.len() - 4..], TABLE_MAGIC);
+    assert_eq!(read_table(&path).unwrap().total_events, events.len() as u64);
+    assert_eq!(read_trace(&path).unwrap(), events);
+    // The digest covers events, not framing: the file and the in-memory
+    // stream agree.
+    assert_eq!(digest_file(&path).unwrap(), digest_events(&events));
+    let scan = scan_trace(&path).unwrap();
+    assert_eq!((scan.events, scan.threads), (events.len() as u64, 3));
+    assert_eq!(read_range(&path, 100..250).unwrap(), &events[100..250]);
 }
 
-/// Satellite 1: a v1 trace and its v2 rewrite agree on every decode
-/// path — same events, same digest, same scan, same windows.
+/// A stream whose header names version 1 — the retired tableless
+/// format — is refused by every entry point, whatever follows it.
 #[test]
-fn v1_and_v2_rewrites_agree_on_events_and_digest() {
-    let dir = scratch("compat");
-    let v1 = dir.join("trace.v1.cltr");
-    let v2 = dir.join("trace.v2.cltr");
-    let events = racy_events();
-    write_trace_v1(&v1, &events).unwrap();
-    write_trace(&v2, &events).unwrap();
-
-    // v1 carries no table or trailer magic; v2 carries both.
-    assert!(read_table(&v1).unwrap().is_none());
-    let table = read_table(&v2).unwrap().expect("v2 trace has a table");
-    assert_eq!(table.total_events, events.len() as u64);
-    assert_ne!(trailer_magic(&v1), TABLE_MAGIC);
-    assert_eq!(trailer_magic(&v2), TABLE_MAGIC);
-
-    // TraceReader: byte-identical event streams.
-    assert_eq!(TraceReader::open(&v1).unwrap().version(), 1);
-    assert_eq!(TraceReader::open(&v2).unwrap().version(), 2);
-    let ev1 = read_trace(&v1).unwrap();
-    let ev2 = read_trace(&v2).unwrap();
-    assert_eq!(ev1, events);
-    assert_eq!(ev2, events);
-
-    // The digest covers events, not framing: both files and the
-    // in-memory stream agree.
-    let reference = digest_events(&events);
-    assert_eq!(digest_file(&v1).unwrap(), reference);
-    assert_eq!(digest_file(&v2).unwrap(), reference);
-
-    let scan1 = scan_trace(&v1).unwrap();
-    let scan2 = scan_trace(&v2).unwrap();
-    assert_eq!(scan1.events, scan2.events);
-    assert_eq!(scan1.threads, scan2.threads);
-
-    // Random access agrees between the table path and the v1 fallback.
-    let window = 100..250;
-    assert_eq!(
-        read_range(&v1, window.clone()).unwrap(),
-        &events[100..250],
-        "v1 sequential fallback window"
-    );
-    assert_eq!(
-        read_range(&v2, window).unwrap(),
-        &events[100..250],
-        "v2 table-seek window"
-    );
+fn a_version_1_header_is_refused_on_every_entry_point() {
+    let path = scratch("v1").join("trace.cltr");
+    let mut bytes = encode_trace(&racy_events()).unwrap();
+    bytes[4] = 1;
+    std::fs::write(&path, &bytes).unwrap();
+    let refused = |what: &str, got: clean_trace::Result<()>| {
+        assert!(
+            matches!(got, Err(TraceError::UnsupportedVersion(1))),
+            "{what} gave {got:?}"
+        );
+    };
+    refused("TraceReader::new", TraceReader::new(&bytes[..]).map(drop));
+    refused("read_table", read_table(&path).map(drop));
+    refused("scan_trace", scan_trace(&path).map(drop));
+    refused("digest_file", digest_file(&path).map(drop));
+    refused("read_range", read_range(&path, 0..10).map(drop));
+    for lanes in [1, 2] {
+        let done = Replay::new(EngineKind::Clean).lanes(lanes).file(&path);
+        refused(&format!("Replay::file at {lanes} lanes"), done.map(drop));
+    }
 }
 
 /// The footer region of a v2 file: everything after the end-of-stream
@@ -215,16 +204,13 @@ proptest! {
 
 /// `read_range` over a many-chunk file: every window — empty, past the
 /// end, inside one chunk, across chunk boundaries — equals the clamped
-/// slice of the source events, through the table seek on v2 and the
-/// sequential fallback on v1.
+/// slice of the source events.
 #[test]
 fn read_range_matches_the_slice_for_every_window() {
-    let dir = scratch("windows");
-    let (v1, v2) = (dir.join("trace.v1.cltr"), dir.join("trace.v2.cltr"));
+    let path = scratch("windows").join("trace.cltr");
     let events = racy_events();
-    std::fs::write(&v2, small_chunk_stream(&events)).unwrap();
-    write_trace_v1(&v1, &events).unwrap();
-    let table = read_table(&v2).unwrap().expect("v2 trace has a table");
+    std::fs::write(&path, small_chunk_stream(&events)).unwrap();
+    let table = read_table(&path).unwrap();
     assert!(table.entries.len() > 20, "{} chunks", table.entries.len());
 
     let n = events.len() as u64;
@@ -240,10 +226,7 @@ fn read_range_matches_the_slice_for_every_window() {
         for &b in &points {
             let (lo, hi) = (a.min(n) as usize, b.min(n) as usize);
             let want = if lo < hi { &events[lo..hi] } else { &[][..] };
-            for path in [&v1, &v2] {
-                let got = read_range(path, a..b).unwrap();
-                assert_eq!(got, want, "window {a}..{b} of {}", path.display());
-            }
+            assert_eq!(read_range(&path, a..b).unwrap(), want, "window {a}..{b}");
         }
     }
 }
@@ -256,7 +239,7 @@ fn read_range_checks_covered_chunks_and_ignores_the_rest() {
     let events = racy_events();
     let bytes = small_chunk_stream(&events);
     std::fs::write(&path, &bytes).unwrap();
-    let table = read_table(&path).unwrap().expect("v2 trace has a table");
+    let table = read_table(&path).unwrap();
     let k = table.entries.len() / 2;
     let hit = table.entries[k];
     // A window that starts in the chunk before `k` and ends inside it.

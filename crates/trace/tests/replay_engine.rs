@@ -1,9 +1,9 @@
 //! The one replay engine, held to the sequential detector on every
 //! source and lane count, and to a clean error on every bad file:
 //!
-//! * **Agreement matrix** — every [`EngineKind`] × source {slice, v1
-//!   file, v2 file, v2 file cut into 64-byte chunks} × lanes {1, 2, 3,
-//!   8} equals [`run_detector`] over the decoded events.
+//! * **Agreement matrix** — every [`EngineKind`] × source {slice, file,
+//!   file cut into 64-byte chunks} × lanes {1, 2, 3, 8} equals
+//!   [`run_detector`] over the decoded events.
 //! * **Producer failure** — a chunk corrupted in the middle of a
 //!   multi-batch file surfaces as the decode error at every lane count,
 //!   with every lane thread joined.
@@ -13,10 +13,10 @@
 
 use clean_baselines::{run_detector, FoundRace};
 use clean_core::{ThreadId, TraceEvent};
-use clean_trace::codec::{crc32, FORMAT_V1, FORMAT_VERSION, MAGIC};
+use clean_trace::codec::{crc32, FORMAT_VERSION, MAGIC};
 use clean_trace::{
-    digest_file, read_table, read_trace, required_threads, scan_trace, write_trace, write_trace_v1,
-    ChunkEntry, ChunkTable, EngineKind, Replay, TraceError, TraceReader, TraceWriter,
+    digest_file, read_table, read_trace, required_threads, scan_trace, write_trace, ChunkEntry,
+    ChunkTable, EngineKind, Replay, TraceError, TraceReader, TraceWriter,
 };
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -100,20 +100,16 @@ fn reference(events: &[TraceEvent], kind: EngineKind) -> Vec<FoundRace> {
 #[test]
 fn every_engine_source_and_lane_count_matches_the_sequential_detector() {
     let events = matrix_trace();
-    let v1 = scratch("matrix.v1.cltr");
-    let v2 = scratch("matrix.v2.cltr");
+    let file = scratch("matrix.cltr");
     let tiny = scratch("matrix.tiny.cltr");
-    write_trace_v1(&v1, &events).unwrap();
-    write_trace(&v2, &events).unwrap();
+    write_trace(&file, &events).unwrap();
     let mut wtr = TraceWriter::create(&tiny).unwrap().chunk_bytes(64);
     for e in &events {
         wtr.write_event(e).unwrap();
     }
     assert!(wtr.finish().unwrap().chunks > 10, "64-byte chunks: many");
 
-    assert!(read_table(&v1).unwrap().is_none());
-    assert!(read_table(&v2).unwrap().is_some());
-    for path in [&v1, &v2, &tiny] {
+    for path in [&file, &tiny] {
         assert_eq!(read_trace(path).unwrap(), events);
         let scan = scan_trace(path).unwrap();
         assert_eq!(scan.events, events.len() as u64);
@@ -136,9 +132,8 @@ fn every_engine_source_and_lane_count_matches_the_sequential_detector() {
             let replay = Replay::new(kind).lanes(lanes);
             let cells = [
                 ("slice", replay.events(&events).unwrap()),
-                ("v1 file", replay.file(&v1).unwrap()),
-                ("v2 file", replay.file(&v2).unwrap()),
-                ("v2 file, 64-byte chunks", replay.file(&tiny).unwrap()),
+                ("file", replay.file(&file).unwrap()),
+                ("file, 64-byte chunks", replay.file(&tiny).unwrap()),
             ];
             for (source, done) in cells {
                 assert_eq!(done.races, expected, "{kind} / {source} / {lanes} lanes");
@@ -147,7 +142,7 @@ fn every_engine_source_and_lane_count_matches_the_sequential_detector() {
             }
         }
     }
-    for path in [&v1, &v2, &tiny] {
+    for path in [&file, &tiny] {
         std::fs::remove_file(path).ok();
     }
 }
@@ -201,7 +196,7 @@ fn a_corrupt_chunk_mid_file_fails_the_replay_at_every_lane_count() {
         assert_eq!(file_replay_within(&path, lanes, limit).unwrap(), intact);
     }
 
-    let table = read_table(&path).unwrap().unwrap();
+    let table = read_table(&path).unwrap();
     let mid = table.entries.len() * 2 / 3;
     assert!(table.entries[mid].first_event >= 2 * 64 * 1024);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -218,36 +213,34 @@ fn a_corrupt_chunk_mid_file_fails_the_replay_at_every_lane_count() {
 }
 
 /// A `CLTR` stream of one chunk holding `payload` as its single event,
-/// framed with a correct CRC and (for v2) a correct chunk table — what
-/// the writer would emit if it did not refuse the event. The table
-/// claims `threads` thread slots.
-fn crafted_stream_with(version: u8, payload: &[u8], threads: u32) -> Vec<u8> {
+/// framed with a correct CRC and a correct chunk table — what the
+/// writer would emit if it did not refuse the event. The table claims
+/// `threads` thread slots.
+fn crafted_stream_with(payload: &[u8], threads: u32) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
-    out.push(version);
+    out.push(FORMAT_VERSION);
     let offset = out.len() as u64;
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&1u32.to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&[0u8; 12]);
-    if version == FORMAT_VERSION {
-        let table = ChunkTable {
-            entries: vec![ChunkEntry {
-                offset,
-                payload_len: payload.len() as u32,
-                events: 1,
-                first_event: 0,
-            }],
-            total_events: 1,
-            threads,
-        };
-        out.extend_from_slice(&table.encode());
-    }
+    let table = ChunkTable {
+        entries: vec![ChunkEntry {
+            offset,
+            payload_len: payload.len() as u32,
+            events: 1,
+            first_event: 0,
+        }],
+        total_events: 1,
+        threads,
+    };
+    out.extend_from_slice(&table.encode());
     out
 }
 
-fn crafted_stream(version: u8, payload: &[u8]) -> Vec<u8> {
-    crafted_stream_with(version, payload, 1)
+fn crafted_stream(payload: &[u8]) -> Vec<u8> {
+    crafted_stream_with(payload, 1)
 }
 
 #[test]
@@ -267,29 +260,26 @@ fn crafted_empty_oversized_and_wrapping_accesses_are_refused_on_every_path() {
         ("huge", huge),
     ];
     for (what, payload) in crafted {
-        for version in [FORMAT_V1, FORMAT_VERSION] {
-            let bytes = crafted_stream(version, payload);
-            assert!(bytes.len() < 100, "{} bytes", bytes.len());
-            let path = scratch(&format!("crafted-{what}-v{version}.cltr"));
-            std::fs::write(&path, &bytes).unwrap();
-            let tag = format!("{what} v{version}");
+        let bytes = crafted_stream(payload);
+        assert!(bytes.len() < 100, "{} bytes", bytes.len());
+        let path = scratch(&format!("crafted-{what}.cltr"));
+        std::fs::write(&path, &bytes).unwrap();
 
-            let read: clean_trace::Result<Vec<_>> = TraceReader::new(&bytes[..]).unwrap().collect();
+        let read: clean_trace::Result<Vec<_>> = TraceReader::new(&bytes[..]).unwrap().collect();
+        assert!(
+            matches!(read, Err(TraceError::Corrupt { chunk: 0, .. })),
+            "{what}: TraceReader gave {read:?}"
+        );
+        assert!(read_trace(&path).is_err(), "{what}: read_trace");
+        assert!(digest_file(&path).is_err(), "{what}: digest_file");
+        for lanes in [1, 2] {
+            let done = Replay::new(EngineKind::Clean).lanes(lanes).file(&path);
             assert!(
-                matches!(read, Err(TraceError::Corrupt { chunk: 0, .. })),
-                "{tag}: TraceReader gave {read:?}"
+                matches!(done, Err(TraceError::Corrupt { .. })),
+                "{what}: Replay::file at {lanes} lanes gave {done:?}"
             );
-            assert!(read_trace(&path).is_err(), "{tag}: read_trace");
-            assert!(digest_file(&path).is_err(), "{tag}: digest_file");
-            for lanes in [1, 2] {
-                let done = Replay::new(EngineKind::Clean).lanes(lanes).file(&path);
-                assert!(
-                    matches!(done, Err(TraceError::Corrupt { .. })),
-                    "{tag}: Replay::file at {lanes} lanes gave {done:?}"
-                );
-            }
-            std::fs::remove_file(&path).ok();
         }
+        std::fs::remove_file(&path).ok();
     }
 
     // The recording side refuses the same events, and stays usable.
@@ -329,7 +319,7 @@ fn crafted_empty_oversized_and_wrapping_accesses_are_refused_on_every_path() {
 fn a_table_that_understates_its_thread_count_is_an_error_not_a_panic() {
     // CRC-valid v2 stream whose table claims one thread slot while the
     // event is thread 5's: tag 0x11 = write of size class 4, delta 0.
-    let bytes = crafted_stream(FORMAT_VERSION, &[0x11, 0x05, 0x00]);
+    let bytes = crafted_stream(&[0x11, 0x05, 0x00]);
     let path = scratch("understated-threads.cltr");
     std::fs::write(&path, &bytes).unwrap();
     for lanes in [1, 2] {
@@ -346,7 +336,7 @@ fn a_table_that_understates_its_thread_count_is_an_error_not_a_panic() {
 fn more_threads_than_the_engines_have_ids_for_is_an_error_not_a_panic() {
     // A table claiming more slots than a 16-bit thread id can name is
     // invalid outright, whatever the stream holds.
-    let bytes = crafted_stream_with(FORMAT_VERSION, &[0x11, 0x00, 0x00], (1 << 16) + 1);
+    let bytes = crafted_stream_with(&[0x11, 0x00, 0x00], (1 << 16) + 1);
     let path = scratch("table-threads.cltr");
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
@@ -358,29 +348,24 @@ fn more_threads_than_the_engines_have_ids_for_is_an_error_not_a_panic() {
         Err(TraceError::BadTable { .. })
     ));
 
-    // Thread 256 is a valid id in a valid file of either version, but
-    // one past what the engines' 8-bit epoch thread field holds.
-    let events = [w(256, 0, 4)];
-    let v1 = scratch("threads-257.v1.cltr");
-    write_trace_v1(&v1, &events).unwrap();
-    write_trace(&path, &events).unwrap();
+    // Thread 256 is a valid id in a valid file, but one past what the
+    // engines' 8-bit epoch thread field holds.
+    write_trace(&path, &[w(256, 0, 4)]).unwrap();
     assert_eq!(scan_trace(&path).unwrap().threads, 257);
-    for file in [&v1, &path] {
-        for lanes in [1, 2] {
-            let done = Replay::new(EngineKind::Clean).lanes(lanes).file(file);
-            assert!(
-                matches!(
-                    done,
-                    Err(TraceError::TooManyThreads {
-                        threads: 257,
-                        max: 256
-                    })
-                ),
-                "{lanes} lanes gave {done:?}"
-            );
-        }
-        std::fs::remove_file(file).ok();
+    for lanes in [1, 2] {
+        let done = Replay::new(EngineKind::Clean).lanes(lanes).file(&path);
+        assert!(
+            matches!(
+                done,
+                Err(TraceError::TooManyThreads {
+                    threads: 257,
+                    max: 256
+                })
+            ),
+            "{lanes} lanes gave {done:?}"
+        );
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
