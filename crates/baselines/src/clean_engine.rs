@@ -139,14 +139,14 @@ impl CleanEngine {
             // ordered before any access.
             if let Some(slot) = slot {
                 let cells = &mut self.epochs.pages[slot][offset..offset + len];
-                for (i, cell) in cells.iter_mut().enumerate() {
-                    if first_racy.is_none() && vc.races_with(*cell) {
-                        first_racy = Some((a + i, *cell));
+                if first_racy.is_none() {
+                    if let Some(i) = cells.iter().position(|&cell| vc.races_with(cell)) {
+                        first_racy = Some((a + i, cells[i]));
                     }
-                    if update {
-                        self.epochs.written += usize::from(*cell == Epoch::ZERO);
-                        *cell = new_epoch;
-                    }
+                }
+                if update {
+                    self.epochs.written += cells.iter().filter(|&&c| c == Epoch::ZERO).count();
+                    cells.fill(new_epoch);
                 }
             }
             a += len;

@@ -35,17 +35,21 @@
 //!
 //! **Offline**: a synthetic multi-thread trace (~1 GiB at the full
 //! profile) replayed off disk through the CLEAN engine by the one replay
-//! engine (`Replay::file`) at one lane (sequential, inline) and at N
-//! lanes (N = the host's parallelism, clamped to 2..=8), and decoded by
-//! a bare `TraceReader`. Decode-only and one-lane replay run in
-//! alternating rounds (5 at `--small`, 3 at the full profile); headline
-//! `offline_replay_over_decode` is the median per-round ratio of the
-//! one-lane replay's seconds over the decode-only seconds: what routing
-//! and checking an event cost in units of decoding it, on any host, and
-//! the number a slower check raises. The lane ratio is printed and
-//! recorded beside its host block but not gated: the one producer bounds
-//! the pipeline past about two lanes, so it says more about the host than
-//! about the code. Both replays must report identical races.
+//! engine (`Replay::file`) at one lane and at N lanes (N = the host's
+//! parallelism, clamped to 2..=8), and decoded by a bare `TraceReader`.
+//! Every replay is the same two-stage pipeline: the calling thread
+//! decodes into shared batches and the lane threads check them, so even
+//! one lane overlaps decoding with checking. Decode-only and one-lane
+//! replay run in alternating rounds (5 at `--small`, 3 at the full
+//! profile); headline `offline_replay_over_decode` is the median
+//! per-round ratio of the one-lane replay's seconds over the decode-only
+//! seconds: how far the check stage runs behind the decode stage it
+//! overlaps, on any host with two cores, and the number a slower check
+//! raises. The lane ratio is printed and recorded beside its host block
+//! but not gated: the one producer bounds the pipeline, and past the
+//! core count extra lanes only share cores with it, so it says more
+//! about the host than about the code. Both replays must report
+//! identical races.
 //!
 //! Results land in `BENCH_hotpath.json` (override with `--out`).
 //! `--check-baseline <file>` re-reads a checked-in result and fails the
@@ -639,8 +643,9 @@ fn main() {
     // 1 << 21 they read level with it.
     let ops_per_thread: u64 = if small { 1 << 21 } else { 1 << 22 };
     let offline_bytes: u64 = if small { 24 << 20 } else { 1 << 30 };
-    // One decode/replay round of the small trace spreads from 2.9x to
-    // 3.7x on 2 vCPUs; the gate reads the median round.
+    // One decode/replay round of the small trace spreads from 1.7x to
+    // 2.9x on 2 vCPUs, mostly with the decode pass; the gate reads the
+    // median round.
     let offline_rounds = if small { 5 } else { 3 };
     println!(
         "== bench_hotpath: check hot path ({} profile, {threads} threads, best of {reps}) ==\n",

@@ -39,6 +39,9 @@ USAGE:
       (`listening on HOST:PORT`) once ready; exits after a graceful
       drain when a SHUTDOWN frame arrives. Each --peer names another
       clean-serve node to FETCH missing digests from (fleet mode).
+      --workers N replay jobs run at once (default: one per core, 1 to
+      8); each job's worker decodes the trace for --shards N lane
+      threads (default: one per core beside the worker's, 1 to 8).
   clean-serve submit <addr> <trace.cltr>
       Upload a recorded trace; prints its content digest.
   clean-serve analyze <addr> <digest> [--engine clean|fasttrack|vcfull|tsan]

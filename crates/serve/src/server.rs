@@ -31,7 +31,7 @@ use crate::protocol::{error_code, is_timeout, Request, Response, WireRace, OP_SU
 use crate::queue::{Admission, JobQueue, JobState};
 use crate::store::{StoreError, TraceStore};
 use clean_obs::{Counter, Registry, Stage};
-use clean_trace::{EngineKind, Replay, TraceDigest, TraceError};
+use clean_trace::{default_lanes, EngineKind, Replay, TraceDigest, TraceError};
 use std::io::{self, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -56,7 +56,8 @@ pub struct ServerConfig {
     pub retry_millis: u64,
     /// Worker threads replaying jobs.
     pub workers: usize,
-    /// Replay lanes (address shards, one detector thread each) per job.
+    /// Replay lanes (address shards, one detector thread each) per job;
+    /// the worker thread running the job decodes for them.
     pub shards: usize,
     /// Addresses of peer `clean-serve` nodes to FETCH missing digests
     /// from before failing an ANALYZE. Empty = standalone node.
@@ -72,8 +73,9 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults: loopback ephemeral port, 1 GiB store, 64-job queue,
-    /// 8 jobs per client, 100 ms retry hint, workers/shards from
-    /// available parallelism, no peers, 32 acceptors, 30 s I/O timeout.
+    /// 8 jobs per client, 100 ms retry hint, one worker per core (1 to
+    /// 8), [`default_lanes`] shards (the worker decodes, so it counts as
+    /// a core), no peers, 32 acceptors, 30 s I/O timeout.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -86,7 +88,7 @@ impl ServerConfig {
             per_client_cap: 8,
             retry_millis: 100,
             workers: cores.clamp(1, 8),
-            shards: cores.clamp(1, 8),
+            shards: default_lanes(),
             peers: Vec::new(),
             acceptors: 32,
             io_timeout_millis: 30_000,

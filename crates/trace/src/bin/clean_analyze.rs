@@ -17,8 +17,8 @@
 
 use clean_baselines::{FoundRace, FullRaceKind};
 use clean_trace::{
-    digest_file, read_range, read_table, read_trace, record_kernel_trace, record_sim_trace,
-    scan_trace, EngineKind, RecordOptions, Replay, TraceError, TraceStats,
+    default_lanes, digest_file, read_range, read_table, read_trace, record_kernel_trace,
+    record_sim_trace, scan_trace, EngineKind, RecordOptions, Replay, TraceError, TraceStats,
 };
 use clean_workloads::{derive_plan_from_trace, TraceGenConfig};
 use std::collections::HashSet;
@@ -77,11 +77,12 @@ USAGE:
                        [--stream] [--workers N] [--range A..B] <file>
       Replay the trace through one engine (or all). The trace is never
       loaded into memory: one producer decodes it in stream order
-      through a buffered reader into bounded queues feeding --shards
-      lanes (default: the available parallelism), each a thread owning
-      one detector and a share of the 64-byte address granules. One lane
-      replays sequentially, and the verdict is the same for any lane
-      count. --workers N is an older name for the same number (given
+      through a buffered reader into shared batches, and hands each to
+      --shards lanes (default: one per core beside the producer's, 1 to
+      8) over bounded queues. Each lane is a thread owning one detector
+      and a share of the 64-byte address granules; one lane replays
+      sequentially, and the verdict is the same for any lane count.
+      --workers N is an older name for the same number (given
       both, the smaller wins), and --stream is accepted and ignored.
       With --range A..B only events with trace indices in [A, B) are
       replayed, from memory (as a standalone prefix: sync state before
@@ -165,12 +166,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 
 fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("bad {what}: {v:?}"))
-}
-
-fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 fn cmd_record(rest: &[String]) -> Result<ExitCode, CliError> {
@@ -315,7 +310,7 @@ fn cmd_replay(rest: &[String]) -> Result<ExitCode, CliError> {
     let shards = lanes_arg(&mut args, "--shards")?;
     let workers = lanes_arg(&mut args, "--workers")?;
     let lanes = shards.into_iter().chain(workers).min();
-    let lanes = lanes.unwrap_or_else(default_shards);
+    let lanes = lanes.unwrap_or_else(default_lanes);
     // Every whole-trace replay streams; the flag is kept for scripts.
     take_flag(&mut args, "--stream");
     let range = match take_value(&mut args, "--range")? {
@@ -434,7 +429,7 @@ fn race_set(races: &[FoundRace]) -> HashSet<FoundRace> {
 
 fn cmd_diff(rest: &[String]) -> Result<ExitCode, CliError> {
     let mut args = rest.to_vec();
-    let shards = lanes_arg(&mut args, "--shards")?.unwrap_or_else(default_shards);
+    let shards = lanes_arg(&mut args, "--shards")?.unwrap_or_else(default_lanes);
     let [path] = &args[..] else {
         return Err("diff takes exactly one trace file".into());
     };

@@ -21,9 +21,10 @@
 //!   file handle.
 //! * **Analysis** ([`replay`]): one engine, [`Replay`], runs any
 //!   [`TraceDetector`](clean_baselines::TraceDetector) over a slice or a
-//!   trace file. One producer pre-shards events by address granule into
-//!   bounded per-lane queues; each lane is a thread owning one detector,
-//!   and lane count 1 is the sequential replay every other lane count
+//!   trace file. One producer decodes events into shared batches and
+//!   hands each to every lane over a bounded queue; each lane is a thread
+//!   owning one detector and the events of its address granules, and
+//!   lane count 1 is the sequential replay every other lane count
 //!   provably agrees with (see [`replay`]'s module docs).
 //! * **CLI** (`clean-analyze`): `record`, `stats`, `digest`, `replay`,
 //!   `diff`, `plan`.
@@ -66,7 +67,8 @@ pub use error::{Result, TraceError};
 pub use reader::{read_range, read_trace, TraceReader};
 pub use record::{record_kernel_trace, record_sim_trace, RecordOptions};
 pub use replay::{
-    required_threads, scan_trace, EngineKind, Replay, Replayed, TraceScan, SHARD_GRANULE,
+    default_lanes, required_threads, scan_trace, EngineKind, Replay, Replayed, TraceScan,
+    SHARD_GRANULE,
 };
 pub use stats::TraceStats;
 pub use table::{read_table, ChunkEntry, ChunkTable, TABLE_MAGIC};

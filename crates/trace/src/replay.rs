@@ -3,26 +3,32 @@
 //!
 //! # The pipeline
 //!
-//! One producer — the caller's thread — walks the source in stream
-//! order: an in-memory slice, or a [`TraceReader`] over a buffered file
-//! handle — the one way this crate reads a trace file — so every chunk
-//! CRC and the footer are checked exactly as a plain read would check
-//! them.
-//! The producer pre-shards events into one batch per lane: a sync event
-//! goes to every lane, a memory event to each lane that owns one of the
-//! [`SHARD_GRANULE`]-byte address granules it touches (granules go
-//! round-robin). Each lane is one thread that owns one detector and
-//! replays its batches in FIFO order off a bounded queue, clipping every
-//! memory event to its own granules as it goes. A batch holds one entry
-//! per event however large the access, so at most
-//! `QUEUE_CAP × BATCH_EVENTS` decoded-but-unreplayed events wait per
-//! lane. With one lane there are no threads and no queues: the producer
-//! hands each batch straight to the single detector, which sees every
-//! event unclipped — sequential replay is lane count 1 of the same code.
+//! Two stages. The producer — the caller's thread — walks the source in
+//! stream order: an in-memory slice, or a [`TraceReader`] over a
+//! buffered file handle — the one way this crate reads a trace file — so
+//! every chunk CRC and the footer are checked exactly as a plain read
+//! would check them. It refuses what no engine can hold (a clock past
+//! the engines' epoch layout, a thread past the table's count) and
+//! appends each event once to a shared batch. Every `BATCH_EVENTS`
+//! source events it hands the same batch, with the index of its first
+//! event, to every lane.
 //!
-//! The producer also counts each thread's clock increments and refuses
-//! the event that would carry one past the engines' epoch layout, so no
-//! engine ever meets a clock it cannot hold.
+//! Each lane is one thread that owns one detector and replays the
+//! batches in FIFO order off a bounded queue. It takes every sync event,
+//! and of the memory events only its part: the [`SHARD_GRANULE`]-byte
+//! address granules go round-robin, so lane `i` of `n` owns the granules
+//! congruent to `i` modulo `n`, and an access that crosses granules is
+//! clipped to each one the lane owns. One lane is the same: a thread
+//! behind the producer, taking every event as it is — exactly what a
+//! sequential replay feeds its detector — so decoding overlaps checking
+//! at every lane count, and sequential replay is lane count 1 of the same
+//! code. The last lane through a batch hands its allocation back to the
+//! producer for reuse, and at most `QUEUE_CAP` batches wait for the
+//! slowest lane, so decoded-but-unreplayed events stay bounded by
+//! `QUEUE_CAP × BATCH_EVENTS` whatever the lane count.
+//!
+//! The producer is a stage of its own, so it counts as a core:
+//! [`default_lanes`] leaves it one.
 //!
 //! # Why address sharding is exact
 //!
@@ -61,7 +67,8 @@ use clean_baselines::{CleanEngine, FastTrack, FoundRace, TraceDetector, TsanLike
 use clean_core::{EpochLayout, TraceEvent};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{channel, sync_channel};
+use std::sync::Arc;
 
 /// Address-shard granule in bytes. A multiple of the TSan-like engine's
 /// 8-byte shadow granule so per-location state never crosses lanes.
@@ -69,11 +76,12 @@ pub const SHARD_GRANULE: usize = 64;
 
 /// Source events per producer batch. Large enough to amortize queue
 /// hand-offs, small enough that backpressure bounds memory at roughly
-/// `lanes * QUEUE_CAP * BATCH_EVENTS` events.
-const BATCH_EVENTS: u64 = 64 * 1024;
+/// `QUEUE_CAP * BATCH_EVENTS` events.
+const BATCH_EVENTS: usize = 64 * 1024;
 
-/// Maximum batches buffered per lane before the producer blocks.
-const QUEUE_CAP: usize = 8;
+/// Most shared batches waiting for the slowest lane before the producer
+/// blocks.
+const QUEUE_CAP: usize = 2;
 
 /// Most thread slots a replay can have: every engine packs thread ids
 /// into the paper's default epoch layout (8 bits, 256 threads).
@@ -83,6 +91,16 @@ pub const MAX_THREADS: usize = EpochLayout::paper_default().max_threads();
 /// starts a thread's clock at 1 and packs it into the paper's default
 /// epoch layout (23 bits).
 pub const MAX_CLOCK_TICKS: u32 = EpochLayout::paper_default().max_clock() - 1;
+
+/// The lane count a replay uses unless told otherwise: one lane per
+/// core beside the producer's, at least one and at most eight. The
+/// producer decodes on a core of its own, so on two cores one lane beats
+/// two.
+pub fn default_lanes() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get() - 1)
+        .clamp(1, 8)
+}
 
 /// Selectable offline analysis engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -226,11 +244,6 @@ pub fn scan_trace(path: impl AsRef<Path>) -> Result<TraceScan> {
     })
 }
 
-/// One lane's share of a producer batch: `(event index, event)` pairs.
-/// Memory events travel unclipped — one entry however many bytes they
-/// cover — and the lane clips them as it replays.
-type Batch = Vec<(usize, TraceEvent)>;
-
 /// The address range of a memory event as `(addr, end, first granule,
 /// last granule)`; `None` for a sync event, and for an access that
 /// covers no byte or wraps the address space (the decoder refuses both,
@@ -241,22 +254,6 @@ fn span(ev: &TraceEvent) -> Option<(usize, usize, usize, usize)> {
     };
     let end = addr.checked_add(size)?;
     (size > 0).then(|| (addr, end, addr / SHARD_GRANULE, (end - 1) / SHARD_GRANULE))
-}
-
-/// Routes one event into the per-lane batches: a sync event to every
-/// lane, a memory event to each lane that owns a granule of its range
-/// (granules go round-robin, so at most `lanes` consecutive ones name
-/// every owner). An access without a [`span`] goes nowhere — except
-/// that the only lane takes every event, whatever it says.
-fn shard_event(ev: &TraceEvent, idx: usize, out: &mut [Batch]) {
-    let lanes = out.len();
-    if lanes == 1 || !ev.is_memory() {
-        out.iter_mut().for_each(|lane| lane.push((idx, *ev)));
-    } else if let Some((.., first, last)) = span(ev) {
-        for granule in first..=last.min(first + (lanes - 1)) {
-            out[granule % lanes].push((idx, *ev));
-        }
-    }
 }
 
 /// Merges per-lane `(event index, race)` lists into the sequential
@@ -299,25 +296,43 @@ impl Lane {
         }
     }
 
-    /// Replays one batch: feeds the detector this lane's part of each
-    /// event. The only lane takes every event as it is — exactly what a
-    /// sequential replay feeds its detector — and so does one of several
-    /// for a sync event or an access inside one granule, which was
-    /// routed to its owner alone. An access that crosses granules is
-    /// clipped to each one the lane owns.
-    fn replay(&mut self, batch: &Batch) {
-        for (idx, ev) in batch {
-            let crossing = (self.lanes > 1).then(|| span(ev)).flatten();
-            match crossing {
-                Some(span) if span.2 != span.3 => self.clipped(*idx, ev, span),
-                _ => self.check(*idx, ev),
+    /// The first granule in `first..=last` this lane owns, if any —
+    /// found without counting the granules between.
+    fn first_owned(&self, first: usize, last: usize) -> Option<usize> {
+        let skip = (self.index + self.lanes - first % self.lanes) % self.lanes;
+        (skip <= last - first).then(|| first + skip)
+    }
+
+    /// Replays one shared batch whose first event has index `base`: feeds
+    /// the detector this lane's part of each event. The only lane takes
+    /// every event as it is — exactly what a sequential replay feeds its
+    /// detector — and so does one of several for a sync event or an
+    /// access inside one granule it owns. An access that crosses granules
+    /// is clipped to each one the lane owns; one without a [`span`] is no
+    /// lane's.
+    fn replay(&mut self, base: usize, batch: &[TraceEvent]) {
+        for (idx, ev) in (base..).zip(batch) {
+            if self.lanes == 1 || !ev.is_memory() {
+                self.check(idx, ev);
+            } else if let Some(span) = span(ev) {
+                match self.first_owned(span.2, span.3) {
+                    Some(_) if span.2 == span.3 => self.check(idx, ev),
+                    Some(granule) => self.clipped(idx, ev, span, granule),
+                    None => {}
+                }
             }
         }
     }
 
-    fn clipped(&mut self, idx: usize, ev: &TraceEvent, span: (usize, usize, usize, usize)) {
-        let (addr, end, first, last) = span;
-        let mut granule = first + (self.index + self.lanes - first % self.lanes) % self.lanes;
+    /// Feeds the detector each piece of `ev` that falls in a granule this
+    /// lane owns, from `granule` — the first of them — on.
+    fn clipped(
+        &mut self,
+        idx: usize,
+        ev: &TraceEvent,
+        (addr, end, _, last): (usize, usize, usize, usize),
+        mut granule: usize,
+    ) {
         while granule <= last {
             let lo = addr.max(granule * SHARD_GRANULE);
             let hi = end.min((granule + 1).saturating_mul(SHARD_GRANULE));
@@ -333,43 +348,38 @@ impl Lane {
     }
 }
 
-/// The producer: walks `source` in stream order, routes every event and
-/// hands each lane its batch through `deliver` once per [`BATCH_EVENTS`]
-/// source events; a batch `deliver` leaves full is emptied for reuse.
-/// Refuses an event that would overflow a thread's clock in the engines
-/// (see [`tick`]) of a trace of `slots` threads. Stops early when
-/// `deliver` reports a dead lane. Returns `(events, batches)` produced.
+/// The producer: walks `source` in stream order, appends every event to
+/// one batch and hands it over through `deliver` — with the index of its
+/// first event — once per [`BATCH_EVENTS`] source events. `deliver`
+/// returns an empty batch to fill next, or `None` for a dead lane, which
+/// stops the producer early. Refuses an event that would overflow a
+/// thread's clock in the engines (see [`tick`]) of a trace of `slots`
+/// threads. Returns `(events, batches)` produced.
 fn produce(
     source: impl Iterator<Item = Result<TraceEvent>>,
     slots: usize,
-    lanes: usize,
-    mut deliver: impl FnMut(usize, &mut Batch) -> bool,
+    mut deliver: impl FnMut(usize, Vec<TraceEvent>) -> Option<Vec<TraceEvent>>,
 ) -> Result<(u64, u64)> {
-    let mut group: Vec<Batch> = vec![Vec::new(); lanes];
-    let mut flush = |group: &mut [Batch]| {
-        group.iter_mut().enumerate().all(|(lane, batch)| {
-            let alive = batch.is_empty() || deliver(lane, batch);
-            batch.clear();
-            alive
-        })
-    };
     let mut ticks = vec![0; slots];
+    let mut batch = Vec::with_capacity(BATCH_EVENTS);
     let (mut events, mut batches) = (0u64, 0u64);
     for ev in source {
         let ev = ev?;
         tick(&mut ticks, &ev, events)?;
-        shard_event(&ev, events as usize, &mut group);
+        batch.push(ev);
         events += 1;
-        if events % BATCH_EVENTS == 0 {
+        if batch.len() == BATCH_EVENTS {
             batches += 1;
-            if !flush(&mut group) {
-                return Ok((events, batches));
+            let base = events as usize - BATCH_EVENTS;
+            match deliver(base, batch) {
+                Some(next) => batch = next,
+                None => return Ok((events, batches)),
             }
         }
     }
-    if events % BATCH_EVENTS != 0 {
+    if !batch.is_empty() {
         batches += 1;
-        flush(&mut group);
+        deliver(events as usize - batch.len(), batch);
     }
     Ok((events, batches))
 }
@@ -413,9 +423,9 @@ impl Replay {
         Replay { kind, lanes: 1 }
     }
 
-    /// Sets the lane count: `lanes` detector threads, each owning the
-    /// address granules congruent to its index. One lane replays inline
-    /// on the caller's thread. The verdict does not depend on it.
+    /// Sets the lane count: `lanes` detector threads behind the caller's
+    /// thread, which decodes; each lane owns the address granules
+    /// congruent to its index. The verdict does not depend on it.
     ///
     /// # Panics
     ///
@@ -483,43 +493,49 @@ impl Replay {
             lanes: self.lanes,
             found: Vec::new(),
         };
-        let (per_lane, produced) = if self.lanes == 1 {
-            // Decoding a batch and then checking it keeps each loop hot:
-            // it beats feeding the detector event by event.
-            let mut lane = new_lane(0);
-            let produced = produce(source, slots, 1, |_, batch| {
-                lane.replay(batch);
-                true
-            });
-            (vec![lane.found], produced)
-        } else {
-            std::thread::scope(|scope| {
-                let (queues, handles): (Vec<_>, Vec<_>) = (0..self.lanes)
-                    .map(|index| {
-                        let (tx, rx) = sync_channel::<Batch>(QUEUE_CAP);
-                        let handle = scope.spawn(move || {
-                            let mut lane = new_lane(index);
-                            for batch in rx {
-                                lane.replay(&batch);
+        let (per_lane, produced) = std::thread::scope(|scope| {
+            // Spent batches come back here from the last lane through them.
+            let (spent, free) = channel::<Vec<TraceEvent>>();
+            let (queues, handles): (Vec<_>, Vec<_>) = (0..self.lanes)
+                .map(|index| {
+                    let (tx, rx) = sync_channel::<(usize, Arc<Vec<TraceEvent>>)>(QUEUE_CAP);
+                    let spent = spent.clone();
+                    let handle = scope.spawn(move || {
+                        let mut lane = new_lane(index);
+                        for (base, batch) in rx {
+                            lane.replay(base, &batch);
+                            if let Some(mut batch) = Arc::into_inner(batch) {
+                                batch.clear();
+                                // A producer that has stopped takes no more.
+                                let _ = spent.send(batch);
                             }
-                            lane.found
-                        });
-                        (tx, handle)
-                    })
-                    .unzip();
-                let produced = produce(source, slots, self.lanes, |lane, batch| {
-                    queues[lane].send(std::mem::take(batch)).is_ok()
-                });
-                // Hanging up the queues — after a decode error too — is
-                // what lets every lane drain and exit.
-                drop(queues);
-                let per_lane = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("replay lane panicked"))
-                    .collect();
-                (per_lane, produced)
-            })
-        };
+                        }
+                        lane.found
+                    });
+                    (tx, handle)
+                })
+                .unzip();
+            let (last, others) = queues.split_last().expect("at least one lane");
+            let produced = produce(source, slots, |base, batch| {
+                // The producer keeps no handle on a batch it has sent, so
+                // the last lane to finish one can hand it back.
+                let batch = Arc::new(batch);
+                let sent = others.iter().all(|q| q.send((base, batch.clone())).is_ok())
+                    && last.send((base, batch)).is_ok();
+                sent.then(|| {
+                    free.try_recv()
+                        .unwrap_or_else(|_| Vec::with_capacity(BATCH_EVENTS))
+                })
+            });
+            // Hanging up the queues — after a decode error too — is what
+            // lets every lane drain and exit.
+            drop(queues);
+            let per_lane = handles
+                .into_iter()
+                .map(|h| h.join().expect("replay lane panicked"))
+                .collect();
+            (per_lane, produced)
+        });
         let (events, batches) = produced?;
         Ok(Replayed {
             races: merge_shard_races(per_lane),
@@ -552,34 +568,33 @@ mod tests {
         }
     }
 
-    /// What each of `lanes` lanes feeds its detector for `ev`, after
-    /// routing: `(entries routed to the lane, pieces it replayed)`.
-    fn fed(ev: &TraceEvent, lanes: usize) -> Vec<(usize, Vec<TraceEvent>)> {
-        let mut out = vec![Batch::new(); lanes];
-        shard_event(ev, 9, &mut out);
-        out.iter()
-            .enumerate()
-            .map(|(index, batch)| {
+    fn lane(index: usize, lanes: usize, seen: &Arc<Mutex<Vec<TraceEvent>>>) -> Lane {
+        Lane {
+            det: Box::new(Tap(seen.clone())),
+            index,
+            lanes,
+            found: Vec::new(),
+        }
+    }
+
+    /// What each of `lanes` lanes feeds its detector when a batch holding
+    /// only `ev` reaches it.
+    fn fed(ev: &TraceEvent, lanes: usize) -> Vec<Vec<TraceEvent>> {
+        (0..lanes)
+            .map(|index| {
                 let seen = Arc::new(Mutex::new(Vec::new()));
-                let mut lane = Lane {
-                    det: Box::new(Tap(seen.clone())),
-                    index,
-                    lanes,
-                    found: Vec::new(),
-                };
-                assert!(batch.iter().all(|(idx, _)| *idx == 9));
-                lane.replay(batch);
+                lane(index, lanes, &seen).replay(9, &[*ev]);
                 let seen = seen.lock().unwrap().clone();
-                (batch.len(), seen)
+                seen
             })
             .collect()
     }
 
     #[test]
-    fn routing_and_clipping_partition_the_range() {
+    fn the_lane_filter_partitions_the_range() {
         // Every byte of any range reaches exactly one lane — the one
         // that owns its granule — each piece stays inside a granule, and
-        // a lane gets one batch entry exactly when it owns a piece.
+        // a lane owns a granule of the range exactly when it gets a piece.
         for lanes in 2..=5 {
             for (addr, size) in [(0, 1), (63, 2), (100, 300), (4096, 64), (7, 777)] {
                 let ev = TraceEvent::Read {
@@ -587,9 +602,11 @@ mod tests {
                     addr,
                     size,
                 };
+                let (.., first, last) = span(&ev).unwrap();
                 let mut owners = vec![0u32; size];
-                for (lane, (routed, pieces)) in fed(&ev, lanes).into_iter().enumerate() {
-                    assert_eq!(routed, usize::from(!pieces.is_empty()));
+                for (index, pieces) in fed(&ev, lanes).into_iter().enumerate() {
+                    let owns = lane(index, lanes, &Arc::default()).first_owned(first, last);
+                    assert_eq!(owns.is_some(), !pieces.is_empty());
                     for piece in pieces {
                         let TraceEvent::Read {
                             tid,
@@ -602,7 +619,7 @@ mod tests {
                         assert_eq!(tid, ThreadId::new(1));
                         assert!(s > 0 && a >= addr && a + s <= addr + size);
                         assert_eq!(a / SHARD_GRANULE, (a + s - 1) / SHARD_GRANULE);
-                        assert_eq!(a / SHARD_GRANULE % lanes, lane);
+                        assert_eq!(a / SHARD_GRANULE % lanes, index);
                         for b in a..a + s {
                             owners[b - addr] += 1;
                         }
@@ -617,16 +634,27 @@ mod tests {
     }
 
     #[test]
-    fn a_huge_access_is_one_batch_entry_per_lane() {
-        // 2^45 bytes is 2^39 granules; routing must not count them.
+    fn a_huge_access_decides_ownership_without_counting_granules() {
+        // 2^45 bytes is 2^39 granules; the lane filter must not count
+        // them to know that every lane owns some.
         let ev = TraceEvent::Write {
             tid: ThreadId::new(0),
             addr: 0,
             size: 1 << 45,
         };
-        let mut out = vec![Batch::new(); 3];
-        shard_event(&ev, 0, &mut out);
-        assert_eq!(out, vec![vec![(0, ev)]; 3]);
+        let (.., first, last) = span(&ev).unwrap();
+        assert_eq!((first, last), (0, (1 << 39) - 1));
+        for index in 0..3 {
+            let owns = lane(index, 3, &Arc::default()).first_owned(first, last);
+            assert_eq!(owns, Some(index));
+        }
+        // A span shorter than the lane count, at the top of the address
+        // space: its two granules' owners take one each, the rest none.
+        let top = usize::MAX / SHARD_GRANULE;
+        for index in 0..4 {
+            let owns = lane(index, 4, &Arc::default()).first_owned(top - 1, top);
+            assert_eq!(owns, [top - 1, top].into_iter().find(|g| g % 4 == index));
+        }
     }
 
     #[test]
@@ -636,15 +664,14 @@ mod tests {
             addr,
             size,
         };
-        let pieces = |ev: &TraceEvent, lanes: usize| {
-            fed(ev, lanes)
-                .into_iter()
-                .flat_map(|(_, pieces)| pieces)
-                .collect::<Vec<_>>()
-        };
+        let pieces = |ev: &TraceEvent, lanes: usize| fed(ev, lanes).concat();
         // One lane: whole and untouched, whatever the event says.
         assert_eq!(pieces(&write(60, 8), 1), [write(60, 8)]);
         assert_eq!(pieces(&write(0, 0), 1), [write(0, 0)]);
+        assert_eq!(
+            pieces(&write(usize::MAX - 3, 8), 1),
+            [write(usize::MAX - 3, 8)]
+        );
         // Several lanes: an empty or wrapping access goes nowhere, one
         // that ends at the very top is clipped like any other.
         assert_eq!(pieces(&write(0, 0), 2), []);
