@@ -76,6 +76,36 @@ pub fn run_detector<D: TraceDetector + ?Sized>(
     races
 }
 
+/// Accesses for the engines' unit tests: `read`/`write` cover one byte,
+/// `read_n`/`write_n` `size` bytes.
+#[cfg(test)]
+pub(crate) mod test_events {
+    use super::TraceEvent;
+    use clean_core::ThreadId;
+
+    pub(crate) fn t(i: u16) -> ThreadId {
+        ThreadId::new(i)
+    }
+
+    pub(crate) fn read_n(tid: u16, addr: usize, size: usize) -> TraceEvent {
+        let tid = t(tid);
+        TraceEvent::Read { tid, addr, size }
+    }
+
+    pub(crate) fn write_n(tid: u16, addr: usize, size: usize) -> TraceEvent {
+        let tid = t(tid);
+        TraceEvent::Write { tid, addr, size }
+    }
+
+    pub(crate) fn read(tid: u16, addr: usize) -> TraceEvent {
+        read_n(tid, addr, 1)
+    }
+
+    pub(crate) fn write(tid: u16, addr: usize) -> TraceEvent {
+        write_n(tid, addr, 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,64 +4,8 @@
 
 use crate::api::{FoundRace, FullRaceKind, TraceDetector, TraceEvent};
 use crate::hb::HbState;
+use crate::page_table::PageTable;
 use clean_core::{Epoch, EpochLayout};
-use std::collections::HashMap;
-use std::fmt;
-
-/// Bytes of address space — and so epoch cells — per page of the table:
-/// 2 KiB of epochs. Small enough that a lone byte written on a fresh
-/// page costs little, large enough that a burst of accesses resolves
-/// its page once.
-const PAGE: usize = 512;
-
-/// Sparse per-byte epoch table (Section 4.1: one 32-bit epoch per byte
-/// at an address computed from the byte's own): address `a` lives in
-/// cell `a % PAGE` of page `a / PAGE`. Only a write creates a page; a
-/// byte on a page nobody wrote holds the zero epoch without storage.
-#[derive(Default)]
-struct EpochTable {
-    pages: Vec<[Epoch; PAGE]>,
-    /// Page number to index in `pages`.
-    slots: HashMap<usize, usize>,
-    /// The page resolved last, as a `slots` entry: accesses cluster, so
-    /// most resolves stop here.
-    last: Option<(usize, usize)>,
-    /// Cells holding a written (non-zero) epoch.
-    written: usize,
-}
-
-impl EpochTable {
-    /// Index in `pages` of page number `page`, if it was ever written.
-    fn find(&mut self, page: usize) -> Option<usize> {
-        match self.last {
-            Some((p, slot)) if p == page => Some(slot),
-            _ => {
-                let slot = *self.slots.get(&page)?;
-                self.last = Some((page, slot));
-                Some(slot)
-            }
-        }
-    }
-
-    fn find_or_create(&mut self, page: usize) -> usize {
-        self.find(page).unwrap_or_else(|| {
-            let slot = self.pages.len();
-            self.pages.push([Epoch::ZERO; PAGE]);
-            self.slots.insert(page, slot);
-            self.last = Some((page, slot));
-            slot
-        })
-    }
-}
-
-impl fmt::Debug for EpochTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EpochTable")
-            .field("pages", &self.pages.len())
-            .field("written", &self.written)
-            .finish()
-    }
-}
 
 /// The CLEAN WAW/RAW-only engine.
 ///
@@ -90,7 +34,9 @@ impl fmt::Debug for EpochTable {
 #[derive(Debug)]
 pub struct CleanEngine {
     hb: HbState,
-    epochs: EpochTable,
+    epochs: PageTable<Epoch>,
+    /// Cells holding a written (non-zero) epoch.
+    written: usize,
     comparisons: u64,
 }
 
@@ -99,7 +45,8 @@ impl CleanEngine {
     pub fn new(num_threads: usize) -> Self {
         CleanEngine {
             hb: HbState::new(num_threads, EpochLayout::paper_default()),
-            epochs: EpochTable::default(),
+            epochs: PageTable::new(1),
+            written: 0,
             comparisons: 0,
         }
     }
@@ -107,58 +54,6 @@ impl CleanEngine {
     /// Clock comparisons performed so far (the per-access cost metric).
     pub fn comparisons(&self) -> u64 {
         self.comparisons
-    }
-
-    fn check_bytes(
-        &mut self,
-        tid: clean_core::ThreadId,
-        addr: usize,
-        size: usize,
-        kind: FullRaceKind,
-        update: bool,
-    ) -> Vec<FoundRace> {
-        let Some(end) = addr.checked_add(size) else {
-            return Vec::new();
-        };
-        let vc = self.hb.vc(tid);
-        let new_epoch = self.hb.epoch(tid);
-        debug_assert_ne!(new_epoch, Epoch::ZERO, "thread clocks start at 1");
-        // Report each racy access once (first racy byte), like a race
-        // exception would; a write still publishes to every byte.
-        let mut first_racy = None;
-        let mut a = addr;
-        while a < end {
-            let offset = a % PAGE;
-            let len = (PAGE - offset).min(end - a);
-            let slot = if update {
-                Some(self.epochs.find_or_create(a / PAGE))
-            } else {
-                self.epochs.find(a / PAGE)
-            };
-            // No page: every byte holds the zero epoch, which is
-            // ordered before any access.
-            if let Some(slot) = slot {
-                let cells = &mut self.epochs.pages[slot][offset..offset + len];
-                if first_racy.is_none() {
-                    if let Some(i) = cells.iter().position(|&cell| vc.races_with(cell)) {
-                        first_racy = Some((a + i, cells[i]));
-                    }
-                }
-                if update {
-                    self.epochs.written += cells.iter().filter(|&&c| c == Epoch::ZERO).count();
-                    cells.fill(new_epoch);
-                }
-            }
-            a += len;
-        }
-        self.comparisons += size as u64;
-        let race = first_racy.map(|(addr, e)| FoundRace {
-            kind,
-            addr,
-            current: tid,
-            previous: self.hb.layout().tid(e),
-        });
-        Vec::from_iter(race)
     }
 }
 
@@ -168,28 +63,48 @@ impl TraceDetector for CleanEngine {
     }
 
     fn process(&mut self, event: &TraceEvent) -> Vec<FoundRace> {
-        if self.hb.apply_sync(event) {
+        let Some((tid, addr, size, kind)) = self.hb.apply(event) else {
             return Vec::new();
-        }
-        match *event {
-            TraceEvent::Read { tid, addr, size } => {
-                self.check_bytes(tid, addr, size, FullRaceKind::Raw, false)
+        };
+        let is_write = kind == FullRaceKind::Waw;
+        let vc = self.hb.vc(tid);
+        let new_epoch = self.hb.epoch(tid);
+        debug_assert_ne!(new_epoch, Epoch::ZERO, "thread clocks start at 1");
+        // Report each racy access once (first racy byte), like a race
+        // exception would; a write still publishes to every byte. Only a
+        // write creates a page: a byte on no page holds the zero epoch,
+        // which is ordered before any access.
+        let mut first_racy = None;
+        let written = &mut self.written;
+        let walked = self.epochs.walk(addr, size, is_write, |lo, _, cells| {
+            if first_racy.is_none() {
+                if let Some(i) = cells.iter().position(|&cell| vc.races_with(cell)) {
+                    first_racy = Some((lo + i, cells[i]));
+                }
             }
-            TraceEvent::Write { tid, addr, size } => {
-                self.check_bytes(tid, addr, size, FullRaceKind::Waw, true)
+            if is_write {
+                *written += cells.iter().filter(|&&c| c == Epoch::ZERO).count();
+                cells.fill(new_epoch);
             }
-            _ => unreachable!("sync handled above"),
+        });
+        if walked {
+            self.comparisons += size as u64;
         }
+        let race = first_racy.map(|(addr, e)| FoundRace {
+            kind,
+            addr,
+            current: tid,
+            previous: self.hb.layout().tid(e),
+        });
+        Vec::from_iter(race)
     }
 
     fn reset(&mut self) {
-        self.hb.reset();
-        self.epochs = EpochTable::default();
-        self.comparisons = 0;
+        *self = CleanEngine::new(self.hb.num_threads());
     }
 
     fn metadata_bytes(&self) -> usize {
-        self.hb.metadata_bytes() + self.epochs.written * 4
+        self.hb.metadata_bytes() + self.written * 4
     }
 }
 
@@ -197,50 +112,20 @@ impl TraceDetector for CleanEngine {
 mod tests {
     use super::*;
     use crate::api::run_detector;
-    use clean_core::ThreadId;
-
-    fn t(i: u16) -> ThreadId {
-        ThreadId::new(i)
-    }
+    use crate::api::test_events::{read_n, t, write_n};
+    use crate::page_table::PAGE;
+    use std::collections::HashMap;
 
     #[test]
     fn detects_waw_and_raw_not_war() {
         let mut d = CleanEngine::new(2);
         // WAR: read by t0 then write by t1 — not detected.
-        let races = run_detector(
-            &mut d,
-            &[
-                TraceEvent::Read {
-                    tid: t(0),
-                    addr: 0,
-                    size: 4,
-                },
-                TraceEvent::Write {
-                    tid: t(1),
-                    addr: 0,
-                    size: 4,
-                },
-            ],
-        );
+        let races = run_detector(&mut d, &[read_n(0, 0, 4), write_n(1, 0, 4)]);
         assert!(races.is_empty(), "WAR must be missed by design");
 
         d.reset();
         // RAW: write by t0 then read by t1.
-        let races = run_detector(
-            &mut d,
-            &[
-                TraceEvent::Write {
-                    tid: t(0),
-                    addr: 8,
-                    size: 4,
-                },
-                TraceEvent::Read {
-                    tid: t(1),
-                    addr: 8,
-                    size: 4,
-                },
-            ],
-        );
+        let races = run_detector(&mut d, &[write_n(0, 8, 4), read_n(1, 8, 4)]);
         assert_eq!(races.len(), 1);
         assert_eq!(races[0].kind, FullRaceKind::Raw);
         assert_eq!(races[0].previous, t(0));
@@ -253,23 +138,11 @@ mod tests {
             &mut d,
             &[
                 TraceEvent::Acquire { tid: t(0), lock: 9 },
-                TraceEvent::Write {
-                    tid: t(0),
-                    addr: 0,
-                    size: 8,
-                },
+                write_n(0, 0, 8),
                 TraceEvent::Release { tid: t(0), lock: 9 },
                 TraceEvent::Acquire { tid: t(1), lock: 9 },
-                TraceEvent::Read {
-                    tid: t(1),
-                    addr: 0,
-                    size: 8,
-                },
-                TraceEvent::Write {
-                    tid: t(1),
-                    addr: 0,
-                    size: 8,
-                },
+                read_n(1, 0, 8),
+                write_n(1, 0, 8),
                 TraceEvent::Release { tid: t(1), lock: 9 },
             ],
         );
@@ -279,17 +152,9 @@ mod tests {
     #[test]
     fn one_comparison_per_byte() {
         let mut d = CleanEngine::new(2);
-        let _ = d.process(&TraceEvent::Write {
-            tid: t(0),
-            addr: 0,
-            size: 8,
-        });
+        let _ = d.process(&write_n(0, 0, 8));
         assert_eq!(d.comparisons(), 8);
-        let _ = d.process(&TraceEvent::Read {
-            tid: t(0),
-            addr: 0,
-            size: 8,
-        });
+        let _ = d.process(&read_n(0, 0, 8));
         assert_eq!(d.comparisons(), 16);
     }
 
@@ -297,11 +162,7 @@ mod tests {
     fn metadata_is_four_bytes_per_touched_byte() {
         let mut d = CleanEngine::new(2);
         let base = d.metadata_bytes();
-        let _ = d.process(&TraceEvent::Write {
-            tid: t(0),
-            addr: 100,
-            size: 16,
-        });
+        let _ = d.process(&write_n(0, 100, 16));
         assert_eq!(d.metadata_bytes() - base, 64);
     }
 
@@ -323,13 +184,8 @@ mod tests {
         }
 
         fn process(&mut self, event: &TraceEvent) -> Vec<FoundRace> {
-            if self.hb.apply_sync(event) {
+            let Some((tid, addr, size, kind)) = self.hb.apply(event) else {
                 return Vec::new();
-            }
-            let (tid, addr, size, kind, update) = match *event {
-                TraceEvent::Read { tid, addr, size } => (tid, addr, size, FullRaceKind::Raw, false),
-                TraceEvent::Write { tid, addr, size } => (tid, addr, size, FullRaceKind::Waw, true),
-                _ => unreachable!("sync handled above"),
             };
             let Some(end) = addr.checked_add(size) else {
                 return Vec::new();
@@ -346,7 +202,7 @@ mod tests {
                         previous: self.hb.layout().tid(e),
                     });
                 }
-                if update {
+                if kind == FullRaceKind::Waw {
                     self.epochs.insert(a, self.hb.epoch(tid));
                 }
             }
@@ -433,8 +289,8 @@ mod tests {
                     "seed {seed} step {step}"
                 );
             }
-            assert!(!engine.epochs.slots.contains_key(&(READ_ONLY / PAGE)));
-            assert!(engine.epochs.slots.contains_key(&(usize::MAX / PAGE)));
+            assert!(!engine.epochs.has_page(READ_ONLY / PAGE));
+            assert!(engine.epochs.has_page(usize::MAX / PAGE));
         }
         assert!(
             races_seen > 100,
@@ -455,19 +311,14 @@ mod tests {
             assert!(races.is_empty());
         }
         assert_eq!(d.comparisons(), 4 * MIB as u64);
-        assert_eq!(d.epochs.pages.len(), 0, "reads created pages");
+        assert_eq!(d.epochs.pages(), 0, "reads created pages");
 
         // Not page-aligned: the write's ends share their pages.
-        let _ = d.process(&TraceEvent::Write {
-            tid: t(0),
-            addr: 12_345,
-            size: MIB,
-        });
-        let held = d.epochs.pages.len() * PAGE * 4;
+        let _ = d.process(&write_n(0, 12_345, MIB));
+        let held = d.epochs.pages() * PAGE * 4;
         assert!(
             held <= 4 * MIB + PAGE * 4,
             "{held} bytes of epochs for 1 MiB"
         );
-        assert_eq!(d.epochs.slots.len(), d.epochs.pages.len());
     }
 }

@@ -9,26 +9,26 @@
 //! eliminates by not detecting WAR.
 
 use crate::api::{FoundRace, FullRaceKind, TraceDetector, TraceEvent};
-use crate::hb::HbState;
-use clean_core::{Epoch, EpochLayout, ThreadId, VectorClock};
-use std::collections::HashMap;
+use crate::hb::{first_unordered, HbState};
+use crate::page_table::PageTable;
+use clean_core::{Epoch, EpochLayout};
 
-/// Adaptive read metadata of one location.
-#[derive(Debug, Clone)]
-enum ReadState {
-    /// All reads so far are totally ordered: remember only the last.
-    Epoch(Epoch),
-    /// Concurrent reads exist: full per-thread read clocks.
-    Clock(VectorClock),
-}
-
-#[derive(Debug, Clone)]
+/// The metadata of one byte: 8 bytes, twice CLEAN's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Cell {
+    /// The last write's epoch.
     write: Epoch,
-    read: ReadState,
+    /// The adaptive read side: while the reads since the last write are
+    /// totally ordered, the last one's epoch; once two are concurrent,
+    /// the index of their read clock in `FastTrack::read_clocks`, with
+    /// the expanded bit set.
+    read: Epoch,
 }
 
 /// The FastTrack precise detector (WAW + RAW + WAR).
+///
+/// Like every engine here it checks and updates every byte of an access
+/// and reports the access's first racy byte.
 ///
 /// # Examples
 ///
@@ -47,7 +47,15 @@ struct Cell {
 #[derive(Debug)]
 pub struct FastTrack {
     hb: HbState,
-    cells: HashMap<usize, Cell>,
+    cells: PageTable<Cell>,
+    /// The inflated read clocks, `n` epochs each (zero for a thread with
+    /// no read), outside the cells: a byte whose reads were never
+    /// concurrent costs no clock.
+    read_clocks: Vec<Epoch>,
+    /// Indices of read clocks that writes handed back for reuse.
+    free: Vec<u32>,
+    /// Bytes ever accessed.
+    touched: usize,
     comparisons: u64,
     read_vc_inflations: u64,
 }
@@ -57,7 +65,10 @@ impl FastTrack {
     pub fn new(num_threads: usize) -> Self {
         FastTrack {
             hb: HbState::new(num_threads, EpochLayout::paper_default()),
-            cells: HashMap::new(),
+            cells: PageTable::new(1),
+            read_clocks: Vec::new(),
+            free: Vec::new(),
+            touched: 0,
             comparisons: 0,
             read_vc_inflations: 0,
         }
@@ -72,113 +83,6 @@ impl FastTrack {
     pub fn read_vc_inflations(&self) -> u64 {
         self.read_vc_inflations
     }
-
-    fn on_read(&mut self, tid: ThreadId, addr: usize) -> Option<FoundRace> {
-        let layout = self.hb.layout();
-        let n = self.hb.num_threads();
-        let my_epoch = self.hb.epoch(tid);
-        let vc_snapshot = self.hb.vc(tid).clone();
-        let cell = self.cells.entry(addr).or_insert_with(|| Cell {
-            write: Epoch::ZERO,
-            read: ReadState::Epoch(Epoch::ZERO),
-        });
-
-        // Write-read race check (single comparison, like CLEAN).
-        self.comparisons += 1;
-        let race = if vc_snapshot.races_with(cell.write) {
-            Some(FoundRace {
-                kind: FullRaceKind::Raw,
-                addr,
-                current: tid,
-                previous: layout.tid(cell.write),
-            })
-        } else {
-            None
-        };
-
-        // Update read metadata (the FastTrack adaptive rules).
-        match &mut cell.read {
-            ReadState::Epoch(e) => {
-                self.comparisons += 1;
-                if *e == Epoch::ZERO || !vc_snapshot.races_with(*e) {
-                    // Previous read happens-before us: stay in epoch mode.
-                    *e = my_epoch;
-                } else {
-                    // Concurrent reads: inflate to a full read clock.
-                    let mut rvc = VectorClock::new(n, layout);
-                    let prev = *e;
-                    rvc.set_clock(layout.tid(prev), layout.clock(prev));
-                    rvc.set_clock(tid, layout.clock(my_epoch));
-                    cell.read = ReadState::Clock(rvc);
-                    self.read_vc_inflations += 1;
-                }
-            }
-            ReadState::Clock(rvc) => {
-                rvc.set_clock(tid, layout.clock(my_epoch));
-            }
-        }
-        race
-    }
-
-    fn on_write(&mut self, tid: ThreadId, addr: usize) -> Option<FoundRace> {
-        let layout = self.hb.layout();
-        let my_epoch = self.hb.epoch(tid);
-        let vc_snapshot = self.hb.vc(tid).clone();
-        let n = self.hb.num_threads();
-        let cell = self.cells.entry(addr).or_insert_with(|| Cell {
-            write: Epoch::ZERO,
-            read: ReadState::Epoch(Epoch::ZERO),
-        });
-
-        // Write-write check (single comparison).
-        self.comparisons += 1;
-        let mut race = if vc_snapshot.races_with(cell.write) {
-            Some(FoundRace {
-                kind: FullRaceKind::Waw,
-                addr,
-                current: tid,
-                previous: layout.tid(cell.write),
-            })
-        } else {
-            None
-        };
-
-        // Read-write (WAR) check — the expensive one.
-        match &cell.read {
-            ReadState::Epoch(e) => {
-                self.comparisons += 1;
-                if *e != Epoch::ZERO && vc_snapshot.races_with(*e) {
-                    race = race.or(Some(FoundRace {
-                        kind: FullRaceKind::War,
-                        addr,
-                        current: tid,
-                        previous: layout.tid(*e),
-                    }));
-                }
-            }
-            ReadState::Clock(rvc) => {
-                // Full O(n) comparison: any read not ≤ our clock races.
-                self.comparisons += n as u64;
-                for i in 0..n {
-                    let rt = ThreadId::new(i as u16);
-                    let e = rvc.element(rt);
-                    if layout.clock(e) != 0 && vc_snapshot.races_with(e) {
-                        race = race.or(Some(FoundRace {
-                            kind: FullRaceKind::War,
-                            addr,
-                            current: tid,
-                            previous: rt,
-                        }));
-                        break;
-                    }
-                }
-            }
-        }
-
-        cell.write = my_epoch;
-        cell.read = ReadState::Epoch(Epoch::ZERO);
-        race
-    }
 }
 
 impl TraceDetector for FastTrack {
@@ -187,51 +91,100 @@ impl TraceDetector for FastTrack {
     }
 
     fn process(&mut self, event: &TraceEvent) -> Vec<FoundRace> {
-        if self.hb.apply_sync(event) {
+        let Some((tid, addr, size, write_kind)) = self.hb.apply(event) else {
             return Vec::new();
-        }
-        let mut races = Vec::new();
-        match *event {
-            TraceEvent::Read { tid, addr, size } => {
-                for a in addr..addr + size {
-                    if let Some(r) = self.on_read(tid, a) {
-                        races.push(r);
-                        break;
+        };
+        let is_write = write_kind == FullRaceKind::Waw;
+        let (layout, n) = (self.hb.layout(), self.hb.num_threads());
+        let (vc, my_epoch) = (self.hb.vc(tid), self.hb.epoch(tid));
+        let (clocks, free) = (&mut self.read_clocks, &mut self.free);
+        let (touched, comparisons) = (&mut self.touched, &mut self.comparisons);
+        let inflations = &mut self.read_vc_inflations;
+        let mut first = None;
+        self.cells.walk(addr, size, true, |lo, _, cells| {
+            for (i, cell) in cells.iter_mut().enumerate() {
+                if *cell == Cell::default() {
+                    *touched += 1;
+                }
+                // Write-write or write-read check (single comparison,
+                // like CLEAN).
+                *comparisons += 1;
+                let mut race = vc
+                    .races_with(cell.write)
+                    .then(|| (write_kind, layout.tid(cell.write)));
+                let clock = cell
+                    .read
+                    .is_expanded()
+                    .then(|| cell.read.without_expanded().raw() as usize * n);
+                match (is_write, clock) {
+                    // Read-write (WAR) check: O(n) once the reads were
+                    // inflated — the cost CLEAN avoids.
+                    (true, Some(at)) => {
+                        *comparisons += n as u64;
+                        let war = first_unordered(&clocks[at..at + n], vc);
+                        race = race.or(war.map(|t| (FullRaceKind::War, t)));
+                        free.push((at / n) as u32);
+                    }
+                    (true, None) => {
+                        *comparisons += 1;
+                        if cell.read != Epoch::ZERO && vc.races_with(cell.read) {
+                            race = race.or(Some((FullRaceKind::War, layout.tid(cell.read))));
+                        }
+                    }
+                    (false, Some(at)) => clocks[at + tid.index()] = my_epoch,
+                    // The FastTrack adaptive rules.
+                    (false, None) => {
+                        *comparisons += 1;
+                        if cell.read == Epoch::ZERO || !vc.races_with(cell.read) {
+                            // Previous read happens-before us: stay in
+                            // epoch mode.
+                            cell.read = my_epoch;
+                        } else {
+                            // Concurrent reads: inflate to a read clock
+                            // holding both.
+                            let index = free.pop().map_or(clocks.len() / n, |i| i as usize);
+                            assert!(index < Epoch::EXPANDED_BIT as usize, "too many read clocks");
+                            if index * n == clocks.len() {
+                                clocks.resize(clocks.len() + n, Epoch::ZERO);
+                            }
+                            let rvc = &mut clocks[index * n..][..n];
+                            rvc.fill(Epoch::ZERO);
+                            rvc[layout.tid(cell.read).index()] = cell.read;
+                            rvc[tid.index()] = my_epoch;
+                            cell.read = Epoch::from_raw(index as u32).with_expanded();
+                            *inflations += 1;
+                        }
                     }
                 }
-            }
-            TraceEvent::Write { tid, addr, size } => {
-                for a in addr..addr + size {
-                    if let Some(r) = self.on_write(tid, a) {
-                        races.push(r);
-                        break;
-                    }
+                if is_write {
+                    *cell = Cell {
+                        write: my_epoch,
+                        read: Epoch::ZERO,
+                    };
+                }
+                if let (None, Some((kind, previous))) = (first, race) {
+                    first = Some(FoundRace {
+                        kind,
+                        addr: lo + i,
+                        current: tid,
+                        previous,
+                    });
                 }
             }
-            _ => unreachable!("sync handled above"),
-        }
-        races
+        });
+        Vec::from_iter(first)
     }
 
     fn reset(&mut self) {
-        self.hb.reset();
-        self.cells.clear();
-        self.comparisons = 0;
-        self.read_vc_inflations = 0;
+        *self = FastTrack::new(self.hb.num_threads());
     }
 
     fn metadata_bytes(&self) -> usize {
-        let per_cell: usize = self
-            .cells
-            .values()
-            .map(|c| {
-                4 + match &c.read {
-                    ReadState::Epoch(_) => 4,
-                    ReadState::Clock(vc) => vc.len() * 4,
-                }
-            })
-            .sum();
-        self.hb.metadata_bytes() + per_cell
+        // A write epoch and a read epoch per byte, or a write epoch and
+        // a read clock.
+        let n = self.hb.num_threads();
+        let inflated = self.read_clocks.len() / n.max(1) - self.free.len();
+        self.hb.metadata_bytes() + (self.touched - inflated) * 8 + inflated * (n + 1) * 4
     }
 }
 
@@ -239,25 +192,7 @@ impl TraceDetector for FastTrack {
 mod tests {
     use super::*;
     use crate::api::run_detector;
-
-    fn t(i: u16) -> ThreadId {
-        ThreadId::new(i)
-    }
-
-    fn read(tid: u16, addr: usize) -> TraceEvent {
-        TraceEvent::Read {
-            tid: t(tid),
-            addr,
-            size: 1,
-        }
-    }
-    fn write(tid: u16, addr: usize) -> TraceEvent {
-        TraceEvent::Write {
-            tid: t(tid),
-            addr,
-            size: 1,
-        }
-    }
+    use crate::api::test_events::{read, read_n, t, write, write_n};
 
     #[test]
     fn detects_all_three_race_kinds() {
@@ -324,6 +259,34 @@ mod tests {
         let _ = d.process(&write(2, 0));
         // 1 (WAW) + n (read VC scan)
         assert_eq!(d.comparisons() - before, 1 + 8);
+    }
+
+    #[test]
+    fn a_racy_access_still_updates_every_byte() {
+        // Thread 1's write races at its first byte; thread 0's read of
+        // its upper half must see thread 1's write there, not its own.
+        let trace = [write_n(0, 60, 8), write_n(1, 60, 8), read_n(0, 64, 4)];
+        let races = run_detector(&mut FastTrack::new(2), &trace);
+        let found: Vec<_> = races.iter().map(|r| (r.kind, r.addr)).collect();
+        assert_eq!(found, [(FullRaceKind::Waw, 60), (FullRaceKind::Raw, 64)]);
+    }
+
+    #[test]
+    fn a_write_hands_its_read_clock_back() {
+        let mut d = FastTrack::new(4);
+        let base = d.metadata_bytes();
+        let _ = run_detector(&mut d, &[read(0, 0), read(1, 0)]);
+        // One byte: a write epoch and a 4-thread read clock.
+        assert_eq!(d.metadata_bytes() - base, 4 + 4 * 4);
+        let _ = run_detector(&mut d, &[write(2, 0), read(0, 0), read(1, 0)]);
+        assert_eq!(d.read_vc_inflations(), 2);
+        assert_eq!(
+            d.read_clocks.len(),
+            4,
+            "the second inflation reused the clock"
+        );
+        let _ = d.process(&write(3, 0));
+        assert_eq!(d.metadata_bytes() - base, 8);
     }
 
     #[test]

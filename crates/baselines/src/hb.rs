@@ -2,7 +2,7 @@
 //! lock vector clocks updated on synchronization events, exactly as in
 //! standard vector-clock race detectors (Section 2.3, [48]).
 
-use crate::api::{LockId, TraceEvent};
+use crate::api::{FullRaceKind, LockId, TraceEvent};
 use clean_core::{Epoch, EpochLayout, ThreadId, VectorClock};
 use std::collections::HashMap;
 
@@ -50,15 +50,25 @@ impl HbState {
         self.threads[tid.index()].element(tid)
     }
 
-    /// Applies a synchronization event; returns `false` for memory events
-    /// (which the engines handle themselves).
-    pub(crate) fn apply_sync(&mut self, event: &TraceEvent) -> bool {
+    /// Applies a synchronization event and returns `None`; returns a
+    /// memory event for the engine as `(tid, addr, size, kind)`, `kind`
+    /// being the race it makes with an unordered earlier write: WAW for a
+    /// write, RAW for a read.
+    pub(crate) fn apply(
+        &mut self,
+        event: &TraceEvent,
+    ) -> Option<(ThreadId, usize, usize, FullRaceKind)> {
         match *event {
+            TraceEvent::Read { tid, addr, size } => {
+                return Some((tid, addr, size, FullRaceKind::Raw))
+            }
+            TraceEvent::Write { tid, addr, size } => {
+                return Some((tid, addr, size, FullRaceKind::Waw))
+            }
             TraceEvent::Acquire { tid, lock } => {
                 if let Some(l) = self.locks.get(&lock) {
                     self.threads[tid.index()].join(l);
                 }
-                true
             }
             TraceEvent::Release { tid, lock } => {
                 let t = &mut self.threads[tid.index()];
@@ -67,7 +77,6 @@ impl HbState {
                     .or_insert_with(|| VectorClock::new(self.n, self.layout))
                     .join(t);
                 t.increment(tid).expect("trace clocks stay in range");
-                true
             }
             TraceEvent::Fork { parent, child } => {
                 let pvc = self.threads[parent.index()].clone();
@@ -77,21 +86,15 @@ impl HbState {
                 self.threads[parent.index()]
                     .increment(parent)
                     .expect("trace clocks stay in range");
-                true
             }
             TraceEvent::Join { parent, child } => {
                 let cvc = self.threads[child.index()].clone();
                 let p = &mut self.threads[parent.index()];
                 p.join(&cvc);
                 p.increment(parent).expect("trace clocks stay in range");
-                true
             }
-            TraceEvent::Read { .. } | TraceEvent::Write { .. } => false,
         }
-    }
-
-    pub(crate) fn reset(&mut self) {
-        *self = HbState::new(self.n, self.layout);
+        None
     }
 
     pub(crate) fn metadata_bytes(&self) -> usize {
@@ -99,9 +102,20 @@ impl HbState {
     }
 }
 
+/// The first thread whose access recorded in `clock` — one epoch per
+/// thread, zero for a thread with none — does not happen-before the
+/// thread of `vc`.
+pub(crate) fn first_unordered(clock: &[Epoch], vc: &VectorClock) -> Option<ThreadId> {
+    let t = clock
+        .iter()
+        .position(|&e| e != Epoch::ZERO && vc.races_with(e))?;
+    Some(ThreadId::new(t as u16))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::test_events::{read_n, write_n};
 
     #[test]
     fn acquire_joins_release() {
@@ -109,8 +123,8 @@ mod tests {
         let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
         let e0 = hb.epoch(t0);
         assert!(hb.vc(t1).races_with(e0), "initially unordered");
-        hb.apply_sync(&TraceEvent::Release { tid: t0, lock: 1 });
-        hb.apply_sync(&TraceEvent::Acquire { tid: t1, lock: 1 });
+        hb.apply(&TraceEvent::Release { tid: t0, lock: 1 });
+        hb.apply(&TraceEvent::Acquire { tid: t1, lock: 1 });
         assert!(!hb.vc(t1).races_with(e0), "ordered through the lock");
     }
 
@@ -119,7 +133,7 @@ mod tests {
         let mut hb = HbState::new(2, EpochLayout::paper_default());
         let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
         let pre = hb.epoch(t0);
-        hb.apply_sync(&TraceEvent::Fork {
+        hb.apply(&TraceEvent::Fork {
             parent: t0,
             child: t1,
         });
@@ -135,7 +149,7 @@ mod tests {
         let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
         let child_epoch = hb.epoch(t1);
         assert!(hb.vc(t0).races_with(child_epoch));
-        hb.apply_sync(&TraceEvent::Join {
+        hb.apply(&TraceEvent::Join {
             parent: t0,
             child: t1,
         });
@@ -143,12 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn memory_events_not_consumed() {
+    fn memory_events_come_back_as_accesses() {
         let mut hb = HbState::new(1, EpochLayout::paper_default());
-        assert!(!hb.apply_sync(&TraceEvent::Read {
-            tid: ThreadId::new(0),
-            addr: 0,
-            size: 4
-        }));
+        let (tid, before) = (ThreadId::new(0), hb.vc(ThreadId::new(0)).clone());
+        let access = hb.apply(&read_n(0, 0, 4));
+        assert_eq!(access, Some((tid, 0, 4, FullRaceKind::Raw)));
+        let access = hb.apply(&write_n(0, 8, 1));
+        assert_eq!(access, Some((tid, 8, 1, FullRaceKind::Waw)));
+        assert_eq!(*hb.vc(tid), before, "an access moves no clock");
     }
 }

@@ -13,6 +13,13 @@
 //! * [`TsanLike`] — a ThreadSanitizer-style imprecise detector (4 shadow
 //!   cells per 8-byte granule; can miss races).
 //!
+//! All four keep their per-location state in one sparse shadow table of
+//! 512-key pages, keyed by byte (by 8-byte granule for TSan-like), and
+//! walk an access's bytes by that table's one rule: every byte of an
+//! access is checked and updated, the first racy byte is the one
+//! reported, an access that wraps the address space checks nothing, and
+//! one that ends exactly at its top is checked like any other.
+//!
 //! The experiments use these to reproduce the paper's qualitative claims:
 //! CLEAN performs the fewest comparisons and keeps the smallest, most
 //! regular metadata, FastTrack additionally finds WAR races at the cost of
@@ -43,6 +50,7 @@ mod api;
 mod clean_engine;
 mod fasttrack;
 mod hb;
+mod page_table;
 mod tsanlike;
 mod vcfull;
 

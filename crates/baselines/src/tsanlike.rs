@@ -9,8 +9,8 @@
 
 use crate::api::{FoundRace, FullRaceKind, TraceDetector, TraceEvent};
 use crate::hb::HbState;
+use crate::page_table::PageTable;
 use clean_core::{EpochLayout, ThreadId};
-use std::collections::HashMap;
 
 /// Number of shadow cells per 8-byte granule (the paper's `k = 4`).
 pub const SHADOW_CELLS: usize = 4;
@@ -54,7 +54,10 @@ struct Granule {
 #[derive(Debug)]
 pub struct TsanLike {
     hb: HbState,
-    granules: HashMap<usize, Granule>,
+    /// One [`Granule`] per 8-byte granule of the address space.
+    granules: PageTable<Granule, { GRANULE.trailing_zeros() }>,
+    /// Granules ever accessed.
+    touched: usize,
     comparisons: u64,
     evictions: u64,
 }
@@ -64,7 +67,8 @@ impl TsanLike {
     pub fn new(num_threads: usize) -> Self {
         TsanLike {
             hb: HbState::new(num_threads, EpochLayout::paper_default()),
-            granules: HashMap::new(),
+            granules: PageTable::new(1),
+            touched: 0,
             comparisons: 0,
             evictions: 0,
         }
@@ -80,65 +84,6 @@ impl TsanLike {
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
-
-    fn access(
-        &mut self,
-        tid: ThreadId,
-        addr: usize,
-        size: usize,
-        is_write: bool,
-    ) -> Option<FoundRace> {
-        let layout = self.hb.layout();
-        let vc = self.hb.vc(tid).clone();
-        let my_clock = layout.clock(self.hb.epoch(tid));
-        let mut race = None;
-
-        let mut granule_addr = addr / GRANULE * GRANULE;
-        while granule_addr < addr + size {
-            let lo = addr.max(granule_addr) - granule_addr;
-            let hi = (addr + size).min(granule_addr + GRANULE) - granule_addr;
-            let g = self.granules.entry(granule_addr).or_default();
-            for cell in g.cells.iter().flatten() {
-                let c_lo = cell.off as usize;
-                let c_hi = c_lo + cell.len as usize;
-                let overlaps = c_lo < hi && lo < c_hi;
-                if !overlaps || cell.tid == tid || !(cell.is_write || is_write) {
-                    continue;
-                }
-                self.comparisons += 1;
-                let recorded = layout.pack(cell.tid, cell.clock);
-                if vc.races_with(recorded) {
-                    race.get_or_insert(FoundRace {
-                        kind: match (cell.is_write, is_write) {
-                            (true, true) => FullRaceKind::Waw,
-                            (true, false) => FullRaceKind::Raw,
-                            (false, true) => FullRaceKind::War,
-                            (false, false) => unreachable!("filtered above"),
-                        },
-                        addr: granule_addr + c_lo.max(lo),
-                        current: tid,
-                        previous: cell.tid,
-                    });
-                }
-            }
-            // Record this access, evicting round-robin (the precision
-            // loss the paper attributes to ThreadSanitizer).
-            let slot = g.next;
-            if g.cells[slot].is_some() {
-                self.evictions += 1;
-            }
-            g.cells[slot] = Some(ShadowCell {
-                tid,
-                clock: my_clock,
-                is_write,
-                off: lo as u8,
-                len: (hi - lo) as u8,
-            });
-            g.next = (g.next + 1) % SHADOW_CELLS;
-            granule_addr += GRANULE;
-        }
-        race
-    }
 }
 
 impl TraceDetector for TsanLike {
@@ -147,27 +92,74 @@ impl TraceDetector for TsanLike {
     }
 
     fn process(&mut self, event: &TraceEvent) -> Vec<FoundRace> {
-        if self.hb.apply_sync(event) {
+        let Some((tid, addr, size, kind)) = self.hb.apply(event) else {
             return Vec::new();
-        }
-        let found = match *event {
-            TraceEvent::Read { tid, addr, size } => self.access(tid, addr, size, false),
-            TraceEvent::Write { tid, addr, size } => self.access(tid, addr, size, true),
-            _ => unreachable!("sync handled above"),
         };
-        found.into_iter().collect()
+        let is_write = kind == FullRaceKind::Waw;
+        let layout = self.hb.layout();
+        let vc = self.hb.vc(tid);
+        let my_clock = layout.clock(self.hb.epoch(tid));
+        let (touched, comparisons) = (&mut self.touched, &mut self.comparisons);
+        let evictions = &mut self.evictions;
+        let mut race = None;
+        self.granules.walk(addr, size, true, |start, end, run| {
+            let first = start / GRANULE * GRANULE;
+            for (i, g) in run.iter_mut().enumerate() {
+                // The access's bytes in this granule, as offsets into it.
+                let granule_addr = first + i * GRANULE;
+                let lo = start.max(granule_addr) - granule_addr;
+                let hi = (end - granule_addr).min(GRANULE);
+                if g.cells[0].is_none() {
+                    *touched += 1;
+                }
+                for cell in g.cells.iter().flatten() {
+                    let c_lo = cell.off as usize;
+                    let c_hi = c_lo + cell.len as usize;
+                    let overlaps = c_lo < hi && lo < c_hi;
+                    if !overlaps || cell.tid == tid || !(cell.is_write || is_write) {
+                        continue;
+                    }
+                    *comparisons += 1;
+                    let recorded = layout.pack(cell.tid, cell.clock);
+                    if vc.races_with(recorded) {
+                        race.get_or_insert(FoundRace {
+                            kind: match (cell.is_write, is_write) {
+                                (true, true) => FullRaceKind::Waw,
+                                (true, false) => FullRaceKind::Raw,
+                                (false, true) => FullRaceKind::War,
+                                (false, false) => unreachable!("filtered above"),
+                            },
+                            addr: granule_addr + c_lo.max(lo),
+                            current: tid,
+                            previous: cell.tid,
+                        });
+                    }
+                }
+                // Record this access, evicting round-robin (the precision
+                // loss the paper attributes to ThreadSanitizer).
+                let slot = g.next;
+                if g.cells[slot].is_some() {
+                    *evictions += 1;
+                }
+                g.cells[slot] = Some(ShadowCell {
+                    tid,
+                    clock: my_clock,
+                    is_write,
+                    off: lo as u8,
+                    len: (hi - lo) as u8,
+                });
+                g.next = (g.next + 1) % SHADOW_CELLS;
+            }
+        });
+        Vec::from_iter(race)
     }
 
     fn reset(&mut self) {
-        self.hb.reset();
-        self.granules.clear();
-        self.comparisons = 0;
-        self.evictions = 0;
+        *self = TsanLike::new(self.hb.num_threads());
     }
 
     fn metadata_bytes(&self) -> usize {
-        self.hb.metadata_bytes()
-            + self.granules.len() * SHADOW_CELLS * std::mem::size_of::<ShadowCell>()
+        self.hb.metadata_bytes() + self.touched * SHADOW_CELLS * std::mem::size_of::<ShadowCell>()
     }
 }
 
@@ -175,24 +167,7 @@ impl TraceDetector for TsanLike {
 mod tests {
     use super::*;
     use crate::api::run_detector;
-
-    fn t(i: u16) -> ThreadId {
-        ThreadId::new(i)
-    }
-    fn read(tid: u16, addr: usize) -> TraceEvent {
-        TraceEvent::Read {
-            tid: t(tid),
-            addr,
-            size: 1,
-        }
-    }
-    fn write(tid: u16, addr: usize) -> TraceEvent {
-        TraceEvent::Write {
-            tid: t(tid),
-            addr,
-            size: 1,
-        }
-    }
+    use crate::api::test_events::{read, read_n, t, write, write_n};
 
     #[test]
     fn catches_recent_races_of_all_kinds() {
@@ -253,16 +228,8 @@ mod tests {
         let races = run_detector(
             &mut d,
             &[
-                TraceEvent::Write {
-                    tid: t(0),
-                    addr: 6,
-                    size: 4,
-                }, // spans granules 0 and 8
-                TraceEvent::Read {
-                    tid: t(1),
-                    addr: 8,
-                    size: 2,
-                },
+                write_n(0, 6, 4), // spans granules 0 and 8
+                read_n(1, 8, 2),
             ],
         );
         assert_eq!(races.len(), 1);

@@ -5,15 +5,9 @@
 //! FastTrack (and then CLEAN) improve upon.
 
 use crate::api::{FoundRace, FullRaceKind, TraceDetector, TraceEvent};
-use crate::hb::HbState;
-use clean_core::{EpochLayout, ThreadId, VectorClock};
-use std::collections::HashMap;
-
-#[derive(Debug, Clone)]
-struct Cell {
-    reads: VectorClock,
-    writes: VectorClock,
-}
+use crate::hb::{first_unordered, HbState};
+use crate::page_table::PageTable;
+use clean_core::{Epoch, EpochLayout};
 
 /// The unoptimized full vector-clock detector (WAW + RAW + WAR).
 ///
@@ -33,7 +27,12 @@ struct Cell {
 #[derive(Debug)]
 pub struct VcFullDetector {
     hb: HbState,
-    cells: HashMap<usize, Cell>,
+    /// Per byte, `2n` epochs: its read clock, then its write clock. An
+    /// element is the epoch of that thread's last read or write of the
+    /// byte, or zero if it has none.
+    clocks: PageTable<Epoch>,
+    /// Bytes ever accessed.
+    touched: usize,
     comparisons: u64,
 }
 
@@ -42,7 +41,8 @@ impl VcFullDetector {
     pub fn new(num_threads: usize) -> Self {
         VcFullDetector {
             hb: HbState::new(num_threads, EpochLayout::paper_default()),
-            cells: HashMap::new(),
+            clocks: PageTable::new(2 * num_threads),
+            touched: 0,
             comparisons: 0,
         }
     }
@@ -50,26 +50,6 @@ impl VcFullDetector {
     /// Clock comparisons performed so far.
     pub fn comparisons(&self) -> u64 {
         self.comparisons
-    }
-
-    /// Finds a thread whose recorded access in `recorded` does not
-    /// happen-before the current thread (an unordered prior access).
-    fn find_conflict(
-        &mut self,
-        recorded: &VectorClock,
-        current: &VectorClock,
-        n: usize,
-    ) -> Option<ThreadId> {
-        self.comparisons += n as u64;
-        let layout = recorded.layout();
-        for i in 0..n {
-            let t = ThreadId::new(i as u16);
-            let e = recorded.element(t);
-            if layout.clock(e) != 0 && current.races_with(e) {
-                return Some(t);
-            }
-        }
-        None
     }
 }
 
@@ -79,70 +59,53 @@ impl TraceDetector for VcFullDetector {
     }
 
     fn process(&mut self, event: &TraceEvent) -> Vec<FoundRace> {
-        if self.hb.apply_sync(event) {
+        let Some((tid, addr, size, write_kind)) = self.hb.apply(event) else {
             return Vec::new();
-        }
-        let n = self.hb.num_threads();
-        let layout = self.hb.layout();
-        let (tid, addr, size, is_read) = match *event {
-            TraceEvent::Read { tid, addr, size } => (tid, addr, size, true),
-            TraceEvent::Write { tid, addr, size } => (tid, addr, size, false),
-            _ => unreachable!("sync handled above"),
         };
-        let current = self.hb.vc(tid).clone();
-        let my_clock = layout.clock(self.hb.epoch(tid));
-        let mut races = Vec::new();
-        for a in addr..addr + size {
-            let cell = match self.cells.get(&a) {
-                Some(c) => c.clone(),
-                None => Cell {
-                    reads: VectorClock::new(n, layout),
-                    writes: VectorClock::new(n, layout),
-                },
-            };
-            // Always check against prior writes.
-            if let Some(prev) = self.find_conflict(&cell.writes, &current, n) {
-                races.push(FoundRace {
-                    kind: if is_read {
-                        FullRaceKind::Raw
-                    } else {
-                        FullRaceKind::Waw
-                    },
-                    addr: a,
-                    current: tid,
-                    previous: prev,
-                });
-            }
-            // Writes additionally check against prior reads (WAR).
-            if !is_read {
-                if let Some(prev) = self.find_conflict(&cell.reads, &current, n) {
-                    races.push(FoundRace {
-                        kind: FullRaceKind::War,
-                        addr: a,
+        let n = self.hb.num_threads();
+        let is_write = write_kind == FullRaceKind::Waw;
+        let current = self.hb.vc(tid);
+        let my_epoch = self.hb.epoch(tid);
+        let (touched, comparisons) = (&mut self.touched, &mut self.comparisons);
+        let mut find_conflict = |recorded: &[Epoch]| {
+            *comparisons += n as u64;
+            first_unordered(recorded, current)
+        };
+        let mut first = None;
+        self.clocks.walk(addr, size, true, |lo, _, cells| {
+            for (i, byte) in cells.chunks_exact_mut(2 * n).enumerate() {
+                if byte.iter().all(|&e| e == Epoch::ZERO) {
+                    *touched += 1;
+                }
+                let (reads, writes) = byte.split_at_mut(n);
+                // Always check against prior writes; writes additionally
+                // check against prior reads (WAR).
+                let mut race = find_conflict(writes).map(|prev| (write_kind, prev));
+                if is_write {
+                    race = race.or(find_conflict(reads).map(|prev| (FullRaceKind::War, prev)));
+                    writes[tid.index()] = my_epoch;
+                } else {
+                    reads[tid.index()] = my_epoch;
+                }
+                if let (None, Some((kind, previous))) = (first, race) {
+                    first = Some(FoundRace {
+                        kind,
+                        addr: lo + i,
                         current: tid,
-                        previous: prev,
+                        previous,
                     });
                 }
             }
-            let cell = self.cells.entry(a).or_insert(cell);
-            if is_read {
-                cell.reads.set_clock(tid, my_clock);
-            } else {
-                cell.writes.set_clock(tid, my_clock);
-            }
-        }
-        races.truncate(1);
-        races
+        });
+        Vec::from_iter(first)
     }
 
     fn reset(&mut self) {
-        self.hb.reset();
-        self.cells.clear();
-        self.comparisons = 0;
+        *self = VcFullDetector::new(self.hb.num_threads());
     }
 
     fn metadata_bytes(&self) -> usize {
-        self.hb.metadata_bytes() + self.cells.len() * self.hb.num_threads() * 8
+        self.hb.metadata_bytes() + self.touched * self.hb.num_threads() * 8
     }
 }
 
@@ -150,24 +113,7 @@ impl TraceDetector for VcFullDetector {
 mod tests {
     use super::*;
     use crate::api::run_detector;
-
-    fn t(i: u16) -> ThreadId {
-        ThreadId::new(i)
-    }
-    fn read(tid: u16, addr: usize) -> TraceEvent {
-        TraceEvent::Read {
-            tid: t(tid),
-            addr,
-            size: 1,
-        }
-    }
-    fn write(tid: u16, addr: usize) -> TraceEvent {
-        TraceEvent::Write {
-            tid: t(tid),
-            addr,
-            size: 1,
-        }
-    }
+    use crate::api::test_events::{read, t, write};
 
     #[test]
     fn detects_all_three_kinds() {

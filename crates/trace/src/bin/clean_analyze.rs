@@ -433,10 +433,11 @@ fn cmd_diff(rest: &[String]) -> Result<ExitCode, CliError> {
     let [path] = &args[..] else {
         return Err("diff takes exactly one trace file".into());
     };
-    let events = read_trace(path).map_err(trace_err)?;
+    // Each engine streams the file, as `replay` does: no engine holds
+    // the events, and only one engine's state is alive at a time.
     let verdicts: Vec<(EngineKind, Vec<FoundRace>)> = EngineKind::ALL
         .iter()
-        .map(|&k| Ok((k, Replay::new(k).lanes(shards).events(&events)?.races)))
+        .map(|&k| Ok((k, Replay::new(k).lanes(shards).file(path)?.races)))
         .collect::<clean_trace::Result<_>>()
         .map_err(trace_err)?;
     for (kind, races) in &verdicts {

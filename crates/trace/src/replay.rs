@@ -18,11 +18,14 @@
 //! and of the memory events only its part: the [`SHARD_GRANULE`]-byte
 //! address granules go round-robin, so lane `i` of `n` owns the granules
 //! congruent to `i` modulo `n`, and an access that crosses granules is
-//! clipped to each one the lane owns. One lane is the same: a thread
-//! behind the producer, taking every event as it is — exactly what a
-//! sequential replay feeds its detector — so decoding overlaps checking
-//! at every lane count, and sequential replay is lane count 1 of the same
-//! code. The last lane through a batch hands its allocation back to the
+//! clipped to each one the lane owns. The lane's detector sees its
+//! granules packed end to end — granule `g` at lane-local granule
+//! `g / n` — so its page table holds only the lane's own bytes, and `n`
+//! lanes hold one table's worth between them. One lane is the same: a
+//! thread behind the producer, taking every event as it is — exactly
+//! what a sequential replay feeds its detector — so decoding overlaps
+//! checking at every lane count, and sequential replay is lane count 1
+//! of the same code. The last lane through a batch hands its allocation back to the
 //! producer for reuse, and at most `QUEUE_CAP` batches wait for the
 //! slowest lane, so decoded-but-unreplayed events stay bounded by
 //! `QUEUE_CAP × BATCH_EVENTS` whatever the lane count.
@@ -47,18 +50,13 @@
 //! its shard — sharded and sequential replay agree race-for-race. The
 //! granule is a multiple of every engine's internal granularity
 //! (TSan-like shadow cells use 8-byte granules), so no engine's location
-//! state straddles two lanes. Each engine reports at most one race per
-//! event (the first racy byte in address order), so the merge keeps, per
-//! event index, the race with the lowest address — reproducing the
-//! sequential "first racy byte" exactly.
-//!
-//! One caveat, checked empirically by the agreement tests: FastTrack
-//! stops updating an access's remaining bytes after its first racy byte,
-//! so an access that both *straddles a granule boundary* and *races in
-//! the lower granule* could leave higher-granule bytes updated where
-//! sequential replay left them alone. The workloads' racy accesses are
-//! aligned word-size probes inside one granule, where the semantics
-//! coincide.
+//! state straddles two lanes; packing a lane's granules keeps each
+//! byte's offset in its granule, so it only renames locations, one to
+//! one and in address order inside a granule. Each engine checks and
+//! updates every byte of an access, racy or not, and reports at most one
+//! race per event (the first racy byte in address order), so the merge
+//! keeps, per event index, the race with the lowest address —
+//! reproducing the sequential "first racy byte" exactly.
 
 use crate::error::{Result, TraceError};
 use crate::reader::TraceReader;
@@ -306,26 +304,25 @@ impl Lane {
     /// Replays one shared batch whose first event has index `base`: feeds
     /// the detector this lane's part of each event. The only lane takes
     /// every event as it is — exactly what a sequential replay feeds its
-    /// detector — and so does one of several for a sync event or an
-    /// access inside one granule it owns. An access that crosses granules
-    /// is clipped to each one the lane owns; one without a [`span`] is no
-    /// lane's.
+    /// detector — and so does one of several for a sync event. An access
+    /// is clipped to each granule the lane owns; one without a [`span`]
+    /// is no lane's.
     fn replay(&mut self, base: usize, batch: &[TraceEvent]) {
         for (idx, ev) in (base..).zip(batch) {
             if self.lanes == 1 || !ev.is_memory() {
                 self.check(idx, ev);
             } else if let Some(span) = span(ev) {
-                match self.first_owned(span.2, span.3) {
-                    Some(_) if span.2 == span.3 => self.check(idx, ev),
-                    Some(granule) => self.clipped(idx, ev, span, granule),
-                    None => {}
+                if let Some(granule) = self.first_owned(span.2, span.3) {
+                    self.clipped(idx, ev, span, granule);
                 }
             }
         }
     }
 
     /// Feeds the detector each piece of `ev` that falls in a granule this
-    /// lane owns, from `granule` — the first of them — on.
+    /// lane owns, from `granule` — the first of them — on, at its
+    /// [`local`](Self::local) address; a race comes back at the address
+    /// in the trace.
     fn clipped(
         &mut self,
         idx: usize,
@@ -336,15 +333,31 @@ impl Lane {
         while granule <= last {
             let lo = addr.max(granule * SHARD_GRANULE);
             let hi = end.min((granule + 1).saturating_mul(SHARD_GRANULE));
-            let (addr, size) = (lo, hi - lo);
+            let (addr, size) = (self.local(lo), hi - lo);
             let piece = match *ev {
                 TraceEvent::Read { tid, .. } => TraceEvent::Read { tid, addr, size },
                 TraceEvent::Write { tid, .. } => TraceEvent::Write { tid, addr, size },
                 _ => unreachable!("only memory events have a span"),
             };
-            self.check(idx, &piece);
+            for mut race in self.det.process(&piece) {
+                race.addr = self.global(race.addr);
+                self.found.push((idx, race));
+            }
             granule += self.lanes;
         }
+    }
+
+    /// The address this lane's detector sees for `addr`, in a granule the
+    /// lane owns: the lane's granules packed end to end, so its detector
+    /// tables hold the lane's own bytes and no page of its neighbours'.
+    fn local(&self, addr: usize) -> usize {
+        addr / SHARD_GRANULE / self.lanes * SHARD_GRANULE + addr % SHARD_GRANULE
+    }
+
+    /// The trace address of `local`, the inverse of [`local`](Self::local).
+    fn global(&self, local: usize) -> usize {
+        let granule = local / SHARD_GRANULE * self.lanes + self.index;
+        granule * SHARD_GRANULE + local % SHARD_GRANULE
     }
 }
 
@@ -578,8 +591,8 @@ mod tests {
     }
 
     /// What each of `lanes` lanes feeds its detector when a batch holding
-    /// only `ev` reaches it.
-    fn fed(ev: &TraceEvent, lanes: usize) -> Vec<Vec<TraceEvent>> {
+    /// only `ev` reaches it, as it sees it: at lane-local addresses.
+    fn fed_local(ev: &TraceEvent, lanes: usize) -> Vec<Vec<TraceEvent>> {
         (0..lanes)
             .map(|index| {
                 let seen = Arc::new(Mutex::new(Vec::new()));
@@ -588,6 +601,43 @@ mod tests {
                 seen
             })
             .collect()
+    }
+
+    /// [`fed_local`], each access put back at its address in the trace.
+    fn fed(ev: &TraceEvent, lanes: usize) -> Vec<Vec<TraceEvent>> {
+        let mut fed = fed_local(ev, lanes);
+        for (index, pieces) in fed.iter_mut().enumerate() {
+            let lane = lane(index, lanes, &Arc::default());
+            for piece in pieces {
+                if let TraceEvent::Read { addr, .. } | TraceEvent::Write { addr, .. } = piece {
+                    *addr = lane.global(*addr);
+                }
+            }
+        }
+        fed
+    }
+
+    #[test]
+    fn a_lane_sees_its_granules_packed_end_to_end() {
+        let write = |addr, size| TraceEvent::Write {
+            tid: ThreadId::new(0),
+            addr,
+            size,
+        };
+        // Of four lanes, lane 2 owns granule 42 = 10 * 4 + 2 as its
+        // eleventh; the only lane sees every address as it is.
+        let g = SHARD_GRANULE;
+        let fed = fed_local(&write(42 * g + 5, 3), 4);
+        assert_eq!(fed[2], [write(10 * g + 5, 3)]);
+        assert_eq!(
+            fed_local(&write(42 * g + 5, 3), 1),
+            [[write(42 * g + 5, 3)]]
+        );
+        // The top granule of the address space, at every owner.
+        for lanes in 2..=5 {
+            let lane = lane(usize::MAX / g % lanes, lanes, &Arc::default());
+            assert_eq!(lane.global(lane.local(usize::MAX)), usize::MAX);
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   with every lane thread joined.
 //! * **Crafted events** — CRC-valid streams holding a zero-size, an
 //!   oversized or an address-wrapping access are refused by every path
-//!   that reads them, and so is a file that names too many threads.
+//!   that reads them, and so is a file that names too many threads;
+//!   every engine checks nothing of such an access in a slice, and checks
+//!   one that ends at the top of the address space.
 
-use clean_baselines::{run_detector, FoundRace};
+use clean_baselines::{run_detector, FoundRace, FullRaceKind};
 use clean_core::{ThreadId, TraceEvent};
 use clean_trace::codec::{crc32, FORMAT_VERSION, MAGIC};
 use clean_trace::{
@@ -41,8 +43,9 @@ fn w(tid: u16, addr: usize, size: usize) -> TraceEvent {
 
 /// Forks, disjoint bulk writes, reads, a locked region, accesses that
 /// straddle a 64-byte granule (one race-free, one racing in its upper
-/// granule), one that covers six granules, and races against both plain
-/// and locked writes.
+/// granule, one racing in its lower granule and then read in its upper
+/// one), one that covers six granules, and races against both plain and
+/// locked writes.
 fn matrix_trace() -> Vec<TraceEvent> {
     let mut ev = vec![
         TraceEvent::Fork {
@@ -83,6 +86,16 @@ fn matrix_trace() -> Vec<TraceEvent> {
     ev.push(TraceEvent::Read {
         tid: t(2),
         addr: 4094 + 64,
+        size: 4,
+    });
+    // Bytes 12284..12292 span granules 191 and 192: thread 1's write
+    // races with thread 0's in the lower granule, and thread 0's read of
+    // the upper one then races with thread 1's write there.
+    ev.push(w(0, 12284, 8));
+    ev.push(w(1, 12284, 8));
+    ev.push(TraceEvent::Read {
+        tid: t(0),
+        addr: 12288,
         size: 4,
     });
     ev.push(TraceEvent::Join {
@@ -127,6 +140,12 @@ fn every_engine_source_and_lane_count_matches_the_sequential_detector() {
         assert!(
             expected.iter().any(|r| r.addr == 8192 + 200),
             "{kind} missed the race inside the six-granule write"
+        );
+        assert!(
+            expected
+                .iter()
+                .any(|r| r.addr == 12288 && r.kind == FullRaceKind::Raw),
+            "{kind} did not update the upper granule of a write that raced in its lower one"
         );
         for lanes in [1, 2, 3, 8] {
             let replay = Replay::new(kind).lanes(lanes);
@@ -293,8 +312,9 @@ fn crafted_empty_oversized_and_wrapping_accesses_are_refused_on_every_path() {
     assert_eq!(summary.events, 1);
     assert_eq!(TraceReader::new(&bytes[..]).unwrap().count(), 1);
 
-    // A slice can still carry such events; the CLEAN engine checks no
-    // byte of an empty or a wrapping access, at any lane count.
+    // A slice can still carry such events; no engine checks a byte of an
+    // empty or a wrapping access, at any lane count. An access may end
+    // exactly at the top of the address space, in a slice or a file.
     let top = usize::MAX - 3;
     let slice = [
         w(0, 0, 0),
@@ -304,15 +324,28 @@ fn crafted_empty_oversized_and_wrapping_accesses_are_refused_on_every_path() {
         w(0, 128, 4),
         w(1, 128, 4),
     ];
-    let one = Replay::new(EngineKind::Clean).events(&slice).unwrap();
-    assert_eq!(one.races.len(), 1);
-    for lanes in [2, 3] {
-        let many = Replay::new(EngineKind::Clean)
-            .lanes(lanes)
-            .events(&slice)
-            .unwrap();
-        assert_eq!(many.races, one.races);
+    let last = usize::MAX - 8;
+    let path = scratch("crafted-top.cltr");
+    write_trace(
+        &path,
+        &[w(1, last, 8), w(0, 128, 4), w(1, 128, 4), w(0, last, 8)],
+    )
+    .unwrap();
+    for kind in EngineKind::ALL {
+        let one = Replay::new(kind);
+        let (in_slice, in_file) = (one.events(&slice).unwrap(), one.file(&path).unwrap());
+        assert_eq!(in_slice.races.len(), 1, "{kind}: {:?}", in_slice.races);
+        assert_eq!(in_slice.races[0].addr, 128);
+        let at: Vec<usize> = in_file.races.iter().map(|r| r.addr).collect();
+        assert_eq!(at, [128, last], "{kind}");
+        // At three lanes the top granule has another owner than at two.
+        for lanes in [2, 3] {
+            let many = Replay::new(kind).lanes(lanes);
+            assert_eq!(many.events(&slice).unwrap().races, in_slice.races);
+            assert_eq!(many.file(&path).unwrap().races, in_file.races);
+        }
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
