@@ -26,13 +26,6 @@
 //! plan-on run in alternating pairs too; headline `plan_speedup` is the median
 //! per-pair ratio on `plan_private`.
 //!
-//! **Obs**: the observability-bridge ablation — the `sfr_local` shape
-//! on one thread through the fast path with and without a `DetectorObs`
-//! counters bundle attached, in alternating off/on pairs. The bridge
-//! mirrors only at SFR drains, so the median per-pair attach cost must
-//! stay under 2% throughput; detached it is one untaken branch per drain
-//! (0%, asserted by construction, reported for the record).
-//!
 //! **Offline**: a synthetic multi-thread trace (~1 GiB at the full
 //! profile) replayed off disk through the CLEAN engine by the one replay
 //! engine (`Replay::file`) at one lane and at N lanes (N = the host's
@@ -54,13 +47,13 @@
 //! Results land in `BENCH_hotpath.json` (override with `--out`).
 //! `--check-baseline <file>` re-reads a checked-in result and fails the
 //! run (exit 1) if a headline ratio regressed by more than 20%.
-//! `--small` selects the quick CI profile: half-length online, obs and
-//! plan cells and a 24 MiB offline trace. `CLEAN_THREADS` and
+//! `--small` selects the quick CI profile: half-length online and plan
+//! cells and a 24 MiB offline trace. `CLEAN_THREADS` and
 //! `CLEAN_REPS` scale the online part as for the other experiments.
 
 use clean_bench::{env_reps, env_threads, fmt_pct, fmt_x, measure, trace_dir, Table};
 use clean_core::{
-    CheckPlan, CleanDetector, CompiledPlan, DetectorConfig, DetectorObs, PlanAction, PlanEntry,
+    CheckPlan, CleanDetector, CompiledPlan, DetectorConfig, PlanAction, PlanEntry,
     ThreadCheckState, ThreadId, TraceEvent, VectorClock, Witness,
 };
 use clean_trace::{EngineKind, Replay, TraceReader, TraceWriter};
@@ -91,16 +84,6 @@ impl Entry {
 /// Alternating pairs per online profile (fast path/stateless) and per
 /// plan profile (plan-off/plan-on).
 const PAIRS: usize = 5;
-
-/// Obs-off/obs-on pairs of the observability ablation.
-const OBS_PAIRS: usize = 21;
-
-/// Threads of the observability ablation. The bridge's cost is per SFR
-/// drain and per thread (its counters are per-thread shards), so one
-/// thread carries all of it; more threads than cores only add scheduler
-/// noise (per-pair spread about ±20% at 4 threads on 2 vCPUs, well under
-/// ±1% at one).
-const OBS_THREADS: usize = 1;
 
 /// An online workload shape. Each thread owns a disjoint `region`-byte
 /// slice of the heap and, per synchronization-free region, writes its
@@ -152,17 +135,13 @@ struct CellResult {
 }
 
 /// Runs one profile through one entry point and returns the throughput of
-/// the best of `reps` timed repetitions. When `obs_registry` is set, a
-/// [`DetectorObs`] counters bundle on that registry is attached to the
-/// detector (the observability-ablation cells); `None` leaves the
-/// detector exactly as shipped.
+/// the best of `reps` timed repetitions.
 fn run_online_cell(
     profile: &Profile,
     entry: Entry,
     threads: usize,
     ops_per_thread: u64,
     reps: usize,
-    obs_registry: Option<&clean_obs::Registry>,
 ) -> CellResult {
     let sweep_ops = profile.words * profile.revisits;
     let hot_ops = sweep_ops.checked_div(profile.hot_every).unwrap_or(0);
@@ -170,11 +149,7 @@ fn run_online_cell(
     let phases = (ops_per_thread / phase_ops).max(1);
     let accesses = phases * phase_ops * threads as u64;
     let (best, snap) = measure(reps, || {
-        let mut det = CleanDetector::new(threads * profile.region, DetectorConfig::new());
-        if let Some(registry) = obs_registry {
-            det.attach_obs(DetectorObs::new(registry));
-        }
-        let det = &det;
+        let det = &CleanDetector::new(threads * profile.region, DetectorConfig::new());
         let layout = det.layout();
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -658,7 +633,7 @@ fn main() {
     for profile in &PROFILES {
         println!("online profile `{}`:", profile.name);
         let mut t = Table::new(&["entry", "Macc/s", "filter hits"]);
-        let cell = |entry| run_online_cell(profile, entry, threads, ops_per_thread, reps, None);
+        let cell = |entry| run_online_cell(profile, entry, threads, ops_per_thread, reps);
         let (fast, plain) = paired(PAIRS, || cell(Entry::FastPath), || cell(Entry::Stateless));
         // Every profile carries *some* write redundancy (revisits or the
         // hot accumulator): a filter that never engages means the fast
@@ -704,52 +679,6 @@ fn main() {
             cells_json.join(",\n      ")
         ));
     }
-
-    // ---- observability ablation ----
-    // The detector obs bridge mirrors counters only at SFR drains (and
-    // race reports), never per access, so attaching it must cost under
-    // 2% on the drain-heaviest shape; detached, the check path is the
-    // shipped code plus one untaken branch per drain — 0% by
-    // construction, reported as such. The true cost is far below
-    // run-to-run machine drift, so the gate reads the median of the
-    // per-pair costs.
-    println!(
-        "observability bridge (obs-on vs obs-off, sfr_local fast path, {OBS_THREADS} thread, {OBS_PAIRS} pairs):"
-    );
-    let obs_registry = clean_obs::Registry::new();
-    let cell = |registry| {
-        run_online_cell(
-            &PROFILES[0],
-            Entry::FastPath,
-            OBS_THREADS,
-            ops_per_thread,
-            reps,
-            registry,
-        )
-    };
-    let (offs, ons) = paired(OBS_PAIRS, || cell(None), || cell(Some(&obs_registry)));
-    let costs: Vec<f64> = offs
-        .iter()
-        .zip(&ons)
-        .map(|(off, on)| 1.0 - on.maccesses_per_sec / off.maccesses_per_sec)
-        .collect();
-    let obs_snap = obs_registry.snapshot();
-    assert!(
-        obs_snap.counter("detector_sfr_drains", &[]).unwrap_or(0) > 0,
-        "obs-on cell must actually mirror drains into the registry"
-    );
-    let (obs_off, obs_on, obs_cost) = (median_rate(&offs), median_rate(&ons), median(&costs));
-    let per_pair: Vec<String> = costs.iter().map(|c| format!("{:.1}%", c * 100.0)).collect();
-    println!(
-        "  per-pair attach cost [{}]\n  median obs-off {obs_off:.1} Macc/s vs obs-on {obs_on:.1} Macc/s; median per-pair attach cost {:.2}% (budget 2%; negative = on ran faster), 0% detached\n",
-        per_pair.join(", "),
-        obs_cost * 100.0
-    );
-    assert!(
-        obs_cost < 0.02,
-        "attaching DetectorObs cost {:.2}% throughput (median of {OBS_PAIRS} pairs), over the 2% budget",
-        obs_cost * 100.0
-    );
 
     // ---- static check-plan ablation ----
     println!("static check plan (plan-on vs plan-off, fast path, median of {PAIRS} pairs):");
@@ -800,18 +729,13 @@ fn main() {
 
     // ---- JSON report ----
     let json = format!(
-        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_replay_over_decode\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"obs\": {{\n    \"threads\": {},\n    \"pairs\": {},\n    \"off_maccesses_per_sec\": {:.3},\n    \"on_maccesses_per_sec\": {:.3},\n    \"on_cost\": {:.4},\n    \"off_cost\": 0.0\n  }},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"decode_secs\": {:.3},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"lane_speedup\": {:.3},\n    \"batches\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"hotpath\",\n  \"profile\": \"{}\",\n  \"threads\": {},\n  \"reps\": {},\n  \"online_speedup\": {:.3},\n  \"offline_replay_over_decode\": {:.3},\n  \"plan_speedup\": {:.3},\n  \"verdicts_diverged\": {},\n  \"online_profiles\": [\n{}\n  ],\n  \"plan_profiles\": [\n{}\n  ],\n  \"offline\": {{\n    \"host\": {{\"available_parallelism\": {}, \"lanes\": {}, \"profile\": \"{}\"}},\n    \"events\": {},\n    \"bytes\": {},\n    \"decode_secs\": {:.3},\n    \"one_lane_secs\": {:.3},\n    \"lanes_secs\": {:.3},\n    \"lane_speedup\": {:.3},\n    \"batches\": {},\n    \"races_found\": {},\n    \"races_agree\": {}\n  }}\n}}\n",
         if small { "small" } else { "full" },
         threads,
         reps,
         online_speedup,
         offline_replay_over_decode,
         plan_speedup,
-        OBS_THREADS,
-        OBS_PAIRS,
-        obs_off,
-        obs_on,
-        obs_cost,
         !off.races_agree,
         json_profiles.join(",\n"),
         json_plans.join(",\n"),
@@ -835,11 +759,10 @@ fn main() {
     std::fs::write(&out, &json).expect("write result JSON");
     println!("wrote {}", out.display());
     println!(
-        "headline: online (sfr_local check_write_with vs check_write) {}, offline (1-lane replay over decode) {}, plan (plan_private on vs off) {}, obs attach cost {:.2}%",
+        "headline: online (sfr_local check_write_with vs check_write) {}, offline (1-lane replay over decode) {}, plan (plan_private on vs off) {}",
         fmt_x(online_speedup),
         fmt_x(offline_replay_over_decode),
         fmt_x(plan_speedup),
-        obs_cost * 100.0
     );
 
     // ---- regression gate ----

@@ -134,49 +134,6 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Bridge from the detector into a `clean-obs` metrics registry.
-///
-/// The detector's own [`DetectorStats`] shards stay the source of truth
-/// for every per-access quantity; this bundle only mirrors the *rare*
-/// events into registry counters — SFR-boundary drains (where the
-/// deferred check statistics land) and race reports (when the counts
-/// that hold them are flushed). Nothing on the per-access check path
-/// touches these counters, so attaching observers costs a handful of
-/// relaxed atomics per SFR, and a detector without one pays a single
-/// never-taken branch per drain.
-#[derive(Debug, Clone)]
-pub struct DetectorObs {
-    /// Non-empty [`CleanDetector::drain_check_state`] calls — roughly
-    /// one per SFR that checked at least one access.
-    drains: clean_obs::Counter,
-    /// Filter-answered checks, mirrored from the drained pendings.
-    filter_hits: clean_obs::Counter,
-    /// Plan-elided checks, mirrored from the drained pendings.
-    plan_elided: clean_obs::Counter,
-    /// Races reported (WAW + RAW).
-    races: clean_obs::Counter,
-}
-
-impl DetectorObs {
-    /// Registers the detector counters (`detector_sfr_drains`,
-    /// `detector_filter_hits`, `detector_plan_elided`,
-    /// `detector_races_total`) in `registry`.
-    pub fn new(registry: &clean_obs::Registry) -> Self {
-        DetectorObs {
-            drains: registry.counter("detector_sfr_drains"),
-            filter_hits: registry.counter("detector_filter_hits"),
-            plan_elided: registry.counter("detector_plan_elided"),
-            races: registry.counter("detector_races_total"),
-        }
-    }
-
-    /// Like [`DetectorObs::new`] against the process-wide
-    /// [`clean_obs::global`] registry.
-    pub fn global() -> Self {
-        Self::new(clean_obs::global())
-    }
-}
-
 /// The precise WAW/RAW race detector of CLEAN.
 ///
 /// One detector instance is shared by all threads of a monitored program;
@@ -209,9 +166,6 @@ pub struct CleanDetector {
     stats: DetectorStats,
     /// Striped check locks, used only under `PerCheckLocking`.
     check_locks: Box<[Mutex<()>]>,
-    /// Optional metrics bridge, consulted only at SFR drains and race
-    /// reports — never on the per-access path.
-    obs: Option<DetectorObs>,
 }
 
 impl CleanDetector {
@@ -223,16 +177,7 @@ impl CleanDetector {
             config,
             stats: DetectorStats::new(),
             check_locks: (0..LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
-            obs: None,
         }
-    }
-
-    /// Attaches a metrics bridge, mirroring SFR drains and race reports
-    /// into `clean-obs` counters. Must be called before the detector is
-    /// shared across threads (it takes `&mut self`); detectors without a
-    /// bridge pay nothing beyond one never-taken branch per drain.
-    pub fn attach_obs(&mut self, obs: DetectorObs) {
-        self.obs = Some(obs);
     }
 
     /// Serializes a check under the striped lock table when the
@@ -277,17 +222,6 @@ impl CleanDetector {
     /// entry points leave nothing pending.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Adds `p` into `tid`'s stats shard and mirrors its races into the
-    /// metrics bridge: the one way check-path counts reach shared state.
-    fn flush(&self, tid: ThreadId, p: &PendingStats) {
-        self.stats.absorb(tid.index(), p);
-        if p.races_reported != 0 {
-            if let Some(obs) = &self.obs {
-                obs.races.add(p.races_reported);
-            }
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -340,7 +274,7 @@ impl CleanDetector {
         };
         let _guard = self.check_guard(addr);
         let result = self.read_body(&mut pending, vc, tid, addr, size);
-        self.flush(tid, &pending);
+        self.stats.absorb(tid.index(), &pending);
         result
     }
 
@@ -450,7 +384,7 @@ impl CleanDetector {
         let _guard = self.check_guard(addr);
         let new_epoch = vc.write_epoch(tid);
         let result = self.write_body(&mut pending, vc, tid, addr, size, new_epoch);
-        self.flush(tid, &pending);
+        self.stats.absorb(tid.index(), &pending);
         result
     }
 
@@ -603,12 +537,7 @@ impl CleanDetector {
         if p.is_empty() {
             return;
         }
-        self.flush(tid, &p);
-        if let Some(obs) = &self.obs {
-            obs.drains.inc();
-            obs.filter_hits.add(p.filter_hits);
-            obs.plan_elided.add(p.plan_elided);
-        }
+        self.stats.absorb(tid.index(), &p);
     }
 
     /// The epoch currently recorded for data byte `addr` (test/diagnostic
@@ -1174,39 +1103,6 @@ mod tests {
         assert_eq!(det.epoch_at(0xfc), vc.write_epoch(t0));
         det.drain_check_state(t0, &mut st);
         assert_eq!(det.stats().writes_checked, 1);
-    }
-
-    #[test]
-    fn obs_bridge_mirrors_drains_and_races() {
-        let registry = clean_obs::Registry::new();
-        let mut det = CleanDetector::new(1 << 16, DetectorConfig::new());
-        det.attach_obs(DetectorObs::new(&registry));
-        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
-        let mut vc0 = VectorClock::new(2, det.layout());
-        let vc1 = VectorClock::new(2, det.layout());
-        vc0.increment(t0).unwrap();
-        let mut st = ThreadCheckState::new();
-        det.check_write_with(&vc0, t0, 0, 8, &mut st).unwrap();
-        det.check_write_with(&vc0, t0, 0, 8, &mut st).unwrap();
-        det.check_read_with(&vc0, t0, 0, 8, &mut st).unwrap();
-        // Nothing reaches the registry until the SFR-boundary drain.
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("detector_filter_hits", &[]), Some(0));
-        det.drain_check_state(t0, &mut st);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("detector_sfr_drains", &[]), Some(1));
-        assert_eq!(snap.counter("detector_filter_hits", &[]), Some(2));
-        assert_eq!(snap.counter("detector_races_total", &[]), Some(0));
-        // A stateless check flushes its counts, and so its race, at once.
-        det.check_write(&vc1, t1, 0, 8).unwrap_err();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("detector_races_total", &[]), Some(1));
-        // An empty drain mirrors nothing.
-        det.drain_check_state(t0, &mut st);
-        assert_eq!(
-            registry.snapshot().counter("detector_sfr_drains", &[]),
-            Some(1)
-        );
     }
 
     #[test]

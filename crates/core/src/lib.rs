@@ -65,7 +65,7 @@ mod stats;
 mod trace_event;
 
 pub use clock::{ClockRolloverError, VectorClock};
-pub use detector::{AtomicityMode, CleanDetector, DetectorConfig, DetectorObs};
+pub use detector::{AtomicityMode, CleanDetector, DetectorConfig};
 pub use epoch::{Epoch, EpochLayout, ThreadId};
 pub use filter::{PendingStats, SfrWriteFilter, ThreadCheckState, FILTER_SLOTS, RANGE_SLOTS};
 pub use report::{AccessKind, RaceKind, RaceReport};

@@ -115,7 +115,7 @@ impl LogHistogram {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 let upper = if i >= 63 {
                     u64::MAX

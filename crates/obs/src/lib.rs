@@ -1,16 +1,16 @@
 //! Unified observability for the CLEAN stack.
 //!
-//! One crate, four pieces, shared by the detector runtime, the serving
-//! daemon, the fleet router, and the bench harnesses:
+//! One crate, four pieces, shared by the serving daemon, the fleet
+//! router, and the bench harnesses (the detector and the planner do not
+//! link it; their counts live in `clean_core::DetectorStats`):
 //!
 //! - [`Registry`] — a name-keyed metrics registry handing out lock-free
-//!   [`Counter`] / [`Gauge`] / [`Hist`] handles. Counters spread over
-//!   cache-line-padded per-thread shards (the detector's `StatsShard`
-//!   idiom, generalized); registration is mutex-cold, updates are
-//!   relaxed atomics.
-//! - [`StageSpans`] — knob-gated timing spans over the hot pipeline
-//!   stages ([`Stage`]). Off means not constructed: call sites pay one
-//!   `Option` branch, nothing else.
+//!   [`Counter`] / [`Gauge`] / [`Hist`] handles. Registration is
+//!   mutex-cold; updates are relaxed atomics that every clone of a
+//!   handle shares.
+//! - [`StageSpans`] — timing spans over the hot pipeline stages
+//!   ([`Stage`]). Every serving node builds them at startup; they are
+//!   always on.
 //! - [`Journal`] — a bounded ring of notable events (evictions,
 //!   failovers, bad frames), exposed as comment lines in the text
 //!   exposition.
@@ -34,17 +34,6 @@ mod span;
 
 pub use hist::{LogHistogram, HISTOGRAM_BUCKETS};
 pub use journal::{Event, Journal, DEFAULT_JOURNAL_CAP};
-pub use registry::{Counter, Gauge, Hist, Registry, DEFAULT_SHARDS};
+pub use registry::{Counter, Gauge, Hist, Registry};
 pub use snapshot::{metric_key, sanitize_label, ParseError, Snapshot, EXPOSITION_HEADER};
 pub use span::{Span, Stage, StageSpans};
-
-use std::sync::OnceLock;
-
-/// The process-wide registry, for code without a natural owner to hang
-/// a registry on (library-level warnings like `plan_stale`). Serving
-/// components should own their registry instead and merge this one in
-/// at exposition time.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}

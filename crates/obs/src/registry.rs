@@ -1,56 +1,26 @@
-//! The lock-free sharded metrics registry.
+//! The lock-free metrics registry.
 //!
 //! Registration (looking a metric up by name) takes a mutex — it is
 //! cold, done once per metric per component at startup. The returned
 //! handles ([`Counter`], [`Gauge`], [`Hist`]) are `Arc`-backed and
-//! update with relaxed atomics only; counters additionally spread their
-//! cells over cache-line-padded per-thread shards so concurrent threads
-//! neither contend on nor false-share the same lines (the same idiom as
-//! the detector's `StatsShard`).
+//! update with relaxed atomics only. Every metric is bumped at request
+//! (or soak-op) granularity, so one shared atomic per metric is enough.
 
 use crate::hist::{LogHistogram, HISTOGRAM_BUCKETS};
 use crate::snapshot::{metric_key, Snapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default counter shard count: enough to spread an 8-core working
-/// point across distinct cache lines.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// A small dense per-thread index used to pick a shard. Threads get
-/// consecutive indices in creation order, so up to `shards` concurrent
-/// threads touch distinct cells.
-fn thread_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    IDX.with(|i| *i)
-}
-
-/// One cache-line-padded counter cell.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct PaddedCell(AtomicU64);
-
-#[derive(Debug)]
-struct CounterCell {
-    shards: Box<[PaddedCell]>,
-}
-
-/// A named monotone counter handle. Cloning shares the same cells.
+/// A named monotone counter handle. Cloning shares the same cell.
 #[derive(Debug, Clone)]
-pub struct Counter(Arc<CounterCell>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds `n` to the calling thread's shard (relaxed).
+    /// Adds `n` (relaxed).
     #[inline]
     pub fn add(&self, n: u64) {
-        let shards = &self.0.shards;
-        shards[thread_shard() & (shards.len() - 1)]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -59,13 +29,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value, summed over shards.
+    /// Current value.
     pub fn value(&self) -> u64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -150,33 +116,16 @@ enum Slot {
 
 /// The metrics registry: a name → metric map handing out lock-free
 /// handles. One registry per serving component (server, router, bench
-/// harness); [`crate::global`] offers a process-wide instance for code
-/// without a natural owner.
-#[derive(Debug)]
+/// harness).
+#[derive(Debug, Default)]
 pub struct Registry {
-    shards: usize,
     metrics: Mutex<BTreeMap<String, Slot>>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Registry {
-    /// A registry whose counters use [`DEFAULT_SHARDS`] shards.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A registry with a custom counter shard count (rounded up to a
-    /// power of two, clamped to at least one).
-    pub fn with_shards(shards: usize) -> Self {
-        Registry {
-            shards: shards.max(1).next_power_of_two(),
-            metrics: Mutex::new(BTreeMap::new()),
-        }
+        Self::default()
     }
 
     fn slot(&self, key: String, make: impl FnOnce() -> Slot) -> Slot {
@@ -200,11 +149,8 @@ impl Registry {
     /// Panics if the key is already registered as a different kind.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = metric_key(name, labels);
-        let shards = self.shards;
         match self.slot(key.clone(), || {
-            Slot::Counter(Counter(Arc::new(CounterCell {
-                shards: (0..shards).map(|_| PaddedCell::default()).collect(),
-            })))
+            Slot::Counter(Counter(Arc::new(AtomicU64::new(0))))
         }) {
             Slot::Counter(c) => c,
             _ => panic!("metric {key:?} already registered with a different kind"),
@@ -356,11 +302,5 @@ mod tests {
         let reg = Registry::new();
         let _ = reg.counter("x");
         let _ = reg.gauge("x");
-    }
-
-    #[test]
-    fn counter_cells_are_cache_line_padded() {
-        assert!(std::mem::align_of::<PaddedCell>() >= 128);
-        assert!(std::mem::size_of::<PaddedCell>() >= 128);
     }
 }

@@ -413,10 +413,16 @@ mod tests {
         let max = u64::MAX;
         let text = format!(
             "{EXPOSITION_HEADER}\ncounter c {max}\ncounter c{{k=\"v\"}} 1\n\
-             hist h sum=1 max=1 buckets=0:{max},1:1\n"
+             hist h sum=1 max=1 buckets=0:{max},1:1\n\
+             hist g sum=1 max=3 buckets=0:{},1:5\n",
+            max - 1
         );
         let mut s = Snapshot::parse(&text).unwrap();
         assert_eq!(s.counter_family_total("c"), max);
+        // The count saturates to the top rank; the running bucket sum must
+        // not wrap on its way there.
+        let g = s.hist("g", &[]).unwrap();
+        assert_eq!((g.count(), g.quantile(1.0)), (max, 3));
         s.merge(&s.clone());
         assert_eq!(s.counter("c", &[]), Some(max));
         let h = s.hist("h", &[]).unwrap();

@@ -1,16 +1,15 @@
-//! Knob-gated timing spans over the hot pipeline stages.
+//! Timing spans over the hot pipeline stages.
 //!
-//! A [`StageSpans`] bundle owns one histogram per [`Stage`]. When the
-//! observability knob is off the bundle is simply not constructed and
-//! every call site pays a single `Option` branch: the off path is
-//! byte-for-byte the pre-obs code plus one predictable branch.
+//! A [`StageSpans`] bundle owns one histogram per [`Stage`]. A serving
+//! node builds its bundle once at startup and times every request with
+//! it; there is no switch that turns the spans off.
 //!
 //! ```
 //! use clean_obs::{Registry, Stage, StageSpans};
 //! let reg = Registry::new();
-//! let spans = Some(StageSpans::new(&reg, "serve_stage_micros"));
+//! let spans = StageSpans::new(&reg, "serve_stage_micros");
 //! {
-//!     let _span = spans.as_ref().map(|s| s.start(Stage::Decode));
+//!     let _span = spans.start(Stage::Decode);
 //!     // ... decode work; drop records elapsed micros ...
 //! }
 //! assert_eq!(reg.snapshot().hists.len(), Stage::ALL.len());
@@ -71,8 +70,8 @@ impl Stage {
     }
 }
 
-/// Pre-registered per-stage histograms. Construct once (when the obs
-/// knob is on) and clone freely — handles share cells.
+/// Pre-registered per-stage histograms. Construct once and clone
+/// freely — handles share cells.
 #[derive(Debug, Clone)]
 pub struct StageSpans {
     hists: [Hist; 6],

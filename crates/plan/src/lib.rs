@@ -75,7 +75,7 @@ pub const STALE_THRESHOLD: f64 = 0.5;
 /// *suspect* — still sound (elision is dynamically guarded per owner
 /// thread), but likely planning for the wrong workload, so its elide and
 /// coalesce ranges degrade to dead weight. [`CheckPlan::audit_freshness`]
-/// turns that divergence into a loud warning and a `plan_stale` metric.
+/// turns that divergence into a loud warning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanProfile {
     /// Derivation granule in bytes.
@@ -396,20 +396,18 @@ impl CheckPlan {
     }
 
     /// Compares this plan's derivation stamp against a freshly derived
-    /// footprint. Returns a human-readable staleness warning — and bumps
-    /// the global `plan_stale` counter — when the worst relative
-    /// mismatch exceeds [`STALE_THRESHOLD`]; returns `None` for fresh,
-    /// comparable, or unstamped plans. Staleness never makes a plan
-    /// unsound (elision is per-owner guarded at check time); it makes it
-    /// *useless*, which is worth shouting about rather than silently
-    /// running with dead ranges.
+    /// footprint. Returns a human-readable staleness warning when the
+    /// worst relative mismatch exceeds [`STALE_THRESHOLD`]; returns
+    /// `None` for fresh, comparable, or unstamped plans. Staleness never
+    /// makes a plan unsound (elision is per-owner guarded at check
+    /// time); it makes it *useless*, which is worth shouting about rather
+    /// than silently running with dead ranges.
     pub fn audit_freshness(&self, current: &PlanProfile) -> Option<String> {
         let stamped = self.profile.as_ref()?;
         let mismatch = stamped.mismatch(current);
         if mismatch <= STALE_THRESHOLD {
             return None;
         }
-        clean_obs::global().counter("plan_stale").inc();
         Some(format!(
             "stale check plan: derivation stamp [{}] diverges {:.0}% from the \
              current footprint [{}]; the plan still guards soundly but its \
@@ -625,13 +623,6 @@ mod tests {
         };
         let warning = plan.audit_freshness(&grown).unwrap();
         assert!(warning.contains("stale check plan"), "{warning}");
-        assert!(
-            clean_obs::global()
-                .snapshot()
-                .counter("plan_stale", &[])
-                .unwrap()
-                >= 1
-        );
         // A different derivation granule is always stale…
         let regranuled = PlanProfile {
             granule: 8,

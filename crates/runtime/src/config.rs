@@ -55,12 +55,6 @@ pub struct RuntimeConfig {
     /// `clean-analyze plan` or [`clean_core::PlanObserver`]): per-range
     /// check elision and coalesced filtering.
     pub check_plan: Option<Arc<CompiledPlan>>,
-    /// Attach a [`clean_core::DetectorObs`] bridge to the detector,
-    /// mirroring SFR drains and race reports into the process-wide
-    /// `clean-obs` registry. Off (the default) leaves the check path
-    /// bit-identical to a build without the bridge; on costs a few
-    /// relaxed atomics per SFR, nothing per access.
-    pub detector_obs: bool,
 }
 
 impl RuntimeConfig {
@@ -76,7 +70,6 @@ impl RuntimeConfig {
             atomicity: AtomicityMode::LockFree,
             record_trace: false,
             check_plan: None,
-            detector_obs: false,
         }
     }
 
@@ -137,12 +130,6 @@ impl RuntimeConfig {
     /// Installs (or clears) a compiled static check plan.
     pub fn check_plan(mut self, plan: Option<Arc<CompiledPlan>>) -> Self {
         self.check_plan = plan;
-        self
-    }
-
-    /// Enables or disables the detector's `clean-obs` metrics bridge.
-    pub fn detector_obs(mut self, on: bool) -> Self {
-        self.detector_obs = on;
         self
     }
 }

@@ -234,18 +234,14 @@ impl CleanRuntime {
             config.layout.max_threads()
         );
         let detector = config.detection.then(|| {
-            let mut det = CleanDetector::new(
+            CleanDetector::new(
                 config.heap_size,
                 DetectorConfig::new()
                     .layout(config.layout)
                     .vectorized(config.vectorized)
                     .atomicity(config.atomicity)
                     .check_plan(config.check_plan.clone()),
-            );
-            if config.detector_obs {
-                det.attach_obs(clean_core::DetectorObs::global());
-            }
-            det
+            )
         });
         CleanRuntime {
             inner: Arc::new(RuntimeInner {

@@ -16,9 +16,10 @@
 //! error.
 
 use clean_baselines::{FoundRace, FullRaceKind};
+use clean_core::TraceEvent;
 use clean_trace::{
-    default_lanes, digest_file, read_range, read_table, read_trace, record_kernel_trace,
-    record_sim_trace, scan_trace, EngineKind, RecordOptions, Replay, TraceError, TraceStats,
+    default_lanes, digest_file, read_range, read_table, record_kernel_trace, record_sim_trace,
+    scan_trace, EngineKind, RecordOptions, Replay, TraceError, TraceReader, TraceStats,
 };
 use clean_workloads::{derive_plan_from_trace, TraceGenConfig};
 use std::collections::HashSet;
@@ -56,6 +57,26 @@ fn trace_err(e: TraceError) -> CliError {
     match e {
         TraceError::Io(_) => CliError::Other(e.to_string()),
         _ => CliError::Decode(e.to_string()),
+    }
+}
+
+/// Streams the events of the trace at `path` through `fold`, which sees
+/// them in order and never the whole trace at once. The stream ends at
+/// the first decode error, and that error is returned in place of
+/// `fold`'s result.
+fn fold_trace<T>(
+    path: &str,
+    fold: impl FnOnce(&mut dyn Iterator<Item = TraceEvent>) -> T,
+) -> Result<T, CliError> {
+    let mut failed = None;
+    let out = fold(
+        &mut TraceReader::open(path)
+            .map_err(trace_err)?
+            .map_while(|e| e.map_err(|e| failed = Some(e)).ok()),
+    );
+    match failed {
+        Some(e) => Err(trace_err(e)),
+        None => Ok(out),
     }
 }
 
@@ -100,8 +121,7 @@ USAGE:
       (default 64). Saved plans carry a derivation-footprint stamp
       (granule, granule, event and thread counts); --against <plan> audits
       an existing plan file's stamp against this trace's footprint and
-      warns loudly (and bumps the plan_stale metric) when they diverge
-      beyond 50%.
+      warns loudly when they diverge beyond 50%.
 
 EXIT CODES:
   0   success; for replay: no race found
@@ -241,8 +261,8 @@ fn cmd_stats(rest: &[String]) -> Result<ExitCode, CliError> {
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let events = read_trace(path).map_err(trace_err)?;
-    print!("{}", TraceStats::from_events(&events).render(bytes));
+    let stats = fold_trace(path, |trace| TraceStats::from_events(trace))?;
+    print!("{}", stats.render(bytes));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -390,17 +410,15 @@ fn cmd_plan(rest: &[String]) -> Result<ExitCode, CliError> {
     let [path] = &args[..] else {
         return Err("plan takes exactly one trace file".into());
     };
-    let events = read_trace(path).map_err(trace_err)?;
-    let (plan, coverage) = derive_plan_from_trace(&events, granule);
+    let mut events = 0u64;
+    let (plan, coverage) = fold_trace(path, |trace| {
+        derive_plan_from_trace(trace.inspect(|_| events += 1), granule)
+    })?;
     // Derived plans always carry sound witnesses; compiling re-checks
     // the invariant the loader enforces on untrusted plan files.
     plan.compile()
         .map_err(|e| CliError::Other(format!("derived plan failed validation: {e}")))?;
-    println!(
-        "{} events, {} plan entries",
-        events.len(),
-        plan.entries.len()
-    );
+    println!("{events} events, {} plan entries", plan.entries.len());
     println!("{}", coverage.render());
     if let Some(against) = &against {
         let old = clean_core::CheckPlan::load(against)

@@ -108,7 +108,7 @@ mod tests {
         assert!(summary.events > 0);
         let events = read_trace(&path).unwrap();
         assert_eq!(events.len() as u64, summary.events);
-        let stats = TraceStats::from_events(&events);
+        let stats = TraceStats::from_events(events.iter().copied());
         assert!(stats.memory_events() > 0 && stats.sync_events() > 0);
         std::fs::remove_file(&path).ok();
     }

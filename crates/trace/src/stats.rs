@@ -3,26 +3,6 @@
 
 use clean_core::TraceEvent;
 use std::collections::BTreeMap;
-use std::ops::Range;
-
-/// Cuts a trace into synchronization-free segments: maximal runs of
-/// memory events, delimited by sync (acquire/release/fork/join) events.
-/// Sync events belong to no segment. Empty segments are not reported.
-fn sync_free_segments(events: &[TraceEvent]) -> Vec<Range<usize>> {
-    let mut segments = Vec::new();
-    let mut start = None;
-    for (i, e) in events.iter().enumerate() {
-        if e.is_memory() {
-            start.get_or_insert(i);
-        } else if let Some(s) = start.take() {
-            segments.push(s..i);
-        }
-    }
-    if let Some(s) = start {
-        segments.push(s..events.len());
-    }
-    segments
-}
 
 /// Aggregate statistics of an event stream.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -51,21 +31,32 @@ pub struct TraceStats {
     pub locks: u64,
     /// Memory-access count per access width.
     pub size_histogram: BTreeMap<usize, u64>,
-    /// Synchronization-free segments in the stream.
+    /// Synchronization-free segments in the stream: maximal runs of
+    /// memory events, delimited by sync (acquire/release/fork/join)
+    /// events. Sync events belong to no segment.
     pub segments: u64,
     /// Length (in memory events) of the longest SFR segment.
     pub longest_segment: u64,
 }
 
 impl TraceStats {
-    /// Computes statistics over an in-memory event stream.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
+    /// Computes statistics in one pass over an event stream, holding
+    /// no event after it is counted.
+    pub fn from_events(events: impl IntoIterator<Item = TraceEvent>) -> Self {
         let mut s = TraceStats::default();
         let mut locks = std::collections::BTreeSet::new();
+        // Memory events in the open SFR segment.
+        let mut run = 0u64;
         for e in events {
             s.events += 1;
             *s.per_thread.entry(e.tid().raw()).or_insert(0) += 1;
-            match *e {
+            if e.is_memory() {
+                run += 1;
+            } else {
+                s.close_segment(run);
+                run = 0;
+            }
+            match e {
                 TraceEvent::Read { size, .. } => {
                     s.reads += 1;
                     s.bytes_read += size as u64;
@@ -91,11 +82,17 @@ impl TraceStats {
                 TraceEvent::Join { .. } => s.joins += 1,
             }
         }
+        s.close_segment(run);
         s.locks = locks.len() as u64;
-        let segments = sync_free_segments(events);
-        s.segments = segments.len() as u64;
-        s.longest_segment = segments.iter().map(|r| r.len() as u64).max().unwrap_or(0);
         s
+    }
+
+    /// Ends an SFR segment of `len` memory events (none if empty).
+    fn close_segment(&mut self, len: u64) {
+        if len > 0 {
+            self.segments += 1;
+            self.longest_segment = self.longest_segment.max(len);
+        }
     }
 
     /// Memory events (reads + writes).
@@ -150,6 +147,7 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TraceReader, TraceWriter};
     use clean_core::ThreadId;
 
     #[test]
@@ -160,15 +158,59 @@ mod tests {
             addr,
             size: 4,
         };
-        let events = vec![
+        let events = [
+            TraceEvent::Acquire { tid: t0, lock: 1 },
             w(0),
             w(4),
             TraceEvent::Acquire { tid: t0, lock: 1 },
             w(8),
             TraceEvent::Release { tid: t0, lock: 1 },
+            TraceEvent::Release { tid: t0, lock: 1 },
+            w(12),
         ];
-        assert_eq!(sync_free_segments(&events), vec![0..2, 3..4]);
-        assert_eq!(sync_free_segments(&[]), Vec::<Range<usize>>::new());
+        let s = TraceStats::from_events(events);
+        assert_eq!((s.segments, s.longest_segment), (3, 2));
+        let s = TraceStats::from_events(events[..3].iter().copied());
+        assert_eq!((s.segments, s.longest_segment), (1, 2));
+        let s = TraceStats::from_events([]);
+        assert_eq!((s.segments, s.longest_segment), (0, 0));
+    }
+
+    #[test]
+    fn streamed_stats_match_the_slice_fold_across_chunk_boundaries() {
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        let mut events = vec![TraceEvent::Fork {
+            parent: t0,
+            child: t1,
+        }];
+        for i in 0..200usize {
+            let tid = if i % 3 == 0 { t1 } else { t0 };
+            events.push(TraceEvent::Write {
+                tid,
+                addr: i * 8,
+                size: 8,
+            });
+            if i % 50 == 49 {
+                events.push(TraceEvent::Acquire { tid, lock: 2 });
+                events.push(TraceEvent::Release { tid, lock: 2 });
+            }
+        }
+        // 16-byte chunks hold a handful of events each, so every
+        // 50-write segment spans several chunk boundaries.
+        let mut writer = TraceWriter::new(Vec::new()).unwrap().chunk_bytes(16);
+        for e in &events {
+            writer.write_event(e).unwrap();
+        }
+        let (summary, bytes) = writer.finish_into().unwrap();
+        assert!(summary.chunks > 20, "{} chunks", summary.chunks);
+        let streamed = TraceStats::from_events(
+            TraceReader::new(bytes.as_slice())
+                .unwrap()
+                .map(|e| e.unwrap()),
+        );
+        let folded = TraceStats::from_events(events.iter().copied());
+        assert_eq!(streamed, folded);
+        assert_eq!((folded.segments, folded.longest_segment), (4, 50));
     }
 
     #[test]
@@ -197,7 +239,7 @@ mod tests {
                 child: t1,
             },
         ];
-        let s = TraceStats::from_events(&events);
+        let s = TraceStats::from_events(events);
         assert_eq!(s.events, 6);
         assert_eq!(s.reads, 1);
         assert_eq!(s.writes, 1);

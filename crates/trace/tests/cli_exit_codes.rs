@@ -3,7 +3,7 @@
 //! codes without parsing stdout.
 
 use clean_core::{ThreadId, TraceEvent};
-use clean_trace::{digest_events, write_trace};
+use clean_trace::{digest_events, read_table, write_trace};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -71,6 +71,22 @@ fn replay_exit_codes_distinguish_race_clean_and_decode_error() {
     assert_eq!(run(&clean).status.code(), Some(0), "clean trace");
     assert_eq!(run(&junk).status.code(), Some(12), "undecodable trace");
 
+    // A payload byte flipped behind an intact chunk table: the header
+    // and table read fine, and the decode fails while the events stream.
+    let flipped = tmp("flipped.cltr");
+    let mut bytes = std::fs::read(&racy).unwrap();
+    let first = read_table(&racy).unwrap().entries[0].offset as usize;
+    bytes[first + 12] ^= 0x10;
+    std::fs::write(&flipped, bytes).unwrap();
+    assert_eq!(run(&flipped).status.code(), Some(12), "flipped payload");
+    // `stats` and `plan` stream the same events and fail the same way.
+    for cmd in ["stats", "plan"] {
+        for (path, what) in [(&junk, "undecodable trace"), (&flipped, "flipped payload")] {
+            let out = Command::new(BIN).arg(cmd).arg(path).output().unwrap();
+            assert_eq!(out.status.code(), Some(12), "{cmd}: {what}");
+        }
+    }
+
     // A missing file is an I/O error, not a decode error.
     let missing = Command::new(BIN)
         .args(["replay", "--engine", "clean"])
@@ -95,7 +111,7 @@ fn replay_exit_codes_distinguish_race_clean_and_decode_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("[43, 4c, 54]"), "{stderr}");
 
-    for p in [&racy, &clean, &junk, &short] {
+    for p in [&racy, &clean, &junk, &flipped, &short] {
         std::fs::remove_file(p).ok();
     }
     std::fs::remove_dir(&dir).ok();

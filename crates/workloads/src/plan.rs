@@ -20,14 +20,18 @@ use crate::{run_benchmark, BenchProfile, KernelParams};
 /// are ignored — ownership, not ordering, drives the classification.
 /// `granule` is the derivation granule in bytes; pass 0 for the default
 /// (64). The derived plan always validates, so `compile()` cannot fail.
-pub fn derive_plan_from_trace(events: &[TraceEvent], granule: usize) -> (CheckPlan, Coverage) {
+/// The events are folded in one pass; none is held after it is observed.
+pub fn derive_plan_from_trace(
+    events: impl IntoIterator<Item = TraceEvent>,
+    granule: usize,
+) -> (CheckPlan, Coverage) {
     let mut obs = if granule == 0 {
         PlanObserver::new()
     } else {
         PlanObserver::with_granule(granule)
     };
     for ev in events {
-        match *ev {
+        match ev {
             TraceEvent::Read { tid, addr, size } => {
                 obs.observe(u32::from(tid.raw()), addr, size, false);
             }
@@ -43,7 +47,7 @@ pub fn derive_plan_from_trace(events: &[TraceEvent], granule: usize) -> (CheckPl
 /// [`derive_plan_from_trace`], compiled and ready to install via
 /// [`RuntimeConfig::check_plan`](clean_runtime::RuntimeConfig::check_plan).
 pub fn plan_from_trace(events: &[TraceEvent], granule: usize) -> (Arc<CompiledPlan>, Coverage) {
-    let (plan, coverage) = derive_plan_from_trace(events, granule);
+    let (plan, coverage) = derive_plan_from_trace(events.iter().copied(), granule);
     let compiled = plan
         .compile()
         .expect("derived plans carry sound witnesses by construction");
