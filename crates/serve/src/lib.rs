@@ -11,7 +11,8 @@
 //!   (SUBMIT / ANALYZE / STATUS / METRICS / SHUTDOWN, plus the FETCH
 //!   peer-replication frame),
 //! * [`store`] — a digest-addressed on-disk trace store with a
-//!   size-bounded LRU, crash-tolerant index, and streaming ingestion,
+//!   size-bounded LRU, an append-only recency index, and streaming
+//!   ingestion,
 //! * [`cache`] — the sharded `(digest, engine)` → verdict memo table,
 //!   optionally durable beside the store,
 //! * [`queue`] — the bounded, admission-controlled job queue that

@@ -56,7 +56,7 @@ use crate::client::Client;
 use crate::daemon::{self, DaemonHandle, Frame, Next, Obs, Reply, Service};
 use crate::protocol::{error_code, Request, Response};
 use clean_obs::{Snapshot, Stage};
-use clean_trace::{Digester, TraceDigest, TraceReader};
+use clean_trace::{digest_reader, TraceDigest, TraceReader};
 use parking_lot::Mutex;
 use std::io;
 use std::time::{Duration, Instant};
@@ -398,12 +398,8 @@ impl RouterShared {
 
 /// Decodes a submission just far enough to learn its content address.
 fn digest_of(trace: &[u8]) -> Option<TraceDigest> {
-    let reader = TraceReader::new(trace).ok()?;
-    let mut digester = Digester::new();
-    for event in reader {
-        digester.update(&event.ok()?);
-    }
-    Some(digester.finish())
+    let (digest, _) = TraceReader::new(trace).and_then(digest_reader).ok()?;
+    Some(digest)
 }
 
 impl Service for RouterShared {

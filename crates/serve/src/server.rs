@@ -398,7 +398,6 @@ fn handle_submit_stream(shared: &Shared, frame: &mut Frame<'_>) -> (Response, bo
         let drained = io::copy(&mut (&mut *frame.body).take(len as u64), &mut io::sink());
         return (Response::ShuttingDown, drained.ok() == Some(len as u64));
     }
-    let evictions_before = shared.store.stats().evictions;
     let insert_span = shared.obs.spans.start(Stage::StoreInsert);
     let inserted = shared.store.insert_stream(frame.body, len as u64, None);
     drop(insert_span);
@@ -408,11 +407,10 @@ fn handle_submit_stream(shared: &Shared, frame: &mut Frame<'_>) -> (Response, bo
             if stored.dedup {
                 shared.counters.submit_dedup_hits.inc();
             }
-            let evicted = shared.store.stats().evictions - evictions_before;
-            if evicted > 0 {
+            if stored.evicted > 0 {
                 shared.obs.journal.record(
                     "eviction",
-                    format!("count={evicted} after digest={}", stored.digest),
+                    format!("count={} after digest={}", stored.evicted, stored.digest),
                 );
             }
             (

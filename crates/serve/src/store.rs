@@ -2,8 +2,10 @@
 //!
 //! Each stored trace lives at `<root>/<digest:032x>.cltr`; the digest is
 //! the chunk-size-independent [`clean_trace::digest_events`] identity, so
-//! re-encodings of the same event sequence share one entry. A plain-text
-//! index file (`<root>/index`) records recency:
+//! re-encodings of the same event sequence share one entry (the digest
+//! folds each event as whole 64-bit words through a bijective mixer; see
+//! [`clean_trace::digest`]). A plain-text index file (`<root>/index`) is
+//! an append-only recency journal:
 //!
 //! ```text
 //! CSTORE v1
@@ -11,16 +13,21 @@
 //! ...
 //! ```
 //!
-//! `seq` is a monotonic access counter — the line with the smallest seq
-//! is the least recently used entry and the first eviction victim when
-//! the byte bound is exceeded. The index is rewritten atomically
-//! (temp file + rename); recovery after a crash parses every valid line,
-//! ignores a torn tail, and reconciles against the trace files actually
-//! on disk, so a stale or truncated index can only cost recency
-//! information, never stored traces.
+//! `seq` is a monotonic access counter — the entry with the smallest seq
+//! is the least recently used one and the first eviction victim when the
+//! byte bound is exceeded. A fresh insert appends one line and does not
+//! flush it to disk; dedup hits and [`TraceStore::path_of`] refresh
+//! recency in memory only, and removals and evictions append nothing.
+//! [`TraceStore::open`] trusts only newline-terminated lines, keeps the
+//! highest seq per digest, reconciles against the trace files actually
+//! on disk (a line whose file is gone is dropped) and rewrites the index
+//! once, atomically (temp file + rename); the running daemon rewrites it
+//! the same way once it holds more than twice the live entries' lines.
+//! So a stale or torn index can only cost recency information, never
+//! stored traces, and no SUBMIT waits on a disk flush.
 
 use crate::protocol::error_code;
-use clean_trace::{Digester, TraceDigest, TraceReader};
+use clean_trace::{digest_reader, TraceDigest, TraceReader};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -34,6 +41,8 @@ const INDEX_FILE: &str = "index";
 const INDEX_HEADER: &str = "CSTORE v1";
 /// Stored trace file extension.
 const TRACE_EXT: &str = "cltr";
+/// Index lines beyond twice the live entries that trigger a compaction.
+const INDEX_SLACK: u64 = 64;
 
 /// Why a submission was refused.
 #[derive(Debug)]
@@ -81,6 +90,8 @@ pub struct StoredTrace {
     pub bytes: u64,
     /// Events in the trace.
     pub events: u64,
+    /// Entries this insert evicted to respect the byte bound.
+    pub evicted: u64,
 }
 
 /// A resident trace as [`TraceStore::path_of`] resolved it.
@@ -112,19 +123,19 @@ struct Entry {
     generation: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
     entries: HashMap<TraceDigest, Entry>,
+    /// Sum of the entries' bytes.
+    bytes: u64,
     /// In-analysis digests that must not be evicted.
     pinned: HashMap<TraceDigest, usize>,
     next_seq: u64,
     evictions: u64,
-}
-
-impl Inner {
-    fn total_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
-    }
+    /// Append handle on the index journal.
+    index: fs::File,
+    /// Entry lines the index file holds, live or not.
+    index_lines: u64,
 }
 
 /// The digest-addressed trace store.
@@ -138,6 +149,11 @@ pub struct TraceStore {
 
 fn trace_file_name(digest: TraceDigest) -> String {
     format!("{digest}.{TRACE_EXT}")
+}
+
+/// Renders one `<hex> <bytes> <seq>` index line.
+fn index_line(digest: TraceDigest, entry: &Entry) -> String {
+    format!("{digest} {} {}\n", entry.bytes, entry.seq)
 }
 
 /// Parses one `<hex> <bytes> <seq>` index line.
@@ -172,15 +188,22 @@ impl TraceStore {
         fs::create_dir_all(&root)?;
 
         // Index entries: best effort, a torn tail or missing file is fine.
-        let mut entries = HashMap::new();
+        // Only newline-terminated lines were written whole, and a digest's
+        // latest line carries its highest seq.
+        let mut entries: HashMap<TraceDigest, Entry> = HashMap::new();
         let mut max_seq = 0u64;
         if let Ok(text) = fs::read_to_string(root.join(INDEX_FILE)) {
-            let mut lines = text.lines();
+            let mut lines = text
+                .split_inclusive('\n')
+                .filter_map(|l| l.strip_suffix('\n'));
             if lines.next() == Some(INDEX_HEADER) {
                 for line in lines {
                     if let Some((digest, entry)) = parse_index_line(line) {
                         max_seq = max_seq.max(entry.seq);
-                        entries.insert(digest, entry);
+                        let newest = entries.entry(digest).or_insert(entry);
+                        if entry.seq > newest.seq {
+                            *newest = entry;
+                        }
                     }
                 }
             }
@@ -226,21 +249,20 @@ impl TraceStore {
         }
         entries.retain(|digest, _| on_disk.contains(digest));
 
-        let store = TraceStore {
+        let index = rewrite_index(&root, &entries, true)?;
+        Ok(TraceStore {
             root,
             max_bytes,
             inner: Mutex::new(Inner {
+                bytes: entries.values().map(|e| e.bytes).sum(),
+                index_lines: entries.len() as u64,
                 entries,
                 pinned: HashMap::new(),
                 next_seq: max_seq + 1,
                 evictions: 0,
+                index,
             }),
-        };
-        {
-            let inner = store.inner.lock();
-            store.write_index(&inner)?;
-        }
-        Ok(store)
+        })
     }
 
     /// Validates `trace` as a `CLTR` stream, computes its content
@@ -257,7 +279,7 @@ impl TraceStore {
 
     /// Streams exactly `len` bytes from `src` into the store: the bytes
     /// are copied to a uniquely named temp file as they arrive, decoded
-    /// *from disk* through the incremental [`Digester`] (the submission
+    /// *from disk* through [`digest_reader`] (the submission
     /// is never buffered in memory), and renamed to their content
     /// address — so a 64 MiB upload costs one file write, not one file
     /// write plus a 64 MiB allocation.
@@ -325,52 +347,47 @@ impl TraceStore {
         let mut inner = self.inner.lock();
         let next = inner.next_seq;
         if let Some(entry) = inner.entries.get_mut(&digest) {
+            // Recency refreshes stay in memory: the index is a hint.
             entry.seq = next;
             let bytes = entry.bytes;
             inner.next_seq += 1;
             let _ = fs::remove_file(&tmp);
-            self.write_index(&inner)?;
             return Ok(StoredTrace {
                 digest,
                 dedup: true,
                 bytes,
                 events,
+                evicted: 0,
             });
         }
 
         fs::rename(&tmp, self.trace_path(digest))?;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.entries.insert(
-            digest,
-            Entry {
-                bytes: len,
-                seq,
-                generation: seq,
-            },
-        );
-        self.evict_locked(&mut inner)?;
-        self.write_index(&inner)?;
+        let entry = Entry {
+            bytes: len,
+            seq,
+            generation: seq,
+        };
+        inner.entries.insert(digest, entry);
+        inner.bytes += len;
+        let evicted = self.evict_locked(&mut inner)?;
+        self.journal_locked(&mut inner, digest, &entry)?;
         Ok(StoredTrace {
             digest,
             dedup: false,
             bytes: len,
             events,
+            evicted,
         })
     }
 
     /// Decodes a staged temp file, returning its content digest and
     /// event count.
     fn digest_tmp(path: &Path) -> Result<(TraceDigest, u64), StoreError> {
-        let reader = TraceReader::open(path).map_err(|e| StoreError::BadTrace(e.to_string()))?;
-        let mut digester = Digester::new();
-        let mut events = 0u64;
-        for ev in reader {
-            let ev = ev.map_err(|e| StoreError::BadTrace(e.to_string()))?;
-            digester.update(&ev);
-            events += 1;
-        }
-        Ok((digester.finish(), events))
+        TraceReader::open(path)
+            .and_then(digest_reader)
+            .map_err(|e| StoreError::BadTrace(e.to_string()))
     }
 
     /// Returns the on-disk path of `digest` and refreshes its recency,
@@ -382,8 +399,8 @@ impl TraceStore {
         entry.seq = next;
         let generation = entry.generation;
         inner.next_seq += 1;
-        // Recency refreshes are not durable until the next insert —
-        // losing them in a crash only perturbs eviction order.
+        // Recency refreshes stay in memory until the next rewrite of the
+        // index — losing them only perturbs eviction order.
         Some(StoredFile {
             path: self.trace_path(digest),
             generation,
@@ -422,17 +439,20 @@ impl TraceStore {
     /// Its `remove` must not delete the fresh copy. Returns whether the
     /// entry was removed.
     ///
+    /// The index is left as it is: [`TraceStore::open`] drops the lines
+    /// whose file is gone.
+    ///
     /// # Errors
     ///
-    /// Filesystem errors deleting the file or rewriting the index.
+    /// Filesystem errors deleting the file.
     pub fn remove(&self, digest: TraceDigest, generation: u64) -> io::Result<bool> {
         let mut inner = self.inner.lock();
         if inner.entries.get(&digest).map(|e| e.generation) != Some(generation) {
             return Ok(false);
         }
-        inner.entries.remove(&digest);
+        let bytes = inner.entries.remove(&digest).map_or(0, |e| e.bytes);
+        inner.bytes -= bytes;
         self.remove_trace_file(digest)?;
-        self.write_index(&inner)?;
         Ok(true)
     }
 
@@ -441,7 +461,7 @@ impl TraceStore {
         let inner = self.inner.lock();
         StoreStats {
             traces: inner.entries.len() as u64,
-            bytes: inner.total_bytes(),
+            bytes: inner.bytes,
             evictions: inner.evictions,
         }
     }
@@ -464,43 +484,74 @@ impl TraceStore {
     }
 
     /// Evicts least-recently-used unpinned entries until the byte bound
-    /// holds (or only pinned entries remain).
-    fn evict_locked(&self, inner: &mut Inner) -> io::Result<()> {
-        while inner.total_bytes() > self.max_bytes {
+    /// holds (or only pinned entries remain). Returns how many it evicted.
+    fn evict_locked(&self, inner: &mut Inner) -> io::Result<u64> {
+        let mut evicted = 0;
+        while inner.bytes > self.max_bytes {
             let victim = inner
                 .entries
                 .iter()
                 .filter(|(digest, _)| !inner.pinned.contains_key(digest))
                 .min_by_key(|(_, entry)| entry.seq)
-                .map(|(digest, _)| *digest);
-            let Some(victim) = victim else {
+                .map(|(digest, entry)| (*digest, entry.bytes));
+            let Some((victim, bytes)) = victim else {
                 break; // everything left is pinned
             };
             inner.entries.remove(&victim);
+            inner.bytes -= bytes;
             inner.evictions += 1;
+            evicted += 1;
             self.remove_trace_file(victim)?;
         }
-        Ok(())
+        Ok(evicted)
     }
 
-    /// Rewrites the index atomically from the in-memory state.
-    fn write_index(&self, inner: &Inner) -> io::Result<()> {
-        let mut text = String::with_capacity(32 + inner.entries.len() * 64);
-        text.push_str(INDEX_HEADER);
-        text.push('\n');
-        let mut lines: Vec<_> = inner.entries.iter().collect();
-        lines.sort_by_key(|(_, entry)| entry.seq);
-        for (digest, entry) in lines {
-            text.push_str(&format!("{digest} {} {}\n", entry.bytes, entry.seq));
+    /// Appends `digest`'s line to the index, or rewrites the index from
+    /// memory once it holds more than twice the live entries' lines (plus
+    /// slack) — so each insert pays amortised O(1) and no flush.
+    fn journal_locked(
+        &self,
+        inner: &mut Inner,
+        digest: TraceDigest,
+        entry: &Entry,
+    ) -> io::Result<()> {
+        inner.index_lines += 1;
+        if inner.index_lines > 2 * inner.entries.len() as u64 + INDEX_SLACK {
+            inner.index = rewrite_index(&self.root, &inner.entries, false)?;
+            inner.index_lines = inner.entries.len() as u64;
+            return Ok(());
         }
-        let tmp = self.root.join("index.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
+        inner.index.write_all(index_line(digest, entry).as_bytes())
+    }
+}
+
+/// Writes the index for `entries` to a temp file and renames it over the
+/// index — flushed first if `durable` — and returns an append handle on
+/// it.
+fn rewrite_index(
+    root: &Path,
+    entries: &HashMap<TraceDigest, Entry>,
+    durable: bool,
+) -> io::Result<fs::File> {
+    let mut text = String::with_capacity(32 + entries.len() * 64);
+    text.push_str(INDEX_HEADER);
+    text.push('\n');
+    let mut lines: Vec<_> = entries.iter().collect();
+    lines.sort_by_key(|(_, entry)| entry.seq);
+    for (digest, entry) in lines {
+        text.push_str(&index_line(*digest, entry));
+    }
+    let tmp = root.join("index.tmp");
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(text.as_bytes())?;
+        if durable {
             f.sync_all()?;
         }
-        fs::rename(&tmp, self.root.join(INDEX_FILE))
     }
+    let index = root.join(INDEX_FILE);
+    fs::rename(&tmp, &index)?;
+    fs::OpenOptions::new().append(true).open(index)
 }
 
 #[cfg(test)]
@@ -667,6 +718,59 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
     }
 
+    #[test]
+    fn recency_survives_a_reopen() {
+        let root = temp_root("recency");
+        let traces: Vec<Vec<u8>> = (0..7).map(sample_trace).collect();
+        let digests: Vec<TraceDigest> = traces.iter().map(|t| digest_of(t)).collect();
+        {
+            let store = TraceStore::open(&root, u64::MAX).unwrap();
+            for t in &traces[..6] {
+                store.insert(t).unwrap();
+            }
+        }
+        // Room for the three newest and one more: the directory scan
+        // alone knows no order, so only the index can name the three
+        // oldest as the victims.
+        let cap: u64 = traces[3..].iter().map(|t| t.len() as u64).sum();
+        let store = TraceStore::open(&root, cap).unwrap();
+        let stored = store.insert(&traces[6]).unwrap();
+        assert_eq!(stored.evicted, 3);
+        for (i, d) in digests.iter().enumerate() {
+            assert_eq!(store.contains(*d), i >= 3, "trace {i}");
+        }
+        assert_eq!(store.stats().bytes, cap);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn index_stays_bounded_under_churn() {
+        let root = temp_root("churn");
+        let traces: Vec<Vec<u8>> = (0..400).map(sample_trace).collect();
+        let cap = traces.iter().map(|t| t.len() as u64).max().unwrap() * 3;
+        let store = TraceStore::open(&root, cap).unwrap();
+        for t in &traces {
+            store.insert(t).unwrap();
+        }
+        let live = store.stats().traces;
+        assert!(live >= 2, "{live} live traces");
+        let lines = fs::read_to_string(root.join(INDEX_FILE))
+            .unwrap()
+            .lines()
+            .count() as u64;
+        assert!(
+            lines <= 1 + 2 * live + INDEX_SLACK,
+            "{lines} index lines for {live} live"
+        );
+        // The compacted index still reopens to the same live set.
+        let newest = digest_of(&traces[399]);
+        drop(store);
+        let store = TraceStore::open(&root, cap).unwrap();
+        assert_eq!(store.stats().traces, live);
+        assert!(store.contains(newest));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
     /// No staged `.tmp` ingest files may outlive an insert, good or bad.
     fn assert_no_tmp_left(root: &Path) {
         for dirent in fs::read_dir(root).unwrap() {
@@ -760,12 +864,7 @@ mod tests {
     }
 
     fn digest_of(trace: &[u8]) -> TraceDigest {
-        let reader = TraceReader::new(trace).unwrap();
-        let mut d = Digester::new();
-        for ev in reader {
-            d.update(&ev.unwrap());
-        }
-        d.finish()
+        digest_reader(TraceReader::new(trace).unwrap()).unwrap().0
     }
 
     #[test]

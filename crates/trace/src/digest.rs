@@ -2,18 +2,26 @@
 //! trace store.
 //!
 //! A digest identifies the *event sequence*, not the byte stream: it is
-//! computed over a canonical per-event encoding (kind byte + fields as
-//! little-endian words), so two `CLTR` files holding the same events —
+//! computed over a canonical per-event encoding of whole 64-bit words —
+//! the kind and the (first) thread in one word, then each remaining
+//! field in one word — so two `CLTR` files holding the same events —
 //! different chunk sizes, rewritten by different writers — digest
-//! identically and deduplicate in the store. The hash is FNV-1a/128:
-//! not cryptographic (the store is not an integrity boundary — chunk
-//! CRCs already catch corruption) but with 128 bits of state, accidental
-//! collisions across a store of any realistic size are negligible.
+//! identically and deduplicate in the store.
+//!
+//! Each word goes through splitmix64's finaliser, a bijective 64-bit
+//! mixer, and is folded into 128 bits of state by one FNV-1a/128 step
+//! (xor, then multiply by the FNV prime): one multiply per word. The
+//! mixer is what lets every input bit reach the low state bits, which a
+//! multiply alone only carries upwards. Not cryptographic (the store is
+//! not an integrity boundary — chunk CRCs already catch corruption) but
+//! with 128 bits of state, accidental collisions across a store of any
+//! realistic size are negligible.
 
 use crate::error::Result;
 use crate::reader::TraceReader;
-use clean_core::TraceEvent;
+use clean_core::{ThreadId, TraceEvent};
 use std::fmt;
+use std::io::Read;
 use std::path::Path;
 use std::str::FromStr;
 
@@ -21,6 +29,15 @@ use std::str::FromStr;
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// FNV-1a 128-bit prime.
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
+
+/// splitmix64's finaliser: a bijection on `u64` whose every output bit
+/// depends on every input bit.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// A 128-bit canonical trace digest.
 ///
@@ -99,54 +116,44 @@ impl Digester {
         }
     }
 
+    /// Folds one word: mix it, then one FNV-1a/128 step.
     #[inline]
-    fn byte(&mut self, b: u8) {
-        self.state ^= u128::from(b);
+    fn word(&mut self, v: u64) {
+        self.state ^= u128::from(mix(v));
         self.state = self.state.wrapping_mul(FNV_PRIME);
     }
 
-    #[inline]
-    fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// Folds one event into the digest. The canonical encoding is a kind
-    /// byte followed by every field as a little-endian 64-bit word —
-    /// deliberately independent of the `CLTR` chunking and delta state.
+    /// Folds one event into the digest. The canonical encoding is the
+    /// kind in the low byte and the thread above it in one word, then
+    /// every other field as one word — deliberately independent of the
+    /// `CLTR` chunking and delta state.
     pub fn update(&mut self, event: &TraceEvent) {
+        let head = |kind: u64, tid: ThreadId| kind | (u64::from(tid.raw()) << 8);
         match *event {
             TraceEvent::Read { tid, addr, size } => {
-                self.byte(0);
-                self.word(u64::from(tid.raw()));
+                self.word(head(0, tid));
                 self.word(addr as u64);
                 self.word(size as u64);
             }
             TraceEvent::Write { tid, addr, size } => {
-                self.byte(1);
-                self.word(u64::from(tid.raw()));
+                self.word(head(1, tid));
                 self.word(addr as u64);
                 self.word(size as u64);
             }
             TraceEvent::Acquire { tid, lock } => {
-                self.byte(2);
-                self.word(u64::from(tid.raw()));
+                self.word(head(2, tid));
                 self.word(u64::from(lock));
             }
             TraceEvent::Release { tid, lock } => {
-                self.byte(3);
-                self.word(u64::from(tid.raw()));
+                self.word(head(3, tid));
                 self.word(u64::from(lock));
             }
             TraceEvent::Fork { parent, child } => {
-                self.byte(4);
-                self.word(u64::from(parent.raw()));
+                self.word(head(4, parent));
                 self.word(u64::from(child.raw()));
             }
             TraceEvent::Join { parent, child } => {
-                self.byte(5);
-                self.word(u64::from(parent.raw()));
+                self.word(head(5, parent));
                 self.word(u64::from(child.raw()));
             }
         }
@@ -177,6 +184,22 @@ pub fn digest_events(events: &[TraceEvent]) -> TraceDigest {
     d.finish()
 }
 
+/// Decodes every event `reader` yields into one digest, returning it with
+/// the event count. This full decode is also the validity check: the
+/// store, the router and `digest_file` all refuse exactly what it refuses.
+///
+/// # Errors
+///
+/// Propagates I/O and decode errors.
+pub fn digest_reader<R: Read>(reader: TraceReader<R>) -> Result<(TraceDigest, u64)> {
+    let mut d = Digester::new();
+    for ev in reader {
+        d.update(&ev?);
+    }
+    let events = d.events();
+    Ok((d.finish(), events))
+}
+
 /// Digest of a stored `CLTR` trace, streamed (the file is decoded, never
 /// loaded whole).
 ///
@@ -184,11 +207,7 @@ pub fn digest_events(events: &[TraceEvent]) -> TraceDigest {
 ///
 /// Propagates I/O and decode errors.
 pub fn digest_file(path: impl AsRef<Path>) -> Result<TraceDigest> {
-    let mut d = Digester::new();
-    for ev in TraceReader::open(path)? {
-        d.update(&ev?);
-    }
-    Ok(d.finish())
+    digest_reader(TraceReader::open(path)?).map(|(digest, _)| digest)
 }
 
 #[cfg(test)]
@@ -252,6 +271,41 @@ mod tests {
             size: 4,
         };
         assert_ne!(digest_events(&other), base, "kind matters");
+    }
+
+    #[test]
+    fn every_field_bit_reaches_the_low_digest_bits() {
+        let (tid, addr, size, lock) = (5u16, 0x1000usize, 8usize, 3u32);
+        let write = |tid: u16, addr: usize, size: usize| TraceEvent::Write {
+            tid: t(tid),
+            addr,
+            size,
+        };
+        let acquire = |lock: u32| TraceEvent::Acquire { tid: t(tid), lock };
+        let digest = |e: TraceEvent| digest_events(&[e]);
+        let write_base = digest(write(tid, addr, size));
+        let acquire_base = digest(acquire(lock));
+        // (base, flipped) for one flip of every bit each field word holds.
+        let mut flips = Vec::new();
+        for bit in 0..u16::BITS {
+            flips.push((write_base, digest(write(tid ^ (1 << bit), addr, size))));
+        }
+        for bit in 0..usize::BITS {
+            flips.push((write_base, digest(write(tid, addr ^ (1 << bit), size))));
+            flips.push((write_base, digest(write(tid, addr, size ^ (1 << bit)))));
+        }
+        for bit in 0..u32::BITS {
+            flips.push((acquire_base, digest(acquire(lock ^ (1 << bit)))));
+        }
+        let mut seen: std::collections::HashSet<TraceDigest> =
+            [write_base, acquire_base].into_iter().collect();
+        for (i, &(base, flipped)) in flips.iter().enumerate() {
+            assert!(seen.insert(flipped), "flip {i} collides");
+            // A multiply only carries a difference upwards, so without the
+            // mixer a flip of bit k would leave every state bit below k
+            // equal. With it, every flip reaches the low 32 bits.
+            assert_ne!(base.0 as u32, flipped.0 as u32, "flip {i}");
+        }
     }
 
     #[test]

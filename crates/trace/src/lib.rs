@@ -62,7 +62,7 @@ pub mod table;
 mod writer;
 
 pub use clean_core::{EventSink, TraceEvent};
-pub use digest::{digest_events, digest_file, Digester, TraceDigest};
+pub use digest::{digest_events, digest_file, digest_reader, Digester, TraceDigest};
 pub use error::{Result, TraceError};
 pub use reader::{read_range, read_trace, TraceReader};
 pub use record::{record_kernel_trace, record_sim_trace, RecordOptions};
